@@ -84,7 +84,7 @@ def cmd_sweep(args) -> int:
         values = [v for v in args.values.split(",") if v]
     else:
         values = [str(v) for v in cfg.get("sweep", "values").split()]
-    repeats = args.repeats or cfg.get("sweep", "repeats", 1, int)
+    repeats = args.repeats if args.repeats is not None else cfg.get("sweep", "repeats", 1, int)
     rows = xp.run_sweep(cfg, axis, values, repeats, seed=args.seed, jobs=args.jobs)
     header = list(xp.MET_HEADER) + (["wall_seconds"] if args.timing else [])
     xp.write_csv(args.out, header, [r.as_list(timing=args.timing) for r in rows])
@@ -144,6 +144,8 @@ def cmd_emit(args) -> int:
     if x.ndim == 3:
         if args.slice is None:
             raise ConfigError("volume input: pick an axial slice with --slice")
+        if not 0 <= args.slice < x.shape[0]:
+            raise ConfigError(f"--slice {args.slice} out of range for {x.shape[0]} slices")
         x = x[args.slice]
     xp.emit_image(x, args.out)
     print(f"wrote {args.out}")

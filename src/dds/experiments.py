@@ -332,7 +332,8 @@ def evaluate(problem: Problem, res: ReconResult, run_id: str,
     )
 
 
-SWEEP_AXES = ("eta", "nfe", "cg-steps", "lambda")
+# sweep axes and how each one's values are read
+SWEEP_AXES = {"eta": float, "nfe": int, "cg-steps": int, "lambda": float}
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
@@ -347,6 +348,14 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if repeats < 1:
+        raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    parsed = []
+    for val in values:
+        try:
+            parsed.append(SWEEP_AXES[axis](val))
+        except (TypeError, ValueError):
+            raise ConfigError(f"sweep axis {axis}: bad value {val!r}") from None
     problem = build_problem(cfg)
     base_rng = RngStream(seed)
     tasks = []
@@ -359,13 +368,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         overrides = {}
         tv_over = {}
         if axis == "eta":
-            overrides["eta"] = float(val)
+            overrides["eta"] = parsed[vi]
         elif axis == "nfe":
-            overrides["nfe"] = int(val)
+            overrides["nfe"] = parsed[vi]
         elif axis == "cg-steps":
-            overrides["cg_steps"] = int(val)
+            overrides["cg_steps"] = parsed[vi]
         else:
-            tv_over["lam"] = float(val)
+            tv_over["lam"] = parsed[vi]
         scfg = sampler_config(cfg, seed, **overrides)
         tv = tv_config(cfg, **tv_over) if problem.kind == "ct3d" else None
         res = run_reconstruction(problem, scfg, tv=tv, rng=base_rng.child(idx))

@@ -1,9 +1,10 @@
 """Linear forward models and exact adjoints behind one matrix-free contract.
 
 Includes masked multi-coil Fourier sampling, a parallel-beam Radon pair
-(ray-driven bilinear sampling whose adjoint is the exact transpose of the
-same discretization), z-axis finite differences, undersampling mask
-generators, and synthetic normalized coil sensitivities.
+(ray-driven bilinear sampling assembled once per operator as a sparse
+system matrix; the adjoint applies the same triplets transposed), z-axis
+finite differences, undersampling mask generators, and synthetic
+normalized coil sensitivities.
 """
 
 from __future__ import annotations
@@ -333,6 +334,8 @@ class RadonGeometry:
             raise ConfigError("RadonGeometry needs at least one angle")
         if np.any(np.diff(ang) <= 0) or ang[0] < 0 or ang[-1] >= math.pi:
             raise ConfigError("angles must be strictly increasing within [0, pi)")
+        if self.side < 1 or self.detector_bins < 1 or not self.step > 0:
+            raise ConfigError("RadonGeometry needs side >= 1, detector_bins >= 1, step > 0")
         object.__setattr__(self, "angles", ang)
 
     @classmethod
@@ -342,97 +345,156 @@ class RadonGeometry:
                    detector_bins=detector_bins if detector_bins else side)
 
 
-_RAY_CACHE: dict = {}
+# Entries of the dense scratch array that coalesces one block of rays
+# (256 KB); blocks of rays are cut to fit it.
+_COALESCE_ENTRIES = 1 << 15
 
 
-def _ray_samples(geom: RadonGeometry, theta: float):
-    """Bilinear gather indices/weights for all rays of one angle.
+@dataclass(frozen=True, eq=False)
+class RadonMatrix:
+    """Sparse Radon system matrix as coalesced (row, col, weight) triplets.
+
+    Sinogram row ``a * detector_bins + b`` (angle a, bin b) of a flattened
+    image ``x`` is the sum of ``weights[k] * x[cols[k]]`` over the triplets
+    with ``rows[k]`` equal to it. Triplets are sorted by row and each (row,
+    col) pair appears once. ``hit_rows`` are the rows with at least one
+    triplet and ``starts`` the index of each one's first triplet. The adjoint
+    scatters the same triplets by column, so it is the exact transpose.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    hit_rows: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.weights.size)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Rows of ``x`` (batch, n_cols) times the matrix; one slice at a time
+        keeps the temporaries at one slice's nonzeros."""
+        out = np.zeros((x.shape[0], self.shape[0]), dtype=REAL)
+        for xz, oz in zip(x, out):
+            # reduceat is wrong on empty segments, so only hit rows are written
+            oz[self.hit_rows] = np.add.reduceat(xz.take(self.cols) * self.weights, self.starts)
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """Rows of ``y`` (batch, n_rows) times the transpose."""
+        out = np.empty((y.shape[0], self.shape[1]), dtype=REAL)
+        for yz, oz in zip(y, out):
+            oz[:] = np.bincount(self.cols, weights=yz.take(self.rows) * self.weights,
+                                minlength=self.shape[1])
+        return out
+
+
+def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
+    """Ray-driven bilinear discretization of ``geom`` as a RadonMatrix.
 
     Rays pass through detector-bin centers, sampled every ``step`` pixels
-    along the ray over the full image diagonal; samples outside the grid get
-    zero weight. Returns flat pixel indices (4, bins, K) and weights of the
-    same shape (already scaled by the step length). Cached per geometry.
+    along the ray over the full image diagonal. Each sample adds ``step``
+    times its bilinear weights to the four pixels around it; pixels off the
+    grid are dropped. A block of rays is summed per (ray, pixel) in a dense
+    scratch array over the grid padded by one pixel, so every sample whose
+    footprint touches the image lands inside it; the nonzeros of its
+    interior become the triplets, already in row order.
     """
-    key = (geom.side, geom.detector_bins, geom.step, theta)
-    hit = _RAY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = geom.side
+    n, bins = geom.side, geom.detector_bins
+    npix = n * n
+    m = n + 2  # padded side
     half = (n - 1) / 2.0
-    s = (np.arange(geom.detector_bins) - (geom.detector_bins - 1) / 2.0)
     reach = n / math.sqrt(2.0) + 1.0
-    k = int(math.ceil(2.0 * reach / geom.step)) + 1
-    t = -reach + geom.step * np.arange(k)
-    es = np.array([math.cos(theta), math.sin(theta)])
-    et = np.array([-math.sin(theta), math.cos(theta)])
-    # coordinates (u along columns, v along rows), image centered
-    u = half + s[:, None] * es[0] + t[None, :] * et[0]
-    v = half + s[:, None] * es[1] + t[None, :] * et[1]
-    j0 = np.floor(u).astype(np.int64)
-    i0 = np.floor(v).astype(np.int64)
-    fu = u - j0
-    fv = v - i0
-    idx = []
-    wts = []
-    for di, dj, wgt in (
-        (0, 0, (1 - fv) * (1 - fu)),
-        (0, 1, (1 - fv) * fu),
-        (1, 0, fv * (1 - fu)),
-        (1, 1, fv * fu),
-    ):
-        ii = i0 + di
-        jj = j0 + dj
-        inside = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-        idx.append(np.where(inside, ii * n + jj, 0))
-        wts.append(np.where(inside, wgt * geom.step, 0.0))
-    out = (np.stack(idx), np.stack(wts))
-    if len(_RAY_CACHE) < 4096:
-        _RAY_CACHE[key] = out
-    return out
+    t = -reach + geom.step * np.arange(int(math.ceil(2.0 * reach / geom.step)) + 1)
+    # one ray per sinogram row: offset s along e_s = (cos, sin), walking
+    # along e_t = (-sin, cos)
+    n_rows = len(geom.angles) * bins
+    s = np.tile(np.arange(bins) - (bins - 1) / 2.0, len(geom.angles))
+    cos = np.repeat(np.cos(geom.angles), bins)
+    sin = np.repeat(np.sin(geom.angles), bins)
+    block = max(1, _COALESCE_ENTRIES // (m * m))
+    rows, cols, weights = [], [], []
+    for r0 in range(0, n_rows, block):
+        rs = slice(r0, r0 + block)
+        nb = min(block, n_rows - r0)
+        # coordinates (u along columns, v along rows), image centered
+        u = (half + s[rs] * cos[rs])[:, None] + t * -sin[rs, None]
+        v = (half + s[rs] * sin[rs])[:, None] + t * cos[rs, None]
+        j0 = np.floor(u)
+        i0 = np.floor(v)
+        keep = (j0 >= -1) & (j0 < n) & (i0 >= -1) & (i0 < n)
+        fu = (u - j0)[keep]
+        fv = (v - i0)[keep]
+        corner = (np.arange(nb)[:, None] * (m * m) + (i0 + 1) * m + (j0 + 1))[keep].astype(np.intp)
+        gu = 1.0 - fu
+        gv = 1.0 - fv
+        dense = np.bincount(
+            np.concatenate((corner, corner + 1, corner + m, corner + m + 1)),
+            np.concatenate((gv * gu, gv * fu, fv * gu, fv * fu)) * geom.step,
+            minlength=nb * m * m)
+        inner = dense.reshape(nb, m, m)[:, 1:-1, 1:-1].reshape(-1)
+        hit = np.flatnonzero(inner > 0)
+        r, c = np.divmod(hit, npix)
+        rows.append(r + r0)
+        cols.append(c)
+        weights.append(inner[hit])
+    rows = np.concatenate(rows)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return RadonMatrix((n_rows, npix), rows, np.concatenate(cols),
+                       np.concatenate(weights), rows[starts], starts)
 
 
-def radon_apply(x: np.ndarray, geom: RadonGeometry) -> np.ndarray:
+def radon_apply(x: np.ndarray, geom: RadonGeometry,
+                matrix: RadonMatrix | None = None) -> np.ndarray:
+    """Sinograms of images ``x`` (..., side, side); leading axes are a batch.
+
+    ``matrix`` is ``radon_matrix(geom)``, assembled here when not given.
+    """
     x = np.asarray(x, dtype=REAL)
-    if x.shape != (geom.side, geom.side):
-        raise ConfigError(f"radon_apply expects ({geom.side}, {geom.side}) image")
-    flat = x.ravel()
-    sino = np.empty((len(geom.angles), geom.detector_bins), dtype=REAL)
-    for a, theta in enumerate(geom.angles):
-        idx, wts = _ray_samples(geom, float(theta))
-        sino[a] = np.sum(flat[idx] * wts, axis=(0, 2))
-    return sino
+    n = geom.side
+    if x.shape[-2:] != (n, n):
+        raise ConfigError(f"radon_apply expects (..., {n}, {n}) images, got {x.shape}")
+    mat = radon_matrix(geom) if matrix is None else matrix
+    sino = mat.matvec(x.reshape(-1, n * n))
+    return sino.reshape(x.shape[:-2] + (len(geom.angles), geom.detector_bins))
 
 
-def radon_adjoint(sino: np.ndarray, geom: RadonGeometry) -> np.ndarray:
+def radon_adjoint(sino: np.ndarray, geom: RadonGeometry,
+                  matrix: RadonMatrix | None = None) -> np.ndarray:
+    """Transpose of ``radon_apply`` on sinograms (..., angles, detector_bins)."""
     sino = np.asarray(sino, dtype=REAL)
-    if sino.shape != (len(geom.angles), geom.detector_bins):
-        raise ConfigError("radon_adjoint: sinogram shape mismatch")
-    out = np.zeros(geom.side * geom.side, dtype=REAL)
-    for a, theta in enumerate(geom.angles):
-        idx, wts = _ray_samples(geom, float(theta))
-        np.add.at(out, idx.ravel(), (wts * sino[a][None, :, None]).ravel())
-    return out.reshape(geom.side, geom.side)
+    rng = (len(geom.angles), geom.detector_bins)
+    if sino.shape[-2:] != rng:
+        raise ConfigError(f"radon_adjoint expects (..., {rng[0]}, {rng[1]}) sinograms, "
+                          f"got {sino.shape}")
+    mat = radon_matrix(geom) if matrix is None else matrix
+    img = mat.rmatvec(sino.reshape(-1, rng[0] * rng[1]))
+    return img.reshape(sino.shape[:-2] + (geom.side, geom.side))
+
+
+def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
+    mat = radon_matrix(geom)
+    # radon_apply/radon_adjoint are looked up at call time, so wrappers
+    # installed on this module see every apply
+    op = LinearMap(lead + (geom.side, geom.side),
+                   lead + (len(geom.angles), geom.detector_bins),
+                   lambda x: radon_apply(x, geom, mat),
+                   lambda s: radon_adjoint(s, geom, mat),
+                   domain_dtype=REAL, name=name)
+    op.matrix = mat
+    return op
 
 
 def radon_operator(geom: RadonGeometry, name="radon") -> LinearMap:
-    return LinearMap((geom.side, geom.side), (len(geom.angles), geom.detector_bins),
-                     lambda x: radon_apply(x, geom),
-                     lambda s: radon_adjoint(s, geom),
-                     domain_dtype=REAL, name=name)
+    """2-D Radon as a LinearMap holding its system matrix as ``.matrix``."""
+    return _radon_map(geom, (), name)
 
 
 def slice_radon_operator(geom: RadonGeometry, n_slices: int, name="radon3d") -> LinearMap:
-    """Axial-slice-wise Radon on a (nz, n, n) volume."""
-
-    def fwd(vol):
-        return np.stack([radon_apply(vol[z], geom) for z in range(n_slices)])
-
-    def adj(sino):
-        return np.stack([radon_adjoint(sino[z], geom) for z in range(n_slices)])
-
-    return LinearMap((n_slices, geom.side, geom.side),
-                     (n_slices, len(geom.angles), geom.detector_bins),
-                     fwd, adj, domain_dtype=REAL, name=name)
+    """Axial-slice-wise Radon on a (nz, n, n) volume, one shared system matrix."""
+    return _radon_map(geom, (int(n_slices),), name)
 
 
 # ---------------------------------------------------------------------------

@@ -146,3 +146,104 @@ def test_noise_offset_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,strategy,sigma_est,offset"
     assert len(lines) == 1 + 3 * 6  # 2 trials + mean block
+
+
+CT_CFG = """
+[problem]
+kind = ct3d
+
+[phantom]
+kind = subspace-random
+shape = 3 8 8
+seed = 1
+
+[prior]
+kind = affine
+dim = 3
+seed = 2
+complex = false
+
+[operator]
+kind = radon3d
+angles = 5
+detector_bins = 11
+
+[sampler]
+nfe = 4
+mode = ve
+
+[tv]
+lam = 0.5
+rho = 0.5
+cg_steps = 2
+"""
+
+
+@pytest.fixture()
+def ct_cfg_file(tmp_path):
+    p = tmp_path / "ct.ini"
+    p.write_text(CT_CFG)
+    return p
+
+
+def test_ct3d_reconstruct_byte_identical_across_runs(ct_cfg_file, tmp_path):
+    outs = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        r = run_cli("reconstruct", "--config", str(ct_cfg_file), "--seed", "5",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        outs.append(((out / "x0.dtf").read_bytes(), (out / "trace.csv").read_bytes()))
+    assert outs[0] == outs[1]
+    assert read_dtf(tmp_path / "r1" / "x0.dtf").shape == (3, 8, 8)
+
+
+def test_ct3d_sweep_jobs_independence(ct_cfg_file, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"s{jobs}.csv"
+        r = run_cli("sweep", "--config", str(ct_cfg_file), "--axis", "lambda",
+                    "--values", "0.1,0.5,2.0", "--repeats", "2", "--seed", "4",
+                    "--out", str(out), "--jobs", jobs)
+        assert r.returncode == 0, r.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].decode().splitlines()) == 1 + 6 + 6
+
+
+def _one_line_error(r):
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+def test_sweep_unparsable_value_exits_2(ct_cfg_file, tmp_path):
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--config", str(ct_cfg_file), "--axis", "nfe",
+                "--values", "abc", "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert "'abc'" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_sweep_repeats_below_one_exits_2(cfg_file, tmp_path, repeats):
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--config", str(cfg_file), "--axis", "eta",
+                "--values", "0.0", "--repeats", repeats, "--seed", "0",
+                "--out", str(out))
+    _one_line_error(r)
+    assert not out.exists()
+
+
+def test_emit_volume_slice_range(tmp_path):
+    vol = tmp_path / "vol.dtf"
+    write_dtf(vol, RngStream(0).randn((3, 4, 4)))
+    for bad in ("3", "7", "-1"):
+        r = run_cli("emit", "--in", str(vol), "--out", str(tmp_path / "x.pgm"),
+                    "--slice", bad)
+        _one_line_error(r)
+    assert not (tmp_path / "x.pgm").exists()
+    r = run_cli("emit", "--in", str(vol), "--out", str(tmp_path / "x.pgm"), "--slice", "2")
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "x.pgm").read_bytes().startswith(b"P5\n4 4\n255\n")

@@ -70,7 +70,7 @@ from .samplers import (
     default_eta,
     dps_dc_step,
     gradient_dc_step,
-    projection_dc_step,
+    make_dc,
     pseudo_inverse_apply,
     rejection_wrap,
 )

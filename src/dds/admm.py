@@ -10,31 +10,18 @@ single inner iteration converges over the course of the sampling loop.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    VpSchedule,
-    eps_from_denoised,
-    score_from_denoised,
-    ve_ddim_step,
-    vp_ddim_step,
-)
-from .errors import ConfigError, NumericalError, SamplerDivergedError
-from .krylov import cg
+# vp_ddim_step/ve_ddim_step are imported only for bench/tracing.py, which
+# hooks them as admm attributes.
+from .diffusion import VpSchedule, ve_ddim_step, vp_ddim_step  # noqa: F401
+from .errors import ConfigError
+from .krylov import cg, normal_operator
 from .operators import LinearMap, diff_z_adjoint, diff_z_apply
-from .samplers import (
-    ReconResult,
-    SamplerConfig,
-    SamplerTrace,
-    StepRecord,
-    _trace_noise,
-    make_schedule,
-)
-from .tensor import RngStream, norm
+from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_schedule
+from .tensor import RngStream
 
 
 class SliceDenoiser:
@@ -129,78 +116,29 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
                        x_true: np.ndarray | None = None, schedule=None) -> ReconResult:
     """Volume reconstruction: slice-wise denoising, shared-state ADMM-TV DC.
 
-    VP applies ADMM-TV at every step; VE warms up with plain CG for
-    t in [N/2, N] and switches to ADMM-TV below, zero-initializing z, w at
-    the switch. The z-axis TV couples slices only through the DC solve.
+    Runs the shared sampling loop with a stateful DC step. VP applies
+    ADMM-TV at every step; VE warms up with plain CG for t in [N/2, N] and
+    switches to ADMM-TV below, with z, w still zero at the switch. Both run
+    tv.cg_steps CG iterations. The z-axis TV couples slices only through the
+    DC solve.
     """
-    t_start = time.perf_counter()
-    rng = rng if rng is not None else RngStream(cfg.seed)
-    sched = schedule if schedule is not None else make_schedule(cfg)
-    if sched.n_steps != cfg.nfe:
-        raise ConfigError("schedule length disagrees with cfg.nfe")
-    eta = cfg.resolved_eta()
-    vp = isinstance(sched, VpSchedule)
-    shape, dtype = a.domain_shape, a.domain_dtype
-    if len(shape) != 3:
+    if len(a.domain_shape) != 3:
         raise ConfigError("dds_3d_reconstruct expects a volume operator")
+    if cfg.dc != "dds-cg":
+        raise ConfigError(f"volume reconstruction runs ADMM-TV data consistency; "
+                          f"dc = {cfg.dc} is not supported, use dc = dds-cg")
+    sched = schedule if schedule is not None else make_schedule(cfg)
+    vp = isinstance(sched, VpSchedule)
+    switch_t = sched.n_steps // 2  # VE warm-up: plain CG while t >= switch_t
+    nrm, a_star_y = normal_operator(a), a.adjoint(y)
+    state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)
 
-    def denoise_volume(xv, t):
-        return np.stack([denoiser.denoise(xv[z], t, sched) for z in range(shape[0])])
+    def admm_dc(x, xhat, t):
+        nonlocal state
+        if vp or t < switch_t:
+            xp, state = admm_tv_dc(xhat, a, y, state, tv, lam=tv.lam_at(t))
+            return xp
+        return cg(nrm, a_star_y, xhat, tv.cg_steps)[0]
 
-    a_star_y = a.adjoint(y)
-
-    def normal_op(v):
-        return a.adjoint(a.apply(v))
-
-    nrm = LinearMap(shape, shape, normal_op, normal_op, domain_dtype=dtype, name="A'A")
-
-    x = rng.randn(shape, dtype=dtype)
-    if not vp:
-        x = sched.sigmas[sched.n_steps] * x
-
-    state = AdmmState.zeros(shape, dtype=dtype)
-    switch_t = sched.n_steps // 2  # VE warmup: plain CG while t >= switch_t
-    k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
-    trace = SamplerTrace()
-    try:
-        for t in range(sched.n_steps, k_stop, -1):
-            xhat = denoise_volume(x, t)
-            if vp:
-                eps_hat = eps_from_denoised(x, xhat, t, sched)
-            else:
-                s_hat = score_from_denoised(x, xhat, t, sched)
-
-            use_admm = vp or t < switch_t
-            if use_admm:
-                xp, state = admm_tv_dc(xhat, a, y, state, tv, lam=tv.lam_at(t))
-            else:
-                xp, _ = cg(nrm, a_star_y, xhat, tv.cg_steps)
-
-            trace.append(StepRecord(
-                t=t,
-                residual=norm(y - a.apply(xp)),
-                gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
-                noise_est=_trace_noise(x),
-            ))
-
-            if vp:
-                x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
-            else:
-                x = ve_ddim_step(xp, s_hat, t, eta, rng, sched)
-
-        x0 = denoise_volume(x, k_stop)
-        residual = norm(y - a.apply(x0))
-        trace.append(StepRecord(
-            t=k_stop,
-            residual=residual,
-            gt_error=norm(x0 - x_true) if x_true is not None else math.nan,
-            noise_est=_trace_noise(x),
-        ))
-    except NumericalError as exc:
-        raise SamplerDivergedError(f"3-D sampler diverged: {exc}", trace=trace) from exc
-
-    accepted = None
-    if cfg.rejection_tau is not None:
-        accepted = bool(residual <= cfg.rejection_tau)
-    return ReconResult(x0=x0, trace=trace, residual=residual, accepted=accepted,
-                       wall_seconds=time.perf_counter() - t_start)
+    return dds_reconstruct(a, y, SliceDenoiser(denoiser), cfg, rng=rng, x_true=x_true,
+                           schedule=sched, dc=admm_dc)

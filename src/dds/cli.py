@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
 Subcommands: simulate, reconstruct, sweep, noise-offset, metrics, emit.
-Exit codes: 0 success, 2 validation error, 3 numerical failure. Artifacts
-are byte-reproducible from (config, seed); wall-clock timing columns are
-opt-in via --timing because they would break that contract.
+Exit codes: 0 success, 2 validation or file-system error, 3 numerical
+failure. Artifacts are byte-reproducible from (config, seed); wall-clock
+timing columns are opt-in via --timing because they would break that
+contract.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # e.g. an --out path that cannot be created
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package.
 
-ConfigError maps to CLI exit code 2, NumericalError to exit code 3.
+ConfigError (and an OSError, such as an output path that cannot be
+created) maps to CLI exit code 2, NumericalError to exit code 3.
 """
 
 

@@ -42,9 +42,9 @@ from .samplers import (
     ReconResult,
     SamplerConfig,
     dds_reconstruct,
+    ddnm_step,
     dps_dc_step,
     gradient_dc_step,
-    projection_dc_step,
     pseudo_inverse_apply,
     rejection_wrap,
 )
@@ -235,6 +235,10 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 
 def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConfig:
+    if cfg.has("sampler", "projection_target"):
+        raise ConfigError("[sampler] projection_target was removed: projection always "
+                          "acts on the noisy iterate; for the pseudo-inverse step on the "
+                          "denoised estimate use dc = ddnm")
     kwargs = dict(
         nfe=cfg.get("sampler", "nfe", 20, int),
         eta=cfg.get("sampler", "eta", None, float) if cfg.has("sampler", "eta") else None,
@@ -249,7 +253,6 @@ def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConf
         ve_truncation=cfg.get("sampler", "ve_truncation", 1.0 / 50.0, float),
         rejection_tau=cfg.get("sampler", "rejection_tau", None, float)
         if cfg.has("sampler", "rejection_tau") else None,
-        projection_target=cfg.get("sampler", "projection_target", "noisy"),
         seed=seed,
     )
     kwargs.update(overrides)
@@ -316,9 +319,11 @@ def _middle_slice(mag: np.ndarray) -> np.ndarray:
 
 
 def evaluate(problem: Problem, res: ReconResult, run_id: str,
-             scfg: SamplerConfig, strategy: str | None = None) -> MetricsRow:
+             scfg: SamplerConfig, strategy: str | None = None,
+             tv: TvConfig | None = None) -> MetricsRow:
     """Metrics on magnitude images: PSNR over the whole signal, SSIM on the
-    (middle axial slice of the) 2-D magnitude."""
+    (middle axial slice of the) 2-D magnitude. ``cg_steps`` is the count the
+    run used: tv.cg_steps for a volume run given its TvConfig."""
     mx = np.abs(res.x0)
     mref = np.abs(problem.x_true)
     try:
@@ -327,7 +332,8 @@ def evaluate(problem: Problem, res: ReconResult, run_id: str,
         ss = math.nan  # image smaller than the SSIM window
     return MetricsRow(
         run_id=run_id, strategy=strategy or scfg.dc, nfe=scfg.nfe,
-        cg_steps=scfg.cg_steps, eta=scfg.resolved_eta(), psnr=psnr(mx, mref),
+        cg_steps=scfg.cg_steps if tv is None else tv.cg_steps,
+        eta=scfg.resolved_eta(), psnr=psnr(mx, mref),
         ssim=ss, residual=res.residual, wall_seconds=res.wall_seconds,
     )
 
@@ -371,15 +377,15 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
             overrides["eta"] = parsed[vi]
         elif axis == "nfe":
             overrides["nfe"] = parsed[vi]
-        elif axis == "cg-steps":
-            overrides["cg_steps"] = parsed[vi]
+        elif axis == "cg-steps":  # volumes run TvConfig.cg_steps
+            (tv_over if problem.kind == "ct3d" else overrides)["cg_steps"] = parsed[vi]
         else:
             tv_over["lam"] = parsed[vi]
         scfg = sampler_config(cfg, seed, **overrides)
         tv = tv_config(cfg, **tv_over) if problem.kind == "ct3d" else None
         res = run_reconstruction(problem, scfg, tv=tv, rng=base_rng.child(idx))
         run_id = f"{axis}={val}:rep={rep}"
-        return idx, evaluate(problem, res, run_id, scfg)
+        return idx, evaluate(problem, res, run_id, scfg, tv=tv)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -451,7 +457,7 @@ def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: 
 
         outs = {
             "no-process": x_noisy,
-            "projection": projection_dc_step(x_noisy, a, y),
+            "projection": ddnm_step(x_noisy, a, y),
             "gradient": gradient_dc_step(x_noisy, a, y, 1.0),
             "dps": dps_dc_step(x_noisy, t_mid, prior, a, y, 1.0, sched),
             "ddnm": x_den + pseudo_inverse_apply(a, y - a.apply(x_den)),

@@ -1,6 +1,7 @@
-"""Reconstruction loops: CG-decomposed DDIM sampling plus baseline DC steps.
+"""The reconstruction loop: CG-decomposed DDIM sampling plus baseline DC steps.
 
-The per-step data-consistency slot is pluggable so strategy ablations are a
+One loop serves images and, via admm.dds_3d_reconstruct, volumes; make_dc
+builds its data-consistency step once per run, so strategy ablations are a
 config sweep. Baselines cover pseudo-inverse replacement (on the denoised
 estimate or the noisy iterate), one-step gradient descent on the residual,
 and the projected-gradient step available when the denoiser Jacobian is an
@@ -56,7 +57,6 @@ class SamplerConfig:
     ve_sigma_max: float = 10.0
     ve_truncation: float = 1.0 / 50.0
     rejection_tau: float | None = None
-    projection_target: str = "noisy"  # where the projection baseline acts
     seed: int = 0
 
     def __post_init__(self):
@@ -72,8 +72,6 @@ class SamplerConfig:
             raise ConfigError(f"unknown dc strategy {self.dc!r}")
         if self.eta is not None and not (0.0 <= self.eta <= 1.0):
             raise ConfigError("eta must lie in [0, 1]")
-        if self.projection_target not in ("noisy", "denoised"):
-            raise ConfigError("projection target must be noisy or denoised")
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.nfe)
@@ -144,13 +142,7 @@ def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
     rn = norm(rhs)
     if rn == 0.0:
         return np.zeros(a.domain_shape, dtype=a.domain_dtype)
-
-    def nrm(z):
-        return a.adjoint(a.apply(z))
-
-    nop = LinearMap(a.domain_shape, a.domain_shape, nrm, nrm,
-                    domain_dtype=a.domain_dtype, name="A*A")
-    z, rep = cg(nop, rhs, np.zeros_like(rhs), maxiter, tol=tol * rn)
+    z, rep = cg(normal_operator(a), rhs, np.zeros_like(rhs), maxiter, tol=tol * rn)
     if rep.residual_norms[-1] > 1e-2 * rn:
         raise NumericalError(
             f"pseudo-inverse CG did not converge (relative residual "
@@ -168,12 +160,6 @@ def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray,
     return xhat + pseudo_inverse_apply(a, y - a.apply(xhat), tol=tol, maxiter=maxiter)
 
 
-def projection_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray,
-                       tol: float = 1e-10, maxiter: int = 200) -> np.ndarray:
-    """Identical algebra to ddnm_step; by convention applied to the noisy iterate."""
-    return ddnm_step(x, a, y, tol=tol, maxiter=maxiter)
-
-
 def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> np.ndarray:
     """One descent step x - xi A*(A x - y) on the residual 1/2 ||y - Ax||^2."""
     if xi <= 0:
@@ -186,6 +172,40 @@ def dps_dc_step(x_t: np.ndarray, t: int, prior: AffineSubspacePrior, a: LinearMa
     """xhat_t - gamma_t * (manifold-constrained gradient), a projected step."""
     xhat = affine_prior_denoise(x_t, t, prior, sched)
     return xhat - gamma_t * mcg_dps_gradient(x_t, t, prior, a, y, sched)
+
+
+def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
+            prior: AffineSubspacePrior | None = None):
+    """Build the data-consistency step ``dc(x, xhat, t) -> x'`` named by cfg.dc.
+
+    ``x`` is the noisy iterate at step t and ``xhat`` its Tweedie estimate.
+    ``projection`` leaves xhat unchanged: the loop projects the noisy iterate
+    after the DDIM step instead.
+    """
+    def step_size(base):
+        if not cfg.scale_step_by_residual:
+            return lambda xhat: base
+        return lambda xhat: base / max(norm(y - a.apply(xhat)), 1e-12)
+
+    if cfg.dc == "dds-cg":
+        nrm_op, a_star_y = normal_operator(a), a.adjoint(y)
+        return lambda x, xhat, t: cg(nrm_op, a_star_y, xhat, cfg.cg_steps)[0]
+    if cfg.dc == "dds-proximal-cg":
+        a_star_y = a.adjoint(y)
+        prox_op = build_proximal_normal(a, y, np.zeros_like(a_star_y), cfg.gamma).op
+        return lambda x, xhat, t: cg(prox_op, xhat + cfg.gamma * a_star_y, xhat,
+                                     cfg.cg_steps)[0]
+    if cfg.dc == "ddnm":
+        return lambda x, xhat, t: ddnm_step(xhat, a, y)
+    if cfg.dc == "projection":
+        return lambda x, xhat, t: xhat
+    if cfg.dc == "gradient":
+        xi = step_size(cfg.xi)
+        return lambda x, xhat, t: gradient_dc_step(xhat, a, y, xi(xhat))
+    if prior is None:
+        raise ConfigError("dps DC needs an affine-subspace prior denoiser")
+    gamma = step_size(cfg.dps_step)
+    return lambda x, xhat, t: dps_dc_step(x, t, prior, a, y, gamma(xhat), sched)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +231,13 @@ def _trace_noise(x: np.ndarray) -> float:
 
 def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
                     rng: RngStream | None = None, x_true: np.ndarray | None = None,
-                    schedule=None) -> ReconResult:
+                    schedule=None, dc=None) -> ReconResult:
     """Run the decomposed sampling loop for one measurement.
 
-    Per step: Tweedie denoise, data consistency per cfg.dc, then the DDIM
-    transition using the pre-DC noise estimate. The last step applies
-    Tweedie only. VE runs with truncation stop at t <= nfe * ve_truncation.
+    Per step: Tweedie denoise, data consistency ``dc(x, xhat, t)`` (by
+    default ``make_dc`` for cfg.dc), then the DDIM transition using the
+    pre-DC noise estimate. The last step applies Tweedie only. VE runs with
+    truncation stop at t <= nfe * ve_truncation.
     """
     t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(cfg.seed)
@@ -230,12 +251,9 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     prior = getattr(denoiser, "prior", None)
     if not (isinstance(prior, AffineSubspacePrior) and prior.signal_shape == shape):
         prior = None  # slice-wise priors cannot score whole-volume iterates
-
-    a_star_y = a.adjoint(y)
-    nrm_op = normal_operator(a)
-    prox_sys = None
-    if cfg.dc == "dds-proximal-cg":
-        prox_sys = build_proximal_normal(a, y, np.zeros(shape, dtype=dtype), cfg.gamma)
+    if dc is None:
+        dc = make_dc(cfg, a, y, sched, prior)
+    project_noisy = cfg.dc == "projection"
 
     x = rng.randn(shape, dtype=dtype)
     if not vp:
@@ -243,68 +261,36 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
 
     k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
     trace = SamplerTrace()
+
+    def record(t, x, xp, xhat) -> float:
+        residual = norm(y - a.apply(xp))
+        trace.append(StepRecord(
+            t=t,
+            residual=residual,
+            gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
+            noise_est=_trace_noise(x),
+            subspace_dist=prior.distance(xp) if prior is not None else math.nan,
+        ))
+        return residual
+
     try:
         for t in range(sched.n_steps, k_stop, -1):
             xhat = denoiser.denoise(x, t, sched)
-            if vp:
-                eps_hat = eps_from_denoised(x, xhat, t, sched)
-            else:
-                s_hat = score_from_denoised(x, xhat, t, sched)
-
-            if cfg.dc == "dds-cg":
-                xp, _ = cg(nrm_op, a_star_y, xhat, cfg.cg_steps)
-            elif cfg.dc == "dds-proximal-cg":
-                rhs = xhat + cfg.gamma * a_star_y
-                xp, _ = cg(prox_sys.op, rhs, xhat, cfg.cg_steps)
-            elif cfg.dc == "ddnm":
-                xp = ddnm_step(xhat, a, y)
-            elif cfg.dc == "projection":
-                xp = ddnm_step(xhat, a, y) if cfg.projection_target == "denoised" else xhat
-            elif cfg.dc == "gradient":
-                xi_t = cfg.xi
-                if cfg.scale_step_by_residual:
-                    xi_t = cfg.xi / max(norm(y - a.apply(xhat)), 1e-12)
-                xp = gradient_dc_step(xhat, a, y, xi_t)
-            else:  # dps
-                if prior is None:
-                    raise ConfigError("dps DC needs an affine-subspace prior denoiser")
-                g_t = cfg.dps_step
-                if cfg.scale_step_by_residual:
-                    g_t = cfg.dps_step / max(norm(y - a.apply(xhat)), 1e-12)
-                xp = dps_dc_step(x, t, prior, a, y, g_t, sched)
-
-            trace.append(StepRecord(
-                t=t,
-                residual=norm(y - a.apply(xp)),
-                gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
-                noise_est=_trace_noise(x),
-                subspace_dist=prior.distance(xp) if prior is not None else math.nan,
-            ))
-
-            if vp:
-                x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
-            else:
-                x = ve_ddim_step(xp, s_hat, t, eta, rng, sched)
-            if cfg.dc == "projection" and cfg.projection_target == "noisy":
-                x = projection_dc_step(x, a, y)
+            noise_hat = (eps_from_denoised if vp else score_from_denoised)(x, xhat, t, sched)
+            xp = dc(x, xhat, t)
+            record(t, x, xp, xhat)
+            x = (vp_ddim_step if vp else ve_ddim_step)(xp, noise_hat, t, eta, rng, sched)
+            if project_noisy:
+                x = ddnm_step(x, a, y)
 
         x0 = denoiser.denoise(x, k_stop, sched)
-        residual = norm(y - a.apply(x0))
-        trace.append(StepRecord(
-            t=k_stop,
-            residual=residual,
-            gt_error=norm(x0 - x_true) if x_true is not None else math.nan,
-            noise_est=_trace_noise(x),
-            subspace_dist=prior.distance(x0) if prior is not None else math.nan,
-        ))
+        residual = record(k_stop, x, x0, x0)
     except NumericalError as exc:
         raise SamplerDivergedError(f"sampler diverged: {exc}", trace=trace) from exc
     if not np.all(np.isfinite(x0)):
         raise SamplerDivergedError("sampler produced non-finite output", trace=trace)
 
-    accepted = None
-    if cfg.rejection_tau is not None:
-        accepted = bool(residual <= cfg.rejection_tau)
+    accepted = None if cfg.rejection_tau is None else bool(residual <= cfg.rejection_tau)
     return ReconResult(x0=x0, trace=trace, residual=residual, accepted=accepted,
                        wall_seconds=time.perf_counter() - t_start)
 

@@ -17,19 +17,6 @@ REAL = np.float64
 COMPLEX = np.complex128
 
 
-def as_tensor(x, dtype=None) -> np.ndarray:
-    """Coerce to a float64/complex128 ndarray and validate finiteness."""
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    elif np.iscomplexobj(arr):
-        arr = arr.astype(COMPLEX)
-    else:
-        arr = arr.astype(REAL)
-    check_finite(arr, "as_tensor")
-    return arr
-
-
 def check_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"non-finite values in {context}")

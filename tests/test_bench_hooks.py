@@ -1,0 +1,112 @@
+"""The benchmark's tracer hooks dds module attributes by name.
+
+bench/tracing.py replaces each (module, attribute) pair of MODULE_HOOKS
+with a timing wrapper on every benchmark run, so a refactor that drops or
+renames one of them breaks the benchmark. These tests keep the names
+resolvable and check that the loops really call through them.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from dds.experiments import (
+    ExperimentConfig,
+    build_problem,
+    run_reconstruction,
+    sampler_config,
+    tv_config,
+)
+from dds.tensor import RngStream
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("admm", "dtf", "errors", "experiments", "operators", "samplers", "tensor")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+DDS = {name: importlib.import_module(f"dds.{name}") for name in MODULES}
+
+
+def test_every_module_hook_resolves():
+    missing = [f"{m}.{a}" for m, a, _ in tracing.MODULE_HOOKS
+               if not callable(getattr(DDS[m], a, None))]
+    assert missing == []
+    assert callable(DDS["samplers"].SamplerTrace.to_csv)
+
+
+MRI_CFG = """
+[phantom]
+shape = 16 16
+seed = 7
+
+[prior]
+dim = 4
+seed = 11
+
+[operator]
+coils = 2
+mask_kind = uniform1d
+acceleration = 2
+
+[sampler]
+nfe = 4
+eta = 0.0
+cg_steps = 2
+dc = {dc}
+"""
+
+CT_CFG = """
+[problem]
+kind = ct3d
+
+[phantom]
+shape = 2 8 8
+seed = 1
+
+[prior]
+dim = 3
+seed = 2
+complex = false
+
+[operator]
+kind = radon3d
+angles = 5
+
+[sampler]
+nfe = {nfe}
+mode = {mode}
+"""
+
+
+def _traced_span_names(text):
+    cfg = ExperimentConfig(text)
+    problem = build_problem(cfg)
+    tracer = tracing.Tracer()
+    tv = tv_config(cfg) if problem.kind == "ct3d" else None
+    with tracing.installed(tracer, DDS, problem):
+        run_reconstruction(problem, sampler_config(cfg, 0), tv=tv, rng=RngStream(0))
+    spans = tracer.take()
+    loops = {i for i, s in enumerate(spans) if s[0] == "samplers.loop"}
+    return {s[0] for s in spans}, {s[0] for s in spans if s[3] in loops}
+
+
+@pytest.mark.parametrize("text, in_loop", [
+    (MRI_CFG.format(dc="dds-cg"), {"krylov.cg", "diffusion.ddim", "diffusion.denoise"}),
+    (MRI_CFG.format(dc="ddnm"), {"samplers.ddnm_step", "diffusion.ddim"}),
+    (MRI_CFG.format(dc="projection"), {"samplers.ddnm_step", "diffusion.ddim"}),
+    (CT_CFG.format(nfe=4, mode="vp"), {"admm.sweep", "diffusion.ddim", "diffusion.denoise"}),
+    (CT_CFG.format(nfe=6, mode="ve"), {"admm.sweep", "krylov.cg", "diffusion.ddim"}),
+], ids=["mri2d-dds-cg", "mri2d-ddnm", "mri2d-projection", "ct3d-vp", "ct3d-ve"])
+def test_loops_call_through_hooked_attributes(text, in_loop):
+    names, loop_children = _traced_span_names(text)
+    assert "samplers.loop" in names and "samplers.estimate_noise" in names
+    assert in_loop <= loop_children

@@ -247,3 +247,38 @@ def test_emit_volume_slice_range(tmp_path):
     r = run_cli("emit", "--in", str(vol), "--out", str(tmp_path / "x.pgm"), "--slice", "2")
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "x.pgm").read_bytes().startswith(b"P5\n4 4\n255\n")
+
+
+@pytest.mark.parametrize("dc", ["ddnm", "gradient", "dps", "projection", "dds-proximal-cg"])
+def test_ct3d_rejects_dc_other_than_dds_cg(tmp_path, dc):
+    # the volume path runs ADMM-TV; it used to ignore [sampler] dc silently
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace("mode = ve", f"mode = ve\ndc = {dc}"))
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "5", "--out", str(out))
+    _one_line_error(r)
+    assert f"dc = {dc}" in r.stderr and "dds-cg" in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+def test_projection_target_key_exits_2(tmp_path):
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("dc = dds-cg", "dc = projection\nprojection_target = denoised"))
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0",
+                "--out", str(tmp_path / "r"))
+    _one_line_error(r)
+    assert "projection_target" in r.stderr and "dc = ddnm" in r.stderr
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("reconstruct", ["--seed", "0"]),
+    ("sweep", ["--axis", "eta", "--values", "0.0", "--seed", "0"]),
+])
+def test_out_path_under_regular_file_exits_2(cfg_file, tmp_path, command, extra):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    r = run_cli(command, "--config", str(cfg_file), *extra,
+                "--out", str(blocker / "out"))
+    _one_line_error(r)
+    assert str(blocker) in r.stderr

@@ -249,6 +249,22 @@ def test_sweep_lambda_axis_on_ct3d():
     assert all(np.isfinite(r.psnr) for r in run_rows)
 
 
+def test_sweep_cg_steps_axis_sets_volume_cg_count():
+    # the volume run uses [tv] cg_steps; the axis used to change only the
+    # (unused) sampler count, so runs were identical under different labels
+    rows = run_sweep(ExperimentConfig(CT_CFG), "cg-steps", ["1", "8"], repeats=1, seed=0)
+    one, eight = rows[0], rows[1]
+    assert (one.cg_steps, eight.cg_steps) == (1, 8)
+    assert one.residual != eight.residual
+    assert eight.residual < one.residual
+
+
+def test_ct3d_rows_report_tv_cg_steps():
+    text = CT_CFG.replace("rho = 0.5\ncg_steps = 2", "rho = 0.5\ncg_steps = 3")
+    rows = run_sweep(ExperimentConfig(text), "eta", ["0.0"], repeats=1, seed=0)
+    assert all(r.cg_steps == 3 for r in rows)
+
+
 def test_noisy_problem_with_proximal_dc_runs():
     text = BASE_CFG.replace("kind = mri2d", "kind = mri2d-noisy") \
                    .replace("dc = dds-cg", "dc = dds-proximal-cg")

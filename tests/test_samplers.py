@@ -26,7 +26,7 @@ from dds.samplers import (
     default_eta,
     dps_dc_step,
     gradient_dc_step,
-    projection_dc_step,
+    make_dc,
     pseudo_inverse_apply,
     rejection_wrap,
 )
@@ -108,12 +108,6 @@ def test_ddnm_output_satisfies_measurements_when_consistent():
     xhat = RngStream(21).randn((16, 16), dtype=COMPLEX)
     out = ddnm_step(xhat, a, y)
     assert norm(y - a.apply(out)) <= 1e-6 * norm(y)
-
-
-def test_projection_step_same_algebra_as_ddnm():
-    _, _, _, a, y = sense_problem(30, shape=(16, 16), coils=2, acc=2.0)
-    x = RngStream(31).randn((16, 16), dtype=COMPLEX)
-    assert np.array_equal(projection_dc_step(x, a, y), ddnm_step(x, a, y))
 
 
 def test_pseudo_inverse_multicoil_matches_dense_pinv():
@@ -356,16 +350,39 @@ def test_ddnm_projection_leave_subspace_generically():
 
 def test_projection_strategy_targets_noisy_iterate():
     prior, den, x_true, a, y = sense_problem(170, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="projection",
-                        projection_target="noisy", seed=0)
+    cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="projection", seed=0)
     res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
     assert np.all(np.isfinite(res.x0))
-    cfg2 = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="projection",
-                         projection_target="denoised", seed=0)
-    res2 = dds_reconstruct(a, y, den, cfg2, rng=RngStream(0))
-    cfg3 = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="ddnm", seed=0)
-    res3 = dds_reconstruct(a, y, den, cfg3, rng=RngStream(0))
-    assert np.array_equal(res2.x0, res3.x0)
+    # the denoised estimate is left alone; the noisy iterate is projected
+    sched = VpSchedule.default(6)
+    x = RngStream(171).randn((16, 16), dtype=COMPLEX)
+    xhat = den.denoise(x, 6, sched)
+    assert make_dc(cfg, a, y, sched, prior)(x, xhat, 6) is xhat
+    cfg_ddnm = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="ddnm", seed=0)
+    res_ddnm = dds_reconstruct(a, y, den, cfg_ddnm, rng=RngStream(0))
+    assert not np.allclose(res.x0, res_ddnm.x0)
+
+
+@pytest.mark.parametrize("dc, step", [("gradient", "xi"), ("dps", "dps_step")])
+def test_scale_step_by_residual_divides_step(dc, step):
+    prior, den, x_true, a, y = sense_problem(175, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    sched = VpSchedule.default(8)
+    x = RngStream(176).randn((16, 16), dtype=COMPLEX)
+    xhat = den.denoise(x, 5, sched)
+    r = norm(y - a.apply(xhat))
+    assert r > 1e-3
+    scaled = make_dc(SamplerConfig(dc=dc, scale_step_by_residual=True, **{step: 0.7}),
+                     a, y, sched, prior)
+    divided = make_dc(SamplerConfig(dc=dc, **{step: 0.7 / r}), a, y, sched, prior)
+    plain = make_dc(SamplerConfig(dc=dc, **{step: 0.7}), a, y, sched, prior)
+    assert np.array_equal(scaled(x, xhat, 5), divided(x, xhat, 5))
+    assert not np.allclose(scaled(x, xhat, 5), plain(x, xhat, 5))
+
+
+def test_dps_without_affine_prior_is_config_error():
+    _, _, _, a, y = sense_problem(178, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    with pytest.raises(ConfigError, match="affine-subspace prior"):
+        make_dc(SamplerConfig(dc="dps"), a, y, VpSchedule.default(8), None)
 
 
 # ---------------------------------------------------------------------------

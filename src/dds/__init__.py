@@ -28,9 +28,6 @@ from .errors import ConfigError, IndefiniteOperatorError, NumericalError, Sample
 from .krylov import (
     CgReport,
     KrylovBasis,
-    NormalSystem,
-    build_normal,
-    build_proximal_normal,
     cg,
     jacobi_residual_sequence,
     krylov_basis,
@@ -68,7 +65,6 @@ from .samplers import (
     dds_reconstruct,
     ddnm_step,
     default_eta,
-    dps_dc_step,
     gradient_dc_step,
     make_dc,
     pseudo_inverse_apply,

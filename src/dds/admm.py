@@ -63,7 +63,6 @@ class TvConfig:
     lam: float = 10.0
     rho: float = 0.04
     cg_steps: int = 5
-    lam_schedule: np.ndarray | None = None  # optional per-step lambda_t
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -73,35 +72,25 @@ class TvConfig:
         if self.cg_steps < 0:
             raise ConfigError("inner CG cap must be >= 0")
 
-    def lam_at(self, t: int) -> float:
-        if self.lam_schedule is None:
-            return self.lam
-        return float(self.lam_schedule[t - 1])
 
-
-def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
-               cfg: TvConfig, lam: float | None = None) -> tuple[np.ndarray, AdmmState]:
+def admm_tv_dc(xhat: np.ndarray, a: LinearMap, a_star_y: np.ndarray, state: AdmmState,
+               cfg: TvConfig) -> tuple[np.ndarray, AdmmState]:
     """One ADMM sweep of the TV-regularized data-consistency problem.
 
     x-update: CG on (A'A + rho D'D) x = A'y + rho D'(z - w), warm-started at
-    xhat; then z <- shrink(D x' + w), w <- w + D x' - z.
+    xhat, with the run's constant A'y passed in; then z <- shrink(D x' + w),
+    w <- w + D x' - z.
     """
     if xhat.ndim != 3:
         raise ConfigError("admm_tv_dc expects a 3-D volume")
     if state.z.shape != xhat.shape or state.w.shape != xhat.shape:
         raise ConfigError("ADMM state shapes must match the volume")
-    lam = cfg.lam if lam is None else lam
     rho = cfg.rho
-
-    def op(v):
-        return a.adjoint(a.apply(v)) + rho * diff_z_adjoint(diff_z_apply(v))
-
-    lin = LinearMap(xhat.shape, xhat.shape, op, op, domain_dtype=a.domain_dtype,
-                    name="A'A+rhoD'D")
-    rhs = a.adjoint(y) + rho * diff_z_adjoint(state.z - state.w)
-    xp, _ = cg(lin, rhs, xhat, cfg.cg_steps)
+    op = normal_operator(a, plus=lambda v: rho * diff_z_adjoint(diff_z_apply(v)))
+    rhs = a_star_y + rho * diff_z_adjoint(state.z - state.w)
+    xp, _ = cg(op, rhs, xhat, cfg.cg_steps)
     dx = diff_z_apply(xp)
-    z_new = soft_threshold(dx + state.w, lam / rho)
+    z_new = soft_threshold(dx + state.w, cfg.lam / rho)
     w_new = state.w + dx - z_new
     return xp, AdmmState(z=z_new, w=w_new)
 
@@ -136,7 +125,7 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     def admm_dc(x, xhat, t):
         nonlocal state
         if vp or t < switch_t:
-            xp, state = admm_tv_dc(xhat, a, y, state, tv, lam=tv.lam_at(t))
+            xp, state = admm_tv_dc(xhat, a, a_star_y, state, tv)
             return xp
         return cg(nrm, a_star_y, xhat, tv.cg_steps)[0]
 

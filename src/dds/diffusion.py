@@ -93,7 +93,10 @@ class VpSchedule:
         abar = abar_tr[idx]
         prev = np.concatenate([[1.0], abar[:-1]])
         betas = 1.0 - abar / prev
-        return cls.from_betas(betas)
+        try:
+            return cls.from_betas(betas)
+        except ConfigError as exc:
+            raise ConfigError(f"no VP schedule for nfe = {n_steps}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,9 @@ class AffineSubspacePrior:
         atoms to that correlation length before orthonormalization."""
         rng = RngStream(seed)
         d = int(np.prod(signal_shape))
+        if not 1 <= dim <= d:
+            raise ConfigError(f"affine prior dim = {dim} must lie in [1, {d}] "
+                              f"for signal shape {tuple(signal_shape)}")
         if smooth > 0:
             raw = np.stack([smooth_random_field(rng, signal_shape, smooth, dtype).ravel()
                             for _ in range(dim)], axis=1)

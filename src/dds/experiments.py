@@ -22,6 +22,7 @@ from .diffusion import (
     GmmPrior,
     VeSchedule,
     VpSchedule,
+    mcg_dps_gradient,
     smooth_random_field,
 )
 from .errors import ConfigError
@@ -43,7 +44,6 @@ from .samplers import (
     SamplerConfig,
     dds_reconstruct,
     ddnm_step,
-    dps_dc_step,
     gradient_dc_step,
     pseudo_inverse_apply,
     rejection_wrap,
@@ -69,8 +69,27 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 # Config file
 
+# Every section and key that some command reads; anything else is a typo.
+CONFIG_KEYS = {section: set(keys.split()) for section, keys in {
+    "problem": "kind noise_sigma noise_seed",
+    "phantom": "kind seed shape constant_z",
+    "prior": "kind seed complex smooth dim offset_scale components tau mean_scale",
+    "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
+                "angles detector_bins",
+    "sampler": "nfe eta cg_steps gamma mode dc xi dps_step scale_step_by_residual "
+               "ve_sigma_max ve_truncation rejection_tau max_retries",
+    "tv": "lam rho cg_steps",
+    "sweep": "axis values repeats",
+    "noise_offset": "trials sigma_gt shape prior_dim angles smooth phantom_scale",
+}.items()}
+
+
 class ExperimentConfig:
-    """Typed view over a flat INI config; keeps raw text for byte-exact copies."""
+    """Typed view over a flat INI config; keeps raw text for byte-exact copies.
+
+    Keys in unknown sections and unknown keys are rejected, so a misspelt
+    name cannot silently leave a default in force.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -79,6 +98,17 @@ class ExperimentConfig:
             self._cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
+        for section in self._cp.sections():
+            for key in self._cp.options(section):  # an empty section sets nothing
+                if section not in CONFIG_KEYS:
+                    raise ConfigError(f"unknown config section [{section}]")
+                if (section, key) == ("sampler", "projection_target"):
+                    raise ConfigError("[sampler] projection_target was removed: projection "
+                                      "always acts on the noisy iterate; for the "
+                                      "pseudo-inverse step on the denoised estimate use "
+                                      "dc = ddnm")
+                if key not in CONFIG_KEYS[section]:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -98,11 +128,7 @@ class ExperimentConfig:
             raise ConfigError(f"config [{section}] {key}={raw!r}: {exc}") from exc
 
     def get_ints(self, section, key, default=None):
-        if not self._cp.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"config missing [{section}] {key}")
-            return default
-        return tuple(int(v) for v in self._cp.get(section, key).split())
+        return self.get(section, key, default, lambda raw: tuple(int(v) for v in raw.split()))
 
     def has(self, section, key=None) -> bool:
         if key is None:
@@ -214,6 +240,10 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     if kind not in ("mri2d", "mri2d-noisy", "ct3d"):
         raise ConfigError(f"unknown problem kind {kind!r}")
     shape = cfg.get_ints("phantom", "shape")
+    ndim = 3 if kind == "ct3d" else 2
+    if len(shape) != ndim or min(shape) < 1:
+        raise ConfigError(f"[phantom] shape = {' '.join(map(str, shape))}: "
+                          f"{kind} needs {ndim} positive sizes")
     prior_shape = shape[-2:] if kind == "ct3d" else shape
     prior = build_prior(cfg, prior_shape)
     x_true = build_phantom(cfg, prior)
@@ -235,10 +265,6 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 
 def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConfig:
-    if cfg.has("sampler", "projection_target"):
-        raise ConfigError("[sampler] projection_target was removed: projection always "
-                          "acts on the noisy iterate; for the pseudo-inverse step on the "
-                          "denoised estimate use dc = ddnm")
     kwargs = dict(
         nfe=cfg.get("sampler", "nfe", 20, int),
         eta=cfg.get("sampler", "eta", None, float) if cfg.has("sampler", "eta") else None,
@@ -459,7 +485,7 @@ def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: 
             "no-process": x_noisy,
             "projection": ddnm_step(x_noisy, a, y),
             "gradient": gradient_dc_step(x_noisy, a, y, 1.0),
-            "dps": dps_dc_step(x_noisy, t_mid, prior, a, y, 1.0, sched),
+            "dps": x_den - mcg_dps_gradient(x_noisy, t_mid, prior, a, y, sched),
             "ddnm": x_den + pseudo_inverse_apply(a, y - a.apply(x_den)),
             "dds-cg": cg(nrm, a.adjoint(y), x_noisy, cg_steps)[0],
         }

@@ -1,4 +1,4 @@
-"""Conjugate gradient, normal/proximal system builders, and Krylov diagnostics.
+"""Conjugate gradient, the normal operators its solves use, and Krylov diagnostics.
 
 CG follows the classic recursion (alpha_k = r'r / p'Ap, beta_k = r'r new/old)
 with a hard iteration cap and optional residual tolerance. Complex tensors
@@ -21,7 +21,7 @@ _BREAKDOWN_REL = 1e-12
 
 @dataclass
 class CgReport:
-    """Per-run CG record: iterations, residual norm path, final iterate.
+    """Per-run CG record: iterations and residual norm path.
 
     ``residual_monotone`` flags whether the Euclidean residual norms were
     non-increasing (within 1e-9 absolute slack); CG only guarantees monotone
@@ -30,16 +30,7 @@ class CgReport:
 
     iterations: int
     residual_norms: list[float]
-    x: np.ndarray
     residual_monotone: bool = True
-
-
-@dataclass(frozen=True)
-class NormalSystem:
-    """Self-adjoint PSD system (op, rhs), e.g. A*A x = A*y."""
-
-    op: LinearMap
-    rhs: np.ndarray
 
 
 def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
@@ -59,7 +50,7 @@ def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
     if callback is not None:
         callback(0, x, r)
     if iters == 0 or norms[0] <= tol:
-        return x, CgReport(0, norms, x)
+        return x, CgReport(0, norms)
     p = r.copy()
     it = 0
     for k in range(iters):
@@ -88,36 +79,27 @@ def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
         p = r + beta * p
         rs = rs_new
     mono = all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
-    return x, CgReport(it, norms, x, residual_monotone=mono)
+    return x, CgReport(it, norms, residual_monotone=mono)
 
 
-def normal_operator(a: LinearMap) -> LinearMap:
-    return LinearMap(a.domain_shape, a.domain_shape,
-                     lambda x: a.adjoint(a.apply(x)),
-                     lambda x: a.adjoint(a.apply(x)),
-                     domain_dtype=a.domain_dtype, name=f"{a.name}*{a.name}")
+def normal_operator(a: LinearMap, gamma: float = 1.0, plus=None) -> LinearMap:
+    """Self-adjoint PSD map v -> gamma A*A v + plus(v) for CG solves.
 
-
-def build_normal(a: LinearMap, y: np.ndarray) -> NormalSystem:
-    """Normal equations A*A x = A*y for least squares on ||y - Ax||."""
-    return NormalSystem(op=normal_operator(a), rhs=a.adjoint(y))
-
-
-def build_proximal_normal(a: LinearMap, y: np.ndarray, xhat: np.ndarray,
-                          gamma: float) -> NormalSystem:
-    """System (I + gamma A*A) x = xhat + gamma A*y for the proximal objective
-
-    gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2.
+    The defaults give A*A (least squares on ||y - Ax||); plus = identity
+    gives I + gamma A*A (the proximal step), and plus = rho D*D the ADMM
+    x-update A*A + rho D*D. ``plus`` must be self-adjoint PSD.
     """
     if gamma <= 0:
-        raise ConfigError("proximal weight gamma must be > 0")
+        raise ConfigError("normal operator weight gamma must be > 0")
 
-    def fwd(x):
-        return x + gamma * a.adjoint(a.apply(x))
+    def fwd(v):
+        out = a.adjoint(a.apply(v))
+        if gamma != 1.0:
+            out = gamma * out
+        return out if plus is None else out + plus(v)
 
-    op = LinearMap(a.domain_shape, a.domain_shape, fwd, fwd,
-                   domain_dtype=a.domain_dtype, name="I+gA*A")
-    return NormalSystem(op=op, rhs=xhat + gamma * a.adjoint(y))
+    return LinearMap(a.domain_shape, a.domain_shape, fwd, fwd,
+                     domain_dtype=a.domain_dtype, name=f"{a.name}*{a.name}")
 
 
 @dataclass(frozen=True)

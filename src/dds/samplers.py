@@ -20,7 +20,6 @@ from .diffusion import (
     AffineSubspacePrior,
     VeSchedule,
     VpSchedule,
-    affine_prior_denoise,
     eps_from_denoised,
     mcg_dps_gradient,
     score_from_denoised,
@@ -28,7 +27,7 @@ from .diffusion import (
     vp_ddim_step,
 )
 from .errors import ConfigError, NumericalError, SamplerDivergedError
-from .krylov import build_proximal_normal, cg, normal_operator
+from .krylov import cg, normal_operator
 from .metrics import estimate_noise
 from .operators import LinearMap
 from .tensor import RngStream, norm
@@ -45,7 +44,7 @@ def default_eta(nfe: int) -> float:
 
 @dataclass
 class SamplerConfig:
-    nfe: int = 49
+    nfe: int = 20
     eta: float | None = None          # None -> default_eta(nfe)
     cg_steps: int = 5
     gamma: float = 0.95               # proximal weight for noisy problems
@@ -167,20 +166,14 @@ def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> n
     return x - xi * a.adjoint(a.apply(x) - y)
 
 
-def dps_dc_step(x_t: np.ndarray, t: int, prior: AffineSubspacePrior, a: LinearMap,
-                y: np.ndarray, gamma_t: float, sched) -> np.ndarray:
-    """xhat_t - gamma_t * (manifold-constrained gradient), a projected step."""
-    xhat = affine_prior_denoise(x_t, t, prior, sched)
-    return xhat - gamma_t * mcg_dps_gradient(x_t, t, prior, a, y, sched)
-
-
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             prior: AffineSubspacePrior | None = None):
     """Build the data-consistency step ``dc(x, xhat, t) -> x'`` named by cfg.dc.
 
     ``x`` is the noisy iterate at step t and ``xhat`` its Tweedie estimate.
     ``projection`` leaves xhat unchanged: the loop projects the noisy iterate
-    after the DDIM step instead.
+    after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
+    posterior mean at (x, t), which the loop's denoiser computes.
     """
     def step_size(base):
         if not cfg.scale_step_by_residual:
@@ -191,8 +184,9 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
         nrm_op, a_star_y = normal_operator(a), a.adjoint(y)
         return lambda x, xhat, t: cg(nrm_op, a_star_y, xhat, cfg.cg_steps)[0]
     if cfg.dc == "dds-proximal-cg":
-        a_star_y = a.adjoint(y)
-        prox_op = build_proximal_normal(a, y, np.zeros_like(a_star_y), cfg.gamma).op
+        # (I + gamma A*A) x = xhat + gamma A*y: the proximal objective
+        # gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2
+        prox_op, a_star_y = normal_operator(a, cfg.gamma, plus=lambda v: v), a.adjoint(y)
         return lambda x, xhat, t: cg(prox_op, xhat + cfg.gamma * a_star_y, xhat,
                                      cfg.cg_steps)[0]
     if cfg.dc == "ddnm":
@@ -205,7 +199,7 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     if prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
     gamma = step_size(cfg.dps_step)
-    return lambda x, xhat, t: dps_dc_step(x, t, prior, a, y, gamma(xhat), sched)
+    return lambda x, xhat, t: xhat - gamma(xhat) * mcg_dps_gradient(x, t, prior, a, y, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -362,12 +362,12 @@ def test_acceptance_10_admm_tv():
     x = anchor.copy()
     state = AdmmState.zeros(x_true.shape)
     for _ in range(50):
-        x, state = admm_tv_dc(x, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=5))
+        x, state = admm_tv_dc(x, a, a.adjoint(y), state, TvConfig(lam=lam, rho=rho, cg_steps=5))
     f_fast = tv_objective(x, a, y, lam)
     xr = anchor.copy()
     state = AdmmState.zeros(x_true.shape)
     for _ in range(500):
-        xr, state = admm_tv_dc(xr, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=30))
+        xr, state = admm_tv_dc(xr, a, a.adjoint(y), state, TvConfig(lam=lam, rho=rho, cg_steps=30))
     f_ref = tv_objective(xr, a, y, lam)
     objective_ok = f_fast <= 1.01 * f_ref + 1e-12
 

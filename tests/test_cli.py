@@ -282,3 +282,32 @@ def test_out_path_under_regular_file_exits_2(cfg_file, tmp_path, command, extra)
                 "--out", str(blocker / "out"))
     _one_line_error(r)
     assert str(blocker) in r.stderr
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("cg_steps = 3", "cg_step = 3", "[sampler] cg_step"),
+    ("[sampler]", "[samplr]", "[samplr]"),
+], ids=["key", "section"])
+def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
+    # a misspelt key used to run on the defaults with exit 0
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace(old, new))
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert named in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("shape = 16 16", "shape = 16 abc", "'abc'"),
+    ("shape = 16 16", "shape = 16", "shape = 16"),
+    ("dim = 4", "dim = 400", "dim = 400"),
+], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels"])
+def test_malformed_config_value_exits_2(tmp_path, old, new, named):
+    # each used to end in a traceback and exit 1
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace(old, new))
+    r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
+    _one_line_error(r)
+    assert named in r.stderr

@@ -3,11 +3,10 @@ import pytest
 
 from dds.errors import ConfigError, IndefiniteOperatorError
 from dds.krylov import (
-    build_normal,
-    build_proximal_normal,
     cg,
     jacobi_residual_sequence,
     krylov_basis,
+    normal_operator,
     subspace_distance,
 )
 from dds.operators import identity_map, matrix_operator
@@ -99,35 +98,53 @@ def test_cg_complex_hermitian_system():
     assert norm(x - np.linalg.solve(herm, rhs)) < 1e-8 * norm(rhs)
 
 
+def proximal_system(a, y, xhat, gamma):
+    """(I + gamma A*A) x = xhat + gamma A*y, as the dds-proximal-cg step solves it."""
+    return normal_operator(a, gamma, plus=lambda v: v), xhat + gamma * a.adjoint(y)
+
+
 def test_build_normal_unitary_case():
     rng = RngStream(12)
     # full-mask single-coil Fourier is unitary; emulate with a unitary matrix
     q, _ = np.linalg.qr(rng.randn((8, 8), dtype=COMPLEX))
-    sys = build_normal(matrix_operator(q), rng.randn((8,), dtype=COMPLEX))
+    op = normal_operator(matrix_operator(q))
     for _ in range(5):
         x = rng.randn((8,), dtype=COMPLEX)
-        assert norm(sys.op.apply(x) - x) < 1e-12
+        assert norm(op.apply(x) - x) < 1e-12
 
 
 def test_build_normal_zero_rhs():
+    # zero data: the normal equations' right-hand side A*y vanishes and CG stays at 0
     a = matrix_operator(RngStream(13).randn((5, 4)))
-    sys = build_normal(a, np.zeros(5))
-    assert norm(sys.rhs) == 0.0
+    rhs = a.adjoint(np.zeros(5))
+    assert norm(rhs) == 0.0
+    x, rep = cg(normal_operator(a), rhs, np.zeros(4), 4)
+    assert rep.iterations == 0 and norm(x) == 0.0
 
 
 def test_build_normal_matches_dense():
     m = RngStream(14).randn((8, 8), dtype=COMPLEX)
-    sys = build_normal(matrix_operator(m), RngStream(15).randn((8,), dtype=COMPLEX))
-    dense = np.column_stack([sys.op.apply(np.eye(8, dtype=complex)[:, j].copy())
+    op = normal_operator(matrix_operator(m))
+    dense = np.column_stack([op.apply(np.eye(8, dtype=complex)[:, j].copy())
                              for j in range(8)])
     assert np.max(np.abs(dense - m.conj().T @ m)) < 1e-12
+
+
+def test_normal_operator_weight_and_plus_term_match_dense():
+    m = RngStream(30).randn((6, 5), dtype=COMPLEX)
+    r = RngStream(31).randn((5, 5))
+    reg = r.T @ r
+    op = normal_operator(matrix_operator(m), 0.3, plus=lambda v: reg @ v)
+    dense = np.column_stack([op.apply(np.eye(5, dtype=complex)[:, j].copy())
+                             for j in range(5)])
+    assert np.max(np.abs(dense - (0.3 * m.conj().T @ m + reg))) < 1e-12
 
 
 def test_proximal_small_gamma_returns_anchor():
     a = matrix_operator(RngStream(16).randn((6, 6)))
     xhat = RngStream(17).randn((6,))
-    sys = build_proximal_normal(a, np.zeros(6), xhat, 1e-12)
-    x, _ = cg(sys.op, sys.rhs, xhat, 6)
+    op, rhs = proximal_system(a, np.zeros(6), xhat, 1e-12)
+    x, _ = cg(op, rhs, xhat, 6)
     assert norm(x - xhat) < 1e-9 * norm(xhat)
 
 
@@ -135,8 +152,8 @@ def test_proximal_identity_closed_form():
     # gamma=1, A=I, xhat=0: minimizer of 1/2||y-x||^2 + 1/2||x||^2 is y/2
     a = identity_map((4,), dtype=np.float64)
     b = RngStream(18).randn((4,))
-    sys = build_proximal_normal(a, b, np.zeros(4), 1.0)
-    x, _ = cg(sys.op, sys.rhs, np.zeros(4), 4)
+    op, rhs = proximal_system(a, b, np.zeros(4), 1.0)
+    x, _ = cg(op, rhs, np.zeros(4), 4)
     assert norm(x - b / 2.0) < 1e-12
 
 
@@ -145,8 +162,8 @@ def test_proximal_matches_dense_solve():
     y = RngStream(20).randn((6,))
     xhat = RngStream(21).randn((6,))
     gamma = 0.7
-    sys = build_proximal_normal(matrix_operator(m), y, xhat, gamma)
-    x, _ = cg(sys.op, sys.rhs, xhat, 6)
+    op, rhs = proximal_system(matrix_operator(m), y, xhat, gamma)
+    x, _ = cg(op, rhs, xhat, 6)
     want = np.linalg.solve(np.eye(6) + gamma * m.T @ m, xhat + gamma * m.T @ y)
     assert norm(x - want) < 1e-10 * norm(want)
 
@@ -154,7 +171,7 @@ def test_proximal_matches_dense_solve():
 def test_proximal_rejects_nonpositive_gamma():
     a = identity_map((2,), dtype=np.float64)
     with pytest.raises(ConfigError):
-        build_proximal_normal(a, np.zeros(2), np.zeros(2), 0.0)
+        normal_operator(a, 0.0, plus=lambda v: v)
 
 
 def test_proximal_gradient_optimality():
@@ -164,8 +181,8 @@ def test_proximal_gradient_optimality():
     y = RngStream(23).randn((8,))
     xhat = RngStream(24).randn((8,))
     gamma = 0.9
-    sys = build_proximal_normal(a, y, xhat, gamma)
-    x, _ = cg(sys.op, sys.rhs, xhat, 50, tol=1e-14)
+    op, rhs = proximal_system(a, y, xhat, gamma)
+    x, _ = cg(op, rhs, xhat, 50, tol=1e-14)
     grad = gamma * a.adjoint(a.apply(x) - y) + (x - xhat)
     bound = 1e-8 * (1.0 + gamma * np.linalg.norm(m, 2) ** 2) * norm(xhat)
     assert norm(grad) <= bound

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dds import diffusion, samplers
 from dds.diffusion import (
     AffineSubspaceDenoiser,
     AffineSubspacePrior,
     VeSchedule,
     VpSchedule,
+    affine_prior_denoise,
 )
 from dds.errors import ConfigError
 from dds.krylov import normal_operator
@@ -24,9 +26,9 @@ from dds.samplers import (
     dds_reconstruct,
     ddnm_step,
     default_eta,
-    dps_dc_step,
     gradient_dc_step,
     make_dc,
+    make_schedule,
     pseudo_inverse_apply,
     rejection_wrap,
 )
@@ -57,6 +59,15 @@ def test_config_validation():
         SamplerConfig(dc="nope")
     with pytest.raises(ConfigError):
         SamplerConfig(eta=1.2)
+
+
+def test_default_config_builds_vp_schedule():
+    assert make_schedule(SamplerConfig()).n_steps == 20
+
+
+def test_vp_schedule_error_names_rejected_nfe():
+    with pytest.raises(ConfigError, match="nfe = 49"):
+        make_schedule(SamplerConfig(nfe=49))
 
 
 def test_default_eta_anchors():
@@ -156,6 +167,12 @@ def test_gradient_step_rejects_nonpositive_xi():
         gradient_dc_step(np.zeros(2), a, np.zeros(2), 0.0)
 
 
+def dps_step(x_t, t, prior, a, y, gamma, sched):
+    """The make_dc ``dps`` step at (x_t, t), handed the loop's posterior mean."""
+    dc = make_dc(SamplerConfig(dc="dps", dps_step=gamma), a, y, sched, prior)
+    return dc(x_t, affine_prior_denoise(x_t, t, prior, sched), t)
+
+
 def test_dps_step_consistent_point_unchanged():
     prior = AffineSubspacePrior.random((12,), 3, seed=50, dtype=REAL)
     amat = RngStream(51).randn((12, 12)) / 4.0
@@ -165,7 +182,7 @@ def test_dps_step_consistent_point_unchanged():
     vp = VpSchedule.default(8)
     t = 5
     x_t = math.sqrt(vp.abars[t]) * x_on
-    out = dps_dc_step(x_t, t, prior, a, y, 0.8, vp)
+    out = dps_step(x_t, t, prior, a, y, 0.8, vp)
     assert norm(out - x_on) < 1e-10 * max(norm(x_on), 1.0)
 
 
@@ -174,19 +191,18 @@ def test_dps_step_stays_in_subspace():
     a = matrix_operator(RngStream(61).randn((12, 12)) / 4.0)
     y = RngStream(62).randn((12,))
     vp = VpSchedule.default(8)
-    out = dps_dc_step(RngStream(63).randn((12,)), 4, prior, a, y, 1.0, vp)
+    out = dps_step(RngStream(63).randn((12,)), 4, prior, a, y, 1.0, vp)
     assert prior.distance(out) < 1e-10 * max(norm(out), 1.0)
 
 
 def test_dps_step_equals_projected_gradient_form():
-    from dds.diffusion import affine_prior_denoise
     prior = AffineSubspacePrior.random((10,), 4, seed=70, dtype=REAL)
     a = matrix_operator(RngStream(71).randn((10, 10)) / 3.0)
     y = RngStream(72).randn((10,))
     vp = VpSchedule.default(9)
     t, gamma = 6, 0.45
     x_t = RngStream(73).randn((10,))
-    lhs = dps_dc_step(x_t, t, prior, a, y, gamma, vp)
+    lhs = dps_step(x_t, t, prior, a, y, gamma, vp)
     xh = affine_prior_denoise(x_t, t, prior, vp)
     zeta = gamma / math.sqrt(vp.abars[t])
     rhs = prior.project_affine(xh - zeta * a.adjoint(a.apply(xh) - y))
@@ -377,6 +393,24 @@ def test_scale_step_by_residual_divides_step(dc, step):
     plain = make_dc(SamplerConfig(dc=dc, **{step: 0.7}), a, y, sched, prior)
     assert np.array_equal(scaled(x, xhat, 5), divided(x, xhat, 5))
     assert not np.allclose(scaled(x, xhat, 5), plain(x, xhat, 5))
+
+
+@pytest.mark.parametrize("dc, calls", [("dds-cg", 8), ("dps", 15)])
+def test_dps_reuses_the_loop_posterior_mean(monkeypatch, dc, calls):
+    # nfe 8 VP: 8 denoiser calls; dps adds only the one inside its gradient per step
+    _, den, _, a, y = sense_problem(179, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    count = 0
+
+    def spy(*args):
+        nonlocal count
+        count += 1
+        return affine_prior_denoise(*args)
+
+    for mod in (diffusion, samplers):
+        if hasattr(mod, "affine_prior_denoise"):
+            monkeypatch.setattr(mod, "affine_prior_denoise", spy)
+    dds_reconstruct(a, y, den, SamplerConfig(nfe=8, dc=dc, seed=0), rng=RngStream(0))
+    assert count == calls
 
 
 def test_dps_without_affine_prior_is_config_error():

@@ -165,44 +165,86 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
         target = max(1, int(round(h * w / acc)))
         rs, cs = _acs_square((h, w), spec.acs_fraction)
         mask[rs, cs] = 1.0
-        if int(mask.sum()) > target:
+        count = int(mask.sum())
+        if count > target:
             raise ConfigError("ACS block alone exceeds the target sampling density")
         budget = 200 * h * w
-        while int(mask.sum()) < target and budget > 0:
+        while count < target and budget > 0:
             z = rng.randn(2)
             r = int(round(h / 2 + (h / 4) * z[0]))
             c = int(round(w / 2 + (w / 4) * z[1]))
             budget -= 1
-            if 0 <= r < h and 0 <= c < w:
+            if 0 <= r < h and 0 <= c < w and not mask[r, c]:
                 mask[r, c] = 1.0
+                count += 1
         return mask
 
     # poisson-disk-vd: dart throwing with radius growing away from the
     # center; the radius scale is bisected so the realized density lands
-    # within +-15% (relative) of 1/acceleration.
+    # within +-15% (relative) of 1/acceleration. Proposal p is accepted when
+    # d2 = |q - p|^2 >= r(p)^2 for every earlier accepted point q and every
+    # ACS pixel, with r(p) = scale * g(p).
     target = h * w / acc
     rs, cs = _acs_square((h, w), spec.acs_fraction)
     n_prop = 40 * h * w
-    props = rng.randn((n_prop, 2))
+    z = rng.randn((n_prop, 2)).ravel() / math.sqrt(2.0)
     # normal CDF maps the Gaussian proposals onto [0,1)^2 uniformly
-    u = 0.5 * (1.0 + np.vectorize(math.erf)(props / math.sqrt(2.0)))
-    pts = np.column_stack([np.clip(u[:, 0] * h, 0, h - 1e-9),
-                           np.clip(u[:, 1] * w, 0, w - 1e-9)])
+    u = (0.5 * (1.0 + np.fromiter(map(math.erf, z), REAL, z.size))).reshape(n_prop, 2)
+    del z
+    q0 = np.clip(u[:, 0] * h, 0, h - 1e-9)
+    q1 = np.clip(u[:, 1] * w, 0, w - 1e-9)
+    del u
     center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
     maxdist = float(np.linalg.norm(center)) + 1e-12
+    off = np.column_stack([q0 - center[0], q1 - center[1]])
+    # a batched 1x2 @ 2x1 matmul runs the BLAS dot np.linalg.norm runs on one
+    # point, so |p - center|, and with it g, is bit-identical to it
+    g = 0.35 + 1.3 * np.sqrt(np.matmul(off[:, None, :], off[:, :, None]).ravel()) / maxdist
+    del off
+    g_max = float(g.max())
+    # the ACS pixel nearest to p has the smallest d2 of the block: rounding
+    # is monotone, so no other pixel's d2 comes out below it
+    acs_r, acs_c = np.arange(h)[rs], np.arange(w)[cs]
+    d2_acs = ((np.clip(np.rint(q0), acs_r[0], acs_r[-1]) - q0) ** 2
+              + (np.clip(np.rint(q1), acs_c[0], acs_c[-1]) - q1) ** 2)
+    # proposals bucketed by pixel, in proposal order within a pixel, as an
+    # (h, w, slots) index; empty slots hold n_prop, whose g = 0 makes r = 0,
+    # so no d2 falls below r^2 there
+    pix_r, pix_c = q0.astype(np.int32), q1.astype(np.int32)
+    pix = pix_r * w + pix_c
+    order = np.argsort(pix, kind="stable").astype(np.int32)
+    counts = np.bincount(pix, minlength=h * w)
+    slot = np.arange(n_prop) - np.repeat(np.cumsum(counts) - counts, counts)
+    near_idx = np.full((h * w, int(counts.max())), n_prop, dtype=np.int32)
+    near_idx[pix[order], slot] = order
+    del pix, order, counts, slot
+    near_idx = near_idx.reshape(h, w, -1)
+    near_q0, near_q1, near_g = (np.append(a, 0.0)[near_idx] for a in (q0, q1, g))
 
     def throw(scale: float) -> np.ndarray:
+        r = scale * g
+        alive = d2_acs >= r * r
+        near_r = scale * near_g
+        near_rr = near_r * near_r
+        # every r is at most scale * g_max; the margin is far above the
+        # rounding in d2 and r^2
+        reach = scale * g_max + 1e-6
+        taken = []
+        i = 0
+        while True:
+            # the first proposal that no accepted point has rejected is accepted
+            i += int(alive[i:].argmax())
+            if not alive[i]:
+                break
+            taken.append(i)
+            p0, p1 = q0[i], q1[i]
+            win = (slice(max(math.floor(p0 - reach), 0), math.floor(p0 + reach) + 1),
+                   slice(max(math.floor(p1 - reach), 0), math.floor(p1 + reach) + 1))
+            d2 = (near_q0[win] - p0) ** 2 + (near_q1[win] - p1) ** 2
+            alive[near_idx[win][d2 < near_rr[win]]] = False
         m = np.zeros((h, w), dtype=REAL)
         m[rs, cs] = 1.0
-        accepted = np.argwhere(m > 0).astype(REAL)
-        for p in pts:
-            r = scale * (0.35 + 1.3 * np.linalg.norm(p - center) / maxdist)
-            if accepted.size:
-                d2 = np.sum((accepted - p) ** 2, axis=1)
-                if d2.min() < r * r:
-                    continue
-            m[int(p[0]), int(p[1])] = 1.0
-            accepted = np.vstack([accepted, p[None, :]])
+        m[pix_r[taken], pix_c[taken]] = 1.0
         return m
 
     lo, hi = 0.05, 4.0 * math.sqrt(acc)
@@ -342,7 +384,7 @@ class RadonGeometry:
     def uniform(cls, side: int, n_angles: int, detector_bins: int | None = None):
         angles = np.arange(n_angles) * math.pi / n_angles
         return cls(side=side, angles=angles,
-                   detector_bins=detector_bins if detector_bins else side)
+                   detector_bins=side if detector_bins is None else detector_bins)
 
 
 # Entries of the dense scratch array that coalesces one block of rays

@@ -311,3 +311,15 @@ def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
     _one_line_error(r)
     assert named in r.stderr
+
+
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_detector_bins_below_one_exits_2(tmp_path, bins):
+    # detector_bins = 0 used to run with `side` bins and exit 0
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace("detector_bins = 11", f"detector_bins = {bins}"))
+    out = tmp_path / "sim"
+    r = run_cli("simulate", "--config", str(cfgp), "--out", str(out))
+    _one_line_error(r)
+    assert "detector_bins >= 1" in r.stderr
+    assert not out.exists()

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dds.errors import ConfigError
 from dds.krylov import normal_operator
@@ -9,6 +12,7 @@ from dds.operators import (
     CoilMaps,
     MaskSpec,
     RadonGeometry,
+    _acs_square,
     diff_z_apply,
     diff_z_operator,
     dot_test,
@@ -105,12 +109,103 @@ def test_random_mask_density(kind, acc):
 
 
 def test_poisson_mask_density_and_acs():
-    spec = MaskSpec("poisson-disk-vd", 8, 0.08, 2)
-    m = make_mask(spec, (32, 32))
-    assert abs(m.mean() - 1.0 / 8) <= 0.15 / 8
-    side = max(1, round(math.sqrt(0.08 * 32 * 32)))
-    r0 = 16 - side // 2
-    assert np.all(m[r0:r0 + side, r0:r0 + side] == 1.0)
+    for n, acc, seed in ((32, 8, 2), (64, 4, 0)):
+        m = make_mask(MaskSpec("poisson-disk-vd", acc, 0.08, seed), (n, n))
+        assert abs(m.mean() - 1.0 / acc) <= 0.15 / acc
+        side = max(1, round(math.sqrt(0.08 * n * n)))
+        r0 = n // 2 - side // 2
+        assert np.all(m[r0:r0 + side, r0:r0 + side] == 1.0)
+
+
+# sha256 of make_mask(MaskSpec(kind, acc, acs, seed), shape).tobytes(); the
+# 32x32 acc-4 ACS-0.08 seed-3 mask is the mri2d-pinv benchmark workload's
+PINNED_MASKS = [
+    ("poisson-disk-vd", (16, 16), 2.5, 0.0, 0, "48695e2a3d5b02a07529a9f2e26de461601764157ba1c483cec57b023b9ed20b"),
+    ("poisson-disk-vd", (16, 16), 4, 0.08, 1, "c4a10166182d0c17d4b8703bdb561320b2ebe434154e946c63496a489d09ef34"),
+    ("poisson-disk-vd", (16, 16), 8, 0.2, 2, "890853399385181e7c193e5837a8e23b63f7f9d1a8949f0fc0ed8afe39219745"),
+    ("poisson-disk-vd", (16, 16), 4, 0.2, 7, "95409f9f60f1c79f60e1555920ed0b84886d1f7659d9403655e19dd228d71320"),
+    ("poisson-disk-vd", (24, 40), 2.5, 0.08, 3, "377d978c0802c724a3933987e848fdfbf890f6becc57cdfcebb538e933072666"),
+    ("poisson-disk-vd", (24, 40), 4, 0.0, 11, "2bbb036098e9aba96aa705957b4c1f55f3cdf875f8ed12294cf8b3d20a04694a"),
+    ("poisson-disk-vd", (24, 40), 8, 0.08, 5, "353bdc613e922c7f3e633b2892e0ffd466dbcfdee354044314406d062d14b298"),
+    ("poisson-disk-vd", (24, 40), 4, 0.2, 40, "2b32376d4a4724a9cf08d3601b63c48c61f4ab5a49eff4e2e0b6b0a3437111bf"),
+    ("poisson-disk-vd", (32, 32), 4, 0.08, 3, "426367bf7fbc6dbdce0306b683b18473419aaafcd34e0dcdda0d52150dcfc0ce"),
+    ("poisson-disk-vd", (32, 32), 2.5, 0.2, 1, "cd1e98bc352021d0278bdc26f714c135ea82eaa9c26e62cee5daac7e6ef73996"),
+    ("poisson-disk-vd", (32, 32), 8, 0.0, 4, "d20a244e85c0cf2d6f395af0b95ac4ec4ec524c6927e762aa73e08d84548fe09"),
+    ("poisson-disk-vd", (32, 32), 8, 0.08, 2, "cfb104331feeddf04e3fef9334355a49394b65bddc53a34abd45bceb550c9cc4"),
+    ("poisson-disk-vd", (32, 32), 4, 0.08, 12345, "cebcd6f6c1079e31b41896a9c3a2c0bd661e47cf3d73ff1f9ef199f10b6d642b"),
+    ("poisson-disk-vd", (64, 64), 4, 0.08, 0, "24ffd3b017ad80406df5b318bd6705a9a53acd977500860429faf94c462abd36"),
+    ("poisson-disk-vd", (64, 64), 8, 0.2, 6, "ea21fbce29ee30ad1658c3f10c5b8c15f2bf8864e4e3b40701d12830c9b314e9"),
+    ("poisson-disk-vd", (64, 64), 2.5, 0.0, 9, "f390d51f1ea069102024ea806efcb06dcc8fb211e53a2fab842e6178f1a4f9db"),
+    ("gaussian2d", (16, 16), 4, 0.08, 0, "47b8689e725979490307594f3e57e9b43bd8f44a4342b1e5f347cd4b1a7263ac"),
+    ("gaussian2d", (24, 40), 2.5, 0.2, 1, "eb8a901473455b6641460de636d670a4c3559c80a24210cb0360ec6f1894d142"),
+    ("gaussian2d", (32, 32), 8, 0.08, 5, "c52daa2b2a7e33a40234a7dd8c689ae783bee269b2861953ca34e82b639dba65"),
+    ("gaussian2d", (32, 32), 8, 0.0, 3, "fcc01fe17843211e1a3548dbef36db1ff7f28904d6acc9d14c1aa567e1ea7bd6"),
+    ("gaussian2d", (64, 64), 4, 0.0, 2, "2f64f9be10c24f11baa23a0b666bee3db9adf2b4dfb4f8de90009ba435e7004c"),
+]
+
+
+def test_poisson_mask_bytes_pinned():
+    wrong = []
+    for kind, shape, acc, acs, seed, digest in PINNED_MASKS:
+        m = make_mask(MaskSpec(kind, acc, acs, seed), shape)
+        assert m.dtype == np.float64 and m.shape == shape
+        if hashlib.sha256(m.tobytes()).hexdigest() != digest:
+            wrong.append((kind, shape, acc, acs, seed))
+    assert not wrong, f"masks changed: {wrong}"
+
+
+def _reference_poisson_mask(spec, shape):
+    """The poisson-disk-vd branch of make_mask as first written: each proposal
+    is checked against every accepted point, O(proposals x accepted) work in
+    each bisection round."""
+    h, w = shape
+    acc = spec.acceleration
+    target = h * w / acc
+    rs, cs = _acs_square((h, w), spec.acs_fraction)
+    props = RngStream(spec.seed).randn((40 * h * w, 2))
+    u = 0.5 * (1.0 + np.vectorize(math.erf)(props / math.sqrt(2.0)))
+    pts = np.column_stack([np.clip(u[:, 0] * h, 0, h - 1e-9),
+                           np.clip(u[:, 1] * w, 0, w - 1e-9)])
+    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
+    maxdist = float(np.linalg.norm(center)) + 1e-12
+
+    def throw(scale):
+        m = np.zeros((h, w))
+        m[rs, cs] = 1.0
+        accepted = np.argwhere(m > 0).astype(float)
+        for p in pts:
+            r = scale * (0.35 + 1.3 * np.linalg.norm(p - center) / maxdist)
+            if accepted.size:
+                d2 = np.sum((accepted - p) ** 2, axis=1)
+                if d2.min() < r * r:
+                    continue
+            m[int(p[0]), int(p[1])] = 1.0
+            accepted = np.vstack([accepted, p[None, :]])
+        return m
+
+    lo, hi = 0.05, 4.0 * math.sqrt(acc)
+    best, best_gap = None, math.inf
+    for _ in range(18):
+        mid = 0.5 * (lo + hi)
+        m = throw(mid)
+        gap = abs(m.sum() - target) / target
+        if gap < best_gap:
+            best, best_gap = m, gap
+        if gap <= 0.10:
+            break
+        if m.sum() > target:
+            lo = mid
+        else:
+            hi = mid
+    return best
+
+
+@settings(max_examples=12, deadline=None)
+@given(h=st.integers(4, 20), w=st.integers(4, 20),
+       acc=st.floats(1.5, 8.0), acs=st.floats(0.0, 0.3), seed=st.integers(0, 10**6))
+def test_poisson_mask_matches_reference(h, w, acc, acs, seed):
+    spec = MaskSpec("poisson-disk-vd", acc, acs, seed)
+    assert make_mask(spec, (h, w)).tobytes() == _reference_poisson_mask(spec, (h, w)).tobytes()
 
 
 def test_mask_acs_center_fully_sampled():

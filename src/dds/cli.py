@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments as xp
 from .dtf import read_dtf, write_dtf
 from .errors import ConfigError, NumericalError
-from .metrics import psnr, ssim
+from .metrics import psnr
 from .tensor import RngStream
 
 
@@ -94,26 +94,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise_offset(args) -> int:
-    cfg = _load_cfg(args.config) if args.config else None
-
-    def get(key, default, cast):
-        if cfg is not None and cfg.has("noise_offset", key):
-            return cfg.get("noise_offset", key, default, cast)
-        return default
-
-    rows, means, wins = xp.run_noise_offset_experiment(
-        trials=get("trials", 50, int),
-        sigma_gt=get("sigma_gt", 0.07, float),
-        seed=args.seed,
-        shape=tuple(cfg.get_ints("noise_offset", "shape", (32, 32))) if cfg else (32, 32),
-        prior_dim=get("prior_dim", 8, int),
-        angles=get("angles", 40, int),
-        smooth=get("smooth", 5.0, float),
-        phantom_scale=get("phantom_scale", 3.0, float),
-    )
+    cfg = _load_cfg(args.config) if args.config else xp.ExperimentConfig("")
+    ncfg = cfg.read("noise_offset", xp.NoiseOffsetConfig)
+    rows, means, wins = xp.run_noise_offset_experiment(ncfg, args.seed)
     xp.write_csv(args.out, xp.NOISE_OFFSET_HEADER, rows)
-    trials = get("trials", 50, int)
-    print(f"noise offset: dds-cg smallest in {wins}/{trials} trials -> {args.out}")
+    print(f"noise offset: dds-cg smallest in {wins}/{ncfg.trials} trials -> {args.out}")
     for strat, off in means.items():
         print(f"  {strat:12s} mean offset {off:.5f}")
     return 0
@@ -125,11 +110,7 @@ def cmd_metrics(args) -> int:
     mx = np.abs(x)
     mref = np.abs(ref)
     p = psnr(mx, mref, peak=args.peak)
-    sx, sref = (mx, mref) if mx.ndim == 2 else (mx[mx.shape[0] // 2], mref[mref.shape[0] // 2])
-    try:
-        s = ssim(sx, sref)
-    except ConfigError:
-        s = math.nan
+    s = xp.magnitude_ssim(mx, mref)
     resid = float(np.linalg.norm((x - ref).ravel()))
     row = [Path(args.x).stem, "metrics", 0, 0, math.nan, p, s, resid]
     if args.out:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import configparser
 import math
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,11 @@ from .diffusion import (
     GmmDenoiser,
     GmmPrior,
     VeSchedule,
-    VpSchedule,
     mcg_dps_gradient,
     smooth_random_field,
 )
 from .errors import ConfigError
-from .krylov import CgReport, cg, normal_operator
+from .krylov import cg, normal_operator
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
     LinearMap,
@@ -69,19 +69,41 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 # Config file
 
+@dataclass
+class NoiseOffsetConfig:
+    """The noise-offset study's ``[noise_offset]`` section (see run_noise_offset_experiment)."""
+    trials: int = 50
+    sigma_gt: float = 0.07
+    shape: tuple[int, ...] = (32, 32)
+    prior_dim: int = 8
+    angles: int = 40
+    smooth: float = 5.0
+    phantom_scale: float = 3.0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("need at least one trial")
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
 # Every section and key that some command reads; anything else is a typo.
+# The keys of [sampler], [tv] and [noise_offset] are their dataclass fields,
+# less the sampler seed (from --seed) and plus max_retries (rejection budget).
 CONFIG_KEYS = {section: set(keys.split()) for section, keys in {
     "problem": "kind noise_sigma noise_seed",
     "phantom": "kind seed shape constant_z",
     "prior": "kind seed complex smooth dim offset_scale components tau mean_scale",
     "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
                 "angles detector_bins",
-    "sampler": "nfe eta cg_steps gamma mode dc xi dps_step scale_step_by_residual "
-               "ve_sigma_max ve_truncation rejection_tau max_retries",
-    "tv": "lam rho cg_steps",
     "sweep": "axis values repeats",
-    "noise_offset": "trials sigma_gt shape prior_dim angles smooth phantom_scale",
-}.items()}
+}.items()} | {
+    "sampler": _field_names(SamplerConfig) - {"seed"} | {"max_retries"},
+    "tv": _field_names(TvConfig),
+    "noise_offset": _field_names(NoiseOffsetConfig),
+}
 
 
 class ExperimentConfig:
@@ -121,8 +143,8 @@ class ExperimentConfig:
             return default
         raw = self._cp.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+            if cast is bool:  # 1/yes/true/on or 0/no/false/off, any case
+                return self._cp.getboolean(section, key)
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"config [{section}] {key}={raw!r}: {exc}") from exc
@@ -134,6 +156,24 @@ class ExperimentConfig:
         if key is None:
             return self._cp.has_section(section)
         return self._cp.has_option(section, key)
+
+    def read(self, section: str, cls, **overrides):
+        """``cls`` built from ``[section]``: each key present is cast by its
+        field's annotation, absent keys keep the field default, and
+        ``overrides`` replace what was read. A field that is not a key of the
+        section (the sampler seed) is never read."""
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            if f.name not in CONFIG_KEYS[section] or not self.has(section, f.name):
+                continue
+            kind = hints[f.name]
+            if typing.get_origin(kind) is tuple:
+                kwargs[f.name] = self.get_ints(section, f.name)
+            else:  # X or X | None
+                cast = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
+                kwargs[f.name] = self.get(section, f.name, cast=cast)
+        return cls(**(kwargs | overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +305,19 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 
 def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConfig:
-    kwargs = dict(
-        nfe=cfg.get("sampler", "nfe", 20, int),
-        eta=cfg.get("sampler", "eta", None, float) if cfg.has("sampler", "eta") else None,
-        cg_steps=cfg.get("sampler", "cg_steps", 5, int),
-        gamma=cfg.get("sampler", "gamma", 0.95, float),
-        mode=cfg.get("sampler", "mode", "vp"),
-        dc=cfg.get("sampler", "dc", "dds-cg"),
-        xi=cfg.get("sampler", "xi", 1.0, float),
-        dps_step=cfg.get("sampler", "dps_step", 1.0, float),
-        scale_step_by_residual=cfg.get("sampler", "scale_step_by_residual", False, bool),
-        ve_sigma_max=cfg.get("sampler", "ve_sigma_max", 10.0, float),
-        ve_truncation=cfg.get("sampler", "ve_truncation", 1.0 / 50.0, float),
-        rejection_tau=cfg.get("sampler", "rejection_tau", None, float)
-        if cfg.has("sampler", "rejection_tau") else None,
-        seed=seed,
-    )
-    kwargs.update(overrides)
-    return SamplerConfig(**kwargs)
+    return cfg.read("sampler", SamplerConfig, seed=seed, **overrides)
 
 
 def tv_config(cfg: ExperimentConfig, **overrides) -> TvConfig:
-    kwargs = dict(
-        lam=cfg.get("tv", "lam", 10.0, float),
-        rho=cfg.get("tv", "rho", 0.04, float),
-        cg_steps=cfg.get("tv", "cg_steps", 5, int),
-    )
-    kwargs.update(overrides)
-    return TvConfig(**kwargs)
+    return cfg.read("tv", TvConfig, **overrides)
 
 
 def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | None = None,
                        rng: RngStream | None = None, max_retries: int = 1) -> ReconResult:
     """One reconstruction; with a rejection threshold configured, reruns with
     derived fresh seeds up to ``max_retries`` times until the residual clears."""
+    if max_retries < 1:
+        raise ConfigError(f"[sampler] max_retries must be >= 1, got {max_retries}")
     rng = rng if rng is not None else RngStream(scfg.seed)
 
     def one(stream: RngStream) -> ReconResult:
@@ -344,6 +363,15 @@ def _middle_slice(mag: np.ndarray) -> np.ndarray:
     return mag[mag.shape[0] // 2] if mag.ndim == 3 else mag
 
 
+def magnitude_ssim(mx: np.ndarray, mref: np.ndarray) -> float:
+    """SSIM of two magnitude images, on the middle axial slice of volumes;
+    NaN when the image is smaller than the SSIM window."""
+    try:
+        return ssim(_middle_slice(mx), _middle_slice(mref))
+    except ConfigError:
+        return math.nan
+
+
 def evaluate(problem: Problem, res: ReconResult, run_id: str,
              scfg: SamplerConfig, strategy: str | None = None,
              tv: TvConfig | None = None) -> MetricsRow:
@@ -352,15 +380,11 @@ def evaluate(problem: Problem, res: ReconResult, run_id: str,
     run used: tv.cg_steps for a volume run given its TvConfig."""
     mx = np.abs(res.x0)
     mref = np.abs(problem.x_true)
-    try:
-        ss = ssim(_middle_slice(mx), _middle_slice(mref))
-    except ConfigError:
-        ss = math.nan  # image smaller than the SSIM window
     return MetricsRow(
         run_id=run_id, strategy=strategy or scfg.dc, nfe=scfg.nfe,
         cg_steps=scfg.cg_steps if tv is None else tv.cg_steps,
         eta=scfg.resolved_eta(), psnr=psnr(mx, mref),
-        ssim=ss, residual=res.residual, wall_seconds=res.wall_seconds,
+        ssim=magnitude_ssim(mx, mref), residual=res.residual, wall_seconds=res.wall_seconds,
     )
 
 
@@ -441,17 +465,14 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
 NOISE_OFFSET_STRATEGIES = ("no-process", "projection", "gradient", "dps", "ddnm", "dds-cg")
 
 
-def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: int = 0,
-                                shape=(32, 32), prior_dim: int = 8, angles: int = 40,
-                                cg_steps: int = 5, smooth: float = 5.0,
-                                phantom_scale: float = 3.0):
+def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
     """Apply one DC step per strategy to noisy images; measure the noise offset.
 
     Per trial: a fresh smooth real-valued affine-subspace phantom, Gaussian
-    image noise of level sigma_gt, and clean consistent sparse-view tomography
+    image noise of level cfg.sigma_gt, and clean consistent sparse-view tomography
     measurements y = A x*. Each DC formula is applied once at its natural
     point: range replacement (projection), the fixed unit-step gradient, the
-    projected gradient (VE form, step 1), and the M-step CG all act on the
+    projected gradient (VE form, step 1), and the 5-step CG all act on the
     noisy image; the pseudo-inverse replacement also runs from the analytic
     denoised estimate, its in-sampler convention. Smooth phantoms matter
     (the wavelet-MAD estimator must see the added noise, not texture), and
@@ -460,10 +481,9 @@ def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: 
     full-scale protocol. Reported per strategy: sigma_est after the step and
     |sigma_est - sigma_est-np|. Returns (rows, mean_offsets, dds_wins).
     """
-    if trials < 1:
-        raise ConfigError("need at least one trial")
+    shape = cfg.shape
     base = RngStream(seed)
-    geom = RadonGeometry.uniform(shape[-1], angles)
+    geom = RadonGeometry.uniform(shape[-1], cfg.angles)
     a = radon_operator(geom)
     nrm = normal_operator(a)
     sched = VeSchedule.geometric(10, sigma_max=1.0)
@@ -471,13 +491,13 @@ def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: 
     rows = []
     offsets = {s: [] for s in NOISE_OFFSET_STRATEGIES}
     dds_wins = 0
-    for trial in range(trials):
+    for trial in range(cfg.trials):
         rng = base.child(trial)
-        prior = AffineSubspacePrior.random(shape, prior_dim, seed=rng.child(0).seed,
-                                           dtype=REAL, smooth=smooth)
-        x_true = phantom_scale * prior.sample(rng.child(1))
+        prior = AffineSubspacePrior.random(shape, cfg.prior_dim, seed=rng.child(0).seed,
+                                           dtype=REAL, smooth=cfg.smooth)
+        x_true = cfg.phantom_scale * prior.sample(rng.child(1))
         y = a.apply(x_true)
-        x_noisy = x_true + sigma_gt * rng.child(2).randn(shape)
+        x_noisy = x_true + cfg.sigma_gt * rng.child(2).randn(shape)
         sigma_np = estimate_noise(x_noisy)
         x_den = prior.project_affine(x_noisy)
 
@@ -487,7 +507,7 @@ def run_noise_offset_experiment(trials: int = 50, sigma_gt: float = 0.07, seed: 
             "gradient": gradient_dc_step(x_noisy, a, y, 1.0),
             "dps": x_den - mcg_dps_gradient(x_noisy, t_mid, prior, a, y, sched),
             "ddnm": x_den + pseudo_inverse_apply(a, y - a.apply(x_den)),
-            "dds-cg": cg(nrm, a.adjoint(y), x_noisy, cg_steps)[0],
+            "dds-cg": cg(nrm, a.adjoint(y), x_noisy, 5)[0],
         }
         trial_off = {}
         for strat in NOISE_OFFSET_STRATEGIES:
@@ -509,7 +529,7 @@ NOISE_OFFSET_HEADER = ["trial", "strategy", "sigma_est", "offset"]
 
 
 # ---------------------------------------------------------------------------
-# Image and schedule emitters
+# Image emitter
 
 def emit_image(x: np.ndarray, path) -> None:
     """Write a min-max normalized 8-bit binary PGM; constant images emit 128."""
@@ -525,19 +545,3 @@ def emit_image(x: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(pix.tobytes())
-
-
-def dump_schedule_csv(sched, path) -> None:
-    if isinstance(sched, VpSchedule):
-        header = ["t", "beta", "abar", "btilde"]
-        rows = [[t, sched.betas[t], sched.abars[t], sched.btildes[t]]
-                for t in range(1, sched.n_steps + 1)]
-    else:
-        header = ["t", "sigma"]
-        rows = [[t, sched.sigmas[t]] for t in range(1, sched.n_steps + 1)]
-    write_csv(path, header, rows)
-
-
-def cg_report_csv(report: CgReport, path) -> None:
-    write_csv(path, ["iteration", "residual_norm"],
-              [[k, rn] for k, rn in enumerate(report.residual_norms)])

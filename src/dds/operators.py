@@ -128,10 +128,13 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
     """Binary sampling mask, deterministic in the spec seed.
 
     Column masks (1d kinds) sample full phase-encode columns; 2d kinds sample
-    points. The fully sampled ACS block sits at the center. Random kinds hit
-    the 1/acceleration density exactly by construction; uniform1d is the
-    constructive every-Rth-column pattern plus ACS, so its density can exceed
-    1/acceleration by up to the ACS fraction.
+    points. The fully sampled ACS block sits at the center. The gaussian kinds
+    draw until they hold round(N/acceleration) of the N columns or pixels;
+    poisson-disk-vd bisects its radius scale until the density is within 10%
+    of 1/acceleration, or returns the closest of 18 tries. The random kinds
+    raise ConfigError when the ACS block alone exceeds that target. uniform1d
+    is the constructive every-Rth-column pattern plus ACS, so its density can
+    exceed 1/acceleration by up to the ACS fraction.
     """
     h, w = (int(s) for s in shape)
     acc = spec.acceleration
@@ -161,13 +164,15 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
         mask[:, sorted(cols)] = 1.0
         return mask
 
+    # 2-D kinds
+    target = max(1, int(round(h * w / acc)))
+    rs, cs = _acs_square((h, w), spec.acs_fraction)
+    mask[rs, cs] = 1.0
+    count = int(mask.sum())
+    if count > target:
+        raise ConfigError("ACS block alone exceeds the target sampling density")
+
     if spec.kind == "gaussian2d":
-        target = max(1, int(round(h * w / acc)))
-        rs, cs = _acs_square((h, w), spec.acs_fraction)
-        mask[rs, cs] = 1.0
-        count = int(mask.sum())
-        if count > target:
-            raise ConfigError("ACS block alone exceeds the target sampling density")
         budget = 200 * h * w
         while count < target and budget > 0:
             z = rng.randn(2)
@@ -181,11 +186,10 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
 
     # poisson-disk-vd: dart throwing with radius growing away from the
     # center; the radius scale is bisected so the realized density lands
-    # within +-15% (relative) of 1/acceleration. Proposal p is accepted when
+    # within 10% (relative) of 1/acceleration. Proposal p is accepted when
     # d2 = |q - p|^2 >= r(p)^2 for every earlier accepted point q and every
     # ACS pixel, with r(p) = scale * g(p).
     target = h * w / acc
-    rs, cs = _acs_square((h, w), spec.acs_fraction)
     n_prop = 40 * h * w
     z = rng.randn((n_prop, 2)).ravel() / math.sqrt(2.0)
     # normal CDF maps the Gaussian proposals onto [0,1)^2 uniformly

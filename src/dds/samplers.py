@@ -71,6 +71,8 @@ class SamplerConfig:
             raise ConfigError(f"unknown dc strategy {self.dc!r}")
         if self.eta is not None and not (0.0 <= self.eta <= 1.0):
             raise ConfigError("eta must lie in [0, 1]")
+        if self.rejection_tau is not None and not self.rejection_tau >= 0:
+            raise ConfigError("rejection_tau must be >= 0")
 
     def resolved_eta(self) -> float:
         return self.eta if self.eta is not None else default_eta(self.nfe)

@@ -32,7 +32,7 @@ from dds.diffusion import (
     smooth_random_field,
     vp_ddim_step,
 )
-from dds.experiments import run_noise_offset_experiment
+from dds.experiments import NoiseOffsetConfig, run_noise_offset_experiment
 from dds.krylov import cg, krylov_basis, subspace_distance
 from dds.metrics import psnr
 from dds.operators import (
@@ -328,7 +328,8 @@ def test_acceptance_08_noisy_proximal_vs_gradient():
 
 
 def test_acceptance_09_noise_offset_ordering():
-    rows, means, wins = run_noise_offset_experiment(trials=50, sigma_gt=0.07, seed=0)
+    rows, means, wins = run_noise_offset_experiment(NoiseOffsetConfig(trials=50, sigma_gt=0.07),
+                                                   seed=0)
     ok = wins >= 45
     verdict(9, ok, f"one-step DC noise offsets: CG smallest in {wins}/50 trials "
                    f"(means: " + ", ".join(f"{k}={v:.4f}" for k, v in means.items()) + ")")

@@ -303,7 +303,9 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("shape = 16 16", "shape = 16 abc", "'abc'"),
     ("shape = 16 16", "shape = 16", "shape = 16"),
     ("dim = 4", "dim = 400", "dim = 400"),
-], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels"])
+    ("complex = true", "complex = maybe", "[prior] complex='maybe'"),
+], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels",
+        "non-boolean-complex"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1
     cfgp = tmp_path / "exp.ini"
@@ -323,3 +325,47 @@ def test_detector_bins_below_one_exits_2(tmp_path, bins):
     _one_line_error(r)
     assert "detector_bins >= 1" in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    ("scale_step_by_residual = maybe", "[sampler] scale_step_by_residual='maybe'"),
+    ("max_retries = 0", "max_retries must be >= 1"),
+    ("max_retries = -3", "max_retries must be >= 1"),
+    ("rejection_tau = -1", "rejection_tau must be >= 0"),
+    ("rejection_tau = -1\nmax_retries = 2", "rejection_tau must be >= 0"),
+], ids=["non-boolean", "no-retries", "negative-retries", "negative-tau",
+        "negative-tau-with-retries"])
+def test_bad_sampler_value_exits_2(tmp_path, extra, named):
+    # all but the last ran with exit 0, the boolean as false; tau = -1 was
+    # rejected only when max_retries > 1 sent it through rejection_wrap
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("dc = dds-cg", f"dc = dds-cg\n{extra}"))
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert named in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+@pytest.mark.parametrize("side", [16, 8])
+def test_metrics_on_ct3d_volume(tmp_path, side):
+    # SSIM on the middle axial slice; NaN once the slice is below the window
+    from dds.metrics import psnr, ssim
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace("shape = 3 8 8", f"shape = 3 {side} {side}"))
+    sim = tmp_path / "sim"
+    r = run_cli("simulate", "--config", str(cfgp), "--out", str(sim))
+    assert r.returncode == 0, r.stderr
+    ref = read_dtf(sim / "x_true.dtf")
+    x = ref + 0.05 * RngStream(4).randn(ref.shape)
+    write_dtf(tmp_path / "x.dtf", x)
+    out = tmp_path / "m.csv"
+    r = run_cli("metrics", "--x", str(tmp_path / "x.dtf"), "--ref", str(sim / "x_true.dtf"),
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[5]) == psnr(np.abs(x), np.abs(ref))
+    if side >= 11:
+        assert float(row[6]) == ssim(np.abs(x[1]), np.abs(ref[1]))
+    else:
+        assert row[6] == "nan"

@@ -1,20 +1,26 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dds.diffusion import VeSchedule, VpSchedule
+from dds.admm import TvConfig
 from dds.errors import ConfigError
 from dds.experiments import (
+    CONFIG_KEYS,
     MET_HEADER,
     NOISE_OFFSET_STRATEGIES,
     ExperimentConfig,
+    NoiseOffsetConfig,
     build_problem,
-    dump_schedule_csv,
     emit_image,
     run_noise_offset_experiment,
+    run_reconstruction,
     run_sweep,
     sampler_config,
+    tv_config,
     write_csv,
 )
+from dds.samplers import SamplerConfig
 from dds.tensor import RngStream
 
 BASE_CFG = """
@@ -63,6 +69,99 @@ def test_config_typed_access():
     assert cfg.get("nope", "missing", "fallback") == "fallback"
     with pytest.raises(ConfigError):
         cfg.get("nope", "missing")
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("yes", True), ("TRUE", True), ("On", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False),
+])
+def test_config_boolean_spellings(raw, value):
+    cfg = ExperimentConfig(f"[sampler]\nscale_step_by_residual = {raw}\n")
+    assert cfg.get("sampler", "scale_step_by_residual", False, bool) is value
+
+
+# CONFIG_KEYS as it was written out by hand before the [sampler], [tv] and
+# [noise_offset] keys were derived from their dataclasses
+PINNED_CONFIG_KEYS = {
+    "problem": "kind noise_sigma noise_seed",
+    "phantom": "kind seed shape constant_z",
+    "prior": "kind seed complex smooth dim offset_scale components tau mean_scale",
+    "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
+                "angles detector_bins",
+    "sampler": "nfe eta cg_steps gamma mode dc xi dps_step scale_step_by_residual "
+               "ve_sigma_max ve_truncation rejection_tau max_retries",
+    "tv": "lam rho cg_steps",
+    "sweep": "axis values repeats",
+    "noise_offset": "trials sigma_gt shape prior_dim angles smooth phantom_scale",
+}
+
+
+def test_config_keys_pinned():
+    assert sorted(CONFIG_KEYS) == sorted(PINNED_CONFIG_KEYS)
+    for section, keys in PINNED_CONFIG_KEYS.items():
+        assert CONFIG_KEYS[section] == set(keys.split()), section
+
+
+EVERY_KEY_CFG = """
+[sampler]
+nfe = 7
+eta = 0.25
+cg_steps = 3
+gamma = 0.5
+mode = ve
+dc = gradient
+xi = 0.5
+dps_step = 0.25
+scale_step_by_residual = yes
+ve_sigma_max = 5.0
+ve_truncation = 0.1
+rejection_tau = 1e-3
+max_retries = 4
+
+[tv]
+lam = 0.5
+rho = 0.25
+cg_steps = 2
+
+[noise_offset]
+trials = 3
+sigma_gt = 0.05
+shape = 16 16
+prior_dim = 6
+angles = 30
+smooth = 4.0
+phantom_scale = 2.5
+"""
+
+
+def test_every_section_key_reaches_its_field():
+    cfg = ExperimentConfig(EVERY_KEY_CFG)
+    for section in ("sampler", "tv", "noise_offset"):
+        assert all(cfg.has(section, key) for key in CONFIG_KEYS[section]), section
+    assert cfg.get("sampler", "max_retries", 1, int) == 4
+    cases = [
+        (sampler_config(cfg, seed=9),
+         SamplerConfig(nfe=7, eta=0.25, cg_steps=3, gamma=0.5, mode="ve", dc="gradient",
+                       xi=0.5, dps_step=0.25, scale_step_by_residual=True,
+                       ve_sigma_max=5.0, ve_truncation=0.1, rejection_tau=1e-3, seed=9)),
+        (tv_config(cfg), TvConfig(lam=0.5, rho=0.25, cg_steps=2)),
+        (cfg.read("noise_offset", NoiseOffsetConfig),
+         NoiseOffsetConfig(trials=3, sigma_gt=0.05, shape=(16, 16), prior_dim=6,
+                           angles=30, smooth=4.0, phantom_scale=2.5)),
+    ]
+    for got, want in cases:
+        default = type(want)()
+        for f in fields(want):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+            assert getattr(want, f.name) != getattr(default, f.name), f.name
+
+
+def test_absent_keys_keep_field_defaults_and_overrides_win():
+    cfg = ExperimentConfig("[sampler]\nnfe = 7\n")
+    assert sampler_config(cfg, seed=0) == SamplerConfig(nfe=7)
+    assert sampler_config(cfg, seed=0, nfe=9, eta=0.5) == SamplerConfig(nfe=9, eta=0.5)
+    assert tv_config(cfg, lam=1.0) == TvConfig(lam=1.0)
+    assert cfg.read("noise_offset", NoiseOffsetConfig) == NoiseOffsetConfig()
 
 
 def test_config_rejects_malformed_text():
@@ -171,14 +270,19 @@ def test_metrics_rows_serialize(tmp_path):
 
 
 def test_noise_offset_experiment_small():
-    rows, means, wins = run_noise_offset_experiment(trials=4, seed=3)
+    rows, means, wins = run_noise_offset_experiment(NoiseOffsetConfig(trials=4), seed=3)
     assert set(means) == set(NOISE_OFFSET_STRATEGIES)
     assert means["no-process"] == 0.0
     per_trial = [r for r in rows if r[0] != "mean"]
     assert len(per_trial) == 4 * len(NOISE_OFFSET_STRATEGIES)
     # deterministic given the seed
-    rows2, means2, wins2 = run_noise_offset_experiment(trials=4, seed=3)
+    rows2, means2, wins2 = run_noise_offset_experiment(NoiseOffsetConfig(trials=4), seed=3)
     assert rows == rows2 and wins == wins2
+
+
+def test_noise_offset_needs_a_trial():
+    with pytest.raises(ConfigError, match="at least one trial"):
+        NoiseOffsetConfig(trials=0)
 
 
 def test_emit_image_cases(tmp_path):
@@ -197,17 +301,6 @@ def test_emit_image_cases(tmp_path):
     emit_image(x, r1)
     emit_image(x, r2)
     assert r1.read_bytes() == r2.read_bytes()
-
-
-def test_schedule_dump(tmp_path):
-    p = tmp_path / "vp.csv"
-    dump_schedule_csv(VpSchedule.default(6), p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "t,beta,abar,btilde"
-    assert len(lines) == 7
-    q = tmp_path / "ve.csv"
-    dump_schedule_csv(VeSchedule.geometric(5), q)
-    assert q.read_text().splitlines()[0] == "t,sigma"
 
 
 CT_CFG = """
@@ -270,36 +363,30 @@ def test_noisy_problem_with_proximal_dc_runs():
                    .replace("dc = dds-cg", "dc = dds-proximal-cg")
     cfg = ExperimentConfig(text)
     problem = build_problem(cfg)
-    from dds.experiments import run_reconstruction
     res = run_reconstruction(problem, sampler_config(cfg, 3), rng=RngStream(3))
     assert np.all(np.isfinite(res.x0))
     assert res.residual > 0.0
-
-
-def test_cg_report_csv(tmp_path):
-    from dds.experiments import cg_report_csv
-    from dds.krylov import cg
-    from dds.operators import matrix_operator
-    b = RngStream(0).randn((6, 6))
-    op = matrix_operator(b.T @ b / 6 + np.eye(6))
-    _, rep = cg(op, RngStream(1).randn((6,)), np.zeros(6), 6)
-    p = tmp_path / "cg.csv"
-    cg_report_csv(rep, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "iteration,residual_norm"
-    assert len(lines) == 1 + len(rep.residual_norms)
 
 
 def test_run_reconstruction_with_rejection_retries():
     text = BASE_CFG + "\n[extra]\n"
     cfg = ExperimentConfig(text.replace("dc = dds-cg", "dc = dds-cg\nrejection_tau = 1e-3"))
     problem = build_problem(cfg)
-    from dds.experiments import run_reconstruction
     scfg = sampler_config(cfg, seed=2)
     assert scfg.rejection_tau == 1e-3
     res = run_reconstruction(problem, scfg, rng=RngStream(2), max_retries=4)
     assert res.accepted is True
     assert res.attempts == 1  # consistent problem clears the threshold at once
+
+
+@pytest.mark.parametrize("retries", [0, -3])
+def test_run_reconstruction_needs_an_attempt(retries):
+    # with or without a rejection threshold; both used to run
+    problem = build_problem(ExperimentConfig(BASE_CFG))
+    for tau in (None, 1e-3):
+        scfg = SamplerConfig(nfe=6, rejection_tau=tau)
+        with pytest.raises(ConfigError, match="max_retries must be >= 1"):
+            run_reconstruction(problem, scfg, max_retries=retries)
 
 
 def test_simulate_artifacts_match_regeneration(tmp_path):

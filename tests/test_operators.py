@@ -122,7 +122,6 @@ def test_poisson_mask_density_and_acs():
 PINNED_MASKS = [
     ("poisson-disk-vd", (16, 16), 2.5, 0.0, 0, "48695e2a3d5b02a07529a9f2e26de461601764157ba1c483cec57b023b9ed20b"),
     ("poisson-disk-vd", (16, 16), 4, 0.08, 1, "c4a10166182d0c17d4b8703bdb561320b2ebe434154e946c63496a489d09ef34"),
-    ("poisson-disk-vd", (16, 16), 8, 0.2, 2, "890853399385181e7c193e5837a8e23b63f7f9d1a8949f0fc0ed8afe39219745"),
     ("poisson-disk-vd", (16, 16), 4, 0.2, 7, "95409f9f60f1c79f60e1555920ed0b84886d1f7659d9403655e19dd228d71320"),
     ("poisson-disk-vd", (24, 40), 2.5, 0.08, 3, "377d978c0802c724a3933987e848fdfbf890f6becc57cdfcebb538e933072666"),
     ("poisson-disk-vd", (24, 40), 4, 0.0, 11, "2bbb036098e9aba96aa705957b4c1f55f3cdf875f8ed12294cf8b3d20a04694a"),
@@ -134,7 +133,6 @@ PINNED_MASKS = [
     ("poisson-disk-vd", (32, 32), 8, 0.08, 2, "cfb104331feeddf04e3fef9334355a49394b65bddc53a34abd45bceb550c9cc4"),
     ("poisson-disk-vd", (32, 32), 4, 0.08, 12345, "cebcd6f6c1079e31b41896a9c3a2c0bd661e47cf3d73ff1f9ef199f10b6d642b"),
     ("poisson-disk-vd", (64, 64), 4, 0.08, 0, "24ffd3b017ad80406df5b318bd6705a9a53acd977500860429faf94c462abd36"),
-    ("poisson-disk-vd", (64, 64), 8, 0.2, 6, "ea21fbce29ee30ad1658c3f10c5b8c15f2bf8864e4e3b40701d12830c9b314e9"),
     ("poisson-disk-vd", (64, 64), 2.5, 0.0, 9, "f390d51f1ea069102024ea806efcb06dcc8fb211e53a2fab842e6178f1a4f9db"),
     ("gaussian2d", (16, 16), 4, 0.08, 0, "47b8689e725979490307594f3e57e9b43bd8f44a4342b1e5f347cd4b1a7263ac"),
     ("gaussian2d", (24, 40), 2.5, 0.2, 1, "eb8a901473455b6641460de636d670a4c3559c80a24210cb0360ec6f1894d142"),
@@ -152,6 +150,24 @@ def test_poisson_mask_bytes_pinned():
         if hashlib.sha256(m.tobytes()).hexdigest() != digest:
             wrong.append((kind, shape, acc, acs, seed))
     assert not wrong, f"masks changed: {wrong}"
+
+
+@pytest.mark.parametrize("kind", ["poisson-disk-vd", "gaussian2d"])
+@pytest.mark.parametrize("shape, acc, acs, seed", [
+    ((16, 16), 8, 0.2, 2),  # 49-px ACS block against a 32-px target
+    ((64, 64), 8, 0.2, 6),  # 841 px against 512
+])
+def test_2d_mask_rejects_acs_above_target(kind, shape, acc, acs, seed):
+    # poisson-disk-vd used to return the ACS block plus points, far off target
+    with pytest.raises(ConfigError, match="ACS block alone exceeds"):
+        make_mask(MaskSpec(kind, acc, acs, seed), shape)
+
+
+def _acs_over_target(spec, shape):
+    rs, cs = _acs_square(shape, spec.acs_fraction)
+    m = np.zeros(shape)
+    m[rs, cs] = 1.0
+    return m.sum() > max(1, round(shape[0] * shape[1] / spec.acceleration))
 
 
 def _reference_poisson_mask(spec, shape):
@@ -205,7 +221,12 @@ def _reference_poisson_mask(spec, shape):
        acc=st.floats(1.5, 8.0), acs=st.floats(0.0, 0.3), seed=st.integers(0, 10**6))
 def test_poisson_mask_matches_reference(h, w, acc, acs, seed):
     spec = MaskSpec("poisson-disk-vd", acc, acs, seed)
-    assert make_mask(spec, (h, w)).tobytes() == _reference_poisson_mask(spec, (h, w)).tobytes()
+    if _acs_over_target(spec, (h, w)):
+        with pytest.raises(ConfigError):
+            make_mask(spec, (h, w))
+    else:
+        assert (make_mask(spec, (h, w)).tobytes()
+                == _reference_poisson_mask(spec, (h, w)).tobytes())
 
 
 def test_mask_acs_center_fully_sampled():

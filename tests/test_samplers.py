@@ -61,6 +61,14 @@ def test_config_validation():
         SamplerConfig(eta=1.2)
 
 
+@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+def test_config_rejects_negative_rejection_tau(tau):
+    # rejection_tau = -1 used to be rejected only when max_retries > 1
+    with pytest.raises(ConfigError, match="rejection_tau must be >= 0"):
+        SamplerConfig(rejection_tau=tau)
+    assert SamplerConfig(rejection_tau=0.0).rejection_tau == 0.0
+
+
 def test_default_config_builds_vp_schedule():
     assert make_schedule(SamplerConfig()).n_steps == 20
 

@@ -1,9 +1,11 @@
-"""Byte oracle: hash the artifacts of `dds reconstruct --seed 3` over a config grid.
+"""Byte oracle: hash the artifacts of `dds reconstruct`/`noise-offset --seed 3` over configs.
 
 Runs the CLI's `reconstruct` command in-process on 84 configs and prints one
 line per config: its name, the sha256 of `x0.dtf`, the sha256 of
-`trace.csv` and the exit code ("-" for a file the run did not write).
-Two checkouts behave the same on the grid exactly when the outputs match:
+`trace.csv` and the exit code ("-" for a file the run did not write). Then
+it runs `noise-offset` on 2 configs and prints the name, the sha256 of the
+CSV and the exit code. Two checkouts behave the same on these configs
+exactly when the outputs match:
 
     python3 tools/byte_oracle.py > change.txt
     python3 tools/byte_oracle.py --repo ../parent-checkout > parent.txt
@@ -21,7 +23,9 @@ The grid:
 - VE `dds-cg` with `ve_truncation` = 0.2;
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
-- the three `bench/workloads.py` configs at phantom seed 1.
+- the three `bench/workloads.py` configs at phantom seed 1;
+- `noise-offset` on its defaults with 3 trials, and with every
+  `[noise_offset]` key set.
 """
 
 from __future__ import annotations
@@ -96,6 +100,20 @@ rho = 0.5
 cg_steps = 2
 """
 
+NOISE_OFFSET = {
+    "noise-offset/defaults": "[noise_offset]\ntrials = 3\n",
+    "noise-offset/every-key": """
+[noise_offset]
+trials = 2
+sigma_gt = 0.05
+shape = 16 16
+prior_dim = 6
+angles = 30
+smooth = 4.0
+phantom_scale = 2.5
+""",
+}
+
 MODES = {"vp": "mode = vp\nnfe = 8", "ve": "mode = ve\nnfe = 12"}
 VARIANTS = {
     "defaults": "",
@@ -145,6 +163,11 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+def run_quietly(cli, argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
@@ -159,12 +182,17 @@ def main(argv=None) -> int:
             cfg = Path(tmp) / f"{i}.ini"
             cfg.write_text(text)
             out = Path(tmp) / f"out{i}"
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["reconstruct", "--config", str(cfg), "--seed", "3",
-                                 "--out", str(out)])
+            code = run_quietly(cli, ["reconstruct", "--config", str(cfg), "--seed", "3",
+                                     "--out", str(out)])
             print(f"{name} {sha256(out / 'x0.dtf')} {sha256(out / 'trace.csv')} {code}",
                   flush=True)
+        for name, text in NOISE_OFFSET.items():
+            cfg = Path(tmp) / "noise_offset.ini"
+            cfg.write_text(text)
+            out = Path(tmp) / f"{name.replace('/', '-')}.csv"
+            code = run_quietly(cli, ["noise-offset", "--config", str(cfg), "--seed", "3",
+                                     "--out", str(out)])
+            print(f"{name} {sha256(out)} {code}", flush=True)
     return 0
 
 

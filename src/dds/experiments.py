@@ -22,11 +22,9 @@ from .diffusion import (
     GmmDenoiser,
     GmmPrior,
     VeSchedule,
-    mcg_dps_gradient,
     smooth_random_field,
 )
 from .errors import ConfigError
-from .krylov import cg, normal_operator
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
     LinearMap,
@@ -39,16 +37,8 @@ from .operators import (
     slice_radon_operator,
 )
 from .phantoms import shepp_logan_2d, shepp_logan_3d
-from .samplers import (
-    ReconResult,
-    SamplerConfig,
-    dds_reconstruct,
-    ddnm_step,
-    gradient_dc_step,
-    pseudo_inverse_apply,
-    rejection_wrap,
-)
-from .tensor import COMPLEX, REAL, RngStream
+from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc, rejection_wrap
+from .tensor import COMPLEX, REAL, RngStream, check_finite
 
 
 def _fmt(x) -> str:
@@ -373,15 +363,14 @@ def magnitude_ssim(mx: np.ndarray, mref: np.ndarray) -> float:
 
 
 def evaluate(problem: Problem, res: ReconResult, run_id: str,
-             scfg: SamplerConfig, strategy: str | None = None,
-             tv: TvConfig | None = None) -> MetricsRow:
+             scfg: SamplerConfig, tv: TvConfig | None = None) -> MetricsRow:
     """Metrics on magnitude images: PSNR over the whole signal, SSIM on the
     (middle axial slice of the) 2-D magnitude. ``cg_steps`` is the count the
     run used: tv.cg_steps for a volume run given its TvConfig."""
     mx = np.abs(res.x0)
     mref = np.abs(problem.x_true)
     return MetricsRow(
-        run_id=run_id, strategy=strategy or scfg.dc, nfe=scfg.nfe,
+        run_id=run_id, strategy=scfg.dc, nfe=scfg.nfe,
         cg_steps=scfg.cg_steps if tv is None else tv.cg_steps,
         eta=scfg.resolved_eta(), psnr=psnr(mx, mref),
         ssim=magnitude_ssim(mx, mref), residual=res.residual, wall_seconds=res.wall_seconds,
@@ -469,23 +458,24 @@ def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
     """Apply one DC step per strategy to noisy images; measure the noise offset.
 
     Per trial: a fresh smooth real-valued affine-subspace phantom, Gaussian
-    image noise of level cfg.sigma_gt, and clean consistent sparse-view tomography
-    measurements y = A x*. Each DC formula is applied once at its natural
-    point: range replacement (projection), the fixed unit-step gradient, the
-    projected gradient (VE form, step 1), and the 5-step CG all act on the
-    noisy image; the pseudo-inverse replacement also runs from the analytic
-    denoised estimate, its in-sampler convention. Smooth phantoms matter
-    (the wavelet-MAD estimator must see the added noise, not texture), and
-    the tomography operator matters: its non-unit norm and smoothing normal
+    image noise of level cfg.sigma_gt, and clean consistent sparse-view
+    tomography measurements y = A x*. Each DC step is the sampler's own
+    (make_dc), applied once at its natural point: range replacement
+    (projection), the fixed unit-step gradient, the projected gradient (VE
+    form, step 1), and the 5-step CG all act on the noisy image; the
+    pseudo-inverse replacement also runs from the analytic denoised
+    estimate, its in-sampler convention. Smooth phantoms matter (the
+    wavelet-MAD estimator must see the added noise, not texture), and the
+    tomography operator matters: its non-unit norm and smoothing normal
     operator are what separate the strategies' noise disturbance, as in the
     full-scale protocol. Reported per strategy: sigma_est after the step and
-    |sigma_est - sigma_est-np|. Returns (rows, mean_offsets, dds_wins).
+    |sigma_est - sigma_est-np|; a non-finite output raises NumericalError
+    before it becomes a row. Returns (rows, mean_offsets, dds_wins).
     """
     shape = cfg.shape
     base = RngStream(seed)
     geom = RadonGeometry.uniform(shape[-1], cfg.angles)
     a = radon_operator(geom)
-    nrm = normal_operator(a)
     sched = VeSchedule.geometric(10, sigma_max=1.0)
     t_mid = 5
     rows = []
@@ -501,17 +491,19 @@ def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
         sigma_np = estimate_noise(x_noisy)
         x_den = prior.project_affine(x_noisy)
 
+        dc = {s: make_dc(SamplerConfig(dc=s, cg_steps=5), a, y, sched, prior)
+              for s in ("ddnm", "gradient", "dps", "dds-cg")}
         outs = {
             "no-process": x_noisy,
-            "projection": ddnm_step(x_noisy, a, y),
-            "gradient": gradient_dc_step(x_noisy, a, y, 1.0),
-            "dps": x_den - mcg_dps_gradient(x_noisy, t_mid, prior, a, y, sched),
-            "ddnm": x_den + pseudo_inverse_apply(a, y - a.apply(x_den)),
-            "dds-cg": cg(nrm, a.adjoint(y), x_noisy, 5)[0],
+            "projection": dc["ddnm"](x_noisy, x_noisy, t_mid),
+            "gradient": dc["gradient"](x_noisy, x_noisy, t_mid),
+            "dps": dc["dps"](x_noisy, x_den, t_mid),
+            "ddnm": dc["ddnm"](x_noisy, x_den, t_mid),
+            "dds-cg": dc["dds-cg"](x_noisy, x_noisy, t_mid),
         }
         trial_off = {}
         for strat in NOISE_OFFSET_STRATEGIES:
-            s_est = estimate_noise(np.real(outs[strat]))
+            s_est = estimate_noise(np.real(check_finite(outs[strat], f"noise-offset {strat}")))
             off = abs(s_est - sigma_np)
             trial_off[strat] = off
             offsets[strat].append(off)

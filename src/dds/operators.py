@@ -22,7 +22,7 @@ class LinearMap:
     """Matrix-free linear operator with an exact algebraic adjoint.
 
     ``apply`` maps domain-shaped tensors to range-shaped ones and ``adjoint``
-    the reverse; both validate shapes and finiteness. ``pinv_fn``, when set,
+    the reverse; both validate shapes, not finiteness. ``pinv_fn``, when set,
     applies the exact pseudo-inverse to a range tensor (only cheap special
     cases provide it).
     """
@@ -44,7 +44,7 @@ class LinearMap:
             raise ConfigError(
                 f"{self.name or 'operator'}: apply expects shape {self.domain_shape}, got {x.shape}"
             )
-        return check_finite(self._apply(x), f"{self.name or 'operator'}.apply")
+        return self._apply(x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y)
@@ -52,7 +52,7 @@ class LinearMap:
             raise ConfigError(
                 f"{self.name or 'operator'}: adjoint expects shape {self.range_shape}, got {y.shape}"
             )
-        return check_finite(self._adjoint(y), f"{self.name or 'operator'}.adjoint")
+        return self._adjoint(y)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -65,7 +65,7 @@ def identity_map(shape, dtype=COMPLEX) -> LinearMap:
 
 def matrix_operator(mat: np.ndarray, name="dense") -> LinearMap:
     """Dense matrix as a LinearMap over flat vectors (testing / small systems)."""
-    mat = np.asarray(mat)
+    mat = check_finite(np.asarray(mat), f"{name} matrix")
     dtype = COMPLEX if np.iscomplexobj(mat) else REAL
     mh = mat.conj().T
     return LinearMap((mat.shape[1],), (mat.shape[0],),
@@ -119,9 +119,10 @@ def _acs_columns(width: int, acs_fraction: float) -> np.ndarray:
 def _acs_square(shape, acs_fraction: float):
     h, w = shape
     side = max(1, int(round(math.sqrt(acs_fraction * h * w))))
-    r0 = h // 2 - side // 2
-    c0 = w // 2 - side // 2
-    return slice(r0, r0 + side), slice(c0, c0 + side)
+    # a side longer than the image is clamped to it, still centred
+    sh, sw = min(side, h), min(side, w)
+    r0, c0 = h // 2 - sh // 2, w // 2 - sw // 2
+    return slice(r0, r0 + sh), slice(c0, c0 + sw)
 
 
 def make_mask(spec: MaskSpec, shape) -> np.ndarray:
@@ -284,8 +285,8 @@ class CoilMaps:
         if m.ndim != 3:
             raise ConfigError("coil maps must be stacked (c, H, W)")
         ssq = np.sum(np.abs(m) ** 2, axis=0)
-        if np.max(np.abs(ssq - 1.0)) > 1e-10:
-            raise ConfigError("coil maps are not normalized: sum |s|^2 != 1")
+        if not np.max(np.abs(ssq - 1.0)) <= 1e-10:  # NaN fails this too
+            raise ConfigError("coil maps must be finite and normalized: sum |s|^2 = 1")
 
     @property
     def ncoils(self) -> int:
@@ -348,7 +349,7 @@ def sense_adjoint(k: np.ndarray, maps: CoilMaps, mask: np.ndarray,
 
 def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
     """A = P F s as a LinearMap; single-coil gets the exact zero-fill pinv."""
-    mask = np.asarray(mask, dtype=REAL)
+    mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
     conj_maps = np.conj(maps.maps)  # cached: adjoint runs in hot CG loops
     pinv = None
     if maps.ncoils == 1:

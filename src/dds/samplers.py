@@ -233,7 +233,9 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     Per step: Tweedie denoise, data consistency ``dc(x, xhat, t)`` (by
     default ``make_dc`` for cfg.dc), then the DDIM transition using the
     pre-DC noise estimate. The last step applies Tweedie only. VE runs with
-    truncation stop at t <= nfe * ve_truncation.
+    truncation stop at t <= nfe * ve_truncation. The residual ||y - A x'||
+    that the trace records is the run's finiteness check: a step where it is
+    not finite ends the run with SamplerDivergedError, its trace included.
     """
     t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(cfg.seed)
@@ -259,15 +261,18 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     trace = SamplerTrace()
 
     def record(t, x, xp, xhat) -> float:
-        residual = norm(y - a.apply(xp))
-        trace.append(StepRecord(
-            t=t,
-            residual=residual,
-            gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
-            noise_est=_trace_noise(x),
-            subspace_dist=prior.distance(xp) if prior is not None else math.nan,
-        ))
-        return residual
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            rec = StepRecord(
+                t=t,
+                residual=norm(y - a.apply(xp)),
+                gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
+                noise_est=_trace_noise(x),
+                subspace_dist=prior.distance(xp) if prior is not None else math.nan,
+            )
+        trace.append(rec)
+        if not math.isfinite(rec.residual):
+            raise NumericalError(f"residual {rec.residual} at t = {t}")
+        return rec.residual
 
     try:
         for t in range(sched.n_steps, k_stop, -1):
@@ -283,7 +288,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         residual = record(k_stop, x, x0, x0)
     except NumericalError as exc:
         raise SamplerDivergedError(f"sampler diverged: {exc}", trace=trace) from exc
-    if not np.all(np.isfinite(x0)):
+    if not np.all(np.isfinite(x0)):  # pixels no ray hits never reach the residual
         raise SamplerDivergedError("sampler produced non-finite output", trace=trace)
 
     accepted = None if cfg.rejection_tau is None else bool(residual <= cfg.rejection_tau)

@@ -1,8 +1,9 @@
 """Dense tensor core: dtype policy, unitary 2-D FFTs, seeded Gaussian streams.
 
-Signals are plain numpy arrays restricted to float64 / complex128. Public
-operations reject non-finite values so that divergence is caught where it
-happens rather than three modules later.
+Signals are plain numpy arrays restricted to float64 / complex128. The
+operations here check shapes, not finiteness; ``check_finite`` runs where
+data enters or leaves a run (files, operator data, CSV rows), and the
+sampler checks its residual once per step, where a run can diverge.
 """
 
 from __future__ import annotations
@@ -43,16 +44,14 @@ def fft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """Unitary 2-D FFT over two power-of-two axes (norm split as 1/sqrt(HW))."""
     x = np.asarray(x, dtype=COMPLEX)
     ax = _check_fft_axes(x, axes)
-    out = np.fft.fft2(x, axes=ax, norm="ortho")
-    return check_finite(out, "fft2")
+    return np.fft.fft2(x, axes=ax, norm="ortho")
 
 
 def ifft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """Inverse of :func:`fft2`; also unitary."""
     x = np.asarray(x, dtype=COMPLEX)
     ax = _check_fft_axes(x, axes)
-    out = np.fft.ifft2(x, axes=ax, norm="ortho")
-    return check_finite(out, "ifft2")
+    return np.fft.ifft2(x, axes=ax, norm="ortho")
 
 
 def inner(a: np.ndarray, b: np.ndarray):

@@ -136,6 +136,47 @@ def test_numerical_failure_exits_3(tmp_path):
     assert r.returncode == 3
 
 
+def test_overflowing_residual_exits_3(tmp_path):
+    # x' overflows the residual norm but stays finite itself; this used to
+    # print "residual inf", write a trace with inf in it and exit 0
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("nfe = 5", "nfe = 20")
+                    .replace("dc = dds-cg", "dc = gradient\nxi = 1e16"))
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0", "--out", str(out))
+    _one_line_error(r, code=3)
+    assert "residual inf" in r.stderr
+    assert not (out / "trace.csv").exists() and not (out / "x0.dtf").exists()
+
+
+def test_nan_in_measurements_exits_3(cfg_file, tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg_file), "--out", str(sim)).returncode == 0
+    y = read_dtf(sim / "y.dtf")
+    y[1, 2, 3] = np.nan
+    # write_dtf refuses NaN, so the file is written by hand (complex128)
+    (sim / "y.dtf").write_bytes(b"DDS1" + bytes([1, y.ndim]) + struct.pack("<3Q", *y.shape)
+                                + y.astype("<c16").tobytes())
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfg_file), "--in", str(sim),
+                "--seed", "0", "--out", str(out))
+    _one_line_error(r, code=3)
+    assert "y.dtf" in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+def test_noise_offset_non_finite_phantom_exits_3(tmp_path):
+    cfgp = tmp_path / "no.ini"
+    cfgp.write_text("[noise_offset]\ntrials = 2\nphantom_scale = inf\n")
+    out = tmp_path / "no.csv"
+    r = run_cli("noise-offset", "--config", str(cfgp), "--seed", "1", "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    # numpy's RuntimeWarnings may come first; the error is the last line
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith("numerical failure: ")
+    assert not out.exists()
+
+
 def test_noise_offset_cli(tmp_path):
     cfgp = tmp_path / "no.ini"
     cfgp.write_text("[noise_offset]\ntrials = 2\n")
@@ -211,10 +252,11 @@ def test_ct3d_sweep_jobs_independence(ct_cfg_file, tmp_path):
     assert len(outs[0].decode().splitlines()) == 1 + 6 + 6
 
 
-def _one_line_error(r):
-    assert r.returncode == 2, r.stderr
+def _one_line_error(r, code=2):
+    assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    prefix = "error: " if code == 2 else "numerical failure: "
+    assert r.stderr.startswith(prefix) and r.stderr.count("\n") == 1
 
 
 def test_sweep_unparsable_value_exits_2(ct_cfg_file, tmp_path):

@@ -280,6 +280,20 @@ def test_noise_offset_experiment_small():
     assert rows == rows2 and wins == wins2
 
 
+def test_noise_offset_rejects_non_finite_output(monkeypatch):
+    from dds import experiments
+    from dds.errors import NumericalError
+    real_make_dc = experiments.make_dc
+
+    def make_dc(cfg, *args):
+        dc = real_make_dc(cfg, *args)
+        return (lambda x, xhat, t: np.full_like(xhat, np.nan)) if cfg.dc == "dps" else dc
+
+    monkeypatch.setattr(experiments, "make_dc", make_dc)
+    with pytest.raises(NumericalError, match="noise-offset dps"):
+        run_noise_offset_experiment(NoiseOffsetConfig(trials=1, shape=(16, 16)), seed=0)
+
+
 def test_noise_offset_needs_a_trial():
     with pytest.raises(ConfigError, match="at least one trial"):
         NoiseOffsetConfig(trials=0)

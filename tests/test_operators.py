@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dds.errors import ConfigError
+from dds.errors import ConfigError, NumericalError
 from dds.krylov import normal_operator
 from dds.operators import (
     CoilMaps,
@@ -234,6 +234,18 @@ def test_mask_acs_center_fully_sampled():
     assert np.all(m[:, 14:18] == 1.0)
 
 
+@pytest.mark.parametrize("kind", ["poisson-disk-vd", "gaussian2d"])
+@pytest.mark.parametrize("shape, rows, cols", [
+    ((4, 40), slice(0, 4), slice(17, 24)),   # a 7-px side on a 4-row image
+    ((4, 64), slice(0, 4), slice(28, 37)),   # 9 px
+    ((40, 4), slice(17, 24), slice(0, 4)),
+])
+def test_acs_block_taller_than_image_is_clamped(kind, shape, rows, cols):
+    # the start used to go negative and the slice wrapped: (4, 40) got one row
+    assert _acs_square(shape, 0.3) == (rows, cols)
+    assert np.all(make_mask(MaskSpec(kind, 4, 0.3, 1), shape)[rows, cols] == 1.0)
+
+
 def test_mask_rejects_bad_acceleration():
     with pytest.raises(ConfigError):
         MaskSpec("uniform1d", 0.5, 0.1, 0)
@@ -262,6 +274,24 @@ def test_coil_maps_reproducible():
 def test_coil_maps_rejects_denormalized():
     with pytest.raises(ConfigError):
         CoilMaps(maps=2.0 * make_coil_maps(2, (8, 8), 0).maps)
+
+
+def test_coil_maps_rejects_nan():
+    # NaN made the normalization test false, so such maps were accepted
+    maps = make_coil_maps(2, (8, 8), 0).maps.copy()
+    maps[1, 3, 4] = np.nan
+    with pytest.raises(ConfigError, match="must be finite"):
+        CoilMaps(maps=maps)
+
+
+def test_operator_data_is_checked_once_at_construction():
+    maps = make_coil_maps(2, (8, 8), 0)
+    mask = np.ones((8, 8))
+    mask[2, 2] = np.inf
+    with pytest.raises(NumericalError, match="sense mask"):
+        sense_operator(maps, mask)
+    with pytest.raises(NumericalError, match="dense matrix"):
+        matrix_operator(np.array([[1.0, np.nan]]))
 
 
 # ---------------------------------------------------------------------------

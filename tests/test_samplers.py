@@ -471,6 +471,36 @@ def test_divergence_raises_with_trace_attached():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SamplerDivergedError) as exc:
             dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
+    # the trace ends with the step whose residual is not finite
+    records = exc.value.trace.records
+    assert not math.isfinite(records[-1].residual)
+    assert all(math.isfinite(r.residual) for r in records[:-1])
+    assert f"at t = {records[-1].t}" in str(exc.value)
+
+
+@pytest.mark.parametrize("dc", ["dds-cg", "dds-proximal-cg", "ddnm", "projection",
+                                "gradient", "dps"])
+def test_nan_from_the_operator_fails_the_run(dc):
+    # LinearMap does not scan its outputs: CG's scalars, the per-step
+    # residual or the final check must catch a NaN whichever path it takes
+    from dds.errors import SamplerDivergedError
+    from dds.operators import LinearMap
+    prior, den, x_true, a, y = sense_problem(5, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    calls = [0]
+
+    def poisoned(x):
+        calls[0] += 1
+        out = a.apply(x)
+        if calls[0] == 6:
+            out = out.copy()
+            out[0, 0, 0] = np.nan
+        return out
+
+    bad = LinearMap(a.domain_shape, a.range_shape, poisoned, a.adjoint, name="bad")
+    cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=2, dc=dc, seed=0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SamplerDivergedError) as exc:
+            dds_reconstruct(bad, y, den, cfg, rng=RngStream(0), x_true=x_true)
     assert exc.value.trace is not None
 
 

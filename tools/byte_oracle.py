@@ -1,6 +1,6 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`noise-offset --seed 3` over configs.
 
-Runs the CLI's `reconstruct` command in-process on 84 configs and prints one
+Runs the CLI's `reconstruct` command in-process on 85 configs and prints one
 line per config: its name, the sha256 of `x0.dtf`, the sha256 of
 `trace.csv` and the exit code ("-" for a file the run did not write). Then
 it runs `noise-offset` on 2 configs and prints the name, the sha256 of the
@@ -21,6 +21,8 @@ The grid:
   `xi` = `dps_step` = 0.5, `eta` = 0.5}: 72 configs;
 - a GMM prior with `dds-cg`/VP, `gradient`/VE and `ddnm`/VP with eta 0.5;
 - VE `dds-cg` with `ve_truncation` = 0.2;
+- VP `gradient` with `xi` = 1e16 and nfe 20, whose residual overflows, so
+  its line pins the exit code of a diverging run (3);
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
@@ -141,6 +143,9 @@ def grid(repo: Path) -> list[tuple[str, str]]:
     out.append(("mri2d/dds-cg/ve/truncation", MRI.format(
         kind="mri2d", phantom="subspace-random", prior=AFFINE,
         sampler=f"dc = dds-cg\n{MODES['ve']}\nve_truncation = 0.2")))
+    out.append(("mri2d/gradient/vp/overflow", MRI.format(
+        kind="mri2d", phantom="subspace-random", prior=AFFINE,
+        sampler="dc = gradient\nmode = vp\nnfe = 20\nxi = 1e16")))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),

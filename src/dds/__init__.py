@@ -29,9 +29,9 @@ from .krylov import (
     CgReport,
     KrylovBasis,
     cg,
+    cgls,
     jacobi_residual_sequence,
     krylov_basis,
-    normal_operator,
     subspace_distance,
 )
 from .metrics import estimate_noise, psnr, ssim

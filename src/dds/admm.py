@@ -18,7 +18,9 @@ import numpy as np
 # hooks them as admm attributes.
 from .diffusion import VpSchedule, ve_ddim_step, vp_ddim_step  # noqa: F401
 from .errors import ConfigError
-from .krylov import cg, normal_operator
+# bench/tracing.py times the x-update solves through the attribute admm.cg,
+# so the solver keeps that name here.
+from .krylov import cgls as cg
 from .operators import LinearMap, diff_z_adjoint, diff_z_apply
 from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_schedule
 from .tensor import RngStream
@@ -48,10 +50,15 @@ def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass
 class AdmmState:
-    """Split variable z and scaled dual w, persisted across diffusion steps."""
+    """Split variable z and scaled dual w, persisted across diffusion steps.
+
+    ``residual`` is y - A x' of the sweep that produced the state, as its
+    x-update solve carried it (None before the first sweep).
+    """
 
     z: np.ndarray
     w: np.ndarray
+    residual: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, shape, dtype=np.float64) -> "AdmmState":
@@ -73,26 +80,26 @@ class TvConfig:
             raise ConfigError("inner CG cap must be >= 0")
 
 
-def admm_tv_dc(xhat: np.ndarray, a: LinearMap, a_star_y: np.ndarray, state: AdmmState,
+def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
                cfg: TvConfig) -> tuple[np.ndarray, AdmmState]:
     """One ADMM sweep of the TV-regularized data-consistency problem.
 
-    x-update: CG on (A'A + rho D'D) x = A'y + rho D'(z - w), warm-started at
-    xhat, with the run's constant A'y passed in; then z <- shrink(D x' + w),
-    w <- w + D x' - z.
+    x-update: CGLS on min ||y - A x||^2 + rho ||(z - w) - D x||^2, the normal
+    equations (A'A + rho D'D) x = A'y + rho D'(z - w), warm-started at xhat;
+    then z <- shrink(D x' + w), w <- w + D x' - z. The new state carries the
+    solve's y - A x'.
     """
     if xhat.ndim != 3:
         raise ConfigError("admm_tv_dc expects a 3-D volume")
     if state.z.shape != xhat.shape or state.w.shape != xhat.shape:
         raise ConfigError("ADMM state shapes must match the volume")
-    rho = cfg.rho
-    op = normal_operator(a, plus=lambda v: rho * diff_z_adjoint(diff_z_apply(v)))
-    rhs = a_star_y + rho * diff_z_adjoint(state.z - state.w)
-    xp, _ = cg(op, rhs, xhat, cfg.cg_steps)
+    dz = LinearMap(xhat.shape, xhat.shape, diff_z_apply, diff_z_adjoint,
+                   domain_dtype=a.domain_dtype, name="diff_z")
+    xp, report = cg(a, y, xhat, cfg.cg_steps, stack=(dz, state.z - state.w, cfg.rho))
     dx = diff_z_apply(xp)
-    z_new = soft_threshold(dx + state.w, cfg.lam / rho)
+    z_new = soft_threshold(dx + state.w, cfg.lam / cfg.rho)
     w_new = state.w + dx - z_new
-    return xp, AdmmState(z=z_new, w=w_new)
+    return xp, AdmmState(z=z_new, w=w_new, residual=report.residual)
 
 
 def tv_objective(x: np.ndarray, a: LinearMap, y: np.ndarray, lam: float) -> float:
@@ -119,15 +126,15 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     sched = schedule if schedule is not None else make_schedule(cfg)
     vp = isinstance(sched, VpSchedule)
     switch_t = sched.n_steps // 2  # VE warm-up: plain CG while t >= switch_t
-    nrm, a_star_y = normal_operator(a), a.adjoint(y)
     state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)
 
     def admm_dc(x, xhat, t):
         nonlocal state
         if vp or t < switch_t:
-            xp, state = admm_tv_dc(xhat, a, a_star_y, state, tv)
-            return xp
-        return cg(nrm, a_star_y, xhat, tv.cg_steps)[0]
+            xp, state = admm_tv_dc(xhat, a, y, state, tv)
+            return xp, state.residual
+        xp, report = cg(a, y, xhat, tv.cg_steps)
+        return xp, report.residual
 
     return dds_reconstruct(a, y, SliceDenoiser(denoiser), cfg, rng=rng, x_true=x_true,
                            schedule=sched, dc=admm_dc)

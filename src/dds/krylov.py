@@ -1,7 +1,11 @@
-"""Conjugate gradient, the normal operators its solves use, and Krylov diagnostics.
+"""Conjugate gradient, its least-squares form CGLS, and Krylov diagnostics.
 
 CG follows the classic recursion (alpha_k = r'r / p'Ap, beta_k = r'r new/old)
-with a hard iteration cap and optional residual tolerance. Complex tensors
+with a hard iteration cap and optional residual tolerance. CGLS (Hestenes and
+Stiefel 1952; Bjorck, Numerical Methods for Least Squares Problems, 1996,
+section 7.4) runs the same recursion on the normal equations of a least-squares
+problem without forming A*A: it carries the data residual b - Ax, which every
+data-consistency solve of the sampler then reports for free. Complex tensors
 use conjugated inner products with the real part taken for the step scalars,
 which is exact for the Hermitian PSD systems used here.
 """
@@ -26,11 +30,13 @@ class CgReport:
     ``residual_monotone`` flags whether the Euclidean residual norms were
     non-increasing (within 1e-9 absolute slack); CG only guarantees monotone
     A-norm error, so a dip-and-rise here is reported, never an error.
+    ``residual`` is the data residual b - Ax at return (CGLS only).
     """
 
     iterations: int
     residual_norms: list[float]
     residual_monotone: bool = True
+    residual: np.ndarray | None = None
 
 
 def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
@@ -82,24 +88,83 @@ def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
     return x, CgReport(it, norms, residual_monotone=mono)
 
 
-def normal_operator(a: LinearMap, gamma: float = 1.0, plus=None) -> LinearMap:
-    """Self-adjoint PSD map v -> gamma A*A v + plus(v) for CG solves.
+def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
+         tol: float = 0.0, stack=None) -> tuple[np.ndarray, CgReport]:
+    """Run at most ``iters`` CGLS steps on min ||b - A x||^2 + w ||c - B x||^2.
 
-    The defaults give A*A (least squares on ||y - Ax||); plus = identity
-    gives I + gamma A*A (the proximal step), and plus = rho D*D the ADMM
-    x-update A*A + rho D*D. ``plus`` must be self-adjoint PSD.
+    ``stack = (B, c, w)`` adds the second term, with B a LinearMap and w > 0;
+    without it the problem is plain least squares. ``x0 = None`` starts from
+    zero without applying A to it. The iterates are those of ``cg`` on the
+    normal equations (A*A + w B*B) x = A*b + w B*c, but CGLS carries the data
+    residual s = b - A x (and t = c - B x) and forms the gradient
+    r = A*s + w B*t from it, so ``report.residual`` is s at return and
+    ``report.residual_norms`` holds the ||r_k|| that ``cg`` would report.
+    Stops early once ||r_k|| <= tol. With tol = 0 the cap rules, and the last
+    step skips its A*s (and B*t), which only a stopping test or a next step
+    would read; ``residual_norms`` then ends with ||r_(iters-1)||.
     """
-    if gamma <= 0:
-        raise ConfigError("normal operator weight gamma must be > 0")
+    if iters < 0:
+        raise ConfigError("cgls: iteration cap must be >= 0")
+    bop, c, w = stack if stack is not None else (None, None, 0.0)
+    if bop is not None and not w > 0:
+        raise ConfigError("cgls: the stacked term's weight must be > 0")
+    if x0 is None:
+        x = np.zeros(a.domain_shape, dtype=a.domain_dtype)
+        s = np.array(b, dtype=np.result_type(b, a.range_dtype))
+        t = None if bop is None else np.array(c, dtype=np.result_type(c, bop.range_dtype))
+    else:
+        x = np.array(x0, dtype=np.result_type(x0, a.domain_dtype))
+        s = b - a.apply(x)
+        t = None if bop is None else c - bop.apply(x)
 
-    def fwd(v):
-        out = a.adjoint(a.apply(v))
-        if gamma != 1.0:
-            out = gamma * out
-        return out if plus is None else out + plus(v)
+    def gradient():
+        r = a.adjoint(s)
+        return r if bop is None else r + w * bop.adjoint(t)
 
-    return LinearMap(a.domain_shape, a.domain_shape, fwd, fwd,
-                     domain_dtype=a.domain_dtype, name=f"{a.name}*{a.name}")
+    def report(it, norms):
+        mono = all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
+        return x, CgReport(it, norms, residual_monotone=mono, residual=s)
+
+    if iters == 0 and tol <= 0:
+        return report(0, [])
+    r = gradient()
+    p = r.copy()  # updated in place below; only x, s, t and p are owned here
+    rs = _sq(r)
+    norms = [float(np.sqrt(rs))]
+    if iters == 0 or norms[0] <= tol:
+        return report(0, norms)
+    it = 0
+    for k in range(iters):
+        q = a.apply(p)
+        qb = None if bop is None else bop.apply(p)
+        curv = _sq(q) if bop is None else _sq(q) + w * _sq(qb)
+        if not np.isfinite(curv):
+            raise NumericalError("cgls: non-finite curvature")
+        if curv == 0.0:
+            break  # p is in the null space of the stack: nothing further to do
+        alpha = rs / curv
+        x += alpha * p
+        s -= alpha * q
+        if t is not None:
+            t -= alpha * qb
+        it = k + 1
+        if it == iters and tol <= 0:
+            break
+        r = gradient()
+        rs_new = _sq(r)
+        if not np.isfinite(rs_new):
+            raise NumericalError("cgls: non-finite residual")
+        norms.append(float(np.sqrt(rs_new)))
+        if norms[-1] <= tol or rs_new == 0.0:
+            break
+        p *= rs_new / rs
+        p += r
+        rs = rs_new
+    return report(it, norms)
+
+
+def _sq(v: np.ndarray) -> float:
+    return float(np.real(np.vdot(v, v)))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,11 @@ from .diffusion import (
     vp_ddim_step,
 )
 from .errors import ConfigError, NumericalError, SamplerDivergedError
-from .krylov import cg, normal_operator
+# bench/tracing.py times every data-consistency solve through the attribute
+# samplers.cg, so the solver keeps that name here.
+from .krylov import cgls as cg
 from .metrics import estimate_noise
-from .operators import LinearMap
+from .operators import LinearMap, identity_map
 from .tensor import RngStream, norm
 
 DC_STRATEGIES = ("dds-cg", "dds-proximal-cg", "ddnm", "projection", "gradient", "dps")
@@ -126,39 +128,42 @@ class ReconResult:
 # Pseudo-inverse machinery
 
 def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
-                         maxiter: int = 200) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse to a range tensor.
+                         maxiter: int = 200) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply the Moore-Penrose pseudo-inverse to a range tensor: (A+ r, r - A A+ r).
 
     Uses the operator's exact pinv when available (single-coil Cartesian
-    zero-fill); otherwise runs CG from zero on the normal equations
-    A*A z = A*r, whose limit is the min-norm least-squares solution A+ r.
+    zero-fill), which leaves the residual to the caller (None); otherwise
+    runs CGLS from zero on min ||r - Az||, whose limit is the min-norm
+    least-squares solution A+ r, and returns the residual it carries. The
+    tolerance is relative to ||A*r||, as is the check on ||A*(r - Az)||.
     Ill-conditioned operators (multi-coil masked Fourier) stall above the
     target tolerance; the capped iterate is then the practical
     truncated-spectrum pinv, and only outright non-convergence (relative
     residual above 1e-2) raises.
     """
     if a.pinv_fn is not None:
-        return a.pinv_fn(r)
-    rhs = a.adjoint(r)
-    rn = norm(rhs)
-    if rn == 0.0:
-        return np.zeros(a.domain_shape, dtype=a.domain_dtype)
-    z, rep = cg(normal_operator(a), rhs, np.zeros_like(rhs), maxiter, tol=tol * rn)
+        return a.pinv_fn(r), None
+    rn = norm(a.adjoint(r))  # the tolerance is relative, so the solve needs it up front
+    z, rep = cg(a, r, None, maxiter, tol * rn)
     if rep.residual_norms[-1] > 1e-2 * rn:
         raise NumericalError(
             f"pseudo-inverse CG did not converge (relative residual "
             f"{rep.residual_norms[-1] / rn:.3e})"
         )
-    return z
+    return z, rep.residual
 
 
 # ---------------------------------------------------------------------------
 # Data-consistency steps
 
-def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray,
-              tol: float = 1e-10, maxiter: int = 200) -> np.ndarray:
-    """Range-space replacement (I - A+A) xhat + A+ y, via xhat + A+(y - A xhat)."""
-    return xhat + pseudo_inverse_apply(a, y - a.apply(xhat), tol=tol, maxiter=maxiter)
+def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray, tol: float = 1e-10,
+              maxiter: int = 200) -> tuple[np.ndarray, np.ndarray | None]:
+    """Range-space replacement (I - A+A) xhat + A+ y, via xhat + A+(y - A xhat).
+
+    Returns x' with y - A x' when the pseudo-inverse solve carried it, else None.
+    """
+    z, residual = pseudo_inverse_apply(a, y - a.apply(xhat), tol=tol, maxiter=maxiter)
+    return xhat + z, residual
 
 
 def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> np.ndarray:
@@ -170,9 +175,11 @@ def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> n
 
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             prior: AffineSubspacePrior | None = None):
-    """Build the data-consistency step ``dc(x, xhat, t) -> x'`` named by cfg.dc.
+    """Build the data-consistency step ``dc(x, xhat, t) -> (x', y - A x')`` named by cfg.dc.
 
     ``x`` is the noisy iterate at step t and ``xhat`` its Tweedie estimate.
+    The CGLS-based steps return the data residual their solve carries; the
+    others return None in its place and leave the forward to the caller.
     ``projection`` leaves xhat unchanged: the loop projects the noisy iterate
     after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
     posterior mean at (x, t), which the loop's denoiser computes.
@@ -182,26 +189,30 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             return lambda xhat: base
         return lambda xhat: base / max(norm(y - a.apply(xhat)), 1e-12)
 
+    def solved(out):
+        x, report = out
+        return x, report.residual
+
     if cfg.dc == "dds-cg":
-        nrm_op, a_star_y = normal_operator(a), a.adjoint(y)
-        return lambda x, xhat, t: cg(nrm_op, a_star_y, xhat, cfg.cg_steps)[0]
+        return lambda x, xhat, t: solved(cg(a, y, xhat, cfg.cg_steps))
     if cfg.dc == "dds-proximal-cg":
-        # (I + gamma A*A) x = xhat + gamma A*y: the proximal objective
-        # gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2
-        prox_op, a_star_y = normal_operator(a, cfg.gamma, plus=lambda v: v), a.adjoint(y)
-        return lambda x, xhat, t: cg(prox_op, xhat + cfg.gamma * a_star_y, xhat,
-                                     cfg.cg_steps)[0]
+        # min ||y - Ax||^2 + 1/gamma ||xhat - x||^2, the proximal objective
+        # gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2 scaled by 2/gamma
+        ident = identity_map(a.domain_shape, dtype=a.domain_dtype)
+        return lambda x, xhat, t: solved(cg(a, y, xhat, cfg.cg_steps,
+                                            stack=(ident, xhat, 1.0 / cfg.gamma)))
     if cfg.dc == "ddnm":
         return lambda x, xhat, t: ddnm_step(xhat, a, y)
     if cfg.dc == "projection":
-        return lambda x, xhat, t: xhat
+        return lambda x, xhat, t: (xhat, None)
     if cfg.dc == "gradient":
         xi = step_size(cfg.xi)
-        return lambda x, xhat, t: gradient_dc_step(xhat, a, y, xi(xhat))
+        return lambda x, xhat, t: (gradient_dc_step(xhat, a, y, xi(xhat)), None)
     if prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
     gamma = step_size(cfg.dps_step)
-    return lambda x, xhat, t: xhat - gamma(xhat) * mcg_dps_gradient(x, t, prior, a, y, sched)
+    return lambda x, xhat, t: (
+        xhat - gamma(xhat) * mcg_dps_gradient(x, t, prior, a, y, sched), None)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +245,10 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     default ``make_dc`` for cfg.dc), then the DDIM transition using the
     pre-DC noise estimate. The last step applies Tweedie only. VE runs with
     truncation stop at t <= nfe * ve_truncation. The residual ||y - A x'||
-    that the trace records is the run's finiteness check: a step where it is
-    not finite ends the run with SamplerDivergedError, its trace included.
+    that the trace records comes from the DC step when its solve carried
+    y - A x', and from a forward apply otherwise. It is the run's finiteness
+    check: a step where it is not finite ends the run with
+    SamplerDivergedError, its trace included.
     """
     t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(cfg.seed)
@@ -260,11 +273,13 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
     trace = SamplerTrace()
 
-    def record(t, x, xp, xhat) -> float:
+    def record(t, x, xp, xhat, data_residual=None) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            if data_residual is None:
+                data_residual = y - a.apply(xp)
             rec = StepRecord(
                 t=t,
-                residual=norm(y - a.apply(xp)),
+                residual=norm(data_residual),
                 gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
                 noise_est=_trace_noise(x),
                 subspace_dist=prior.distance(xp) if prior is not None else math.nan,
@@ -278,11 +293,11 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         for t in range(sched.n_steps, k_stop, -1):
             xhat = denoiser.denoise(x, t, sched)
             noise_hat = (eps_from_denoised if vp else score_from_denoised)(x, xhat, t, sched)
-            xp = dc(x, xhat, t)
-            record(t, x, xp, xhat)
+            xp, data_residual = dc(x, xhat, t)
+            record(t, x, xp, xhat, data_residual)
             x = (vp_ddim_step if vp else ve_ddim_step)(xp, noise_hat, t, eta, rng, sched)
             if project_noisy:
-                x = ddnm_step(x, a, y)
+                x = ddnm_step(x, a, y)[0]
 
         x0 = denoiser.denoise(x, k_stop, sched)
         residual = record(k_stop, x, x0, x0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dds import admm
 from dds.admm import (
     AdmmState,
     SliceDenoiser,
@@ -12,10 +13,13 @@ from dds.admm import (
 )
 from dds.diffusion import AffineSubspaceDenoiser, AffineSubspacePrior
 from dds.errors import ConfigError
-from dds.krylov import cg, normal_operator
+from dds.krylov import cg
 from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
+from test_krylov import counted
+from test_operators import normal_map
+from test_samplers import trace_against_dc_outputs
 
 
 def ct_problem(seed, nz=4, side=8, angles=6, dim=4, constant_z=False):
@@ -75,7 +79,7 @@ def test_admm_zero_inner_iterations_keeps_x():
     _, _, x_true, a, y = ct_problem(10)
     state = AdmmState.zeros(x_true.shape)
     xhat = RngStream(11).randn(x_true.shape)
-    xp, new_state = admm_tv_dc(xhat, a, a.adjoint(y), state, TvConfig(lam=1.0, rho=0.5, cg_steps=0))
+    xp, new_state = admm_tv_dc(xhat, a, y, state, TvConfig(lam=1.0, rho=0.5, cg_steps=0))
     assert np.array_equal(xp, xhat)
     assert new_state.z.shape == xhat.shape
 
@@ -84,8 +88,8 @@ def test_admm_lam_zero_tiny_rho_matches_plain_cg():
     _, _, x_true, a, y = ct_problem(20)
     xhat = RngStream(21).randn(x_true.shape)
     state = AdmmState.zeros(x_true.shape)
-    xp, _ = admm_tv_dc(xhat, a, a.adjoint(y), state, TvConfig(lam=0.0, rho=1e-12, cg_steps=5))
-    want, _ = cg(normal_operator(a), a.adjoint(y), xhat, 5)
+    xp, _ = admm_tv_dc(xhat, a, y, state, TvConfig(lam=0.0, rho=1e-12, cg_steps=5))
+    want, _ = cg(normal_map(a), a.adjoint(y), xhat, 5)
     assert norm(xp - want) <= 1e-6 * max(norm(want), 1.0)
 
 
@@ -97,7 +101,7 @@ def test_admm_x_update_optimality_at_convergence():
     rho = 0.7
     cfg = TvConfig(lam=0.3, rho=rho, cg_steps=600)
     xhat = RngStream(33).randn(x_true.shape)
-    xp, _ = admm_tv_dc(xhat, a, a.adjoint(y), state, cfg)
+    xp, _ = admm_tv_dc(xhat, a, y, state, cfg)
     from dds.operators import diff_z_adjoint
     grad = a.adjoint(a.apply(xp) - y) + rho * diff_z_adjoint(diff_z_apply(xp) - state.z + state.w)
     assert norm(grad) <= 1e-6 * norm(a.adjoint(y))
@@ -107,7 +111,7 @@ def test_admm_state_shape_validation():
     _, _, x_true, a, y = ct_problem(40)
     bad = AdmmState.zeros((2, 2, 2))
     with pytest.raises(ConfigError):
-        admm_tv_dc(x_true, a, a.adjoint(y), bad, TvConfig())
+        admm_tv_dc(x_true, a, y, bad, TvConfig())
 
 
 def test_shared_state_single_iteration_tracks_reference_admm():
@@ -121,14 +125,14 @@ def test_shared_state_single_iteration_tracks_reference_admm():
     state = AdmmState.zeros(x_true.shape)
     x = anchor.copy()
     for _ in range(50):
-        x, state = admm_tv_dc(x, a, a.adjoint(y), state, cfg_fast)
+        x, state = admm_tv_dc(x, a, y, state, cfg_fast)
     f_fast = tv_objective(x, a, y, lam)
 
     cfg_ref = TvConfig(lam=lam, rho=rho, cg_steps=30)
     state_r = AdmmState.zeros(x_true.shape)
     xr = anchor.copy()
     for _ in range(500):
-        xr, state_r = admm_tv_dc(xr, a, a.adjoint(y), state_r, cfg_ref)
+        xr, state_r = admm_tv_dc(xr, a, y, state_r, cfg_ref)
     f_ref = tv_objective(xr, a, y, lam)
     assert f_fast <= 1.01 * f_ref + 1e-12
 
@@ -149,10 +153,9 @@ def test_3d_strong_tv_flattens_consistent_identical_slices():
     # slice prior spanned by eigenvectors of the slice normal operator: CG
     # contracts sharply there, so the z-difference of the output is bounded
     # by a tightly converged trajectory rather than a loose plateau
-    from dds.krylov import normal_operator
     from dds.operators import radon_operator
     geom = RadonGeometry.uniform(8, 12)
-    nop = normal_operator(radon_operator(geom))
+    nop = normal_map(radon_operator(geom))
     dense = np.zeros((64, 64))
     for j in range(64):
         e = np.zeros(64)
@@ -196,3 +199,41 @@ def test_tv_config_validation():
         TvConfig(rho=0.0)
     with pytest.raises(ConfigError):
         TvConfig(lam=-1.0)
+
+
+@pytest.mark.parametrize("mode", ["vp", "ve"])
+def test_volume_dc_costs_2m_plus_1_matvecs_per_step(mode):
+    # ADMM x-updates (VP) and the VE plain-CG warm-up pay what a dds-cg step
+    # pays: 2M + 1 matvecs, with the trace residual carried by the solve
+    _, den, _, a, y = ct_problem(80, nz=3)
+    a = counted(a)
+    steps = 5  # nfe 6: t = 6..2; VE warms up for t >= 3 and runs ADMM at t = 2
+    for m in (1, 2, 5):
+        a.calls.update(apply=0, adjoint=0)
+        cfg = SamplerConfig(nfe=6, mode=mode, seed=0)
+        res = dds_3d_reconstruct(a, y, den, cfg, TvConfig(lam=0.5, rho=0.5, cg_steps=m),
+                                 rng=RngStream(0))
+        assert len(res.trace) == steps + 1
+        assert a.calls["apply"] + a.calls["adjoint"] == steps * (2 * m + 1) + 1
+
+
+@pytest.mark.parametrize("mode", ["vp", "ve"])
+def test_volume_trace_residual_is_the_dc_output_residual(monkeypatch, mode):
+    _, den, _, a, y = ct_problem(85, nz=3)
+    y = y + 0.05 * RngStream(86).randn(y.shape)
+    outs = []
+    real_loop = admm.dds_reconstruct
+
+    def loop(*args, dc, **kwargs):
+        def spy(x, xhat, t):
+            out = dc(x, xhat, t)
+            outs.append(out[0])
+            return out
+
+        return real_loop(*args, dc=spy, **kwargs)
+
+    monkeypatch.setattr(admm, "dds_reconstruct", loop)
+    cfg = SamplerConfig(nfe=8, mode=mode, seed=0)
+    res = dds_3d_reconstruct(a, y, den, cfg, TvConfig(lam=0.5, rho=0.5, cg_steps=3),
+                             rng=RngStream(0))
+    assert trace_against_dc_outputs(res.trace, outs, a, y) <= 1e-10 * norm(y)

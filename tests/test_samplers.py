@@ -12,7 +12,6 @@ from dds.diffusion import (
     affine_prior_denoise,
 )
 from dds.errors import ConfigError
-from dds.krylov import normal_operator
 from dds.operators import (
     MaskSpec,
     identity_map,
@@ -33,6 +32,8 @@ from dds.samplers import (
     rejection_wrap,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
+from test_krylov import counted
+from test_operators import normal_map
 
 
 def sense_problem(seed, shape=(32, 32), dim=8, coils=4, acc=4.0, kind="uniform1d"):
@@ -95,13 +96,13 @@ def test_ddnm_full_mask_unitary_returns_adjoint_of_y():
     y = RngStream(1).randn((1, 8, 8), dtype=COMPLEX)
     for seed in (2, 3):
         xhat = RngStream(seed).randn((8, 8), dtype=COMPLEX)
-        out = ddnm_step(xhat, a, y)
+        out, _ = ddnm_step(xhat, a, y)
         assert norm(out - a.adjoint(y)) < 1e-10
 
 
 def test_ddnm_consistent_input_is_fixed_point():
     _, _, x_true, a, y = sense_problem(10, shape=(16, 16), coils=2, acc=2.0)
-    out = ddnm_step(x_true, a, y)
+    out, _ = ddnm_step(x_true, a, y)
     assert norm(out - x_true) <= 1e-10 * max(norm(x_true), 1.0)
 
 
@@ -119,13 +120,13 @@ def test_ddnm_matches_dense_pinv_oracle_single_coil():
     xhat = RngStream(6).randn((8, 8), dtype=COMPLEX)
     y = a.apply(RngStream(7).randn((8, 8), dtype=COMPLEX))
     want = ((np.eye(d) - pinv @ dense) @ xhat.ravel() + pinv @ y.ravel()).reshape(8, 8)
-    assert norm(ddnm_step(xhat, a, y) - want) < 1e-10
+    assert norm(ddnm_step(xhat, a, y)[0] - want) < 1e-10
 
 
 def test_ddnm_output_satisfies_measurements_when_consistent():
     _, _, x_true, a, y = sense_problem(20, shape=(16, 16), coils=2, acc=2.0)
     xhat = RngStream(21).randn((16, 16), dtype=COMPLEX)
-    out = ddnm_step(xhat, a, y)
+    out, _ = ddnm_step(xhat, a, y)
     assert norm(y - a.apply(out)) <= 1e-6 * norm(y)
 
 
@@ -141,7 +142,7 @@ def test_pseudo_inverse_multicoil_matches_dense_pinv():
         dense[:, j] = a.apply(e.reshape(8, 8)).ravel()
     r = a.apply(RngStream(10).randn((8, 8), dtype=COMPLEX))  # consistent range vector
     want = (np.linalg.pinv(dense) @ r.ravel()).reshape(8, 8)
-    got = pseudo_inverse_apply(a, r)
+    got, _ = pseudo_inverse_apply(a, r)
     assert norm(got - want) <= 1e-6 * norm(want)
 
 
@@ -178,7 +179,7 @@ def test_gradient_step_rejects_nonpositive_xi():
 def dps_step(x_t, t, prior, a, y, gamma, sched):
     """The make_dc ``dps`` step at (x_t, t), handed the loop's posterior mean."""
     dc = make_dc(SamplerConfig(dc="dps", dps_step=gamma), a, y, sched, prior)
-    return dc(x_t, affine_prior_denoise(x_t, t, prior, sched), t)
+    return dc(x_t, affine_prior_denoise(x_t, t, prior, sched), t)[0]
 
 
 def test_dps_step_consistent_point_unchanged():
@@ -238,7 +239,7 @@ def test_exact_recovery_beats_subspace_least_squares_tolerance():
     maps = make_coil_maps(4, (16, 16), seed=90)
     mask = make_mask(MaskSpec("gaussian1d", 2.0, 0.1, 91), (16, 16))
     a = sense_operator(maps, mask)
-    nop = normal_operator(a)
+    nop = normal_map(a)
     d = 256
     dense = np.zeros((d, d), dtype=complex)
     for j in range(d):
@@ -298,7 +299,7 @@ def test_dds_cg_residual_never_worse_than_denoised_start():
     from dds.krylov import cg
     rng = RngStream(3)
     x = rng.randn((32, 32), dtype=COMPLEX)
-    nrm = normal_operator(a)
+    nrm = normal_map(a)
     ay = a.adjoint(y)
     for t in range(10, 1, -1):
         xh = den.denoise(x, t, sched)
@@ -340,7 +341,7 @@ def test_confinement_trace_on_operator_invariant_subspace():
     maps = make_coil_maps(4, (16, 16), seed=1)
     mask = make_mask(MaskSpec("gaussian1d", 2, 0.1, 2), (16, 16))
     a = sense_operator(maps, mask)
-    nop = normal_operator(a)
+    nop = normal_map(a)
     d = 256
     dense = np.zeros((d, d), dtype=complex)
     for j in range(d):
@@ -381,7 +382,7 @@ def test_projection_strategy_targets_noisy_iterate():
     sched = VpSchedule.default(6)
     x = RngStream(171).randn((16, 16), dtype=COMPLEX)
     xhat = den.denoise(x, 6, sched)
-    assert make_dc(cfg, a, y, sched, prior)(x, xhat, 6) is xhat
+    assert make_dc(cfg, a, y, sched, prior)(x, xhat, 6)[0] is xhat
     cfg_ddnm = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="ddnm", seed=0)
     res_ddnm = dds_reconstruct(a, y, den, cfg_ddnm, rng=RngStream(0))
     assert not np.allclose(res.x0, res_ddnm.x0)
@@ -399,8 +400,8 @@ def test_scale_step_by_residual_divides_step(dc, step):
                      a, y, sched, prior)
     divided = make_dc(SamplerConfig(dc=dc, **{step: 0.7 / r}), a, y, sched, prior)
     plain = make_dc(SamplerConfig(dc=dc, **{step: 0.7}), a, y, sched, prior)
-    assert np.array_equal(scaled(x, xhat, 5), divided(x, xhat, 5))
-    assert not np.allclose(scaled(x, xhat, 5), plain(x, xhat, 5))
+    assert np.array_equal(scaled(x, xhat, 5)[0], divided(x, xhat, 5)[0])
+    assert not np.allclose(scaled(x, xhat, 5)[0], plain(x, xhat, 5)[0])
 
 
 @pytest.mark.parametrize("dc, calls", [("dds-cg", 8), ("dps", 15)])
@@ -425,6 +426,52 @@ def test_dps_without_affine_prior_is_config_error():
     _, _, _, a, y = sense_problem(178, shape=(16, 16), coils=2, acc=2.0, dim=4)
     with pytest.raises(ConfigError, match="affine-subspace prior"):
         make_dc(SamplerConfig(dc="dps"), a, y, VpSchedule.default(8), None)
+
+
+@pytest.mark.parametrize("mode, nfe", [("vp", 8), ("ve", 12)])
+def test_dds_cg_costs_2m_plus_1_matvecs_per_step(mode, nfe):
+    # per step: the start residual, M forwards, M adjoints less the capped
+    # solve's last one, and no forward for the trace; plus the final x0's
+    _, den, _, a, y = sense_problem(190, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    a = counted(a)
+    steps = nfe - 1
+    for m in (1, 3, 5):
+        a.calls.update(apply=0, adjoint=0)
+        cfg = SamplerConfig(nfe=nfe, mode=mode, cg_steps=m, dc="dds-cg", seed=0)
+        res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
+        assert len(res.trace) == steps + 1
+        assert a.calls["apply"] + a.calls["adjoint"] == steps * (2 * m + 1) + 1
+
+
+def trace_against_dc_outputs(trace, outs, a, y):
+    """|trace residual - ||y - A x'||| over the loop's steps, x' as the DC step returned it."""
+    assert len(outs) == len(trace) - 1
+    return max(abs(rec.residual - norm(y - a.apply(xp))) for rec, xp in zip(trace, outs))
+
+
+@pytest.mark.parametrize("mode, nfe", [("vp", 8), ("ve", 12)])
+@pytest.mark.parametrize("dc", samplers.DC_STRATEGIES)
+def test_trace_residual_is_the_dc_output_residual(monkeypatch, mode, nfe, dc):
+    # the residual a solve carries must not drift from the one it stands for
+    _, den, _, a, y = sense_problem(195, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    y = y + 0.05 * RngStream(196).randn(y.shape, dtype=COMPLEX)
+    outs = []
+    real_make_dc = samplers.make_dc
+
+    def make_dc(*args):
+        step = real_make_dc(*args)
+
+        def spy(x, xhat, t):
+            out = step(x, xhat, t)
+            outs.append(out[0])
+            return out
+
+        return spy
+
+    monkeypatch.setattr(samplers, "make_dc", make_dc)
+    cfg = SamplerConfig(nfe=nfe, mode=mode, dc=dc, seed=0)
+    res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
+    assert trace_against_dc_outputs(res.trace, outs, a, y) <= 1e-10 * norm(y)
 
 
 # ---------------------------------------------------------------------------

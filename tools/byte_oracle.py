@@ -15,6 +15,12 @@ exactly when the outputs match:
 run (default: the checkout holding this script), so the same grid runs
 against a checkout that predates this script.
 
+``--dump DIR`` keeps the outputs instead of hashing them in a temporary
+directory: `DIR/<config>/x0.dtf` and `trace.csv` per reconstruct config,
+`DIR/<config>/noise_offset.csv` per noise-offset config. Two dumps, one per
+checkout, bound a round-off move by number where the hashes only show that
+it happened (read the volumes with `dds.read_dtf`).
+
 The grid:
 - `mri2d` and `mri2d-noisy` (16x16, 2 coils) x the six DC strategies x
   VP (nfe 8) and VE (nfe 12) x {defaults, `scale_step_by_residual` with
@@ -177,8 +183,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout to run (default: the one holding this script)")
+    ap.add_argument("--dump", type=Path, metavar="DIR",
+                    help="keep every config's outputs under DIR/<config>/ (DIR must be "
+                         "empty or absent)")
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
+    if args.dump is not None and args.dump.exists() and any(args.dump.iterdir()):
+        ap.error(f"--dump directory {args.dump} is not empty")
     sys.path.insert(0, str(repo / "src"))
     from dds import cli
 
@@ -186,7 +197,7 @@ def main(argv=None) -> int:
         for i, (name, text) in enumerate(grid(repo)):
             cfg = Path(tmp) / f"{i}.ini"
             cfg.write_text(text)
-            out = Path(tmp) / f"out{i}"
+            out = args.dump / name if args.dump else Path(tmp) / f"out{i}"
             code = run_quietly(cli, ["reconstruct", "--config", str(cfg), "--seed", "3",
                                      "--out", str(out)])
             print(f"{name} {sha256(out / 'x0.dtf')} {sha256(out / 'trace.csv')} {code}",
@@ -194,7 +205,11 @@ def main(argv=None) -> int:
         for name, text in NOISE_OFFSET.items():
             cfg = Path(tmp) / "noise_offset.ini"
             cfg.write_text(text)
-            out = Path(tmp) / f"{name.replace('/', '-')}.csv"
+            if args.dump:
+                out = args.dump / name / "noise_offset.csv"
+                out.parent.mkdir(parents=True, exist_ok=True)
+            else:
+                out = Path(tmp) / f"{name.replace('/', '-')}.csv"
             code = run_quietly(cli, ["noise-offset", "--config", str(cfg), "--seed", "3",
                                      "--out", str(out)])
             print(f"{name} {sha256(out)} {code}", flush=True)

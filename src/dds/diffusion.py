@@ -3,6 +3,10 @@
 Schedules are 1-indexed: index t covers timesteps 1..N with t = N the
 noisiest, and the index-0 slot holds the collapse sentinel (abar_0 = 1,
 sigma_0 = 0) so the final step folds cleanly into plain Tweedie denoising.
+
+Both schedules state their marginal as x_t = scale(t) x0 + sqrt(var(t)) eps
+(VP: sqrt(abar_t) and 1 - abar_t; VE: 1 and sigma_t^2), and every
+parametrization formula below is written once against those two numbers.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ class VpSchedule:
     def n_steps(self) -> int:
         return len(self.betas) - 1
 
+    def scale(self, t: int) -> float:
+        return math.sqrt(self.abars[t])
+
+    def var(self, t: int) -> float:
+        return 1.0 - self.abars[t]
+
     @classmethod
     def from_betas(cls, betas) -> "VpSchedule":
         b = np.concatenate([[0.0], np.asarray(betas, dtype=REAL)])
@@ -114,6 +124,12 @@ class VeSchedule:
     def n_steps(self) -> int:
         return len(self.sigmas) - 1
 
+    def scale(self, t: int) -> float:
+        return 1.0
+
+    def var(self, t: int) -> float:
+        return float(self.sigmas[t]) ** 2
+
     @classmethod
     def geometric(cls, n_steps: int, sigma_min: float = 0.01,
                   sigma_max: float = 10.0) -> "VeSchedule":
@@ -135,39 +151,31 @@ def _check_t(sched, t: int):
 # ---------------------------------------------------------------------------
 # Tweedie denoising and parameterization conversions
 
-def vp_tweedie(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: VpSchedule) -> np.ndarray:
-    """Posterior-mean estimate xhat = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t)."""
+def vp_tweedie(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched) -> np.ndarray:
+    """Posterior-mean estimate xhat = (x_t - sqrt(var_t) eps_hat) / scale_t."""
     _check_t(sched, t)
-    ab = sched.abars[t]
-    return (x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
+    return (x_t - math.sqrt(sched.var(t)) * eps_hat) / sched.scale(t)
 
 
 def eps_from_denoised(x_t: np.ndarray, xhat: np.ndarray, t: int, sched) -> np.ndarray:
     _check_t(sched, t)
-    if isinstance(sched, VpSchedule):
-        ab = sched.abars[t]
-        return (x_t - math.sqrt(ab) * xhat) / math.sqrt(1.0 - ab)
-    return (x_t - xhat) / sched.sigmas[t]
+    return (x_t - sched.scale(t) * xhat) / math.sqrt(sched.var(t))
 
 
-def score_from_denoised(x_t: np.ndarray, xhat: np.ndarray, t: int, sched: VeSchedule) -> np.ndarray:
+def score_from_denoised(x_t: np.ndarray, xhat: np.ndarray, t: int, sched) -> np.ndarray:
     _check_t(sched, t)
-    return (xhat - x_t) / sched.sigmas[t] ** 2
+    return (sched.scale(t) * xhat - x_t) / sched.var(t)
 
 
 def score_from_eps(eps: np.ndarray, t: int, sched) -> np.ndarray:
-    """shat = -eps_hat / sqrt(1 - abar_t) (VP) or -eps_hat / sigma_t (VE)."""
+    """shat = -eps_hat / sqrt(var_t)."""
     _check_t(sched, t)
-    if isinstance(sched, VpSchedule):
-        return -eps / math.sqrt(1.0 - sched.abars[t])
-    return -eps / sched.sigmas[t]
+    return -eps / math.sqrt(sched.var(t))
 
 
 def eps_from_score(score: np.ndarray, t: int, sched) -> np.ndarray:
     _check_t(sched, t)
-    if isinstance(sched, VpSchedule):
-        return -score * math.sqrt(1.0 - sched.abars[t])
-    return -score * sched.sigmas[t]
+    return -score * math.sqrt(sched.var(t))
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +290,13 @@ def affine_prior_denoise(x_t: np.ndarray, t: int, prior: AffineSubspacePrior,
                          sched) -> np.ndarray:
     """Exact posterior mean under the affine-subspace prior.
 
-    VP: (1/sqrt(abar_t)) * [P(x_t - sqrt(abar_t) c) + sqrt(abar_t) c], which
-    for c = 0 is the scaled projector (1/sqrt(abar_t)) P x_t.
-    VE: P(x_t - c) + c.
+    (1/s_t) * [P(x_t - s_t c) + s_t c] with s_t = scale(t), which for c = 0
+    is the scaled projector (1/s_t) P x_t and for VE (s_t = 1) is
+    P(x_t - c) + c.
     """
     _check_t(sched, t)
-    if isinstance(sched, VpSchedule):
-        root_ab = math.sqrt(sched.abars[t])
-        centered = x_t - root_ab * prior.offset
-        return (prior.project_linear(centered) + root_ab * prior.offset) / root_ab
-    return prior.project_affine(x_t)
+    s = sched.scale(t)
+    return (prior.project_linear(x_t - s * prior.offset) + s * prior.offset) / s
 
 
 def gmm_denoise(x_t: np.ndarray, t: int, prior: GmmPrior, sched) -> np.ndarray:
@@ -303,11 +308,7 @@ def gmm_denoise(x_t: np.ndarray, t: int, prior: GmmPrior, sched) -> np.ndarray:
     _check_t(sched, t)
     if x_t.shape != prior.signal_shape:
         raise ConfigError("gmm_denoise: signal shape mismatch")
-    if isinstance(sched, VpSchedule):
-        ab = sched.abars[t]
-        scale, kvar = math.sqrt(ab), 1.0 - ab
-    else:
-        scale, kvar = 1.0, float(sched.sigmas[t]) ** 2
+    scale, kvar = sched.scale(t), sched.var(t)
     # marginal of x_t per component: N(scale mu_k, (scale^2 tau^2 + kvar) I)
     mvar = scale * scale * prior.tau2 + kvar
     x = x_t.ravel()
@@ -398,15 +399,13 @@ def mcg_dps_gradient(x_t: np.ndarray, t: int, prior: AffineSubspacePrior,
                      a: LinearMap, y: np.ndarray, sched) -> np.ndarray:
     """Manifold-constrained gradient for the affine prior.
 
-    The denoiser Jacobian is the projector scaled by 1/sqrt(abar_t) (VP) or
-    the bare projector (VE), so the chain rule gives
-    scale * P A*(A xhat - y) with xhat the analytic posterior mean.
+    The denoiser Jacobian is the projector scaled by 1/scale(t), so the
+    chain rule gives P A*(A xhat - y) / scale(t) with xhat the analytic
+    posterior mean.
     """
     if not isinstance(prior, AffineSubspacePrior):
         raise ConfigError("mcg_dps_gradient needs an affine-subspace prior")
     _check_t(sched, t)
     xhat = affine_prior_denoise(x_t, t, prior, sched)
     g = a.adjoint(a.apply(xhat) - y)
-    if isinstance(sched, VpSchedule):
-        return prior.project_linear(g) / math.sqrt(sched.abars[t])
-    return prior.project_linear(g)
+    return prior.project_linear(g) / sched.scale(t)

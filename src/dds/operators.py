@@ -140,50 +140,41 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
     h, w = (int(s) for s in shape)
     acc = spec.acceleration
     rng = RngStream(spec.seed)
-    mask = np.zeros((h, w), dtype=REAL)
 
     if acc == 1.0:
         return np.ones((h, w), dtype=REAL)
 
     if spec.kind == "uniform1d":
+        mask = np.zeros((h, w), dtype=REAL)
         stride = max(1, int(round(acc)))
         mask[:, ::stride] = 1.0
         mask[:, _acs_columns(w, spec.acs_fraction)] = 1.0
         return mask
 
+    # the random kinds fill cells (columns for gaussian1d, pixels otherwise)
+    # seeded with the ACS block
     if spec.kind == "gaussian1d":
-        target = max(1, int(round(w / acc)))
-        cols = set(int(c) for c in _acs_columns(w, spec.acs_fraction))
-        if len(cols) > target:
-            raise ConfigError("ACS block alone exceeds the target sampling density")
-        budget = 200 * w
-        while len(cols) < target and budget > 0:
-            c = int(round(w / 2 + (w / 4) * rng.randn(1)[0]))
-            budget -= 1
-            if 0 <= c < w:
-                cols.add(c)
-        mask[:, sorted(cols)] = 1.0
-        return mask
-
-    # 2-D kinds
-    target = max(1, int(round(h * w / acc)))
-    rs, cs = _acs_square((h, w), spec.acs_fraction)
-    mask[rs, cs] = 1.0
-    count = int(mask.sum())
+        cells = np.zeros(w, dtype=bool)
+        cells[_acs_columns(w, spec.acs_fraction)] = True
+    else:
+        rs, cs = _acs_square((h, w), spec.acs_fraction)
+        cells = np.zeros((h, w), dtype=bool)
+        cells[rs, cs] = True
+    count, target = int(cells.sum()), max(1, int(round(cells.size / acc)))
     if count > target:
         raise ConfigError("ACS block alone exceeds the target sampling density")
 
-    if spec.kind == "gaussian2d":
-        budget = 200 * h * w
+    if spec.kind != "poisson-disk-vd":
+        # one N(0,1) draw per axis picks the cell round(n/2 + n/4 z)
+        budget = 200 * cells.size
         while count < target and budget > 0:
-            z = rng.randn(2)
-            r = int(round(h / 2 + (h / 4) * z[0]))
-            c = int(round(w / 2 + (w / 4) * z[1]))
+            cell = tuple(int(round(n / 2 + (n / 4) * z))
+                         for n, z in zip(cells.shape, rng.randn(cells.ndim)))
             budget -= 1
-            if 0 <= r < h and 0 <= c < w and not mask[r, c]:
-                mask[r, c] = 1.0
+            if all(0 <= i < n for i, n in zip(cell, cells.shape)) and not cells[cell]:
+                cells[cell] = True
                 count += 1
-        return mask
+        return np.ascontiguousarray(np.broadcast_to(cells, (h, w)), dtype=REAL)
 
     # poisson-disk-vd: dart throwing with radius growing away from the
     # center; the radius scale is bisected so the realized density lands

@@ -65,8 +65,11 @@ class SamplerConfig:
             raise ConfigError("nfe must be >= 2")
         if self.cg_steps < 1:
             raise ConfigError("cg_steps must be >= 1")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be > 0")
+        for key in ("gamma", "xi", "dps_step"):  # NaN fails every comparison
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0")
+        if not 0 <= self.ve_truncation < 1:
+            raise ConfigError("ve_truncation must lie in [0, 1)")
         if self.mode not in ("vp", "ve"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.dc not in DC_STRATEGIES:

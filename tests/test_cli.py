@@ -372,11 +372,22 @@ def test_detector_bins_below_one_exits_2(tmp_path, bins):
     ("max_retries = -3", "max_retries must be >= 1"),
     ("rejection_tau = -1", "rejection_tau must be >= 0"),
     ("rejection_tau = -1\nmax_retries = 2", "rejection_tau must be >= 0"),
+    ("dps_step = -1", "dps_step must be > 0"),
+    ("dps_step = 0", "dps_step must be > 0"),
+    ("mode = ve\nve_truncation = 1.0", "ve_truncation must lie in [0, 1)"),
+    ("mode = ve\nve_truncation = 2.0", "ve_truncation must lie in [0, 1)"),
+    ("gamma = nan", "gamma must be > 0"),
+    ("xi = 0", "xi must be > 0"),
+    ("xi = nan", "xi must be > 0"),
 ], ids=["non-boolean", "no-retries", "negative-retries", "negative-tau",
-        "negative-tau-with-retries"])
+        "negative-tau-with-retries", "negative-dps-step", "zero-dps-step",
+        "full-ve-truncation", "ve-truncation-above-1", "nan-gamma", "zero-xi", "nan-xi"])
 def test_bad_sampler_value_exits_2(tmp_path, extra, named):
-    # all but the last ran with exit 0, the boolean as false; tau = -1 was
-    # rejected only when max_retries > 1 sent it through rejection_wrap
+    # the boolean ran as false and tau = -1 was rejected only when
+    # max_retries > 1 sent it through rejection_wrap; dps_step = -1 ran
+    # gradient ascent, dps_step = 0 and ve_truncation = 1 skipped data
+    # consistency, ve_truncation = 2 failed with a timestep error and
+    # gamma = nan reached the first CG solve
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace("dc = dds-cg", f"dc = dds-cg\n{extra}"))
     out = tmp_path / "r"

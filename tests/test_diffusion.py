@@ -117,6 +117,27 @@ def test_ve_score_eps_denoised_consistency():
     assert norm(e_hat + ve.sigmas[t] * s_hat) < 1e-14
 
 
+@pytest.mark.parametrize("sched", [VpSchedule.default(20), VeSchedule.geometric(12)],
+                         ids=["vp", "ve"])
+def test_conversions_invert_the_schedule_marginal(sched):
+    # x_t = scale(t) x0 + sqrt(var(t)) eps is all the conversions know of a schedule
+    rng = RngStream(21)
+    x0, eps = rng.randn((6,), dtype=COMPLEX), rng.randn((6,), dtype=COMPLEX)
+    prior = AffineSubspacePrior.random((6,), 2, seed=22, offset_scale=1.0)
+    ve = isinstance(sched, VeSchedule)
+    for t in range(1, sched.n_steps + 1):
+        x_t = sched.scale(t) * x0 + math.sqrt(sched.var(t)) * eps
+        assert norm(eps_from_denoised(x_t, x0, t, sched) - eps) <= 1e-12 * norm(eps)
+        assert norm(vp_tweedie(x_t, t, eps, sched) - x0) <= 1e-12 * norm(x0)
+        assert norm(score_from_denoised(x_t, x0, t, sched)
+                    - score_from_eps(eps, t, sched)) <= 1e-12 * norm(eps)
+        if ve:
+            # VE outputs keep the bits of the sigma_t formulas they replace
+            assert math.sqrt(sched.var(t)) == sched.sigmas[t]
+            assert np.array_equal(affine_prior_denoise(x_t, t, prior, sched),
+                                  prior.project_affine(x_t))
+
+
 def test_denoiser_contract_consistency_identities():
     # VP: x_t = sqrt(abar) xhat + sqrt(1-abar) eps;  VE: xhat = x_t + sigma^2 shat
     vp = VpSchedule.default(10)

@@ -127,7 +127,8 @@ def test_poisson_mask_density_and_acs():
 
 
 # sha256 of make_mask(MaskSpec(kind, acc, acs, seed), shape).tobytes(); the
-# 32x32 acc-4 ACS-0.08 seed-3 mask is the mri2d-pinv benchmark workload's
+# 32x32 acc-4 ACS-0.08 seed-3 poisson-disk-vd mask is the mri2d-pinv benchmark
+# workload's, the 64x64 gaussian1d one with the same settings mri2d-dds's
 PINNED_MASKS = [
     ("poisson-disk-vd", (16, 16), 2.5, 0.0, 0, "48695e2a3d5b02a07529a9f2e26de461601764157ba1c483cec57b023b9ed20b"),
     ("poisson-disk-vd", (16, 16), 4, 0.08, 1, "c4a10166182d0c17d4b8703bdb561320b2ebe434154e946c63496a489d09ef34"),
@@ -148,6 +149,10 @@ PINNED_MASKS = [
     ("gaussian2d", (32, 32), 8, 0.08, 5, "c52daa2b2a7e33a40234a7dd8c689ae783bee269b2861953ca34e82b639dba65"),
     ("gaussian2d", (32, 32), 8, 0.0, 3, "fcc01fe17843211e1a3548dbef36db1ff7f28904d6acc9d14c1aa567e1ea7bd6"),
     ("gaussian2d", (64, 64), 4, 0.0, 2, "2f64f9be10c24f11baa23a0b666bee3db9adf2b4dfb4f8de90009ba435e7004c"),
+    ("gaussian1d", (16, 16), 4, 0.08, 3, "11a16b2ad788d76681e6bfb26468cf2b209d6a6f34488aada953261a935a5cbc"),
+    ("gaussian1d", (24, 40), 2.5, 0.2, 7, "eefa9b10ff00fc5dc57829435225031fec70cb82f95a912f11a8ac27631b0ade"),
+    ("gaussian1d", (8, 32), 8, 0.0, 0, "d41629ebc26f9555db78172378887d9b74a6f8f79d88a5644b334cad79c93332"),
+    ("gaussian1d", (64, 64), 4, 0.08, 3, "79804f2013ede55088f73f4f37aa5b17963f8a4b528e6ee002262904557d9075"),
 ]
 
 

@@ -1,6 +1,6 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`noise-offset --seed 3` over configs.
 
-Runs the CLI's `reconstruct` command in-process on 85 configs and prints one
+Runs the CLI's `reconstruct` command in-process on 89 configs and prints one
 line per config: its name, the sha256 of `x0.dtf`, the sha256 of
 `trace.csv` and the exit code ("-" for a file the run did not write). Then
 it runs `noise-offset` on 2 configs and prints the name, the sha256 of the
@@ -29,6 +29,9 @@ The grid:
 - VE `dds-cg` with `ve_truncation` = 0.2;
 - VP `gradient` with `xi` = 1e16 and nfe 20, whose residual overflows, so
   its line pins the exit code of a diverging run (3);
+- VP `dds-cg` on each random mask kind (`gaussian1d`, `gaussian2d`,
+  `poisson-disk-vd`; every other `mri2d` config uses `uniform1d`);
+- VP `dps` with `dps_step` = -1, which the config check rejects (exit 2);
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
@@ -66,7 +69,7 @@ complex = true
 [operator]
 kind = sense
 coils = 2
-mask_kind = uniform1d
+mask_kind = {mask}
 acceleration = 2
 acs_fraction = 0.1
 mask_seed = 3
@@ -140,18 +143,23 @@ def grid(repo: Path) -> list[tuple[str, str]]:
                     sampler = f"dc = {dc}\n{mode_keys}\n{extra}"
                     out.append((f"{kind}/{dc}/{mode}/{variant}",
                                 MRI.format(kind=kind, phantom="subspace-random",
-                                           prior=AFFINE, sampler=sampler)))
+                                           prior=AFFINE, mask="uniform1d",
+                                           sampler=sampler)))
     for dc, mode, extra in (("dds-cg", "vp", ""), ("gradient", "ve", ""),
                             ("ddnm", "vp", "eta = 0.5")):
         sampler = f"dc = {dc}\n{MODES[mode]}\n{extra}"
         out.append((f"gmm/{dc}/{mode}", MRI.format(kind="mri2d", phantom="gmm-draw",
-                                                   prior=GMM, sampler=sampler)))
-    out.append(("mri2d/dds-cg/ve/truncation", MRI.format(
-        kind="mri2d", phantom="subspace-random", prior=AFFINE,
-        sampler=f"dc = dds-cg\n{MODES['ve']}\nve_truncation = 0.2")))
-    out.append(("mri2d/gradient/vp/overflow", MRI.format(
-        kind="mri2d", phantom="subspace-random", prior=AFFINE,
-        sampler="dc = gradient\nmode = vp\nnfe = 20\nxi = 1e16")))
+                                                   prior=GMM, mask="uniform1d",
+                                                   sampler=sampler)))
+    for name, mask, sampler in (
+        ("dds-cg/ve/truncation", "uniform1d", f"dc = dds-cg\n{MODES['ve']}\nve_truncation = 0.2"),
+        ("gradient/vp/overflow", "uniform1d", "dc = gradient\nmode = vp\nnfe = 20\nxi = 1e16"),
+        *((f"dds-cg/vp/{m}", m, f"dc = dds-cg\n{MODES['vp']}")
+          for m in ("gaussian1d", "gaussian2d", "poisson-disk-vd")),
+        ("dps/vp/negative-step", "uniform1d", f"dc = dps\n{MODES['vp']}\ndps_step = -1"),
+    ):
+        out.append((f"mri2d/{name}", MRI.format(kind="mri2d", phantom="subspace-random",
+                                                prior=AFFINE, mask=mask, sampler=sampler)))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),

@@ -15,12 +15,11 @@ from .diffusion import (
     VeSchedule,
     VpSchedule,
     affine_prior_denoise,
+    ddim_step,
     eps_from_score,
     gmm_denoise,
     mcg_dps_gradient,
     score_from_eps,
-    ve_ddim_step,
-    vp_ddim_step,
     vp_tweedie,
 )
 from .dtf import read_dtf, write_dtf

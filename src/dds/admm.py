@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# vp_ddim_step/ve_ddim_step are imported only for bench/tracing.py, which
-# hooks them as admm attributes.
-from .diffusion import VpSchedule, ve_ddim_step, vp_ddim_step  # noqa: F401
+from .diffusion import VpSchedule
+# bench/tracing.py hooks both names as admm attributes; both are the one DDIM step.
+from .diffusion import ddim_step as ve_ddim_step, ddim_step as vp_ddim_step  # noqa: F401
 from .errors import ConfigError
 # bench/tracing.py times the x-update solves through the attribute admm.cg,
 # so the solver keeps that name here.

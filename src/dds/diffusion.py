@@ -1,4 +1,4 @@
-"""Noise schedules, Tweedie denoising, analytic priors, and DDIM-family steps.
+"""Noise schedules, Tweedie denoising, analytic priors, and the DDIM step.
 
 Schedules are 1-indexed: index t covers timesteps 1..N with t = N the
 noisiest, and the index-0 slot holds the collapse sentinel (abar_0 = 1,
@@ -7,6 +7,7 @@ sigma_0 = 0) so the final step folds cleanly into plain Tweedie denoising.
 Both schedules state their marginal as x_t = scale(t) x0 + sqrt(var(t)) eps
 (VP: sqrt(abar_t) and 1 - abar_t; VE: 1 and sigma_t^2), and every
 parametrization formula below is written once against those two numbers.
+The DDIM step needs one more: ddim_std(t), the schedule's eta = 1 noise std.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class VpSchedule:
     def var(self, t: int) -> float:
         return 1.0 - self.abars[t]
 
+    def ddim_std(self, t: int) -> float:
+        return self.btildes[t]
+
     @classmethod
     def from_betas(cls, betas) -> "VpSchedule":
         b = np.concatenate([[0.0], np.asarray(betas, dtype=REAL)])
@@ -117,8 +121,9 @@ class VeSchedule:
 
     def __post_init__(self):
         s = self.sigmas[1:]
-        if s[0] <= 0 or np.any(np.diff(s) <= 0):
-            raise ConfigError("sigma_t must be strictly increasing with sigma_1 > 0")
+        # NaN fails every comparison, and a finite top bounds every sigma
+        if not (s[0] > 0 and np.all(np.diff(s) > 0) and math.isfinite(s[-1])):
+            raise ConfigError("sigma_t must be finite and strictly increasing with sigma_1 > 0")
 
     @property
     def n_steps(self) -> int:
@@ -130,11 +135,15 @@ class VeSchedule:
     def var(self, t: int) -> float:
         return float(self.sigmas[t]) ** 2
 
+    def ddim_std(self, t: int) -> float:
+        s_prev = self.sigmas[t - 1]
+        return s_prev * (1.0 - (s_prev / self.sigmas[t]) ** 2)
+
     @classmethod
     def geometric(cls, n_steps: int, sigma_min: float = 0.01,
                   sigma_max: float = 10.0) -> "VeSchedule":
-        if n_steps < 2 or sigma_min <= 0 or sigma_max <= sigma_min:
-            raise ConfigError("need n_steps >= 2 and 0 < sigma_min < sigma_max")
+        if n_steps < 2 or not 0 < sigma_min < sigma_max < math.inf:
+            raise ConfigError("need n_steps >= 2 and 0 < sigma_min < sigma_max < inf")
         s = sigma_min * (sigma_max / sigma_min) ** (np.arange(n_steps) / (n_steps - 1))
         return cls(sigmas=np.concatenate([[0.0], s]))
 
@@ -349,49 +358,27 @@ class GmmDenoiser:
 
 
 # ---------------------------------------------------------------------------
-# DDIM steps
+# DDIM step
 
-def vp_ddim_step(xhat_dc: np.ndarray, eps_hat: np.ndarray, t: int, eta: float,
-                 rng: RngStream, sched: VpSchedule) -> np.ndarray:
-    """x_{t-1} = sqrt(abar_{t-1}) xhat' + sqrt(1 - abar_{t-1} - eta^2 btilde_t^2) eps_hat
-    + eta btilde_t eps.
+def ddim_step(xhat_dc: np.ndarray, eps_hat: np.ndarray, t: int, eta: float,
+              rng: RngStream, sched) -> np.ndarray:
+    """x_{t-1} = scale_{t-1} xhat' + sqrt(var_{t-1} - c^2) eps_hat + c eps,
+    with c = eta ddim_std(t) (Song et al., arXiv 2010.02502).
 
     eta = 0 is fully deterministic and draws nothing from the stream.
     """
     if t < 2:
-        raise ConfigError("vp_ddim_step needs t >= 2")
+        raise ConfigError("ddim_step needs t >= 2")
     _check_t(sched, t)
     if not (0.0 <= eta <= 1.0):
         raise ConfigError("eta must lie in [0, 1]")
-    ab_prev = sched.abars[t - 1]
-    bt = sched.btildes[t]
-    rad = 1.0 - ab_prev - (eta * bt) ** 2
+    c = eta * sched.ddim_std(t)
+    rad = sched.var(t - 1) - c ** 2
     if rad < -1e-12:
-        raise NumericalError("vp_ddim_step: negative radicand (schedule invariant violated)")
-    out = math.sqrt(ab_prev) * xhat_dc + math.sqrt(max(rad, 0.0)) * eps_hat
+        raise NumericalError("ddim_step: negative radicand (schedule invariant violated)")
+    out = sched.scale(t - 1) * xhat_dc + math.sqrt(max(rad, 0.0)) * eps_hat
     if eta > 0.0:
-        out = out + eta * bt * rng.randn(xhat_dc.shape, dtype=xhat_dc.dtype.type)
-    return out
-
-
-def ve_ddim_step(xhat_dc: np.ndarray, s_hat: np.ndarray, t: int, eta: float,
-                 rng: RngStream, sched: VeSchedule) -> np.ndarray:
-    """x_{t-1} = xhat' - sigma_{t-1} sigma_t sqrt(1 - btilde^2 eta^2) shat
-    + sigma_{t-1} eta btilde eps, with btilde = 1 - sigma_{t-1}^2 / sigma_t^2.
-    """
-    if t < 2:
-        raise ConfigError("ve_ddim_step needs t >= 2")
-    _check_t(sched, t)
-    if not (0.0 <= eta <= 1.0):
-        raise ConfigError("eta must lie in [0, 1]")
-    s_prev, s_t = sched.sigmas[t - 1], sched.sigmas[t]
-    btilde = 1.0 - (s_prev / s_t) ** 2
-    rad = 1.0 - (btilde * eta) ** 2
-    if rad < 0.0:
-        raise NumericalError("ve_ddim_step: btilde^2 eta^2 > 1")
-    out = xhat_dc - s_prev * s_t * math.sqrt(rad) * s_hat
-    if eta > 0.0:
-        out = out + s_prev * eta * btilde * rng.randn(xhat_dc.shape, dtype=xhat_dc.dtype.type)
+        out = out + c * rng.randn(xhat_dc.shape, dtype=xhat_dc.dtype.type)
     return out
 
 

@@ -22,20 +22,17 @@ class LinearMap:
     """Matrix-free linear operator with an exact algebraic adjoint.
 
     ``apply`` maps domain-shaped tensors to range-shaped ones and ``adjoint``
-    the reverse; both validate shapes, not finiteness. ``pinv_fn``, when set,
-    applies the exact pseudo-inverse to a range tensor (only cheap special
-    cases provide it).
+    the reverse; both validate shapes, not finiteness.
     """
 
     def __init__(self, domain_shape, range_shape, apply_fn, adjoint_fn,
-                 domain_dtype=COMPLEX, range_dtype=None, pinv_fn=None, name=""):
+                 domain_dtype=COMPLEX, range_dtype=None, name=""):
         self.domain_shape = tuple(int(s) for s in domain_shape)
         self.range_shape = tuple(int(s) for s in range_shape)
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.domain_dtype = np.dtype(domain_dtype)
         self.range_dtype = np.dtype(range_dtype if range_dtype is not None else domain_dtype)
-        self.pinv_fn = pinv_fn
         self.name = name
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -339,19 +336,13 @@ def sense_adjoint(k: np.ndarray, maps: CoilMaps, mask: np.ndarray,
 
 
 def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
-    """A = P F s as a LinearMap; single-coil gets the exact zero-fill pinv."""
+    """A = P F s as a LinearMap."""
     mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
     conj_maps = np.conj(maps.maps)  # cached: adjoint runs in hot CG loops
-    pinv = None
-    if maps.ncoils == 1:
-        # |s| = 1 pointwise after normalization, so A A* = I on the sampled
-        # rows and the pseudo-inverse coincides with the adjoint (zero-fill).
-        def pinv(k):
-            return sense_adjoint(k, maps, mask, conj_maps)
     return LinearMap(maps.image_shape, (maps.ncoils,) + maps.image_shape,
                      lambda x: sense_apply(x, maps, mask),
                      lambda k: sense_adjoint(k, maps, mask, conj_maps),
-                     domain_dtype=COMPLEX, pinv_fn=pinv, name=name)
+                     domain_dtype=COMPLEX, name=name)
 
 
 # ---------------------------------------------------------------------------

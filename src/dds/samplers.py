@@ -1,11 +1,12 @@
 """The reconstruction loop: CG-decomposed DDIM sampling plus baseline DC steps.
 
-One loop serves images and, via admm.dds_3d_reconstruct, volumes; make_dc
-builds its data-consistency step once per run, so strategy ablations are a
-config sweep. Baselines cover pseudo-inverse replacement (on the denoised
-estimate or the noisy iterate), one-step gradient descent on the residual,
-and the projected-gradient step available when the denoiser Jacobian is an
-analytic projector. Rejection sampling reruns with derived seeds.
+One loop serves images and, via admm.dds_3d_reconstruct, volumes, and one
+DDIM step serves VP and VE; make_dc builds its data-consistency step once
+per run, so strategy ablations are a config sweep. Baselines cover
+pseudo-inverse replacement (on the denoised estimate or the noisy iterate),
+one-step gradient descent on the residual, and the projected-gradient step
+available when the denoiser Jacobian is an analytic projector. Rejection
+sampling reruns with derived seeds.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from .diffusion import (
     AffineSubspacePrior,
     VeSchedule,
     VpSchedule,
+    # bench/tracing.py times the DDIM step through both of these attributes,
+    # so the one step keeps both names; the loop calls it as vp_ddim_step
+    ddim_step as ve_ddim_step,
+    ddim_step as vp_ddim_step,
     eps_from_denoised,
     mcg_dps_gradient,
-    score_from_denoised,
-    ve_ddim_step,
-    vp_ddim_step,
 )
 from .errors import ConfigError, NumericalError, SamplerDivergedError
 # bench/tracing.py times every data-consistency solve through the attribute
@@ -70,6 +72,8 @@ class SamplerConfig:
                 raise ConfigError(f"{key} must be > 0")
         if not 0 <= self.ve_truncation < 1:
             raise ConfigError("ve_truncation must lie in [0, 1)")
+        if not 0 < self.ve_sigma_max < math.inf:
+            raise ConfigError("ve_sigma_max must be finite and > 0")
         if self.mode not in ("vp", "ve"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.dc not in DC_STRATEGIES:
@@ -131,21 +135,18 @@ class ReconResult:
 # Pseudo-inverse machinery
 
 def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
-                         maxiter: int = 200) -> tuple[np.ndarray, np.ndarray | None]:
+                         maxiter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Apply the Moore-Penrose pseudo-inverse to a range tensor: (A+ r, r - A A+ r).
 
-    Uses the operator's exact pinv when available (single-coil Cartesian
-    zero-fill), which leaves the residual to the caller (None); otherwise
-    runs CGLS from zero on min ||r - Az||, whose limit is the min-norm
-    least-squares solution A+ r, and returns the residual it carries. The
-    tolerance is relative to ||A*r||, as is the check on ||A*(r - Az)||.
-    Ill-conditioned operators (multi-coil masked Fourier) stall above the
-    target tolerance; the capped iterate is then the practical
-    truncated-spectrum pinv, and only outright non-convergence (relative
-    residual above 1e-2) raises.
+    Runs CGLS from zero on min ||r - Az||, whose limit is the min-norm
+    least-squares solution A+ r, and returns the residual it carries. Where
+    A A* is an orthogonal projector (single-coil Cartesian SENSE) the first
+    step is exactly A* r and the solve stops there. The tolerance is
+    relative to ||A*r||, as is the check on ||A*(r - Az)||. Ill-conditioned
+    operators (multi-coil masked Fourier) stall above the target tolerance;
+    the capped iterate is then the practical truncated-spectrum pinv, and
+    only outright non-convergence (relative residual above 1e-2) raises.
     """
-    if a.pinv_fn is not None:
-        return a.pinv_fn(r), None
     rn = norm(a.adjoint(r))  # the tolerance is relative, so the solve needs it up front
     z, rep = cg(a, r, None, maxiter, tol * rn)
     if rep.residual_norms[-1] > 1e-2 * rn:
@@ -160,10 +161,10 @@ def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
 # Data-consistency steps
 
 def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray, tol: float = 1e-10,
-              maxiter: int = 200) -> tuple[np.ndarray, np.ndarray | None]:
+              maxiter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Range-space replacement (I - A+A) xhat + A+ y, via xhat + A+(y - A xhat).
 
-    Returns x' with y - A x' when the pseudo-inverse solve carried it, else None.
+    Returns x' with the y - A x' that the pseudo-inverse solve carried.
     """
     z, residual = pseudo_inverse_apply(a, y - a.apply(xhat), tol=tol, maxiter=maxiter)
     return xhat + z, residual
@@ -245,13 +246,14 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     """Run the decomposed sampling loop for one measurement.
 
     Per step: Tweedie denoise, data consistency ``dc(x, xhat, t)`` (by
-    default ``make_dc`` for cfg.dc), then the DDIM transition using the
-    pre-DC noise estimate. The last step applies Tweedie only. VE runs with
-    truncation stop at t <= nfe * ve_truncation. The residual ||y - A x'||
-    that the trace records comes from the DC step when its solve carried
-    y - A x', and from a forward apply otherwise. It is the run's finiteness
-    check: a step where it is not finite ends the run with
-    SamplerDivergedError, its trace included.
+    default ``make_dc`` for cfg.dc), then ``ddim_step`` on the DC output and
+    the pre-DC eps_hat, for VP and VE alike. The last step applies Tweedie
+    only. VE starts from sigma_N-scaled noise and, with truncation, stops at
+    t <= nfe * ve_truncation. The residual ||y - A x'|| that the trace
+    records comes from the DC step when its solve carried y - A x', and from
+    a forward apply otherwise. It is the run's finiteness check: a step
+    where it is not finite ends the run with SamplerDivergedError, its trace
+    included.
     """
     t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(cfg.seed)
@@ -295,10 +297,10 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     try:
         for t in range(sched.n_steps, k_stop, -1):
             xhat = denoiser.denoise(x, t, sched)
-            noise_hat = (eps_from_denoised if vp else score_from_denoised)(x, xhat, t, sched)
+            eps_hat = eps_from_denoised(x, xhat, t, sched)
             xp, data_residual = dc(x, xhat, t)
             record(t, x, xp, xhat, data_residual)
-            x = (vp_ddim_step if vp else ve_ddim_step)(xp, noise_hat, t, eta, rng, sched)
+            x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
             if project_noisy:
                 x = ddnm_step(x, a, y)[0]
 

@@ -30,7 +30,7 @@ from dds.diffusion import (
     gmm_denoise,
     mcg_dps_gradient,
     smooth_random_field,
-    vp_ddim_step,
+    ddim_step as vp_ddim_step,
 )
 from dds.experiments import NoiseOffsetConfig, run_noise_offset_experiment
 from dds.krylov import cg, krylov_basis, subspace_distance

@@ -379,15 +379,19 @@ def test_detector_bins_below_one_exits_2(tmp_path, bins):
     ("gamma = nan", "gamma must be > 0"),
     ("xi = 0", "xi must be > 0"),
     ("xi = nan", "xi must be > 0"),
+    ("mode = ve\nve_sigma_max = nan", "ve_sigma_max must be finite and > 0"),
+    ("mode = ve\nve_sigma_max = inf", "ve_sigma_max must be finite and > 0"),
 ], ids=["non-boolean", "no-retries", "negative-retries", "negative-tau",
         "negative-tau-with-retries", "negative-dps-step", "zero-dps-step",
-        "full-ve-truncation", "ve-truncation-above-1", "nan-gamma", "zero-xi", "nan-xi"])
+        "full-ve-truncation", "ve-truncation-above-1", "nan-gamma", "zero-xi", "nan-xi",
+        "nan-ve-sigma-max", "inf-ve-sigma-max"])
 def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     # the boolean ran as false and tau = -1 was rejected only when
     # max_retries > 1 sent it through rejection_wrap; dps_step = -1 ran
     # gradient ascent, dps_step = 0 and ve_truncation = 1 skipped data
     # consistency, ve_truncation = 2 failed with a timestep error and
-    # gamma = nan reached the first CG solve
+    # gamma = nan reached the first CG solve; ve_sigma_max = nan or inf
+    # built a schedule of non-finite sigmas and exited 3 after numpy warnings
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace("dc = dds-cg", f"dc = dds-cg\n{extra}"))
     out = tmp_path / "r"

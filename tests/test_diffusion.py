@@ -11,6 +11,7 @@ from dds.diffusion import (
     VeSchedule,
     VpSchedule,
     affine_prior_denoise,
+    ddim_step,
     eps_from_denoised,
     eps_from_score,
     gmm_denoise,
@@ -18,8 +19,6 @@ from dds.diffusion import (
     score_from_denoised,
     score_from_eps,
     smooth_random_field,
-    ve_ddim_step,
-    vp_ddim_step,
     vp_tweedie,
 )
 from dds.errors import ConfigError
@@ -58,6 +57,15 @@ def test_ve_schedule_geometric():
 def test_ve_schedule_rejects_bad_range():
     with pytest.raises(ConfigError):
         VeSchedule.geometric(10, 0.5, 0.1)
+    # NaN fails every comparison, and inf passes sigma_max > sigma_min
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            VeSchedule.geometric(10, 0.01, bad)
+        with pytest.raises(ConfigError):
+            VeSchedule.geometric(10, bad, 10.0)
+        for sigmas in ([0.1, bad], [bad, 1.0], [0.1, bad, 1.0]):
+            with pytest.raises(ConfigError):
+                VeSchedule.from_sigmas(sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +292,13 @@ def test_gmm_ve_mode_matches_conjugate_form():
 
 
 # ---------------------------------------------------------------------------
-# DDIM steps
+# DDIM step
 
 def test_vp_step_eta0_pure_mean():
     s = VpSchedule.default(10)
     xh = RngStream(16).randn((4,))
     rng = RngStream(17)
-    out = vp_ddim_step(xh, np.zeros(4), 5, 0.0, rng, s)
+    out = ddim_step(xh, np.zeros(4), 5, 0.0, rng, s)
     assert norm(out - math.sqrt(s.abars[4]) * xh) < 1e-14
     assert rng.draws == 0  # deterministic path must not consume randomness
 
@@ -308,9 +316,27 @@ def test_vp_step_seeded_reproducibility():
     s = VpSchedule.default(10)
     xh = RngStream(18).randn((6,))
     eh = RngStream(19).randn((6,))
-    a = vp_ddim_step(xh, eh, 7, 0.5, RngStream(7), s)
-    b = vp_ddim_step(xh, eh, 7, 0.5, RngStream(7), s)
+    a = ddim_step(xh, eh, 7, 0.5, RngStream(7), s)
+    b = ddim_step(xh, eh, 7, 0.5, RngStream(7), s)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX])
+def test_vp_step_is_the_closed_form_bit_for_bit(dtype):
+    # the VP transition as written before VP and VE shared one step:
+    # sqrt(abar_{t-1}) xhat' + sqrt(1 - abar_{t-1} - eta^2 btilde_t^2) eps_hat
+    # + eta btilde_t z
+    s = VpSchedule.default(20)
+    data = RngStream(27)
+    for t in range(2, 21):
+        for eta in (0.0, 0.15, 0.5, 1.0):
+            xh, eh = data.randn((5, 3), dtype=dtype), data.randn((5, 3), dtype=dtype)
+            ab_prev, bt = s.abars[t - 1], s.btildes[t]
+            rad = 1.0 - ab_prev - (eta * bt) ** 2
+            want = math.sqrt(ab_prev) * xh + math.sqrt(max(rad, 0.0)) * eh
+            if eta > 0.0:
+                want = want + eta * bt * RngStream(t).randn(xh.shape, dtype=dtype)
+            assert np.array_equal(ddim_step(xh, eh, t, eta, RngStream(t), s), want)
 
 
 def test_vp_step_eta1_matches_ddpm_ancestral_mean():
@@ -322,7 +348,7 @@ def test_vp_step_eta1_matches_ddpm_ancestral_mean():
         eh = rng.randn((5,))
         xt = math.sqrt(s.abars[t]) * xh + math.sqrt(1 - s.abars[t]) * eh
         stoch_rng = RngStream(99)
-        out = vp_ddim_step(xh, eh, t, 1.0, stoch_rng, s)
+        out = ddim_step(xh, eh, t, 1.0, stoch_rng, s)
         drawn = RngStream(99).randn((5,))
         deterministic = out - s.btildes[t] * drawn
         alpha_t = s.alphas[t]
@@ -333,9 +359,9 @@ def test_vp_step_eta1_matches_ddpm_ancestral_mean():
 def test_vp_step_rejects_bad_t_and_eta():
     s = VpSchedule.default(10)
     with pytest.raises(ConfigError):
-        vp_ddim_step(np.zeros(2), np.zeros(2), 1, 0.0, RngStream(0), s)
+        ddim_step(np.zeros(2), np.zeros(2), 1, 0.0, RngStream(0), s)
     with pytest.raises(ConfigError):
-        vp_ddim_step(np.zeros(2), np.zeros(2), 5, 1.5, RngStream(0), s)
+        ddim_step(np.zeros(2), np.zeros(2), 5, 1.5, RngStream(0), s)
 
 
 def test_ve_step_eta0_deterministic():
@@ -344,7 +370,7 @@ def test_ve_step_eta0_deterministic():
     sh = RngStream(22).randn((4,))
     t = 6
     rng = RngStream(1)
-    out = ve_ddim_step(xh, sh, t, 0.0, rng, s)
+    out = ddim_step(xh, -s.sigmas[t] * sh, t, 0.0, rng, s)  # eps_hat = -sigma_t shat
     want = xh - s.sigmas[t - 1] * s.sigmas[t] * sh
     assert norm(out - want) < 1e-14
     assert rng.draws == 0
@@ -355,42 +381,44 @@ def test_ve_step_coefficient_identity():
     for t in range(2, 13):
         sp, st = s.sigmas[t - 1], s.sigmas[t]
         btilde = 1 - (sp / st) ** 2
+        assert s.ddim_std(t) == sp * btilde  # the VE eta convention, bit for bit
         for eta in (0.0, 0.5, 1.0):
             lhs = (sp * math.sqrt(1 - btilde ** 2 * eta ** 2)) ** 2 + (sp * eta * btilde) ** 2
             assert abs(lhs - sp ** 2) < 1e-14
+            c = eta * s.ddim_std(t)
+            assert abs(math.sqrt(s.var(t - 1) - c ** 2) ** 2 + c ** 2 - sp ** 2) < 1e-14
 
 
-def test_ve_step_marginal_variance_monte_carlo():
-    # exact point-mass denoiser: x_{t-1} should sample N(xhat, sigma_{t-1}^2 I)
-    s = VeSchedule.geometric(8, 0.1, 4.0)
+@pytest.mark.parametrize("mode", ["vp", "ve"])
+def test_ddim_step_marginal_variance_monte_carlo(mode):
+    # exact point-mass denoiser at x0 = mu: x_{t-1} should sample
+    # N(scale(t-1) mu, var(t-1) I)
+    s = VpSchedule.default(8) if mode == "vp" else VeSchedule.geometric(8, 0.1, 4.0)
     t, eta, d = 5, 0.7, 8
     mu = RngStream(23).randn((d,))
-    prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=1e-10)
+    tau2 = 1e-10
+    prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=tau2)
     rng = RngStream(24)
     trials = 100_000
     eps0 = rng.randn((trials, d))
-    x_t = mu[None, :] + s.sigmas[t] * eps0
-    xhat = mu[None, :] + (x_t - mu[None, :]) * (1e-10 / (1e-10 + s.sigmas[t] ** 2))
+    scale, kvar = s.scale(t), s.var(t)
+    x_t = scale * mu[None, :] + math.sqrt(kvar) * eps0
+    xhat = (tau2 * scale * x_t + kvar * mu[None, :]) / (scale * scale * tau2 + kvar)
     # spot-check the vectorized denoiser against gmm_denoise
     for i in range(50):
         assert norm(xhat[i] - gmm_denoise(x_t[i], t, prior, s)) < 1e-12
-    s_hat = (xhat - x_t) / s.sigmas[t] ** 2
-    sp, st = s.sigmas[t - 1], s.sigmas[t]
-    btilde = 1 - (sp / st) ** 2
-    noise = rng.randn((trials, d))
-    x_prev = xhat - sp * st * math.sqrt(1 - btilde ** 2 * eta ** 2) * s_hat \
-        + sp * eta * btilde * noise
-    dev = x_prev - xhat
+    x_prev = ddim_step(xhat, eps_from_denoised(x_t, xhat, t, s), t, eta, rng, s)
+    dev = x_prev - s.scale(t - 1) * mu[None, :]
     trace = float(np.mean(np.sum(dev ** 2, axis=1)))
-    assert abs(trace - d * sp ** 2) <= 0.02 * d * sp ** 2
+    assert abs(trace - d * s.var(t - 1)) <= 0.02 * d * s.var(t - 1)
 
 
 def test_ve_step_seeded_reproducibility():
     s = VeSchedule.geometric(10)
     xh = RngStream(25).randn((4,))
     sh = RngStream(26).randn((4,))
-    a = ve_ddim_step(xh, sh, 5, 0.8, RngStream(3), s)
-    b = ve_ddim_step(xh, sh, 5, 0.8, RngStream(3), s)
+    a = ddim_step(xh, -s.sigmas[5] * sh, 5, 0.8, RngStream(3), s)
+    b = ddim_step(xh, -s.sigmas[5] * sh, 5, 0.8, RngStream(3), s)
     assert np.array_equal(a, b)
 
 

@@ -123,6 +123,20 @@ def test_ddnm_matches_dense_pinv_oracle_single_coil():
     assert norm(ddnm_step(xhat, a, y)[0] - want) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["uniform1d", "gaussian2d", "poisson-disk-vd"])
+def test_single_coil_pseudo_inverse_is_one_cgls_step(kind):
+    # A A* is the sampling mask, so CGLS from zero takes the step z = A* r
+    # and stops: A*r up front, then A*s, A p and the stopping test's A*s
+    _, _, _, a, y = sense_problem(60, shape=(16, 16), coils=1, acc=2.0, kind=kind)
+    r = y + 0.05 * RngStream(61).randn(y.shape, dtype=COMPLEX)  # off the range too
+    z, residual = pseudo_inverse_apply(a, r)
+    assert norm(z - a.adjoint(r)) <= 1e-12 * norm(z)
+    assert norm(residual - (r - a.apply(z))) <= 1e-12 * norm(r)
+    ca = counted(a)
+    pseudo_inverse_apply(ca, r)
+    assert ca.calls == {"apply": 1, "adjoint": 3}
+
+
 def test_ddnm_output_satisfies_measurements_when_consistent():
     _, _, x_true, a, y = sense_problem(20, shape=(16, 16), coils=2, acc=2.0)
     xhat = RngStream(21).randn((16, 16), dtype=COMPLEX)
@@ -295,7 +309,7 @@ def test_dds_cg_residual_never_worse_than_denoised_start():
     cfg = SamplerConfig(nfe=10, eta=0.3, cg_steps=5, dc="dds-cg", seed=3)
     sched = VpSchedule.default(10)
     # replay the loop manually to compare pre/post DC residuals
-    from dds.diffusion import eps_from_denoised, vp_ddim_step
+    from dds.diffusion import ddim_step, eps_from_denoised
     from dds.krylov import cg
     rng = RngStream(3)
     x = rng.randn((32, 32), dtype=COMPLEX)
@@ -307,7 +321,7 @@ def test_dds_cg_residual_never_worse_than_denoised_start():
         xp, _ = cg(nrm, ay, xh, 5)
         post = norm(y - a.apply(xp))
         assert post <= pre + 1e-9
-        x = vp_ddim_step(xp, eps_from_denoised(x, xh, t, sched), t, 0.3, rng, sched)
+        x = ddim_step(xp, eps_from_denoised(x, xh, t, sched), t, 0.3, rng, sched)
 
 
 def test_vp_ve_agree_on_matched_schedules():
@@ -449,11 +463,15 @@ def trace_against_dc_outputs(trace, outs, a, y):
     return max(abs(rec.residual - norm(y - a.apply(xp))) for rec, xp in zip(trace, outs))
 
 
-@pytest.mark.parametrize("mode, nfe", [("vp", 8), ("ve", 12)])
-@pytest.mark.parametrize("dc", samplers.DC_STRATEGIES)
-def test_trace_residual_is_the_dc_output_residual(monkeypatch, mode, nfe, dc):
-    # the residual a solve carries must not drift from the one it stands for
-    _, den, _, a, y = sense_problem(195, shape=(16, 16), coils=2, acc=2.0, dim=4)
+@pytest.mark.parametrize("dc, mode, nfe, coils", [  # two-coil cases keep their ids
+    pytest.param(dc, mode, nfe, coils, id=f"{dc}-{mode}-{nfe}" + ("-1-coil" if coils == 1 else ""))
+    for coils in (2, 1) for mode, nfe in (("vp", 8), ("ve", 12))
+    for dc in samplers.DC_STRATEGIES
+])
+def test_trace_residual_is_the_dc_output_residual(monkeypatch, dc, mode, nfe, coils):
+    # the residual a solve carries must not drift from the one it stands for;
+    # single-coil ddnm reaches A+ in one CGLS step and carries it too
+    _, den, _, a, y = sense_problem(195, shape=(16, 16), coils=coils, acc=2.0, dim=4)
     y = y + 0.05 * RngStream(196).randn(y.shape, dtype=COMPLEX)
     outs = []
     real_make_dc = samplers.make_dc

@@ -19,7 +19,15 @@ against a checkout that predates this script.
 directory: `DIR/<config>/x0.dtf` and `trace.csv` per reconstruct config,
 `DIR/<config>/noise_offset.csv` per noise-offset config. Two dumps, one per
 checkout, bound a round-off move by number where the hashes only show that
-it happened (read the volumes with `dds.read_dtf`).
+it happened:
+
+    python3 tools/byte_oracle.py --compare PARENT_DUMP CHANGE_DUMP
+
+prints, per config, ||x0' - x0|| / ||x0||, the largest change of a trace
+`residual` relative to the run's largest residual, and for a noise-offset
+CSV the largest change of a cell relative to its largest cell (0 when equal;
+inf when the rows, shapes or text cells disagree or one side lacks the file),
+then the worst case of each.
 
 The grid:
 - `mri2d` and `mri2d-noisy` (16x16, 2 coils) x the six DC strategies x
@@ -46,9 +54,12 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 DC_STRATEGIES = ("dds-cg", "dds-proximal-cg", "ddnm", "projection", "gradient", "dps")
 
@@ -182,6 +193,92 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
+ARTIFACTS = ("x0.dtf", "trace.csv", "noise_offset.csv")
+
+
+def _table(path: Path) -> tuple[list[str], list[list[str]]]:
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def _relative(change, parent) -> float:
+    """max |change - parent| / max |parent| over float arrays of one shape.
+
+    NaN cells (the noise-offset means, gt-error without a truth) must sit in
+    the same places and are left out.
+    """
+    if change.shape != parent.shape or not np.array_equal(np.isnan(change), np.isnan(parent)):
+        return math.inf
+    if np.array_equal(change, parent, equal_nan=True):
+        return 0.0
+    keep = ~np.isnan(parent)
+    scale = np.max(np.abs(parent[keep]), initial=0.0)
+    diff = np.max(np.abs(change[keep] - parent[keep]))
+    return float(diff / scale) if scale > 0 else math.inf
+
+
+def _x0_move(parent: Path, change: Path) -> float:
+    from dds import read_dtf
+
+    p, c = read_dtf(parent), read_dtf(change)
+    if p.shape != c.shape:
+        return math.inf
+    if np.array_equal(p, c):
+        return 0.0
+    return float(np.linalg.norm(c - p) / np.linalg.norm(p))
+
+
+def _residual_move(parent: Path, change: Path) -> float:
+    (hp, p), (hc, c) = _table(parent), _table(change)
+    col = hp.index("residual")
+    if hp != hc or [r[0] for r in p] != [r[0] for r in c]:
+        return math.inf  # other columns or other steps
+    return _relative(np.array([float(r[col]) for r in c]),
+                     np.array([float(r[col]) for r in p]))
+
+
+def _csv_move(parent: Path, change: Path) -> float:
+    (hp, p), (hc, c) = _table(parent), _table(change)
+    if hp != hc or len(p) != len(c):
+        return math.inf
+    numbers = ([], [])
+    for row_p, row_c in zip(p, c):
+        for a, b in zip(row_p, row_c):
+            try:
+                numbers[0].append(float(a))
+                numbers[1].append(float(b))
+            except ValueError:
+                if a != b:
+                    return math.inf  # a text cell (the strategy name) moved
+    return _relative(np.array(numbers[1]), np.array(numbers[0]))
+
+
+MOVES = (("x0", "x0.dtf", _x0_move), ("residual", "trace.csv", _residual_move),
+         ("csv", "noise_offset.csv", _csv_move))
+
+
+def compare(parent: Path, change: Path) -> None:
+    """Print each config's relative moves between two --dump trees, then the worst."""
+    def configs(root):
+        return {f.parent.relative_to(root).as_posix()
+                for name in ARTIFACTS for f in root.rglob(name)}
+
+    worst = {}
+    for name in sorted(configs(parent) | configs(change)):
+        fields = []
+        for label, fname, move in MOVES:
+            p, c = parent / name / fname, change / name / fname
+            if not (p.exists() or c.exists()):
+                continue
+            d = move(p, c) if p.exists() and c.exists() else math.inf
+            fields.append(f"{label} {d:.1e}" if d else f"{label} 0")
+            if d > worst.get(label, (-1.0, ""))[0]:
+                worst[label] = (d, name)
+        print(name, *fields)
+    print("worst:", *(f"{label} {d:.1e} ({name})" if d else f"{label} 0"
+                      for label, (d, name) in worst.items()))
+
+
 def run_quietly(cli, argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
@@ -194,11 +291,16 @@ def main(argv=None) -> int:
     ap.add_argument("--dump", type=Path, metavar="DIR",
                     help="keep every config's outputs under DIR/<config>/ (DIR must be "
                          "empty or absent)")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("PARENT_DUMP", "CHANGE_DUMP"),
+                    help="compare two --dump trees by number instead of running the grid")
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
+    sys.path.insert(0, str(repo / "src"))
+    if args.compare is not None:
+        compare(*args.compare)
+        return 0
     if args.dump is not None and args.dump.exists() and any(args.dump.iterdir()):
         ap.error(f"--dump directory {args.dump} is not empty")
-    sys.path.insert(0, str(repo / "src"))
     from dds import cli
 
     with tempfile.TemporaryDirectory() as tmp:

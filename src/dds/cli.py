@@ -87,7 +87,7 @@ def cmd_sweep(args) -> int:
         values = [str(v) for v in cfg.get("sweep", "values").split()]
     repeats = args.repeats if args.repeats is not None else cfg.get("sweep", "repeats", 1, int)
     rows = xp.run_sweep(cfg, axis, values, repeats, seed=args.seed, jobs=args.jobs)
-    header = list(xp.MET_HEADER) + (["wall_seconds"] if args.timing else [])
+    header = xp.MET_COLUMNS if args.timing else xp.MET_HEADER
     xp.write_csv(args.out, header, [r.as_list(timing=args.timing) for r in rows])
     print(f"sweep over {axis}: {len(rows)} rows -> {args.out}")
     return 0
@@ -109,13 +109,13 @@ def cmd_metrics(args) -> int:
     ref = read_dtf(args.ref)
     mx = np.abs(x)
     mref = np.abs(ref)
-    p = psnr(mx, mref, peak=args.peak)
-    s = xp.magnitude_ssim(mx, mref)
-    resid = float(np.linalg.norm((x - ref).ravel()))
-    row = [Path(args.x).stem, "metrics", 0, 0, math.nan, p, s, resid]
+    row = xp.MetricsRow(run_id=Path(args.x).stem, strategy="metrics", nfe=0, cg_steps=0,
+                        eta=math.nan, psnr=psnr(mx, mref, peak=args.peak),
+                        ssim=xp.magnitude_ssim(mx, mref),
+                        residual=float(np.linalg.norm((x - ref).ravel())))
     if args.out:
-        xp.write_csv(args.out, xp.MET_HEADER, [row])
-    print(f"psnr {p:.4f} dB, ssim {s:.6f}, residual {resid:.6e}")
+        xp.write_csv(args.out, xp.MET_HEADER, [row.as_list()])
+    print(f"psnr {row.psnr:.4f} dB, ssim {row.ssim:.6f}, residual {row.residual:.6e}")
     return 0
 
 

@@ -121,9 +121,11 @@ class VeSchedule:
 
     def __post_init__(self):
         s = self.sigmas[1:]
-        # NaN fails every comparison, and a finite top bounds every sigma
-        if not (s[0] > 0 and np.all(np.diff(s) > 0) and math.isfinite(s[-1])):
-            raise ConfigError("sigma_t must be finite and strictly increasing with sigma_1 > 0")
+        top = float(s[-1])
+        # NaN fails every comparison, and a finite var(N) = top * top bounds every variance
+        if not (s[0] > 0 and np.all(np.diff(s) > 0) and top * top < math.inf):
+            raise ConfigError("sigma_t must be finite and strictly increasing with sigma_1 > 0, "
+                              "and sigma_N^2 finite")
 
     @property
     def n_steps(self) -> int:

@@ -1,9 +1,11 @@
-"""DTF binary tensor files.
+"""Artifact formats: DTF binary tensor files and CSV tables.
 
-Layout: magic ``DDS1``, one dtype byte (0 = real64, 1 = complex128), one
+DTF layout: magic ``DDS1``, one dtype byte (0 = real64, 1 = complex128), one
 ndim byte, ndim little-endian u64 extents, then the row-major payload in
 little-endian (complex stored as interleaved re, im doubles). Readers
-reject wrong magic, bad dtype bytes, and truncated payloads.
+reject wrong magic, bad dtype bytes, and truncated payloads. A CSV artifact
+writes floats as their shortest round-trip ``repr``, everything else with
+``str``, and ends every line with ``"\n"``.
 """
 
 from __future__ import annotations
@@ -64,3 +66,11 @@ def read_dtf(path) -> np.ndarray:
     arr = arr.astype(REAL if code == 0 else COMPLEX)
     check_finite(arr, f"read_dtf({path})")
     return arr
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

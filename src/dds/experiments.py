@@ -10,7 +10,7 @@ import configparser
 import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .diffusion import (
     VeSchedule,
     smooth_random_field,
 )
+from .dtf import write_csv  # noqa: F401  (the CSV writer of every artifact; cli uses it)
 from .errors import ConfigError
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
@@ -39,21 +40,6 @@ from .operators import (
 from .phantoms import shepp_logan_2d, shepp_logan_3d
 from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc, rejection_wrap
 from .tensor import COMPLEX, REAL, RngStream, check_finite
-
-
-def _fmt(x) -> str:
-    """Deterministic scalar formatting for CSV artifacts (shortest round-trip)."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +61,12 @@ class NoiseOffsetConfig:
             raise ConfigError("need at least one trial")
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
+# the sections that ExperimentConfig.read builds a dataclass from
+SECTION_CLASSES = {"sampler": SamplerConfig, "tv": TvConfig, "noise_offset": NoiseOffsetConfig}
 
 # Every section and key that some command reads; anything else is a typo.
-# The keys of [sampler], [tv] and [noise_offset] are their dataclass fields,
-# less the sampler seed (from --seed) and plus max_retries (rejection budget).
+# The keys of a SECTION_CLASSES section are its dataclass fields, less the
+# sampler seed (from --seed) and plus max_retries (rejection budget).
 CONFIG_KEYS = {section: set(keys.split()) for section, keys in {
     "problem": "kind noise_sigma noise_seed",
     "phantom": "kind seed shape constant_z",
@@ -89,11 +74,17 @@ CONFIG_KEYS = {section: set(keys.split()) for section, keys in {
     "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
                 "angles detector_bins",
     "sweep": "axis values repeats",
-}.items()} | {
-    "sampler": _field_names(SamplerConfig) - {"seed"} | {"max_retries"},
-    "tv": _field_names(TvConfig),
-    "noise_offset": _field_names(NoiseOffsetConfig),
-}
+}.items()} | {section: {f.name for f in fields(cls)} for section, cls in SECTION_CLASSES.items()}
+CONFIG_KEYS["sampler"] = CONFIG_KEYS["sampler"] - {"seed"} | {"max_retries"}
+
+
+def annotation_cast(kind):
+    """How a config string becomes a field annotated ``kind``: ints for a
+    tuple, else the type itself (X for X | None); ExperimentConfig.get reads
+    a bool by configparser's spellings."""
+    if typing.get_origin(kind) is tuple:
+        return lambda raw: tuple(int(v) for v in raw.split())
+    return next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
 
 
 class ExperimentConfig:
@@ -140,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"config [{section}] {key}={raw!r}: {exc}") from exc
 
     def get_ints(self, section, key, default=None):
-        return self.get(section, key, default, lambda raw: tuple(int(v) for v in raw.split()))
+        return self.get(section, key, default, annotation_cast(tuple[int, ...]))
 
     def has(self, section, key=None) -> bool:
         if key is None:
@@ -153,16 +144,9 @@ class ExperimentConfig:
         ``overrides`` replace what was read. A field that is not a key of the
         section (the sampler seed) is never read."""
         hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in CONFIG_KEYS[section] or not self.has(section, f.name):
-                continue
-            kind = hints[f.name]
-            if typing.get_origin(kind) is tuple:
-                kwargs[f.name] = self.get_ints(section, f.name)
-            else:  # X or X | None
-                cast = next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
-                kwargs[f.name] = self.get(section, f.name, cast=cast)
+        kwargs = {f.name: self.get(section, f.name, cast=annotation_cast(hints[f.name]))
+                  for f in fields(cls)
+                  if f.name in CONFIG_KEYS[section] and self.has(section, f.name)}
         return cls(**(kwargs | overrides))
 
 
@@ -326,11 +310,9 @@ def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | Non
 # ---------------------------------------------------------------------------
 # Metrics rows and sweeps
 
-MET_HEADER = ["run_id", "strategy", "nfe", "cg_steps", "eta", "psnr", "ssim", "residual"]
-
-
 @dataclass
 class MetricsRow:
+    """One metrics CSV row: the fields are the columns, in order."""
     run_id: str
     strategy: str
     nfe: int
@@ -342,11 +324,12 @@ class MetricsRow:
     wall_seconds: float = 0.0
 
     def as_list(self, timing: bool = False) -> list:
-        row = [self.run_id, self.strategy, self.nfe, self.cg_steps, self.eta,
-               self.psnr, self.ssim, self.residual]
-        if timing:
-            row.append(self.wall_seconds)
-        return row
+        return [getattr(self, name) for name in (MET_COLUMNS if timing else MET_HEADER)]
+
+
+# wall_seconds is written only under --timing: it breaks byte reproducibility
+MET_COLUMNS = [f.name for f in fields(MetricsRow)]
+MET_HEADER = MET_COLUMNS[:MET_COLUMNS.index("wall_seconds")]
 
 
 def _middle_slice(mag: np.ndarray) -> np.ndarray:
@@ -377,8 +360,11 @@ def evaluate(problem: Problem, res: ReconResult, run_id: str,
     )
 
 
-# sweep axes and how each one's values are read
-SWEEP_AXES = {"eta": float, "nfe": int, "cg-steps": int, "lambda": float}
+# each sweep axis and the (section, field) it sets; a value is cast by the
+# field's annotation. A volume run's CG count is [tv] cg_steps, so on ct3d
+# the cg-steps axis sets that instead.
+SWEEP_AXES = {"eta": ("sampler", "eta"), "nfe": ("sampler", "nfe"),
+              "cg-steps": ("sampler", "cg_steps"), "lambda": ("tv", "lam")}
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
@@ -386,8 +372,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     """Cartesian sweep over one axis; one MetricsRow per (value, repeat).
 
     Runs are independent with per-run derived streams keyed by run index, so
-    the result is identical regardless of ``jobs``. Rows come back ordered by
-    run index, followed by per-value mean/std summary rows.
+    the result is identical regardless of ``jobs``. Each run honours
+    ``[sampler] max_retries`` as ``dds reconstruct`` does. Rows come back
+    ordered by run index, followed by per-value mean/std summary rows.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -395,56 +382,45 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         raise ConfigError("sweep needs at least one value")
     if repeats < 1:
         raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    section, name = SWEEP_AXES[axis]
+    cast = annotation_cast(typing.get_type_hints(SECTION_CLASSES[section])[name])
     parsed = []
     for val in values:
         try:
-            parsed.append(SWEEP_AXES[axis](val))
+            parsed.append(cast(val))
         except (TypeError, ValueError):
             raise ConfigError(f"sweep axis {axis}: bad value {val!r}") from None
     problem = build_problem(cfg)
+    if (axis, problem.kind) == ("cg-steps", "ct3d"):
+        section = "tv"
+    retries = cfg.get("sampler", "max_retries", 1, int)
     base_rng = RngStream(seed)
-    tasks = []
-    for vi, val in enumerate(values):
-        for rep in range(repeats):
-            tasks.append((vi, val, rep, len(tasks)))
+    tasks = list(enumerate((val, value, rep) for val, value in zip(values, parsed)
+                           for rep in range(repeats)))
 
     def one(task):
-        vi, val, rep, idx = task
-        overrides = {}
-        tv_over = {}
-        if axis == "eta":
-            overrides["eta"] = parsed[vi]
-        elif axis == "nfe":
-            overrides["nfe"] = parsed[vi]
-        elif axis == "cg-steps":  # volumes run TvConfig.cg_steps
-            (tv_over if problem.kind == "ct3d" else overrides)["cg_steps"] = parsed[vi]
-        else:
-            tv_over["lam"] = parsed[vi]
-        scfg = sampler_config(cfg, seed, **overrides)
-        tv = tv_config(cfg, **tv_over) if problem.kind == "ct3d" else None
-        res = run_reconstruction(problem, scfg, tv=tv, rng=base_rng.child(idx))
-        run_id = f"{axis}={val}:rep={rep}"
-        return idx, evaluate(problem, res, run_id, scfg, tv=tv)
+        idx, (val, value, rep) = task
+        sets = {section: {name: value}}
+        scfg = sampler_config(cfg, seed, **sets.get("sampler", {}))
+        tv = tv_config(cfg, **sets.get("tv", {})) if problem.kind == "ct3d" else None
+        res = run_reconstruction(problem, scfg, tv=tv, rng=base_rng.child(idx),
+                                 max_retries=retries)
+        return evaluate(problem, res, f"{axis}={val}:rep={rep}", scfg, tv=tv)
 
-    if jobs > 1:
+    if jobs > 1:  # map keeps the task order
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(one, tasks))
     else:
         rows = [one(t) for t in tasks]
-    rows.sort(key=lambda pair: pair[0])
-    out = [r for _, r in rows]
 
     # per-value mean/std rows over repeats
-    for vi, val in enumerate(values):
-        grp = [r for _, r in rows if r.run_id.startswith(f"{axis}={val}:")]
+    out = list(rows)
+    for val in values:
+        grp = [r for r in rows if r.run_id.startswith(f"{axis}={val}:")]
         for stat, fn in (("mean", np.mean), ("std", np.std)):
-            out.append(MetricsRow(
-                run_id=f"{axis}={val}:{stat}", strategy=grp[0].strategy,
-                nfe=grp[0].nfe, cg_steps=grp[0].cg_steps, eta=grp[0].eta,
-                psnr=float(fn([g.psnr for g in grp])),
-                ssim=float(fn([g.ssim for g in grp])),
-                residual=float(fn([g.residual for g in grp])),
-            ))
+            out.append(replace(grp[0], run_id=f"{axis}={val}:{stat}", wall_seconds=0.0, **{
+                k: float(fn([getattr(g, k) for g in grp])) for k in ("psnr", "ssim", "residual")
+            }))
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .diffusion import (
     eps_from_denoised,
     mcg_dps_gradient,
 )
+from .dtf import write_csv
 from .errors import ConfigError, NumericalError, SamplerDivergedError
 # bench/tracing.py times every data-consistency solve through the attribute
 # samplers.cg, so the solver keeps that name here.
@@ -72,8 +73,9 @@ class SamplerConfig:
                 raise ConfigError(f"{key} must be > 0")
         if not 0 <= self.ve_truncation < 1:
             raise ConfigError("ve_truncation must lie in [0, 1)")
-        if not 0 < self.ve_sigma_max < math.inf:
-            raise ConfigError("ve_sigma_max must be finite and > 0")
+        s = self.ve_sigma_max  # VE runs need var(N) = s * s finite too
+        if not (0 < s and s * s < math.inf):
+            raise ConfigError("ve_sigma_max must be finite and > 0, with a finite square")
         if self.mode not in ("vp", "ve"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.dc not in DC_STRATEGIES:
@@ -109,16 +111,11 @@ class SamplerTrace:
     def __iter__(self):
         return iter(self.records)
 
-    CSV_HEADER = "t,residual,gt-error,noise-est,subspace-dist"
-
     def to_csv(self, path) -> None:
-        lines = [self.CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.t},{r.residual!r},{r.gt_error!r},{r.noise_est!r},{r.subspace_dist!r}"
-            )
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """One row per step; the columns are the StepRecord fields, "_" written "-"."""
+        names = [f.name for f in fields(StepRecord)]
+        write_csv(path, [n.replace("_", "-") for n in names],
+                  ([getattr(r, n) for n in names] for r in self.records))
 
 
 @dataclass

@@ -45,3 +45,23 @@ def test_compare_flags_other_steps_and_missing_files(tmp_path, capsys):
     byte_oracle.compare(tmp_path / "p", tmp_path / "c")
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "mri2d/dds-cg x0 inf residual inf"
+
+
+def test_compare_reads_sweep_and_metrics_csvs(tmp_path, capsys):
+    header = "run_id,strategy,nfe,cg_steps,eta,psnr,ssim,residual\n"
+    for side, psnr, run_id in (("p", 20.0, "eta=0.0:rep=0"), ("c", 20.002, "eta=0.0:rep=0"),
+                               ("c2", 20.0, "eta=0.5:rep=0")):
+        for name, csv in (("sweep/mri2d/eta/jobs1", "sweep.csv"),
+                          ("metrics/mri2d", "metrics.csv")):
+            (tmp_path / side / name).mkdir(parents=True)
+            (tmp_path / side / name / csv).write_text(
+                f"{header}{run_id},dds-cg,8,5,0.0,{psnr!r},0.5,0.25\n")
+    byte_oracle.compare(tmp_path / "p", tmp_path / "c")
+    assert capsys.readouterr().out.splitlines() == [
+        "metrics/mri2d csv 1.0e-04",
+        "sweep/mri2d/eta/jobs1 csv 1.0e-04",
+        "worst: csv 1.0e-04 (metrics/mri2d)",
+    ]
+    byte_oracle.compare(tmp_path / "p", tmp_path / "c2")  # a run id moved
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "metrics/mri2d csv inf", "sweep/mri2d/eta/jobs1 csv inf"]

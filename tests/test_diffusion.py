@@ -68,6 +68,17 @@ def test_ve_schedule_rejects_bad_range():
                 VeSchedule.from_sigmas(sigmas)
 
 
+def test_ve_schedule_needs_a_finite_top_variance():
+    # var(t) = sigma_t^2 used to overflow in an uncaught OverflowError
+    for top in (1e160, 1e200):
+        with pytest.raises(ConfigError, match="sigma_N\\^2 finite"):
+            VeSchedule.geometric(10, 0.01, top)
+        with pytest.raises(ConfigError, match="sigma_N\\^2 finite"):
+            VeSchedule.from_sigmas([0.1, top])
+    sched = VeSchedule.geometric(10, 0.01, 1e150)
+    assert math.isfinite(sched.var(sched.n_steps))
+
+
 # ---------------------------------------------------------------------------
 # Tweedie and conversions
 

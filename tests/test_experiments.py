@@ -13,6 +13,7 @@ from dds.experiments import (
     NoiseOffsetConfig,
     build_problem,
     emit_image,
+    evaluate,
     run_noise_offset_experiment,
     run_reconstruction,
     run_sweep,
@@ -233,14 +234,51 @@ def test_sweep_row_counts_and_order():
     assert run_rows[-1].run_id == "eta=0.5:rep=1"
 
 
-def test_sweep_single_point_equals_plain_run():
-    cfg = ExperimentConfig(BASE_CFG)
-    rows = run_sweep(cfg, "cg-steps", [3], repeats=1, seed=2)
-    from dds.experiments import run_reconstruction
+# (problem, axis, value, [sampler] overrides, [tv] overrides) of the plain run;
+# a volume run's CG count is [tv] cg_steps, and 2-D runs have no [tv]
+SINGLE_POINTS = [
+    ("mri2d", "eta", "0.5", {"eta": 0.5}, {}),
+    ("mri2d", "nfe", "5", {"nfe": 5}, {}),
+    ("mri2d", "cg-steps", "2", {"cg_steps": 2}, {}),
+    ("mri2d", "lambda", "0.3", {}, {}),
+    ("ct3d", "eta", "0.5", {"eta": 0.5}, {}),
+    ("ct3d", "nfe", "5", {"nfe": 5}, {}),
+    ("ct3d", "cg-steps", "3", {}, {"cg_steps": 3}),
+    ("ct3d", "lambda", "0.3", {}, {"lam": 0.3}),
+]
+
+
+@pytest.mark.parametrize("kind, axis, value, over, tv_over", SINGLE_POINTS,
+                         ids=[f"{k}-{a}" for k, a, *_ in SINGLE_POINTS])
+def test_sweep_single_point_equals_plain_run(kind, axis, value, over, tv_over):
+    cfg = ExperimentConfig(BASE_CFG if kind == "mri2d" else CT_CFG)
+    rows = run_sweep(cfg, axis, [value], repeats=1, seed=2)
     problem = build_problem(cfg)
-    res = run_reconstruction(problem, sampler_config(cfg, 2, cg_steps=3),
-                             rng=RngStream(2).child(0))
+    scfg = sampler_config(cfg, 2, **over)
+    tv = tv_config(cfg, **tv_over) if kind == "ct3d" else None
+    res = run_reconstruction(problem, scfg, tv=tv, rng=RngStream(2).child(0))
     assert rows[0].residual == pytest.approx(res.residual, abs=0.0)
+    run_id = f"{axis}={value}:rep=0"
+    assert rows[0].as_list() == evaluate(problem, res, run_id, scfg, tv=tv).as_list()
+    if axis == "cg-steps":
+        assert rows[0].cg_steps == int(value)
+
+
+def test_sweep_honours_max_retries():
+    # tau = 1e-12 is out of reach, so each run keeps the best of its
+    # max_retries attempts, as dds reconstruct does; sweeps used to make one
+    text = BASE_CFG.replace("dc = dds-cg", "dc = dds-cg\nrejection_tau = 1e-12")
+    problem = build_problem(ExperimentConfig(text))
+    residuals = []
+    for retries in (1, 4):
+        cfg = ExperimentConfig(text.replace("dc = dds-cg", f"dc = dds-cg\nmax_retries = {retries}"))
+        row = run_sweep(cfg, "eta", ["0.5"], repeats=1, seed=2)[0]
+        res = run_reconstruction(problem, sampler_config(cfg, 2, eta=0.5),
+                                 rng=RngStream(2).child(0), max_retries=retries)
+        assert res.accepted is False
+        assert row.residual == res.residual
+        residuals.append(row.residual)
+    assert residuals[1] < residuals[0]
 
 
 def test_sweep_deterministic_across_invocations_and_jobs():

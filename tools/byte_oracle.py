@@ -1,11 +1,13 @@
-"""Byte oracle: hash the artifacts of `dds reconstruct`/`noise-offset --seed 3` over configs.
+"""Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
 
-Runs the CLI's `reconstruct` command in-process on 89 configs and prints one
-line per config: its name, the sha256 of `x0.dtf`, the sha256 of
-`trace.csv` and the exit code ("-" for a file the run did not write). Then
-it runs `noise-offset` on 2 configs and prints the name, the sha256 of the
-CSV and the exit code. Two checkouts behave the same on these configs
-exactly when the outputs match:
+Runs the CLI's `reconstruct` command in-process with `--seed 3` on 89
+configs and prints one line per config: its name, the sha256 of `x0.dtf`,
+the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
+write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
+`noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
+prints for each the name, the sha256 of the CSV and the exit code: 102
+lines in all. Two checkouts behave the same on these runs exactly when the
+outputs match:
 
     python3 tools/byte_oracle.py > change.txt
     python3 tools/byte_oracle.py --repo ../parent-checkout > parent.txt
@@ -17,17 +19,17 @@ against a checkout that predates this script.
 
 ``--dump DIR`` keeps the outputs instead of hashing them in a temporary
 directory: `DIR/<config>/x0.dtf` and `trace.csv` per reconstruct config,
-`DIR/<config>/noise_offset.csv` per noise-offset config. Two dumps, one per
-checkout, bound a round-off move by number where the hashes only show that
-it happened:
+and `DIR/<name>/sweep.csv`, `noise_offset.csv` or `metrics.csv` per other
+line. Two dumps, one per checkout, bound a round-off move by number where
+the hashes only show that it happened:
 
     python3 tools/byte_oracle.py --compare PARENT_DUMP CHANGE_DUMP
 
 prints, per config, ||x0' - x0|| / ||x0||, the largest change of a trace
-`residual` relative to the run's largest residual, and for a noise-offset
-CSV the largest change of a cell relative to its largest cell (0 when equal;
-inf when the rows, shapes or text cells disagree or one side lacks the file),
-then the worst case of each.
+`residual` relative to the run's largest residual, and for a sweep,
+noise-offset or metrics CSV the largest change of a numeric cell relative
+to its largest cell (0 when equal; inf when the rows, shapes or text cells
+disagree or one side lacks the file), then the worst case of each.
 
 The grid:
 - `mri2d` and `mri2d-noisy` (16x16, 2 coils) x the six DC strategies x
@@ -43,8 +45,13 @@ The grid:
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
+- `sweep --seed 3 --repeats 2` over `eta`, `nfe` and `cg-steps` on the
+  `mri2d` VP `dds-cg` config, and over `cg-steps` and `lambda` on the
+  `ct3d` VP config, each at `--jobs` 1 and 2 (no rejection);
 - `noise-offset` on its defaults with 3 trials, and with every
-  `[noise_offset]` key set.
+  `[noise_offset]` key set;
+- `metrics --out` of the `mri2d/dds-cg/vp/defaults` estimate against the
+  phantom `simulate` writes for that config.
 """
 
 from __future__ import annotations
@@ -189,11 +196,24 @@ def grid(repo: Path) -> list[tuple[str, str]]:
     return out
 
 
+# (problem, axis, values); each sweep runs at --jobs 1 and 2
+SWEEPS = (("mri2d", "eta", "0.0,0.5"), ("mri2d", "nfe", "5,8"), ("mri2d", "cg-steps", "1,3"),
+          ("ct3d", "cg-steps", "1,3"), ("ct3d", "lambda", "0.0,0.5"))
+SWEEP_CONFIGS = {
+    "mri2d": MRI.format(kind="mri2d", phantom="subspace-random", prior=AFFINE,
+                        mask="uniform1d", sampler=f"dc = dds-cg\n{MODES['vp']}"),
+    "ct3d": CT.format(sampler="mode = vp\nnfe = 6"),
+}
+# the reconstruct config whose estimate `metrics` scores against its phantom
+METRICS = "mri2d/dds-cg/vp/defaults"
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
-ARTIFACTS = ("x0.dtf", "trace.csv", "noise_offset.csv")
+CSVS = ("sweep.csv", "noise_offset.csv", "metrics.csv")
+ARTIFACTS = ("x0.dtf", "trace.csv", *CSVS)
 
 
 def _table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -254,7 +274,7 @@ def _csv_move(parent: Path, change: Path) -> float:
 
 
 MOVES = (("x0", "x0.dtf", _x0_move), ("residual", "trace.csv", _residual_move),
-         ("csv", "noise_offset.csv", _csv_move))
+         *(("csv", name, _csv_move) for name in CSVS))
 
 
 def compare(parent: Path, change: Path) -> None:
@@ -304,25 +324,41 @@ def main(argv=None) -> int:
     from dds import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, text) in enumerate(grid(repo)):
-            cfg = Path(tmp) / f"{i}.ini"
-            cfg.write_text(text)
-            out = args.dump / name if args.dump else Path(tmp) / f"out{i}"
-            code = run_quietly(cli, ["reconstruct", "--config", str(cfg), "--seed", "3",
-                                     "--out", str(out)])
+        tmp = Path(tmp)
+
+        def config_file(text: str) -> str:
+            (tmp / "config.ini").write_text(text)
+            return str(tmp / "config.ini")
+
+        def csv_line(name: str, csv: str, argv: list[str]) -> None:
+            """Run one command writing one CSV (--out) and print its line."""
+            out = (args.dump if args.dump else tmp / "csv") / name / csv
+            out.parent.mkdir(parents=True, exist_ok=True)
+            code = run_quietly(cli, [*argv, "--out", str(out)])
+            print(f"{name} {sha256(out)} {code}", flush=True)
+
+        configs, outs = grid(repo), {}
+        for i, (name, text) in enumerate(configs):
+            out = outs[name] = args.dump / name if args.dump else tmp / f"out{i}"
+            code = run_quietly(cli, ["reconstruct", "--config", config_file(text),
+                                     "--seed", "3", "--out", str(out)])
             print(f"{name} {sha256(out / 'x0.dtf')} {sha256(out / 'trace.csv')} {code}",
                   flush=True)
+        for problem, axis, values in SWEEPS:
+            for jobs in ("1", "2"):
+                csv_line(f"sweep/{problem}/{axis}/jobs{jobs}", "sweep.csv",
+                         ["sweep", "--config", config_file(SWEEP_CONFIGS[problem]),
+                          "--axis", axis, "--values", values, "--repeats", "2",
+                          "--seed", "3", "--jobs", jobs])
         for name, text in NOISE_OFFSET.items():
-            cfg = Path(tmp) / "noise_offset.ini"
-            cfg.write_text(text)
-            if args.dump:
-                out = args.dump / name / "noise_offset.csv"
-                out.parent.mkdir(parents=True, exist_ok=True)
-            else:
-                out = Path(tmp) / f"{name.replace('/', '-')}.csv"
-            code = run_quietly(cli, ["noise-offset", "--config", str(cfg), "--seed", "3",
-                                     "--out", str(out)])
-            print(f"{name} {sha256(out)} {code}", flush=True)
+            csv_line(name, "noise_offset.csv",
+                     ["noise-offset", "--config", config_file(text), "--seed", "3"])
+        sim = tmp / "sim"
+        run_quietly(cli, ["simulate", "--config", config_file(dict(configs)[METRICS]),
+                          "--out", str(sim)])
+        csv_line(f"metrics/{METRICS}", "metrics.csv",
+                 ["metrics", "--x", str(outs[METRICS] / "x0.dtf"),
+                  "--ref", str(sim / "x_true.dtf")])
     return 0
 
 

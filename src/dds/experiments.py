@@ -374,7 +374,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     Runs are independent with per-run derived streams keyed by run index, so
     the result is identical regardless of ``jobs``. Each run honours
     ``[sampler] max_retries`` as ``dds reconstruct`` does. Rows come back
-    ordered by run index, followed by per-value mean/std summary rows.
+    ordered by run index, followed by per-value mean/std summary rows. A
+    value equal to an earlier one after the cast raises ConfigError.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -387,9 +388,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     parsed = []
     for val in values:
         try:
-            parsed.append(cast(val))
+            value = cast(val)
         except (TypeError, ValueError):
             raise ConfigError(f"sweep axis {axis}: bad value {val!r}") from None
+        if value in parsed:
+            raise ConfigError(f"sweep axis {axis}: value {val!r} repeats "
+                              f"{values[parsed.index(value)]!r}")
+        parsed.append(value)
     problem = build_problem(cfg)
     if (axis, problem.kind) == ("cg-steps", "ct3d"):
         section = "tv"
@@ -413,10 +418,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     else:
         rows = [one(t) for t in tasks]
 
-    # per-value mean/std rows over repeats
+    # per-value mean/std rows over repeats; value i ran tasks i*repeats onwards
     out = list(rows)
-    for val in values:
-        grp = [r for r in rows if r.run_id.startswith(f"{axis}={val}:")]
+    for i, val in enumerate(values):
+        grp = rows[i * repeats:(i + 1) * repeats]
         for stat, fn in (("mean", np.mean), ("std", np.std)):
             out.append(replace(grp[0], run_id=f"{axis}={val}:{stat}", wall_seconds=0.0, **{
                 k: float(fn([getattr(g, k) for g in grp])) for k in ("psnr", "ssim", "residual")

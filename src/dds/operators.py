@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import COMPLEX, REAL, RngStream, check_finite, fft2, ifft2
+from .tensor import COMPLEX, REAL, RngStream, check_finite, fft1, fft2, ifft1, ifft2, is_pow2
 
 
 class LinearMap:
@@ -317,31 +317,84 @@ def make_coil_maps(c: int, shape, seed: int = 0) -> CoilMaps:
 # ---------------------------------------------------------------------------
 # Masked multi-coil Fourier sampling (image -> stacked k-space)
 
-def sense_apply(x: np.ndarray, maps: CoilMaps, mask: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class SensePlan:
+    """What SENSE apply/adjoint reuse across calls, built once per operator.
+
+    For a column mask (constant along k_y, axis -2, with n <= W/3 nonzero
+    columns) ``cols`` are the sampled k_x columns and ``dft`` the unitary
+    W-point DFT restricted to them, F_W[:, cols] (W x n), each column scaled
+    by its mask value; ``idft`` is its adjoint (n x W). Apply is then one
+    (c*H x W) @ dft matmul and a k_y FFT over the n columns, scattered into
+    zeroed k-space. Any other mask leaves ``cols`` None and runs
+    ``mask * fft2(maps * x)``: above W/3 columns, or for 2-D masks, the
+    restricted transform measured slower than the full FFT.
+    """
+
+    conj_maps: np.ndarray
+    cols: np.ndarray | None = None
+    dft: np.ndarray | None = None
+    idft: np.ndarray | None = None
+
+
+def sense_plan(maps: CoilMaps, mask: np.ndarray) -> SensePlan:
+    """The SensePlan of ``maps`` and ``mask``; power-of-two image sides only."""
+    h, w = maps.image_shape
+    if mask.shape != (h, w):
+        raise ConfigError(f"sense: mask shape {mask.shape} != map shape {(h, w)}")
+    if not (is_pow2(h) and is_pow2(w)):
+        raise ConfigError(f"sense needs power-of-two image sides, got {h}x{w}")
+    conj_maps = np.conj(maps.maps)
+    cols = np.flatnonzero(mask[0])
+    if not (0 < 3 * cols.size <= w and (mask == mask[0]).all()):
+        return SensePlan(conj_maps)
+    # exponents reduced mod w keep every entry a root of unity to round-off
+    dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
+    dft *= mask[0, cols]
+    return SensePlan(conj_maps, cols, dft, np.ascontiguousarray(dft.conj().T))
+
+
+def sense_apply(x: np.ndarray, maps: CoilMaps, mask: np.ndarray,
+                plan: SensePlan | None = None) -> np.ndarray:
+    """Stacked k-space ``mask * F(maps * x)`` of image ``x``.
+
+    ``plan`` is ``sense_plan(maps, mask)``, built here when not given.
+    """
     x = np.asarray(x, dtype=COMPLEX)
     if x.shape != maps.image_shape:
         raise ConfigError(f"sense_apply: image shape {x.shape} != map shape {maps.image_shape}")
-    if mask.shape != maps.image_shape:
-        raise ConfigError("sense_apply: mask/image shape mismatch")
-    return mask[None, :, :] * fft2(maps.maps * x[None, :, :])
+    plan = sense_plan(maps, mask) if plan is None else plan
+    coil = maps.maps * x[None, :, :]
+    if plan.cols is None:
+        return mask[None, :, :] * fft2(coil)
+    c, h, w = coil.shape
+    k = np.zeros_like(coil)
+    k[:, :, plan.cols] = fft1((coil.reshape(c * h, w) @ plan.dft).reshape(c, h, -1), axis=-2)
+    return k
 
 
 def sense_adjoint(k: np.ndarray, maps: CoilMaps, mask: np.ndarray,
-                  conj_maps: np.ndarray | None = None) -> np.ndarray:
+                  plan: SensePlan | None = None) -> np.ndarray:
+    """Image ``sum_c conj(maps_c) * F^H(mask * k_c)``, the adjoint of sense_apply."""
     k = np.asarray(k, dtype=COMPLEX)
     if k.shape != (maps.ncoils,) + maps.image_shape:
         raise ConfigError(f"sense_adjoint: expected shape {(maps.ncoils,) + maps.image_shape}")
-    cm = np.conj(maps.maps) if conj_maps is None else conj_maps
-    return np.sum(cm * ifft2(mask[None, :, :] * k), axis=0)
+    plan = sense_plan(maps, mask) if plan is None else plan
+    if plan.cols is None:
+        return np.sum(plan.conj_maps * ifft2(mask[None, :, :] * k), axis=0)
+    c, h, w = k.shape
+    hybrid = ifft1(k[:, :, plan.cols], axis=-2)
+    return np.sum(plan.conj_maps * (hybrid.reshape(c * h, -1) @ plan.idft).reshape(c, h, w),
+                  axis=0)
 
 
 def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
-    """A = P F s as a LinearMap."""
+    """A = P F S as a LinearMap over its SensePlan."""
     mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
-    conj_maps = np.conj(maps.maps)  # cached: adjoint runs in hot CG loops
+    plan = sense_plan(maps, mask)
     return LinearMap(maps.image_shape, (maps.ncoils,) + maps.image_shape,
-                     lambda x: sense_apply(x, maps, mask),
-                     lambda k: sense_adjoint(k, maps, mask, conj_maps),
+                     lambda x: sense_apply(x, maps, mask, plan),
+                     lambda k: sense_adjoint(k, maps, mask, plan),
                      domain_dtype=COMPLEX, name=name)
 
 

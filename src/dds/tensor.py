@@ -1,4 +1,4 @@
-"""Dense tensor core: dtype policy, unitary 2-D FFTs, seeded Gaussian streams.
+"""Dense tensor core: dtype policy, unitary 1-D and 2-D FFTs, seeded Gaussian streams.
 
 Signals are plain numpy arrays restricted to float64 / complex128. The
 operations here check shapes, not finiteness; ``check_finite`` runs where
@@ -28,14 +28,14 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_fft_axes(x: np.ndarray, axes) -> tuple[int, int]:
+def _check_fft_axes(x: np.ndarray, axes, ndim: int) -> tuple[int, ...]:
     ax = tuple(int(a) for a in axes)
-    if len(ax) != 2:
-        raise ConfigError("fft2 expects exactly two axes")
+    if len(ax) != ndim:
+        raise ConfigError(f"fft{ndim} expects exactly {ndim} axes")
     for a in ax:
         if not is_pow2(x.shape[a]):
             raise ConfigError(
-                f"fft2 requires power-of-two extents, got {x.shape[a]} on axis {a}"
+                f"fft{ndim} requires power-of-two extents, got {x.shape[a]} on axis {a}"
             )
     return ax
 
@@ -43,15 +43,29 @@ def _check_fft_axes(x: np.ndarray, axes) -> tuple[int, int]:
 def fft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """Unitary 2-D FFT over two power-of-two axes (norm split as 1/sqrt(HW))."""
     x = np.asarray(x, dtype=COMPLEX)
-    ax = _check_fft_axes(x, axes)
+    ax = _check_fft_axes(x, axes, 2)
     return np.fft.fft2(x, axes=ax, norm="ortho")
 
 
 def ifft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """Inverse of :func:`fft2`; also unitary."""
     x = np.asarray(x, dtype=COMPLEX)
-    ax = _check_fft_axes(x, axes)
+    ax = _check_fft_axes(x, axes, 2)
     return np.fft.ifft2(x, axes=ax, norm="ortho")
+
+
+def fft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unitary 1-D FFT along one power-of-two axis (norm 1/sqrt(n))."""
+    x = np.asarray(x, dtype=COMPLEX)
+    (ax,) = _check_fft_axes(x, (axis,), 1)
+    return np.fft.fft(x, axis=ax, norm="ortho")
+
+
+def ifft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Inverse of :func:`fft1`; also unitary."""
+    x = np.asarray(x, dtype=COMPLEX)
+    (ax,) = _check_fft_axes(x, (axis,), 1)
+    return np.fft.ifft(x, axis=ax, norm="ortho")
 
 
 def inner(a: np.ndarray, b: np.ndarray):

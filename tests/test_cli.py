@@ -265,6 +265,19 @@ def test_sweep_unparsable_value_exits_2(ct_cfg_file, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis, values, named", [("eta", "0.0,0.0", "'0.0'"),
+                                                 ("eta", "0.5,0.50", "'0.50'"),
+                                                 ("nfe", "4,5,04", "'04'")])
+def test_sweep_repeated_value_exits_2(cfg_file, tmp_path, axis, values, named):
+    # a repeat used to write two runs under one run id and two equal mean/std pairs
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--config", str(cfg_file), "--axis", axis,
+                "--values", values, "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert named in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_sweep_repeats_below_one_exits_2(cfg_file, tmp_path, repeats):
     out = tmp_path / "s.csv"

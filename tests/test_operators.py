@@ -26,6 +26,7 @@ from dds.operators import (
     sense_adjoint,
     sense_apply,
     sense_operator,
+    sense_plan,
     slice_radon_operator,
 )
 from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
@@ -355,6 +356,101 @@ def test_sense_shape_validation():
         sense_apply(np.zeros((4, 4), dtype=COMPLEX), maps, mask)
     with pytest.raises(ConfigError):
         sense_adjoint(np.zeros((3, 8, 8), dtype=COMPLEX), maps, mask)
+
+
+def fft2_sense(x, k, maps, mask):
+    """The 2-D FFT formulas of SENSE apply and adjoint."""
+    return (mask[None] * fft2(maps.maps * x[None]),
+            np.sum(np.conj(maps.maps) * ifft2(mask[None] * k), axis=0))
+
+
+def dense_sense(maps, mask):
+    """mask * (F_H kron F_W) * diag(maps), stacked over coils, from DFT matrices."""
+    h, w = mask.shape
+    f = np.kron(*(np.fft.fft(np.eye(n), norm="ortho") for n in (h, w)))
+    return np.concatenate([mask.reshape(-1, 1) * f * s.reshape(1, -1) for s in maps.maps])
+
+
+def relative(a, b):
+    return norm(a - b) / norm(b)
+
+
+COLUMN_MASKS = [("uniform1d", 4), ("gaussian1d", 4), ("gaussian1d", 8)]
+
+
+@pytest.mark.parametrize("kind, acc", COLUMN_MASKS)
+@pytest.mark.parametrize("side", [16, 32])
+@pytest.mark.parametrize("coils", [1, 4])
+def test_sense_column_path_matches_fft2_and_dense(kind, acc, side, coils):
+    maps = make_coil_maps(coils, (side, side), 7)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 9), (side, side))
+    plan = sense_plan(maps, mask)
+    assert plan.cols is not None and 3 * plan.cols.size <= side
+    x = RngStream(1).randn((side, side), dtype=COMPLEX)
+    k = RngStream(2).randn((coils, side, side), dtype=COMPLEX)
+    ref_k, ref_x = fft2_sense(x, k, maps, mask)
+    assert relative(sense_apply(x, maps, mask, plan), ref_k) <= 1e-12
+    assert relative(sense_adjoint(k, maps, mask, plan), ref_x) <= 1e-12
+    op = sense_operator(maps, mask)
+    dot_test(op, RngStream(3), trials=10, tol=1e-10)
+    if side == 16:
+        dense = dense_sense(maps, mask)
+        assert relative(op_to_matrix(op), dense) <= 1e-12
+        assert relative(adjoint_to_matrix(op), dense.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("poisson-disk-vd", 4),
+                                       ("uniform1d", 1), ("uniform1d", 2),
+                                       ("gaussian1d", 2), ("uniform1d", 3)])
+def test_sense_other_masks_keep_the_fft2_formula(kind, acc):
+    # above W/3 columns, and for point masks, the full 2-D FFT is the faster path
+    maps = make_coil_maps(3, (32, 32), 4)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 5), (32, 32))
+    assert sense_plan(maps, mask).cols is None
+    x = RngStream(6).randn((32, 32), dtype=COMPLEX)
+    k = RngStream(7).randn((3, 32, 32), dtype=COMPLEX)
+    ref_k, ref_x = fft2_sense(x, k, maps, mask)
+    op = sense_operator(maps, mask)
+    assert np.array_equal(op.apply(x), ref_k)
+    assert np.array_equal(op.adjoint(k), ref_x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_h=st.integers(2, 6), log_w=st.integers(2, 6), coils=st.integers(1, 4),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_sense_column_path_on_random_column_subsets(log_h, log_w, coils, seed, data):
+    h, w = 2 ** log_h, 2 ** log_w
+    cols = data.draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=w // 3,
+                              unique=True))
+    weights = data.draw(st.lists(st.floats(0.1, 2.0), min_size=len(cols),
+                                 max_size=len(cols)))
+    mask = np.zeros((h, w))
+    mask[:, cols] = weights
+    maps = make_coil_maps(coils, (h, w), seed)
+    plan = sense_plan(maps, mask)
+    assert np.array_equal(plan.cols, np.sort(cols))
+    rng = RngStream(seed)
+    x = rng.randn((h, w), dtype=COMPLEX)
+    k = rng.randn((coils, h, w), dtype=COMPLEX)
+    ref_k, ref_x = fft2_sense(x, k, maps, mask)
+    assert relative(sense_apply(x, maps, mask, plan), ref_k) <= 1e-12
+    assert relative(sense_adjoint(k, maps, mask, plan), ref_x) <= 1e-12
+    dot_test(sense_operator(maps, mask), rng, trials=3, tol=1e-10)
+
+
+@pytest.mark.parametrize("shape, kind, acc", [((12, 16), "uniform1d", 4),
+                                              ((16, 12), "uniform1d", 4),
+                                              ((16, 24), "gaussian2d", 4),
+                                              ((12, 12), "uniform1d", 1)])
+def test_sense_rejects_non_power_of_two_images(shape, kind, acc):
+    maps = make_coil_maps(2, shape, 0)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 1), shape)
+    with pytest.raises(ConfigError, match="power-of-two"):
+        sense_operator(maps, mask)
+    with pytest.raises(ConfigError, match="power-of-two"):
+        sense_apply(np.zeros(shape, dtype=COMPLEX), maps, mask)
+    with pytest.raises(ConfigError, match="power-of-two"):
+        sense_adjoint(np.zeros((2,) + shape, dtype=COMPLEX), maps, mask)
 
 
 # ---------------------------------------------------------------------------

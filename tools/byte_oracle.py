@@ -1,11 +1,11 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
 
-Runs the CLI's `reconstruct` command in-process with `--seed 3` on 89
+Runs the CLI's `reconstruct` command in-process with `--seed 3` on 93
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
 `noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
-prints for each the name, the sha256 of the CSV and the exit code: 102
+prints for each the name, the sha256 of the CSV and the exit code: 106
 lines in all. Two checkouts behave the same on these runs exactly when the
 outputs match:
 
@@ -32,7 +32,7 @@ to its largest cell (0 when equal; inf when the rows, shapes or text cells
 disagree or one side lacks the file), then the worst case of each.
 
 The grid:
-- `mri2d` and `mri2d-noisy` (16x16, 2 coils) x the six DC strategies x
+- `mri2d` and `mri2d-noisy` (16x16, 2 coils, 2x) x the six DC strategies x
   VP (nfe 8) and VE (nfe 12) x {defaults, `scale_step_by_residual` with
   `xi` = `dps_step` = 0.5, `eta` = 0.5}: 72 configs;
 - a GMM prior with `dds-cg`/VP, `gradient`/VE and `ddnm`/VP with eta 0.5;
@@ -40,8 +40,12 @@ The grid:
 - VP `gradient` with `xi` = 1e16 and nfe 20, whose residual overflows, so
   its line pins the exit code of a diverging run (3);
 - VP `dds-cg` on each random mask kind (`gaussian1d`, `gaussian2d`,
-  `poisson-disk-vd`; every other `mri2d` config uses `uniform1d`);
+  `poisson-disk-vd`; the configs above use `uniform1d`);
 - VP `dps` with `dps_step` = -1, which the config check rejects (exit 2);
+- VP `dds-cg` and VE `ddnm` on `uniform1d` and `gaussian1d` at
+  acceleration 4, whose masks keep at most a third of the columns, so SENSE
+  runs its column path (every other `mri2d` config samples at acceleration
+  2 and runs the 2-D FFT);
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
@@ -88,7 +92,7 @@ complex = true
 kind = sense
 coils = 2
 mask_kind = {mask}
-acceleration = 2
+acceleration = {acc}
 acs_fraction = 0.1
 mask_seed = 3
 maps_seed = 5
@@ -151,6 +155,13 @@ VARIANTS = {
 }
 
 
+def mri(sampler: str, kind="mri2d", phantom="subspace-random", prior=AFFINE,
+        mask="uniform1d", acc=2) -> str:
+    """An `MRI` config; the defaults are the grid's 2x `uniform1d` problem."""
+    return MRI.format(kind=kind, phantom=phantom, prior=prior, mask=mask, acc=acc,
+                      sampler=sampler)
+
+
 def grid(repo: Path) -> list[tuple[str, str]]:
     """(name, config text) for every config of the oracle, in output order."""
     out = []
@@ -159,16 +170,11 @@ def grid(repo: Path) -> list[tuple[str, str]]:
             for mode, mode_keys in MODES.items():
                 for variant, extra in VARIANTS.items():
                     sampler = f"dc = {dc}\n{mode_keys}\n{extra}"
-                    out.append((f"{kind}/{dc}/{mode}/{variant}",
-                                MRI.format(kind=kind, phantom="subspace-random",
-                                           prior=AFFINE, mask="uniform1d",
-                                           sampler=sampler)))
+                    out.append((f"{kind}/{dc}/{mode}/{variant}", mri(sampler, kind=kind)))
     for dc, mode, extra in (("dds-cg", "vp", ""), ("gradient", "ve", ""),
                             ("ddnm", "vp", "eta = 0.5")):
         sampler = f"dc = {dc}\n{MODES[mode]}\n{extra}"
-        out.append((f"gmm/{dc}/{mode}", MRI.format(kind="mri2d", phantom="gmm-draw",
-                                                   prior=GMM, mask="uniform1d",
-                                                   sampler=sampler)))
+        out.append((f"gmm/{dc}/{mode}", mri(sampler, phantom="gmm-draw", prior=GMM)))
     for name, mask, sampler in (
         ("dds-cg/ve/truncation", "uniform1d", f"dc = dds-cg\n{MODES['ve']}\nve_truncation = 0.2"),
         ("gradient/vp/overflow", "uniform1d", "dc = gradient\nmode = vp\nnfe = 20\nxi = 1e16"),
@@ -176,8 +182,12 @@ def grid(repo: Path) -> list[tuple[str, str]]:
           for m in ("gaussian1d", "gaussian2d", "poisson-disk-vd")),
         ("dps/vp/negative-step", "uniform1d", f"dc = dps\n{MODES['vp']}\ndps_step = -1"),
     ):
-        out.append((f"mri2d/{name}", MRI.format(kind="mri2d", phantom="subspace-random",
-                                                prior=AFFINE, mask=mask, sampler=sampler)))
+        out.append((f"mri2d/{name}", mri(sampler, mask=mask)))
+    # 4x column masks keep at most a third of the columns: the SENSE column path
+    for mask in ("uniform1d", "gaussian1d"):
+        for dc, mode in (("dds-cg", "vp"), ("ddnm", "ve")):
+            out.append((f"mri2d/{dc}/{mode}/{mask}-4x",
+                        mri(f"dc = {dc}\n{MODES[mode]}", mask=mask, acc=4)))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),
@@ -200,8 +210,7 @@ def grid(repo: Path) -> list[tuple[str, str]]:
 SWEEPS = (("mri2d", "eta", "0.0,0.5"), ("mri2d", "nfe", "5,8"), ("mri2d", "cg-steps", "1,3"),
           ("ct3d", "cg-steps", "1,3"), ("ct3d", "lambda", "0.0,0.5"))
 SWEEP_CONFIGS = {
-    "mri2d": MRI.format(kind="mri2d", phantom="subspace-random", prior=AFFINE,
-                        mask="uniform1d", sampler=f"dc = dds-cg\n{MODES['vp']}"),
+    "mri2d": mri(f"dc = dds-cg\n{MODES['vp']}"),
     "ct3d": CT.format(sampler="mode = vp\nnfe = 6"),
 }
 # the reconstruct config whose estimate `metrics` scores against its phantom

@@ -16,23 +16,12 @@ from .diffusion import (
     VpSchedule,
     affine_prior_denoise,
     ddim_step,
-    eps_from_score,
     gmm_denoise,
     mcg_dps_gradient,
-    score_from_eps,
-    vp_tweedie,
 )
 from .dtf import read_dtf, write_dtf
-from .errors import ConfigError, IndefiniteOperatorError, NumericalError, SamplerDivergedError
-from .krylov import (
-    CgReport,
-    KrylovBasis,
-    cg,
-    cgls,
-    jacobi_residual_sequence,
-    krylov_basis,
-    subspace_distance,
-)
+from .errors import ConfigError, NumericalError, SamplerDivergedError
+from .krylov import CgReport, cgls
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
     CoilMaps,
@@ -42,7 +31,6 @@ from .operators import (
     diff_z_adjoint,
     diff_z_apply,
     diff_z_operator,
-    dot_test,
     identity_map,
     make_coil_maps,
     make_mask,

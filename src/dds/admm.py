@@ -10,6 +10,7 @@ single inner iteration converges over the course of the sampling loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,10 @@ class TvConfig:
     cg_steps: int = 5
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ConfigError("rho must be > 0")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not 0 < self.rho < math.inf:  # NaN fails every comparison
+            raise ConfigError("rho must be finite and > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be finite and >= 0")
         if self.cg_steps < 0:
             raise ConfigError("inner CG cap must be >= 0")
 
@@ -100,11 +101,6 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
     z_new = soft_threshold(dx + state.w, cfg.lam / cfg.rho)
     w_new = state.w + dx - z_new
     return xp, AdmmState(z=z_new, w=w_new, residual=report.residual)
-
-
-def tv_objective(x: np.ndarray, a: LinearMap, y: np.ndarray, lam: float) -> float:
-    r = a.apply(x) - y
-    return 0.5 * float(np.real(np.vdot(r, r))) + lam * float(np.sum(np.abs(diff_z_apply(x))))
 
 
 def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as xp
-from .dtf import read_dtf, write_dtf
+from .dtf import read_dtf, write_csv, write_dtf
 from .errors import ConfigError, NumericalError
 from .metrics import psnr
 from .tensor import RngStream
@@ -88,7 +88,7 @@ def cmd_sweep(args) -> int:
     repeats = args.repeats if args.repeats is not None else cfg.get("sweep", "repeats", 1, int)
     rows = xp.run_sweep(cfg, axis, values, repeats, seed=args.seed, jobs=args.jobs)
     header = xp.MET_COLUMNS if args.timing else xp.MET_HEADER
-    xp.write_csv(args.out, header, [r.as_list(timing=args.timing) for r in rows])
+    write_csv(args.out, header, [r.as_list(timing=args.timing) for r in rows])
     print(f"sweep over {axis}: {len(rows)} rows -> {args.out}")
     return 0
 
@@ -97,7 +97,7 @@ def cmd_noise_offset(args) -> int:
     cfg = _load_cfg(args.config) if args.config else xp.ExperimentConfig("")
     ncfg = cfg.read("noise_offset", xp.NoiseOffsetConfig)
     rows, means, wins = xp.run_noise_offset_experiment(ncfg, args.seed)
-    xp.write_csv(args.out, xp.NOISE_OFFSET_HEADER, rows)
+    write_csv(args.out, xp.NOISE_OFFSET_HEADER, rows)
     print(f"noise offset: dds-cg smallest in {wins}/{ncfg.trials} trials -> {args.out}")
     for strat, off in means.items():
         print(f"  {strat:12s} mean offset {off:.5f}")
@@ -114,7 +114,7 @@ def cmd_metrics(args) -> int:
                         ssim=xp.magnitude_ssim(mx, mref),
                         residual=float(np.linalg.norm((x - ref).ravel())))
     if args.out:
-        xp.write_csv(args.out, xp.MET_HEADER, [row.as_list()])
+        write_csv(args.out, xp.MET_HEADER, [row.as_list()])
     print(f"psnr {row.psnr:.4f} dB, ssim {row.ssim:.6f}, residual {row.residual:.6e}")
     return 0
 

@@ -42,6 +42,12 @@ def smooth_random_field(rng: RngStream, shape, length: float, dtype=REAL) -> np.
     return out
 
 
+# the linear-beta training schedule that VpSchedule.default subsamples
+_TRAIN_STEPS = 1000
+_BETA_START = 1e-4
+_BETA_END = 0.02
+
+
 @dataclass(frozen=True)
 class VpSchedule:
     """Variance-preserving discretization: beta_t, alpha_t, abar_t, btilde_t.
@@ -96,14 +102,13 @@ class VpSchedule:
         return cls(betas=b, alphas=a, abars=abar, btildes=bt)
 
     @classmethod
-    def default(cls, n_steps: int, train_steps: int = 1000,
-                beta_start: float = 1e-4, beta_end: float = 0.02) -> "VpSchedule":
+    def default(cls, n_steps: int) -> "VpSchedule":
         """Linear training betas subsampled to n_steps by even index striding."""
-        if not (2 <= n_steps <= train_steps):
-            raise ConfigError("need 2 <= n_steps <= train_steps")
-        b_tr = np.linspace(beta_start, beta_end, train_steps)
+        if not (2 <= n_steps <= _TRAIN_STEPS):
+            raise ConfigError(f"need 2 <= n_steps <= {_TRAIN_STEPS}")
+        b_tr = np.linspace(_BETA_START, _BETA_END, _TRAIN_STEPS)
         abar_tr = np.cumprod(1.0 - b_tr)
-        idx = np.array([((k + 1) * train_steps) // n_steps - 1 for k in range(n_steps)])
+        idx = np.array([((k + 1) * _TRAIN_STEPS) // n_steps - 1 for k in range(n_steps)])
         abar = abar_tr[idx]
         prev = np.concatenate([[1.0], abar[:-1]])
         betas = 1.0 - abar / prev
@@ -160,33 +165,12 @@ def _check_t(sched, t: int):
 
 
 # ---------------------------------------------------------------------------
-# Tweedie denoising and parameterization conversions
-
-def vp_tweedie(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched) -> np.ndarray:
-    """Posterior-mean estimate xhat = (x_t - sqrt(var_t) eps_hat) / scale_t."""
-    _check_t(sched, t)
-    return (x_t - math.sqrt(sched.var(t)) * eps_hat) / sched.scale(t)
-
+# Noise prediction from the denoised estimate
 
 def eps_from_denoised(x_t: np.ndarray, xhat: np.ndarray, t: int, sched) -> np.ndarray:
+    """eps_hat = (x_t - scale_t xhat) / sqrt(var_t), the noise that Tweedie's xhat implies."""
     _check_t(sched, t)
     return (x_t - sched.scale(t) * xhat) / math.sqrt(sched.var(t))
-
-
-def score_from_denoised(x_t: np.ndarray, xhat: np.ndarray, t: int, sched) -> np.ndarray:
-    _check_t(sched, t)
-    return (sched.scale(t) * xhat - x_t) / sched.var(t)
-
-
-def score_from_eps(eps: np.ndarray, t: int, sched) -> np.ndarray:
-    """shat = -eps_hat / sqrt(var_t)."""
-    _check_t(sched, t)
-    return -eps / math.sqrt(sched.var(t))
-
-
-def eps_from_score(score: np.ndarray, t: int, sched) -> np.ndarray:
-    _check_t(sched, t)
-    return -score * math.sqrt(sched.var(t))
 
 
 # ---------------------------------------------------------------------------

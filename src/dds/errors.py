@@ -13,10 +13,6 @@ class NumericalError(RuntimeError):
     """A computation produced non-finite values or violated a numerical precondition."""
 
 
-class IndefiniteOperatorError(NumericalError):
-    """CG encountered a search-direction curvature that is negative beyond round-off."""
-
-
 class SamplerDivergedError(NumericalError):
     """A sampling run produced non-finite values; carries the trace up to the failure."""
 

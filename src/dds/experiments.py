@@ -24,7 +24,6 @@ from .diffusion import (
     VeSchedule,
     smooth_random_field,
 )
-from .dtf import write_csv  # noqa: F401  (the CSV writer of every artifact; cli uses it)
 from .errors import ConfigError
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
@@ -133,9 +132,7 @@ class ExperimentConfig:
     def get_ints(self, section, key, default=None):
         return self.get(section, key, default, annotation_cast(tuple[int, ...]))
 
-    def has(self, section, key=None) -> bool:
-        if key is None:
-            return self._cp.has_section(section)
+    def has(self, section, key) -> bool:
         return self._cp.has_option(section, key)
 
     def read(self, section: str, cls, **overrides):
@@ -165,20 +162,30 @@ class Problem:
     aux: dict = field(default_factory=dict)
 
 
+def _nonnegative(cfg: ExperimentConfig, section: str, key: str, default: float) -> float:
+    """``[section] key`` as a finite float >= 0; NaN fails the comparison."""
+    v = cfg.get(section, key, default, float)
+    if not 0 <= v < math.inf:
+        raise ConfigError(f"[{section}] {key} = {v} must be finite and >= 0")
+    return v
+
+
 def build_prior(cfg: ExperimentConfig, signal_shape):
     kind = cfg.get("prior", "kind", "affine")
     seed = cfg.get("prior", "seed", 0, int)
     use_complex = cfg.get("prior", "complex", True, bool)
-    smooth = cfg.get("prior", "smooth", 0.0, float)
+    smooth = _nonnegative(cfg, "prior", "smooth", 0.0)
     dtype = COMPLEX if use_complex else REAL
     if kind == "affine":
         dim = cfg.get("prior", "dim", 8, int)
-        offs = cfg.get("prior", "offset_scale", 0.0, float)
+        offs = _nonnegative(cfg, "prior", "offset_scale", 0.0)
         return AffineSubspacePrior.random(signal_shape, dim, seed=seed, dtype=dtype,
                                           offset_scale=offs, smooth=smooth)
     if kind == "gmm":
         k = cfg.get("prior", "components", 3, int)
-        tau = cfg.get("prior", "tau", 0.1, float)
+        if k < 1:
+            raise ConfigError(f"[prior] components = {k} must be >= 1")
+        tau = _nonnegative(cfg, "prior", "tau", 0.1)
         scale = cfg.get("prior", "mean_scale", 1.0, float)
         rng = RngStream(seed)
         means = np.stack([
@@ -222,7 +229,6 @@ def build_phantom(cfg: ExperimentConfig, prior):
 
 def build_operator(cfg: ExperimentConfig, signal_shape):
     kind = cfg.get("operator", "kind", "sense")
-    aux = {}
     if kind == "sense":
         spec = MaskSpec(
             kind=cfg.get("operator", "mask_kind", "uniform1d"),
@@ -233,9 +239,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
         mask = make_mask(spec, signal_shape[-2:])
         maps = make_coil_maps(cfg.get("operator", "coils", 1, int), signal_shape[-2:],
                               seed=cfg.get("operator", "maps_seed", 0, int))
-        aux["mask"] = mask
-        aux["maps"] = maps.maps
-        return sense_operator(maps, mask), aux
+        return sense_operator(maps, mask), {"mask": mask, "maps": maps.maps}
     if kind == "radon3d":
         if len(signal_shape) != 3:
             raise ConfigError("radon3d needs a 3-D phantom shape")
@@ -244,8 +248,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
             cfg.get("operator", "angles", 12, int),
             cfg.get("operator", "detector_bins", signal_shape[-1], int),
         )
-        aux["geometry"] = geom
-        return slice_radon_operator(geom, signal_shape[0]), aux
+        return slice_radon_operator(geom, signal_shape[0]), {}
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -268,7 +271,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         )
     x_in = x_true.astype(a.domain_dtype)
     y = a.apply(x_in)
-    sigma = cfg.get("problem", "noise_sigma", 0.0, float)
+    sigma = _nonnegative(cfg, "problem", "noise_sigma", 0.0)
     if kind == "mri2d-noisy" and sigma == 0.0:
         sigma = 0.05
     if sigma > 0:

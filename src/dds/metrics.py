@@ -29,15 +29,19 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float | None = None) -> float:
     return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    ax = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
+# SSIM constants (Wang et al. 2004): stabilizers K1, K2 and the Gaussian window
+_K1, _K2 = 0.01, 0.03
+_WINDOW, _SIGMA = 11, 1.5
+
+
+def _gaussian_window() -> np.ndarray:
+    ax = np.arange(_WINDOW) - (_WINDOW - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * _SIGMA ** 2))
     k = np.outer(g, g)
     return k / k.sum()
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, *, k1: float = 0.01, k2: float = 0.03,
-         window: int = 11, sigma: float = 1.5) -> float:
+def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5), valid region.
 
     Dynamic range is ref.max() - ref.min(); a constant reference falls back
@@ -49,17 +53,17 @@ def ssim(x: np.ndarray, ref: np.ndarray, *, k1: float = 0.01, k2: float = 0.03,
         raise ConfigError("ssim: shape mismatch")
     if x.ndim != 2:
         raise ConfigError("ssim expects 2-D magnitude images")
-    if min(x.shape) < window:
-        raise ConfigError(f"ssim: image smaller than the {window}x{window} window")
+    if min(x.shape) < _WINDOW:
+        raise ConfigError(f"ssim: image smaller than the {_WINDOW}x{_WINDOW} window")
     drange = float(ref.max() - ref.min())
     if drange == 0.0:
         drange = 1.0
-    c1 = (k1 * drange) ** 2
-    c2 = (k2 * drange) ** 2
-    w = _gaussian_window(window, sigma)
+    c1 = (_K1 * drange) ** 2
+    c2 = (_K2 * drange) ** 2
+    w = _gaussian_window()
 
     def local(img_a, img_b):
-        view = np.lib.stride_tricks.sliding_window_view(img_a * img_b, (window, window))
+        view = np.lib.stride_tricks.sliding_window_view(img_a * img_b, (_WINDOW, _WINDOW))
         return np.einsum("ijkl,kl->ij", view, w)
 
     ones = np.ones_like(x)

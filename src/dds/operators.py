@@ -70,21 +70,6 @@ def matrix_operator(mat: np.ndarray, name="dense") -> LinearMap:
                      domain_dtype=dtype, name=name)
 
 
-def dot_test(op: LinearMap, rng: RngStream, trials: int = 20, tol: float = 1e-10) -> float:
-    """Randomized adjoint check; returns the worst relative defect."""
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.randn(op.domain_shape, dtype=op.domain_dtype)
-        y = rng.randn(op.range_shape, dtype=op.range_dtype)
-        lhs = np.vdot(y, op.apply(x))
-        rhs = np.vdot(op.adjoint(y), x)
-        scale = np.linalg.norm(x.ravel()) * np.linalg.norm(y.ravel())
-        worst = max(worst, abs(lhs - rhs) / max(scale, 1e-300))
-    if worst > tol:
-        raise ConfigError(f"{op.name or 'operator'}: dot-test failed ({worst:.3e} > {tol:.1e})")
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Undersampling masks
 
@@ -101,8 +86,8 @@ class MaskSpec:
     def __post_init__(self):
         if self.kind not in MASK_KINDS:
             raise ConfigError(f"unknown mask kind {self.kind!r}")
-        if self.acceleration < 1:
-            raise ConfigError("acceleration must be >= 1")
+        if not 1 <= self.acceleration < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"acceleration = {self.acceleration} must be finite and >= 1")
         if not (0.0 <= self.acs_fraction < 1.0):
             raise ConfigError("acs fraction must lie in [0, 1)")
 

@@ -60,6 +60,8 @@ def shepp_logan_2d(n: int) -> np.ndarray:
 
 def shepp_logan_3d(shape) -> np.ndarray:
     """(nz, n, n) ellipsoid phantom; each axial slice is a section at fixed z."""
+    if len(shape) != 3:
+        raise ConfigError(f"shepp_logan_3d expects a 3-D shape, got {tuple(shape)}")
     nz, h, w = (int(s) for s in shape)
     if h != w:
         raise ConfigError("shepp_logan_3d expects square axial slices")

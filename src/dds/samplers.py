@@ -41,6 +41,10 @@ DC_STRATEGIES = ("dds-cg", "dds-proximal-cg", "ddnm", "projection", "gradient", 
 
 _ETA_ANCHORS = ((19, 0.15), (49, 0.5), (99, 0.8))
 
+# pseudo-inverse CGLS: tolerance relative to ||A*r||, and its iteration cap
+_PINV_TOL = 1e-10
+_PINV_MAXITER = 200
+
 
 def default_eta(nfe: int) -> float:
     """Stochasticity default per NFE: 0.15 @ 19, 0.5 @ 49, 0.8 @ 99 (nearest)."""
@@ -131,8 +135,7 @@ class ReconResult:
 # ---------------------------------------------------------------------------
 # Pseudo-inverse machinery
 
-def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
-                         maxiter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def pseudo_inverse_apply(a: LinearMap, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply the Moore-Penrose pseudo-inverse to a range tensor: (A+ r, r - A A+ r).
 
     Runs CGLS from zero on min ||r - Az||, whose limit is the min-norm
@@ -145,7 +148,7 @@ def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
     only outright non-convergence (relative residual above 1e-2) raises.
     """
     rn = norm(a.adjoint(r))  # the tolerance is relative, so the solve needs it up front
-    z, rep = cg(a, r, None, maxiter, tol * rn)
+    z, rep = cg(a, r, None, _PINV_MAXITER, _PINV_TOL * rn)
     if rep.residual_norms[-1] > 1e-2 * rn:
         raise NumericalError(
             f"pseudo-inverse CG did not converge (relative residual "
@@ -157,13 +160,12 @@ def pseudo_inverse_apply(a: LinearMap, r: np.ndarray, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # Data-consistency steps
 
-def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray, tol: float = 1e-10,
-              maxiter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Range-space replacement (I - A+A) xhat + A+ y, via xhat + A+(y - A xhat).
 
     Returns x' with the y - A x' that the pseudo-inverse solve carried.
     """
-    z, residual = pseudo_inverse_apply(a, y - a.apply(xhat), tol=tol, maxiter=maxiter)
+    z, residual = pseudo_inverse_apply(a, y - a.apply(xhat))
     return xhat + z, residual
 
 

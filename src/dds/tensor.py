@@ -100,6 +100,8 @@ class RngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be >= 0")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         self.draws = 0
 

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from dds.admm import AdmmState, SliceDenoiser, TvConfig, admm_tv_dc, dds_3d_reconstruct, soft_threshold, tv_objective
+from dds.admm import AdmmState, SliceDenoiser, TvConfig, admm_tv_dc, dds_3d_reconstruct, soft_threshold
 from dds.diffusion import (
     AffineSubspaceDenoiser,
     AffineSubspacePrior,
@@ -33,13 +33,11 @@ from dds.diffusion import (
     ddim_step as vp_ddim_step,
 )
 from dds.experiments import NoiseOffsetConfig, run_noise_offset_experiment
-from dds.krylov import cg, krylov_basis, subspace_distance
 from dds.metrics import psnr
 from dds.operators import (
     MaskSpec,
     RadonGeometry,
     diff_z_operator,
-    dot_test,
     make_coil_maps,
     make_mask,
     matrix_operator,
@@ -50,6 +48,7 @@ from dds.operators import (
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
 
+from oracles import cg, dot_test, krylov_basis, subspace_distance, tv_objective
 from test_operators import adjoint_to_matrix, naive_radon_matrix, op_to_matrix
 
 

@@ -9,14 +9,13 @@ from dds.admm import (
     admm_tv_dc,
     dds_3d_reconstruct,
     soft_threshold,
-    tv_objective,
 )
 from dds.diffusion import AffineSubspaceDenoiser, AffineSubspacePrior
 from dds.errors import ConfigError
-from dds.krylov import cg
 from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
+from oracles import cg, tv_objective
 from test_krylov import counted
 from test_operators import normal_map
 from test_samplers import trace_against_dc_outputs

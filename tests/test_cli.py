@@ -356,15 +356,72 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("shape = 16 16", "shape = 16", "shape = 16"),
     ("dim = 4", "dim = 400", "dim = 400"),
     ("complex = true", "complex = maybe", "[prior] complex='maybe'"),
+    ("kind = affine", "kind = gmm\ncomponents = 0", "[prior] components = 0 must be >= 1"),
+    ("kind = affine", "kind = gmm\ncomponents = -1", "[prior] components = -1 must be >= 1"),
+    ("acceleration = 2", "acceleration = nan", "acceleration = nan must be finite"),
+    ("mask_kind = uniform1d\nacceleration = 2",
+     "mask_kind = poisson-disk-vd\nacceleration = nan", "acceleration = nan must be finite"),
+    ("acceleration = 2", "acceleration = inf", "acceleration = inf must be finite"),
+    ("kind = subspace-random", "kind = shepp-logan-3d", "expects a 3-D shape, got (16, 16)"),
+    ("mask_seed = 3", "mask_seed = -3", "seed = -3 must be >= 0"),
+    ("kind = mri2d", "kind = mri2d\nnoise_sigma = -0.1", "[problem] noise_sigma = -0.1 must be"),
+    ("kind = mri2d", "kind = mri2d\nnoise_sigma = nan", "[problem] noise_sigma = nan must be"),
+    ("kind = mri2d", "kind = mri2d\nnoise_sigma = inf", "[problem] noise_sigma = inf must be"),
+    ("kind = affine", "kind = gmm\ntau = -0.1", "[prior] tau = -0.1 must be finite and >= 0"),
+    ("kind = affine", "kind = gmm\ntau = nan", "[prior] tau = nan must be finite and >= 0"),
+    ("kind = affine", "kind = gmm\ntau = inf", "[prior] tau = inf must be finite and >= 0"),
+    ("dim = 4", "dim = 4\nsmooth = -2", "[prior] smooth = -2.0 must be finite and >= 0"),
+    ("dim = 4", "dim = 4\nsmooth = nan", "[prior] smooth = nan must be finite and >= 0"),
+    ("dim = 4", "dim = 4\noffset_scale = -1", "[prior] offset_scale = -1.0 must be finite"),
+    ("dim = 4", "dim = 4\noffset_scale = nan", "[prior] offset_scale = nan must be finite"),
 ], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels",
-        "non-boolean-complex"])
+        "non-boolean-complex", "gmm-no-components", "gmm-negative-components",
+        "nan-acceleration-uniform1d", "nan-acceleration-poisson-disk-vd",
+        "inf-acceleration-uniform1d", "shepp-logan-3d-on-2d-shape", "negative-mask-seed",
+        "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
+        "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
+        "nan-offset-scale"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
-    # each used to end in a traceback and exit 1
+    # each used to end in a traceback and exit 1, or, from negative-noise-sigma
+    # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
+    # offset_scale as 0, a negative tau with its sign lost in tau^2) or to
+    # carry inf or NaN into the data
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
     _one_line_error(r)
     assert named in r.stderr
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("rho = 0.5", "rho = nan", "rho must be finite and > 0"),
+    ("rho = 0.5", "rho = inf", "rho must be finite and > 0"),
+    ("lam = 0.5", "lam = nan", "lambda must be finite and >= 0"),
+    ("lam = 0.5", "lam = inf", "lambda must be finite and >= 0"),
+], ids=["nan-rho", "inf-rho", "nan-lambda", "inf-lambda"])
+def test_non_finite_tv_value_exits_2(tmp_path, old, new, named):
+    # NaN and inf passed TvConfig's <=/< checks and failed only inside the run
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace(old, new))
+    out = tmp_path / "r"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert named in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("reconstruct", []),
+    ("sweep", ["--axis", "eta", "--values", "0.0"]),
+    ("noise-offset", []),
+])
+def test_negative_command_line_seed_exits_2(cfg_file, tmp_path, command, extra):
+    # numpy's "expected non-negative integer" used to end in a traceback
+    out = tmp_path / "out"
+    r = run_cli(command, "--config", str(cfg_file), *extra, "--seed", "-1", "--out", str(out))
+    _one_line_error(r)
+    assert "seed = -1 must be >= 0" in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bins", ["0", "-1"])

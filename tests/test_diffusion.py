@@ -13,17 +13,14 @@ from dds.diffusion import (
     affine_prior_denoise,
     ddim_step,
     eps_from_denoised,
-    eps_from_score,
     gmm_denoise,
     mcg_dps_gradient,
-    score_from_denoised,
-    score_from_eps,
     smooth_random_field,
-    vp_tweedie,
 )
 from dds.errors import ConfigError
 from dds.operators import matrix_operator
 from dds.tensor import COMPLEX, REAL, RngStream, norm
+from oracles import eps_from_score, score_from_denoised, score_from_eps, vp_tweedie
 
 
 # ---------------------------------------------------------------------------

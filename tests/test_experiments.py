@@ -2,9 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dds.admm import TvConfig
-from dds.errors import ConfigError
+from dds.dtf import write_csv
+from dds.errors import ConfigError, NumericalError
 from dds.experiments import (
     CONFIG_KEYS,
     MET_HEADER,
@@ -19,9 +22,9 @@ from dds.experiments import (
     run_sweep,
     sampler_config,
     tv_config,
-    write_csv,
 )
-from dds.samplers import SamplerConfig
+from dds.operators import MASK_KINDS
+from dds.samplers import DC_STRATEGIES, SamplerConfig
 from dds.tensor import RngStream
 
 BASE_CFG = """
@@ -451,3 +454,42 @@ def test_simulate_artifacts_match_regeneration(tmp_path):
     assert np.array_equal(read_dtf(tmp_path / "mask.dtf"), p2.aux["mask"])
     assert np.array_equal(p1.aux["maps"], p2.aux["maps"])
     assert np.array_equal(p1.y, p2.y)
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzer: any value of any key ends in ConfigError or NumericalError
+
+FUZZ_BASES = {
+    "mri2d": {"problem": {"kind": "mri2d"}, "phantom": {"shape": "16 16"},
+              "prior": {"dim": "4"}, "operator": {"coils": "2", "acceleration": "2"}},
+    "ct3d": {"problem": {"kind": "ct3d"}, "phantom": {"shape": "2 8 8"},
+             "prior": {"dim": "3", "complex": "false"},
+             "operator": {"kind": "radon3d", "angles": "5"}},
+}
+FUZZ_VALUES = ("nan", "inf", "-1", "0", "1", "1e400", "abc", "", "true",
+               "mri2d", "mri2d-noisy", "ct3d", "subspace-random", "gmm-draw",
+               "shepp-logan-2d", "shepp-logan-3d", "affine", "gmm", "sense", "radon3d",
+               "vp", "ve", *MASK_KINDS, *DC_STRATEGIES,
+               "16 16", "8 16", "6 6", "0 8", "16", "2 8 8", "4 16 16", "3 6 6", "2 2 2 2")
+FUZZ_KEYS = sorted((section, key) for section, keys in CONFIG_KEYS.items() for key in keys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from(sorted(FUZZ_BASES)),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=4))
+def test_fuzzed_config_raises_only_config_or_numerical_errors(base, edits):
+    # the CLI maps these two to exit 2 and 3; anything else would be a traceback
+    sections = {section: dict(keys) for section, keys in FUZZ_BASES[base].items()}
+    for (section, key), value in edits:
+        sections.setdefault(section, {})[key] = value
+    cfg = ExperimentConfig("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()))
+    for read in (lambda: sampler_config(cfg, seed=0), lambda: tv_config(cfg),
+                 lambda: cfg.read("noise_offset", NoiseOffsetConfig),
+                 lambda: build_problem(cfg)):
+        try:
+            read()
+        except (ConfigError, NumericalError):
+            pass

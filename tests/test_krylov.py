@@ -3,14 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dds.errors import ConfigError, IndefiniteOperatorError
-from dds.krylov import (
-    cg,
-    cgls,
-    jacobi_residual_sequence,
-    krylov_basis,
-    subspace_distance,
-)
+from dds.errors import ConfigError
+from dds.krylov import cgls
 from dds.operators import (
     LinearMap,
     MaskSpec,
@@ -24,6 +18,13 @@ from dds.operators import (
     slice_radon_operator,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
+from oracles import (
+    IndefiniteOperatorError,
+    cg,
+    jacobi_residual_sequence,
+    krylov_basis,
+    subspace_distance,
+)
 from test_operators import normal_map, op_to_matrix
 
 

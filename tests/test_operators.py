@@ -15,7 +15,6 @@ from dds.operators import (
     _acs_square,
     diff_z_apply,
     diff_z_operator,
-    dot_test,
     make_coil_maps,
     make_mask,
     matrix_operator,
@@ -30,6 +29,7 @@ from dds.operators import (
     slice_radon_operator,
 )
 from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
+from oracles import dot_test
 
 
 def normal_map(a, gamma=1.0, plus=None):

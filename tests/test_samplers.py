@@ -310,7 +310,7 @@ def test_dds_cg_residual_never_worse_than_denoised_start():
     sched = VpSchedule.default(10)
     # replay the loop manually to compare pre/post DC residuals
     from dds.diffusion import ddim_step, eps_from_denoised
-    from dds.krylov import cg
+    from oracles import cg
     rng = RngStream(3)
     x = rng.randn((32, 32), dtype=COMPLEX)
     nrm = normal_map(a)

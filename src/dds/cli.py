@@ -36,7 +36,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_dtf(out / "x_true.dtf", problem.x_true)
-    write_dtf(out / "y.dtf", problem.y)
+    write_dtf(out / "y.dtf", problem.a.embedding.apply(problem.y))
     if "mask" in problem.aux:
         write_dtf(out / "mask.dtf", problem.aux["mask"])
     if "maps" in problem.aux:
@@ -55,9 +55,10 @@ def cmd_reconstruct(args) -> int:
         if not y_path.exists():
             raise ConfigError(f"measurements not found: {y_path}")
         y = read_dtf(y_path)
-        if y.shape != problem.a.range_shape:
+        e = problem.a.embedding
+        if y.shape != e.range_shape:
             raise ConfigError("measurement shape does not match the configured operator")
-        problem.y = y.astype(problem.a.range_dtype)
+        problem.y = e.adjoint(y.astype(e.range_dtype))
         xt_path = indir / "x_true.dtf"
         problem.x_true = read_dtf(xt_path) if xt_path.exists() else problem.x_true
     scfg = xp.sampler_config(cfg, seed=args.seed)

@@ -269,14 +269,20 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         raise ConfigError(
             f"phantom shape {x_true.shape} does not match operator domain {a.domain_shape}"
         )
-    x_in = x_true.astype(a.domain_dtype)
-    y = a.apply(x_in)
+    if a.domain_dtype == REAL and cfg.get("prior", "complex", True, bool):
+        # the cast below would drop the phantom's imaginary part
+        raise ConfigError(f"[prior] complex = true needs a complex operator domain; "
+                          f"{a.name} is real: set [prior] complex = false")
+    y = a.apply(x_true.astype(a.domain_dtype))
     sigma = _nonnegative(cfg, "problem", "noise_sigma", 0.0)
     if kind == "mri2d-noisy" and sigma == 0.0:
         sigma = 0.05
     if sigma > 0:
+        # drawn over the data (k-space for SENSE), then mapped into the range:
+        # only measured entries carry noise
         nrng = RngStream(cfg.get("problem", "noise_seed", 0, int))
-        y = y + sigma * nrng.randn(y.shape, dtype=a.range_dtype)
+        e = a.embedding
+        y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
     return Problem(kind=kind, a=a, y=y, x_true=x_true, denoiser=make_denoiser(prior),
                    prior=prior, noise_sigma=sigma, aux=aux)
 

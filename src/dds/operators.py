@@ -309,17 +309,31 @@ class SensePlan:
     For a column mask (constant along k_y, axis -2, with n <= W/3 nonzero
     columns) ``cols`` are the sampled k_x columns and ``dft`` the unitary
     W-point DFT restricted to them, F_W[:, cols] (W x n), each column scaled
-    by its mask value; ``idft`` is its adjoint (n x W). Apply is then one
-    (c*H x W) @ dft matmul and a k_y FFT over the n columns, scattered into
-    zeroed k-space. Any other mask leaves ``cols`` None and runs
-    ``mask * fft2(maps * x)``: above W/3 columns, or for 2-D masks, the
-    restricted transform measured slower than the full FFT.
+    by its mask value; ``idft`` is its adjoint (n x W). The mask commutes
+    with the unitary k_y transform F_y, so the data are kept in hybrid
+    space at the sampled columns, F_y* k[:, :, cols] of shape (c, H, n):
+    apply is one (c*H x W) @ dft matmul and adjoint one (c*H x n) @ idft
+    matmul, with no FFT. ``embed`` (E) and ``restrict`` (E*) convert
+    between that hybrid data and zero-filled k-space. Any other mask leaves
+    ``cols`` None and runs ``mask * fft2(maps * x)`` on k-space: above W/3
+    columns, or for 2-D masks, the restricted transform measured slower
+    than the full FFT.
     """
 
     conj_maps: np.ndarray
     cols: np.ndarray | None = None
     dft: np.ndarray | None = None
     idft: np.ndarray | None = None
+
+    def embed(self, hybrid: np.ndarray) -> np.ndarray:
+        """E: hybrid columns (c, H, n) -> k-space (c, H, W), zero off ``cols``."""
+        k = np.zeros(hybrid.shape[:-1] + (self.dft.shape[0],), dtype=COMPLEX)
+        k[:, :, self.cols] = fft1(hybrid, axis=-2)
+        return k
+
+    def restrict(self, k: np.ndarray) -> np.ndarray:
+        """E*: the sampled columns of k-space (c, H, W), back in hybrid space."""
+        return ifft1(k[:, :, self.cols], axis=-2)
 
 
 def sense_plan(maps: CoilMaps, mask: np.ndarray) -> SensePlan:
@@ -340,10 +354,13 @@ def sense_plan(maps: CoilMaps, mask: np.ndarray) -> SensePlan:
 
 
 def sense_apply(x: np.ndarray, maps: CoilMaps, mask: np.ndarray,
-                plan: SensePlan | None = None) -> np.ndarray:
+                plan: SensePlan | None = None, embed: bool = True) -> np.ndarray:
     """Stacked k-space ``mask * F(maps * x)`` of image ``x``.
 
-    ``plan`` is ``sense_plan(maps, mask)``, built here when not given.
+    ``plan`` is ``sense_plan(maps, mask)``, built here when not given. On a
+    column plan the k-space is ``plan.embed`` of the hybrid columns, and
+    ``embed=False`` returns those columns (c, H, n) instead: the range of
+    ``sense_operator``.
     """
     x = np.asarray(x, dtype=COMPLEX)
     if x.shape != maps.image_shape:
@@ -353,34 +370,63 @@ def sense_apply(x: np.ndarray, maps: CoilMaps, mask: np.ndarray,
     if plan.cols is None:
         return mask[None, :, :] * fft2(coil)
     c, h, w = coil.shape
-    k = np.zeros_like(coil)
-    k[:, :, plan.cols] = fft1((coil.reshape(c * h, w) @ plan.dft).reshape(c, h, -1), axis=-2)
-    return k
+    hybrid = (coil.reshape(c * h, w) @ plan.dft).reshape(c, h, -1)
+    return plan.embed(hybrid) if embed else hybrid
 
 
 def sense_adjoint(k: np.ndarray, maps: CoilMaps, mask: np.ndarray,
-                  plan: SensePlan | None = None) -> np.ndarray:
-    """Image ``sum_c conj(maps_c) * F^H(mask * k_c)``, the adjoint of sense_apply."""
+                  plan: SensePlan | None = None, embed: bool = True) -> np.ndarray:
+    """Image ``sum_c conj(maps_c) * F^H(mask * k_c)``, the adjoint of sense_apply.
+
+    With ``embed=False`` on a column plan, ``k`` is hybrid columns (c, H, n)
+    and ``plan.restrict`` is skipped.
+    """
     k = np.asarray(k, dtype=COMPLEX)
-    if k.shape != (maps.ncoils,) + maps.image_shape:
-        raise ConfigError(f"sense_adjoint: expected shape {(maps.ncoils,) + maps.image_shape}")
     plan = sense_plan(maps, mask) if plan is None else plan
+    shape = (maps.ncoils,) + maps.image_shape
+    if not (embed or plan.cols is None):
+        shape = shape[:2] + plan.cols.shape
+    if k.shape != shape:
+        raise ConfigError(f"sense_adjoint: expected shape {shape}, got {k.shape}")
     if plan.cols is None:
         return np.sum(plan.conj_maps * ifft2(mask[None, :, :] * k), axis=0)
-    c, h, w = k.shape
-    hybrid = ifft1(k[:, :, plan.cols], axis=-2)
-    return np.sum(plan.conj_maps * (hybrid.reshape(c * h, -1) @ plan.idft).reshape(c, h, w),
+    hybrid = plan.restrict(k) if embed else k
+    c, h, n = hybrid.shape
+    return np.sum(plan.conj_maps * (hybrid.reshape(c * h, n) @ plan.idft).reshape(c, h, -1),
                   axis=0)
 
 
 def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
-    """A = P F S as a LinearMap over its SensePlan."""
+    """A = P F S as a LinearMap over its SensePlan, holding E as ``.embedding``.
+
+    On a column plan the range is the hybrid data (c, H, n), and
+    ``.embedding`` is E: range -> k-space (c, H, W), with E* as its adjoint.
+    Otherwise the range is k-space and ``.embedding`` the projection onto
+    the mask's support. ||y_hat - A x|| then counts measured entries only.
+    """
     mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
     plan = sense_plan(maps, mask)
-    return LinearMap(maps.image_shape, (maps.ncoils,) + maps.image_shape,
-                     lambda x: sense_apply(x, maps, mask, plan),
-                     lambda k: sense_adjoint(k, maps, mask, plan),
-                     domain_dtype=COMPLEX, name=name)
+    kspace = (maps.ncoils,) + maps.image_shape
+    if plan.cols is None:
+        support = mask != 0
+
+        def project(k):
+            return np.where(support, k, 0)
+
+        embedding = LinearMap(kspace, kspace, project, project, name=f"{name} support")
+        range_shape = kspace
+    else:
+        range_shape = kspace[:2] + plan.cols.shape
+        embedding = LinearMap(range_shape, kspace, plan.embed, plan.restrict,
+                              name=f"{name} embedding")
+    # sense_apply/sense_adjoint are looked up at call time, so wrappers
+    # installed on this module see every apply
+    op = LinearMap(maps.image_shape, range_shape,
+                   lambda x: sense_apply(x, maps, mask, plan, embed=False),
+                   lambda k: sense_adjoint(k, maps, mask, plan, embed=False),
+                   domain_dtype=COMPLEX, name=name)
+    op.embedding = embedding
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +597,13 @@ def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
                    lambda s: radon_adjoint(s, geom, mat),
                    domain_dtype=REAL, name=name)
     op.matrix = mat
+    op.embedding = identity_map(op.range_shape, dtype=REAL)  # sinograms are the data
     return op
 
 
 def radon_operator(geom: RadonGeometry, name="radon") -> LinearMap:
-    """2-D Radon as a LinearMap holding its system matrix as ``.matrix``."""
+    """2-D Radon as a LinearMap holding its system matrix as ``.matrix`` and
+    the identity as ``.embedding``."""
     return _radon_map(geom, (), name)
 
 

@@ -374,18 +374,19 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("dim = 4", "dim = 4\nsmooth = nan", "[prior] smooth = nan must be finite and >= 0"),
     ("dim = 4", "dim = 4\noffset_scale = -1", "[prior] offset_scale = -1.0 must be finite"),
     ("dim = 4", "dim = 4\noffset_scale = nan", "[prior] offset_scale = nan must be finite"),
+    (CFG, CT_CFG.replace("complex = false", "complex = true"), "[prior] complex"),
 ], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels",
         "non-boolean-complex", "gmm-no-components", "gmm-negative-components",
         "nan-acceleration-uniform1d", "nan-acceleration-poisson-disk-vd",
         "inf-acceleration-uniform1d", "shepp-logan-3d-on-2d-shape", "negative-mask-seed",
         "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
-        "nan-offset-scale"])
+        "nan-offset-scale", "complex-prior-on-ct3d"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1, or, from negative-noise-sigma
     # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
-    # offset_scale as 0, a negative tau with its sign lost in tau^2) or to
-    # carry inf or NaN into the data
+    # offset_scale as 0, a negative tau with its sign lost in tau^2, a complex
+    # phantom cast to the real Radon domain) or to carry inf or NaN into the data
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
@@ -495,3 +496,39 @@ def test_metrics_on_ct3d_volume(tmp_path, side):
         assert float(row[6]) == ssim(np.abs(x[1]), np.abs(ref[1]))
     else:
         assert row[6] == "nan"
+
+
+def test_column_mask_y_dtf_is_k_space_and_reads_back(tmp_path):
+    # the operator's range on a column mask is hybrid data at the sampled
+    # columns; y.dtf stays zero-filled k-space and reconstruct --in maps it back
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("kind = mri2d", "kind = mri2d-noisy")
+                    .replace("mask_kind = uniform1d\nacceleration = 2",
+                             "mask_kind = gaussian1d\nacceleration = 4"))
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfgp), "--out", str(sim)).returncode == 0
+    y, mask = read_dtf(sim / "y.dtf"), read_dtf(sim / "mask.dtf")
+    assert y.shape == (2, 16, 16) and 3 * np.count_nonzero(mask[0]) <= 16
+    assert np.all(y[:, mask == 0] == 0) and np.all(y[:, mask != 0] != 0)
+    runs = {}
+    for name, extra in (("file", ("--in", str(sim))), ("memory", ())):
+        out = tmp_path / name
+        r = run_cli("reconstruct", "--config", str(cfgp), *extra, "--seed", "2",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        lines = (out / "trace.csv").read_text().splitlines()
+        runs[name] = (read_dtf(out / "x0.dtf"), lines[0],
+                      np.array([[float(v) for v in row.split(",")] for row in lines[1:]]))
+    (x_file, head_file, rows_file), (x_mem, head_mem, rows_mem) = runs["file"], runs["memory"]
+    assert np.linalg.norm(x_file - x_mem) <= 1e-12 * np.linalg.norm(x_mem)
+    assert head_file == head_mem and rows_file.shape == rows_mem.shape
+    assert np.array_equal(rows_file[:, 0], rows_mem[:, 0])
+    # round-off, relative to each column's largest entry (the last
+    # subspace distance is itself round-off)
+    assert np.all(np.abs(rows_file - rows_mem) <= 1e-12 * np.abs(rows_mem).max(axis=0))
+    # the operator's own range shape is not the file format
+    write_dtf(sim / "y.dtf", y[:, :, mask[0] != 0])
+    r = run_cli("reconstruct", "--config", str(cfgp), "--in", str(sim), "--seed", "2",
+                "--out", str(tmp_path / "bad"))
+    _one_line_error(r)
+    assert "measurement shape" in r.stderr

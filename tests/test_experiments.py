@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -479,7 +481,8 @@ FUZZ_KEYS = sorted((section, key) for section, keys in CONFIG_KEYS.items() for k
        edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
                       min_size=1, max_size=4))
 def test_fuzzed_config_raises_only_config_or_numerical_errors(base, edits):
-    # the CLI maps these two to exit 2 and 3; anything else would be a traceback
+    # the CLI maps these two to exit 2 and 3; anything else would be a
+    # traceback, and a ComplexWarning would be data silently dropped
     sections = {section: dict(keys) for section, keys in FUZZ_BASES[base].items()}
     for (section, key), value in edits:
         sections.setdefault(section, {})[key] = value
@@ -490,6 +493,52 @@ def test_fuzzed_config_raises_only_config_or_numerical_errors(base, edits):
                  lambda: cfg.read("noise_offset", NoiseOffsetConfig),
                  lambda: build_problem(cfg)):
         try:
-            read()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                read()
         except (ConfigError, NumericalError):
             pass
+
+
+NOISY_CFG = """
+[problem]
+kind = mri2d
+noise_sigma = 0.01
+noise_seed = {seed}
+
+[phantom]
+shape = 32 32
+seed = {seed}
+
+[prior]
+dim = 8
+seed = {seed}
+
+[operator]
+coils = 4
+mask_kind = {mask}
+acceleration = 4
+mask_seed = {seed}
+maps_seed = {seed}
+
+[sampler]
+nfe = 20
+dc = dds-cg
+"""
+
+
+@pytest.mark.parametrize("mask", ["uniform1d", "gaussian2d"])
+def test_final_dds_cg_residual_sits_at_the_noise_level(mask):
+    # noise lands on measured entries only (the hybrid columns of a column
+    # mask, the support of a 2-D mask), so the final residual reads near
+    # sigma * sqrt(#measured entries). Over seeds 0-19 the ratio measured
+    # 0.97-1.06 (uniform1d) and 1.00-1.05 (gaussian2d); with the off-mask
+    # noise counted too it read 1.78-2.02.
+    ratios = []
+    for seed in range(10):
+        cfg = ExperimentConfig(NOISY_CFG.format(seed=seed, mask=mask))
+        p = build_problem(cfg)
+        measured = p.a.range_shape[0] * np.count_nonzero(p.aux["mask"])
+        res = run_reconstruction(p, sampler_config(cfg, seed), rng=RngStream(seed))
+        ratios.append(res.residual / (p.noise_sigma * math.sqrt(measured)))
+    assert 0.9 <= min(ratios) and max(ratios) <= 1.15, ratios

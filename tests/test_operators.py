@@ -394,9 +394,76 @@ def test_sense_column_path_matches_fft2_and_dense(kind, acc, side, coils):
     op = sense_operator(maps, mask)
     dot_test(op, RngStream(3), trials=10, tol=1e-10)
     if side == 16:
+        # the range is hybrid data; E takes it back to the k-space dense_sense holds
         dense = dense_sense(maps, mask)
-        assert relative(op_to_matrix(op), dense) <= 1e-12
-        assert relative(adjoint_to_matrix(op), dense.conj().T) <= 1e-12
+        assert relative(op_to_matrix(op.embedding) @ op_to_matrix(op), dense) <= 1e-12
+        assert relative(adjoint_to_matrix(op) @ adjoint_to_matrix(op.embedding),
+                        dense.conj().T) <= 1e-12
+
+
+def hybrid_rows(dense, maps, cols):
+    """The rows of a dense k-space operator in hybrid space at ``cols``: F_y* along k_y."""
+    c, h, w = maps.maps.shape
+    fy_inv = np.fft.ifft(np.eye(h), norm="ortho")
+    rows = np.einsum("ij,cjwd->ciwd", fy_inv, dense.reshape(c, h, w, -1))
+    return rows[:, :, cols].reshape(c * h * len(cols), -1)
+
+
+def check_compact_range(maps, mask, rng, dense=False):
+    """The column-mask operator's range is hybrid data at the sampled columns.
+
+    Dot-tests the operator and its embedding E, checks E*E = I, and that
+    sense_apply/sense_adjoint are E and E* composed with it, bit for bit;
+    with ``dense``, it matches the hybrid-space rows of dense_sense.
+    """
+    op = sense_operator(maps, mask)
+    cols = sense_plan(maps, mask).cols
+    e = op.embedding
+    assert op.range_shape == (maps.ncoils, mask.shape[0], cols.size)
+    assert (e.domain_shape, e.range_shape) == (op.range_shape, (maps.ncoils,) + mask.shape)
+    dot_test(op, rng, trials=3, tol=1e-10)
+    dot_test(e, rng, trials=3, tol=1e-10)
+    v = rng.randn(op.range_shape, dtype=COMPLEX)
+    assert relative(e.adjoint(e.apply(v)), v) <= 1e-12
+    x = rng.randn(mask.shape, dtype=COMPLEX)
+    k = rng.randn(e.range_shape, dtype=COMPLEX)
+    assert np.array_equal(sense_apply(x, maps, mask), e.apply(op.apply(x)))
+    assert np.array_equal(sense_adjoint(k, maps, mask), op.adjoint(e.adjoint(k)))
+    if dense:
+        rows = hybrid_rows(dense_sense(maps, mask), maps, cols)
+        assert relative(op_to_matrix(op), rows) <= 1e-12
+        assert relative(adjoint_to_matrix(op), rows.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, acc", COLUMN_MASKS)
+@pytest.mark.parametrize("side", [16, 32])
+@pytest.mark.parametrize("coils", [1, 4])
+def test_sense_column_mask_range_is_hybrid_data(kind, acc, side, coils):
+    maps = make_coil_maps(coils, (side, side), 7)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 9), (side, side))
+    check_compact_range(maps, mask, RngStream(4), dense=side == 16)
+
+
+def test_sense_embedding_keeps_measured_entries_only():
+    # E zero-fills the unsampled columns, and E* drops them
+    maps = make_coil_maps(2, (16, 16), 3)
+    mask = make_mask(MaskSpec("gaussian1d", 4, 0.08, 1), (16, 16))
+    e = sense_operator(maps, mask).embedding
+    k = e.apply(RngStream(5).randn(e.domain_shape, dtype=COMPLEX))
+    assert np.all(k[:, :, mask[0] == 0] == 0)
+    off = RngStream(6).randn(e.range_shape, dtype=COMPLEX) * (mask == 0)
+    assert norm(e.adjoint(off)) == 0.0
+
+
+@pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("uniform1d", 2)])
+def test_sense_full_range_embedding_is_the_support_projection(kind, acc):
+    maps = make_coil_maps(3, (16, 16), 4)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 5), (16, 16))
+    op = sense_operator(maps, mask)
+    k = RngStream(8).randn(op.range_shape, dtype=COMPLEX)
+    assert op.range_shape == op.embedding.range_shape == (3, 16, 16)
+    assert np.array_equal(op.embedding.adjoint(k), np.where(mask != 0, k, 0))
+    assert np.array_equal(op.embedding.apply(k), op.embedding.adjoint(k))
 
 
 @pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("poisson-disk-vd", 4),
@@ -436,6 +503,7 @@ def test_sense_column_path_on_random_column_subsets(log_h, log_w, coils, seed, d
     assert relative(sense_apply(x, maps, mask, plan), ref_k) <= 1e-12
     assert relative(sense_adjoint(k, maps, mask, plan), ref_x) <= 1e-12
     dot_test(sense_operator(maps, mask), rng, trials=3, tol=1e-10)
+    check_compact_range(maps, mask, rng, dense=h * w <= 256)
 
 
 @pytest.mark.parametrize("shape, kind, acc", [((12, 16), "uniform1d", 4),
@@ -579,6 +647,14 @@ def test_radon_operator_holds_its_matrix():
     op = radon_operator(geom)
     assert op.matrix.nnz == 25623
     assert slice_radon_operator(geom, 2).matrix.nnz == op.matrix.nnz
+
+
+def test_radon_embedding_is_the_identity():
+    op = slice_radon_operator(RadonGeometry.uniform(8, 4), 2)
+    s = RngStream(3).randn(op.range_shape)
+    assert op.embedding.range_shape == op.range_shape
+    assert np.array_equal(op.embedding.apply(s), s)
+    assert np.array_equal(op.embedding.adjoint(s), s)
 
 
 def test_radon_apply_batches_leading_axes():

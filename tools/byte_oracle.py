@@ -1,11 +1,11 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
 
-Runs the CLI's `reconstruct` command in-process with `--seed 3` on 93
+Runs the CLI's `reconstruct` command in-process with `--seed 3` on 97
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
 `noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
-prints for each the name, the sha256 of the CSV and the exit code: 106
+prints for each the name, the sha256 of the CSV and the exit code: 110
 lines in all. Two checkouts behave the same on these runs exactly when the
 outputs match:
 
@@ -42,10 +42,11 @@ The grid:
 - VP `dds-cg` on each random mask kind (`gaussian1d`, `gaussian2d`,
   `poisson-disk-vd`; the configs above use `uniform1d`);
 - VP `dps` with `dps_step` = -1, which the config check rejects (exit 2);
-- VP `dds-cg` and VE `ddnm` on `uniform1d` and `gaussian1d` at
-  acceleration 4, whose masks keep at most a third of the columns, so SENSE
-  runs its column path (every other `mri2d` config samples at acceleration
-  2 and runs the 2-D FFT);
+- `mri2d` and `mri2d-noisy` with VP `dds-cg` and VE `ddnm` on `uniform1d`
+  and `gaussian1d` at acceleration 4, whose masks keep at most a third of
+  the columns, so SENSE keeps its data in hybrid space at the sampled
+  columns (every other `mri2d` config samples at acceleration 2 and runs
+  the 2-D FFT on k-space);
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
@@ -184,10 +185,11 @@ def grid(repo: Path) -> list[tuple[str, str]]:
     ):
         out.append((f"mri2d/{name}", mri(sampler, mask=mask)))
     # 4x column masks keep at most a third of the columns: the SENSE column path
-    for mask in ("uniform1d", "gaussian1d"):
-        for dc, mode in (("dds-cg", "vp"), ("ddnm", "ve")):
-            out.append((f"mri2d/{dc}/{mode}/{mask}-4x",
-                        mri(f"dc = {dc}\n{MODES[mode]}", mask=mask, acc=4)))
+    for kind in ("mri2d", "mri2d-noisy"):
+        for mask in ("uniform1d", "gaussian1d"):
+            for dc, mode in (("dds-cg", "vp"), ("ddnm", "ve")):
+                out.append((f"{kind}/{dc}/{mode}/{mask}-4x",
+                            mri(f"dc = {dc}\n{MODES[mode]}", kind=kind, mask=mask, acc=4)))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),

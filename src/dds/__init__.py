@@ -57,6 +57,6 @@ from .samplers import (
     pseudo_inverse_apply,
     rejection_wrap,
 )
-from .tensor import COMPLEX, REAL, RngStream, fft2, ifft2, inner, norm
+from .tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
 
 __version__ = "0.1.0"

@@ -306,126 +306,100 @@ def make_coil_maps(c: int, shape, seed: int = 0) -> CoilMaps:
 class SensePlan:
     """What SENSE apply/adjoint reuse across calls, built once per operator.
 
-    For a column mask (constant along k_y, axis -2, with n <= W/3 nonzero
-    columns) ``cols`` are the sampled k_x columns and ``dft`` the unitary
-    W-point DFT restricted to them, F_W[:, cols] (W x n), each column scaled
-    by its mask value; ``idft`` is its adjoint (n x W). The mask commutes
-    with the unitary k_y transform F_y, so the data are kept in hybrid
-    space at the sampled columns, F_y* k[:, :, cols] of shape (c, H, n):
-    apply is one (c*H x W) @ dft matmul and adjoint one (c*H x n) @ idft
-    matmul, with no FFT. ``embed`` (E) and ``restrict`` (E*) convert
-    between that hybrid data and zero-filled k-space. Any other mask leaves
-    ``cols`` None and runs ``mask * fft2(maps * x)`` on k-space: above W/3
-    columns, or for 2-D masks, the restricted transform measured slower
-    than the full FFT.
+    The range holds the measured entries only. For a 0/1 mask, ``support``
+    holds the flat indices of its sampled k-space entries and the range is
+    (c, nnz): apply gathers them from ``fft2(maps * x)``, ``embed`` (E)
+    scatters them into zero-filled k-space (c, H, W) and ``restrict`` (E*)
+    gathers them back. A column mask (constant along k_y, axis -2, with
+    n <= W/3 sampled columns) instead has the sampled k_x columns as
+    ``support``, ``dft`` the unitary W-point DFT restricted to them,
+    F_W[:, cols] (W x n), and ``idft`` its adjoint (n x W). The mask
+    commutes with the unitary k_y transform F_y, so the data are kept in
+    hybrid space, F_y* k[:, :, cols] of shape (c, H, n): apply is one
+    (c*H x W) @ dft matmul and adjoint one (c*H x n) @ idft matmul, with no
+    FFT, and E/E* run the k_y transform. Above W/3 columns the restricted
+    transform measured slower than the full FFT.
     """
 
+    maps: np.ndarray
     conj_maps: np.ndarray
-    cols: np.ndarray | None = None
+    support: np.ndarray
+    range_shape: tuple
     dft: np.ndarray | None = None
     idft: np.ndarray | None = None
 
-    def embed(self, hybrid: np.ndarray) -> np.ndarray:
-        """E: hybrid columns (c, H, n) -> k-space (c, H, W), zero off ``cols``."""
-        k = np.zeros(hybrid.shape[:-1] + (self.dft.shape[0],), dtype=COMPLEX)
-        k[:, :, self.cols] = fft1(hybrid, axis=-2)
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """E: the range -> k-space (c, H, W), zero off the mask."""
+        c, h, w = self.maps.shape
+        if self.dft is None:
+            k = np.zeros((c, h * w), dtype=COMPLEX)
+            k[:, self.support] = y
+            return k.reshape(c, h, w)
+        k = np.zeros((c, h, w), dtype=COMPLEX)
+        k[:, :, self.support] = fft1(y, axis=-2)
         return k
 
     def restrict(self, k: np.ndarray) -> np.ndarray:
-        """E*: the sampled columns of k-space (c, H, W), back in hybrid space."""
-        return ifft1(k[:, :, self.cols], axis=-2)
+        """E*: the measured entries of k-space (c, H, W), in range layout."""
+        if self.dft is None:
+            return k.reshape(k.shape[0], -1)[:, self.support]
+        return ifft1(k[:, :, self.support], axis=-2)
 
 
 def sense_plan(maps: CoilMaps, mask: np.ndarray) -> SensePlan:
-    """The SensePlan of ``maps`` and ``mask``; power-of-two image sides only."""
-    h, w = maps.image_shape
+    """The SensePlan of ``maps`` and a 0/1 ``mask``; power-of-two image sides only."""
+    c, h, w = maps.maps.shape
     if mask.shape != (h, w):
         raise ConfigError(f"sense: mask shape {mask.shape} != map shape {(h, w)}")
     if not (is_pow2(h) and is_pow2(w)):
         raise ConfigError(f"sense needs power-of-two image sides, got {h}x{w}")
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ConfigError("sense: the mask must hold only 0 and 1")
     conj_maps = np.conj(maps.maps)
     cols = np.flatnonzero(mask[0])
-    if not (0 < 3 * cols.size <= w and (mask == mask[0]).all()):
-        return SensePlan(conj_maps)
+    if not (3 * cols.size <= w and (mask == mask[0]).all()):
+        support = np.flatnonzero(mask)
+        return SensePlan(maps.maps, conj_maps, support, (c, support.size))
     # exponents reduced mod w keep every entry a root of unity to round-off
     dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
-    dft *= mask[0, cols]
-    return SensePlan(conj_maps, cols, dft, np.ascontiguousarray(dft.conj().T))
+    return SensePlan(maps.maps, conj_maps, cols, (c, h, cols.size), dft,
+                     np.ascontiguousarray(dft.conj().T))
 
 
-def sense_apply(x: np.ndarray, maps: CoilMaps, mask: np.ndarray,
-                plan: SensePlan | None = None, embed: bool = True) -> np.ndarray:
-    """Stacked k-space ``mask * F(maps * x)`` of image ``x``.
-
-    ``plan`` is ``sense_plan(maps, mask)``, built here when not given. On a
-    column plan the k-space is ``plan.embed`` of the hybrid columns, and
-    ``embed=False`` returns those columns (c, H, n) instead: the range of
-    ``sense_operator``.
-    """
-    x = np.asarray(x, dtype=COMPLEX)
-    if x.shape != maps.image_shape:
-        raise ConfigError(f"sense_apply: image shape {x.shape} != map shape {maps.image_shape}")
-    plan = sense_plan(maps, mask) if plan is None else plan
-    coil = maps.maps * x[None, :, :]
-    if plan.cols is None:
-        return mask[None, :, :] * fft2(coil)
+def sense_apply(x: np.ndarray, plan: SensePlan) -> np.ndarray:
+    """The measured entries of ``F(maps * x)``, in the layout of ``plan.range_shape``."""
+    coil = plan.maps * x
     c, h, w = coil.shape
-    hybrid = (coil.reshape(c * h, w) @ plan.dft).reshape(c, h, -1)
-    return plan.embed(hybrid) if embed else hybrid
+    if plan.dft is None:
+        return fft2(coil).reshape(c, h * w)[:, plan.support]
+    return (coil.reshape(c * h, w) @ plan.dft).reshape(plan.range_shape)
 
 
-def sense_adjoint(k: np.ndarray, maps: CoilMaps, mask: np.ndarray,
-                  plan: SensePlan | None = None, embed: bool = True) -> np.ndarray:
-    """Image ``sum_c conj(maps_c) * F^H(mask * k_c)``, the adjoint of sense_apply.
-
-    With ``embed=False`` on a column plan, ``k`` is hybrid columns (c, H, n)
-    and ``plan.restrict`` is skipped.
-    """
-    k = np.asarray(k, dtype=COMPLEX)
-    plan = sense_plan(maps, mask) if plan is None else plan
-    shape = (maps.ncoils,) + maps.image_shape
-    if not (embed or plan.cols is None):
-        shape = shape[:2] + plan.cols.shape
-    if k.shape != shape:
-        raise ConfigError(f"sense_adjoint: expected shape {shape}, got {k.shape}")
-    if plan.cols is None:
-        return np.sum(plan.conj_maps * ifft2(mask[None, :, :] * k), axis=0)
-    hybrid = plan.restrict(k) if embed else k
-    c, h, n = hybrid.shape
-    return np.sum(plan.conj_maps * (hybrid.reshape(c * h, n) @ plan.idft).reshape(c, h, -1),
-                  axis=0)
+def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
+    """Image ``sum_c conj(maps_c) * F^H(E y)_c``, the adjoint of sense_apply."""
+    if plan.dft is None:
+        coil = ifft2(plan.embed(y))
+    else:
+        c, h, n = y.shape
+        coil = (y.reshape(c * h, n) @ plan.idft).reshape(plan.maps.shape)
+    return np.sum(plan.conj_maps * coil, axis=0)
 
 
 def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
     """A = P F S as a LinearMap over its SensePlan, holding E as ``.embedding``.
 
-    On a column plan the range is the hybrid data (c, H, n), and
-    ``.embedding`` is E: range -> k-space (c, H, W), with E* as its adjoint.
-    Otherwise the range is k-space and ``.embedding`` the projection onto
-    the mask's support. ||y_hat - A x|| then counts measured entries only.
+    The range is the measured entries (see SensePlan), and ``.embedding`` is
+    E: range -> k-space (c, H, W), with E* as its adjoint. ||y_hat - A x||
+    counts measured entries only.
     """
     mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
     plan = sense_plan(maps, mask)
-    kspace = (maps.ncoils,) + maps.image_shape
-    if plan.cols is None:
-        support = mask != 0
-
-        def project(k):
-            return np.where(support, k, 0)
-
-        embedding = LinearMap(kspace, kspace, project, project, name=f"{name} support")
-        range_shape = kspace
-    else:
-        range_shape = kspace[:2] + plan.cols.shape
-        embedding = LinearMap(range_shape, kspace, plan.embed, plan.restrict,
-                              name=f"{name} embedding")
     # sense_apply/sense_adjoint are looked up at call time, so wrappers
     # installed on this module see every apply
-    op = LinearMap(maps.image_shape, range_shape,
-                   lambda x: sense_apply(x, maps, mask, plan, embed=False),
-                   lambda k: sense_adjoint(k, maps, mask, plan, embed=False),
-                   domain_dtype=COMPLEX, name=name)
-    op.embedding = embedding
+    op = LinearMap(maps.image_shape, plan.range_shape, lambda x: sense_apply(x, plan),
+                   lambda y: sense_adjoint(y, plan), name=name)
+    op.embedding = LinearMap(plan.range_shape, maps.maps.shape, plan.embed, plan.restrict,
+                             name=f"{name} embedding")
     return op
 
 

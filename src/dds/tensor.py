@@ -68,22 +68,6 @@ def ifft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(x, axis=ax, norm="ortho")
 
 
-def inner(a: np.ndarray, b: np.ndarray):
-    """Inner product, conjugate-linear in the first argument.
-
-    Real inputs give the Euclidean dot product; complex inputs give
-    sum(conj(a) * b), so inner(x, x) is the squared 2-norm.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ConfigError(f"inner: shape mismatch {a.shape} vs {b.shape}")
-    val = np.sum(np.conj(a) * b)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return complex(val)
-    return float(val)
-
-
 def norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(x).ravel()))
 

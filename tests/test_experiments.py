@@ -178,7 +178,9 @@ def test_config_rejects_malformed_text():
 def test_build_problem_shapes_and_consistency():
     p = build_problem(ExperimentConfig(BASE_CFG))
     assert p.x_true.shape == (16, 16)
-    assert p.y.shape == (2, 16, 16)
+    # 2x uniform1d keeps more than a third of the columns: the range is the
+    # sampled entries of each coil
+    assert p.y.shape == p.a.range_shape == (2, np.count_nonzero(p.aux["mask"]))
     assert p.a.domain_shape == (16, 16)
     # noiseless: measurements equal the forward model of the truth
     assert np.linalg.norm(p.y - p.a.apply(p.x_true.astype(complex))) < 1e-12
@@ -467,6 +469,10 @@ FUZZ_BASES = {
     "ct3d": {"problem": {"kind": "ct3d"}, "phantom": {"shape": "2 8 8"},
              "prior": {"dim": "3", "complex": "false"},
              "operator": {"kind": "radon3d", "angles": "5"}},
+    # the default complex prior on the real Radon domain: a draw that leaves
+    # the pairing reaches the complex-prior check
+    "ct3d-complex": {"problem": {"kind": "ct3d"}, "phantom": {"shape": "2 8 8"},
+                     "prior": {"dim": "3"}, "operator": {"kind": "radon3d", "angles": "5"}},
 }
 FUZZ_VALUES = ("nan", "inf", "-1", "0", "1", "1e400", "abc", "", "true",
                "mri2d", "mri2d-noisy", "ct3d", "subspace-random", "gmm-draw",
@@ -538,7 +544,21 @@ def test_final_dds_cg_residual_sits_at_the_noise_level(mask):
     for seed in range(10):
         cfg = ExperimentConfig(NOISY_CFG.format(seed=seed, mask=mask))
         p = build_problem(cfg)
-        measured = p.a.range_shape[0] * np.count_nonzero(p.aux["mask"])
+        measured = math.prod(p.a.range_shape)
         res = run_reconstruction(p, sampler_config(cfg, seed), rng=RngStream(seed))
         ratios.append(res.residual / (p.noise_sigma * math.sqrt(measured)))
     assert 0.9 <= min(ratios) and max(ratios) <= 1.15, ratios
+
+
+@pytest.mark.parametrize("acc", [1, 2, 4])
+@pytest.mark.parametrize("mask", MASK_KINDS)
+def test_measured_entries_are_the_sense_range(mask, acc):
+    # the noise level sigma * sqrt(m) counts m = prod(range_shape) entries
+    text = BASE_CFG.replace("mask_kind = uniform1d", f"mask_kind = {mask}")
+    p = build_problem(ExperimentConfig(text.replace("acceleration = 2", f"acceleration = {acc}")))
+    assert math.prod(p.a.range_shape) == 2 * np.count_nonzero(p.aux["mask"])
+
+
+def test_measured_entries_are_the_radon3d_range():
+    p = build_problem(ExperimentConfig(CT_CFG))
+    assert math.prod(p.a.range_shape) == 2 * 5 * 8  # slices * angles * bins

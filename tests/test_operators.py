@@ -22,8 +22,6 @@ from dds.operators import (
     radon_apply,
     radon_matrix,
     radon_operator,
-    sense_adjoint,
-    sense_apply,
     sense_operator,
     sense_plan,
     slice_radon_operator,
@@ -315,19 +313,20 @@ def test_operator_data_is_checked_once_at_construction():
 def test_sense_single_coil_full_mask_is_fft():
     maps = CoilMaps(maps=np.ones((1, 8, 8), dtype=COMPLEX))
     mask = np.ones((8, 8))
-    x = RngStream(0).randn((8, 8), dtype=COMPLEX)
-    assert norm(sense_apply(x, maps, mask)[0] - fft2(x)) < 1e-13
-    k = RngStream(1).randn((1, 8, 8), dtype=COMPLEX)
-    assert norm(sense_adjoint(k, maps, mask) - ifft2(k[0])) < 1e-13
     a = sense_operator(maps, mask)
+    e = a.embedding
+    x = RngStream(0).randn((8, 8), dtype=COMPLEX)
+    assert norm(e.apply(a.apply(x))[0] - fft2(x)) < 1e-13
+    k = RngStream(1).randn((1, 8, 8), dtype=COMPLEX)
+    assert norm(a.adjoint(e.adjoint(k)) - ifft2(k[0])) < 1e-13
     assert norm(a.adjoint(a.apply(x)) - x) < 1e-12
 
 
 def test_sense_zero_maps_to_zero():
     maps = make_coil_maps(3, (16, 16), 1)
-    mask = make_mask(MaskSpec("uniform1d", 2, 0.1, 0), (16, 16))
-    assert norm(sense_apply(np.zeros((16, 16), dtype=COMPLEX), maps, mask)) == 0.0
-    assert norm(sense_adjoint(np.zeros((3, 16, 16), dtype=COMPLEX), maps, mask)) == 0.0
+    op = sense_operator(maps, make_mask(MaskSpec("uniform1d", 2, 0.1, 0), (16, 16)))
+    assert norm(op.apply(np.zeros((16, 16), dtype=COMPLEX))) == 0.0
+    assert norm(op.adjoint(np.zeros(op.range_shape, dtype=COMPLEX))) == 0.0
 
 
 def test_sense_dot_test():
@@ -350,12 +349,11 @@ def test_sense_spectral_norm_below_one():
 
 
 def test_sense_shape_validation():
-    maps = make_coil_maps(2, (8, 8), 0)
-    mask = np.ones((8, 8))
+    op = sense_operator(make_coil_maps(2, (8, 8), 0), np.ones((8, 8)))
     with pytest.raises(ConfigError):
-        sense_apply(np.zeros((4, 4), dtype=COMPLEX), maps, mask)
+        op.apply(np.zeros((4, 4), dtype=COMPLEX))
     with pytest.raises(ConfigError):
-        sense_adjoint(np.zeros((3, 8, 8), dtype=COMPLEX), maps, mask)
+        op.adjoint(np.zeros((3, 8, 8), dtype=COMPLEX))
 
 
 def fft2_sense(x, k, maps, mask):
@@ -385,13 +383,13 @@ def test_sense_column_path_matches_fft2_and_dense(kind, acc, side, coils):
     maps = make_coil_maps(coils, (side, side), 7)
     mask = make_mask(MaskSpec(kind, acc, 0.08, 9), (side, side))
     plan = sense_plan(maps, mask)
-    assert plan.cols is not None and 3 * plan.cols.size <= side
+    assert plan.dft is not None and 3 * plan.support.size <= side
     x = RngStream(1).randn((side, side), dtype=COMPLEX)
     k = RngStream(2).randn((coils, side, side), dtype=COMPLEX)
     ref_k, ref_x = fft2_sense(x, k, maps, mask)
-    assert relative(sense_apply(x, maps, mask, plan), ref_k) <= 1e-12
-    assert relative(sense_adjoint(k, maps, mask, plan), ref_x) <= 1e-12
     op = sense_operator(maps, mask)
+    assert relative(op.embedding.apply(op.apply(x)), ref_k) <= 1e-12
+    assert relative(op.adjoint(op.embedding.adjoint(k)), ref_x) <= 1e-12
     dot_test(op, RngStream(3), trials=10, tol=1e-10)
     if side == 16:
         # the range is hybrid data; E takes it back to the k-space dense_sense holds
@@ -409,17 +407,16 @@ def hybrid_rows(dense, maps, cols):
     return rows[:, :, cols].reshape(c * h * len(cols), -1)
 
 
-def check_compact_range(maps, mask, rng, dense=False):
-    """The column-mask operator's range is hybrid data at the sampled columns.
+def check_measured_range(maps, mask, rng):
+    """The operator's range holds the measured entries, and E maps them to k-space.
 
-    Dot-tests the operator and its embedding E, checks E*E = I, and that
-    sense_apply/sense_adjoint are E and E* composed with it, bit for bit;
-    with ``dense``, it matches the hybrid-space rows of dense_sense.
+    Checks that the range has coils * nnz(mask) entries, dot-tests the
+    operator and its embedding E, checks E*E = I, and that E(A x) and
+    A*(E* k) are the 2-D FFT formulas.
     """
     op = sense_operator(maps, mask)
-    cols = sense_plan(maps, mask).cols
     e = op.embedding
-    assert op.range_shape == (maps.ncoils, mask.shape[0], cols.size)
+    assert math.prod(op.range_shape) == maps.ncoils * np.count_nonzero(mask)
     assert (e.domain_shape, e.range_shape) == (op.range_shape, (maps.ncoils,) + mask.shape)
     dot_test(op, rng, trials=3, tol=1e-10)
     dot_test(e, rng, trials=3, tol=1e-10)
@@ -427,8 +424,21 @@ def check_compact_range(maps, mask, rng, dense=False):
     assert relative(e.adjoint(e.apply(v)), v) <= 1e-12
     x = rng.randn(mask.shape, dtype=COMPLEX)
     k = rng.randn(e.range_shape, dtype=COMPLEX)
-    assert np.array_equal(sense_apply(x, maps, mask), e.apply(op.apply(x)))
-    assert np.array_equal(sense_adjoint(k, maps, mask), op.adjoint(e.adjoint(k)))
+    ref_k, ref_x = fft2_sense(x, k, maps, mask)
+    assert relative(e.apply(op.apply(x)), ref_k) <= 1e-12
+    assert relative(op.adjoint(e.adjoint(k)), ref_x) <= 1e-12
+    return op
+
+
+def check_compact_range(maps, mask, rng, dense=False):
+    """The column-mask operator's range is hybrid data at the sampled columns.
+
+    Runs check_measured_range; with ``dense``, the operator also matches the
+    hybrid-space rows of dense_sense.
+    """
+    op = check_measured_range(maps, mask, rng)
+    cols = sense_plan(maps, mask).support
+    assert op.range_shape == (maps.ncoils, mask.shape[0], cols.size)
     if dense:
         rows = hybrid_rows(dense_sense(maps, mask), maps, cols)
         assert relative(op_to_matrix(op), rows) <= 1e-12
@@ -456,14 +466,21 @@ def test_sense_embedding_keeps_measured_entries_only():
 
 
 @pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("uniform1d", 2)])
-def test_sense_full_range_embedding_is_the_support_projection(kind, acc):
+def test_sense_2d_path_embedding_scatters_and_gathers(kind, acc):
+    # the range is the sampled entries (c, nnz); E zero-fills k-space off
+    # the support and E* gathers the support back, so E*E = I exactly
     maps = make_coil_maps(3, (16, 16), 4)
     mask = make_mask(MaskSpec(kind, acc, 0.08, 5), (16, 16))
-    op = sense_operator(maps, mask)
-    k = RngStream(8).randn(op.range_shape, dtype=COMPLEX)
-    assert op.range_shape == op.embedding.range_shape == (3, 16, 16)
-    assert np.array_equal(op.embedding.adjoint(k), np.where(mask != 0, k, 0))
-    assert np.array_equal(op.embedding.apply(k), op.embedding.adjoint(k))
+    support = np.flatnonzero(mask)
+    e = sense_operator(maps, mask).embedding
+    assert e.domain_shape == (3, support.size) and e.range_shape == (3, 16, 16)
+    v = RngStream(8).randn(e.domain_shape, dtype=COMPLEX)
+    k = e.apply(v)
+    assert np.array_equal(k.reshape(3, -1)[:, support], v)
+    assert np.all(k[:, mask == 0] == 0)
+    assert np.array_equal(e.adjoint(k), v)
+    k = RngStream(9).randn(e.range_shape, dtype=COMPLEX)
+    assert np.array_equal(e.adjoint(k), k.reshape(3, -1)[:, support])
 
 
 @pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("poisson-disk-vd", 4),
@@ -473,13 +490,13 @@ def test_sense_other_masks_keep_the_fft2_formula(kind, acc):
     # above W/3 columns, and for point masks, the full 2-D FFT is the faster path
     maps = make_coil_maps(3, (32, 32), 4)
     mask = make_mask(MaskSpec(kind, acc, 0.08, 5), (32, 32))
-    assert sense_plan(maps, mask).cols is None
+    assert sense_plan(maps, mask).dft is None
     x = RngStream(6).randn((32, 32), dtype=COMPLEX)
     k = RngStream(7).randn((3, 32, 32), dtype=COMPLEX)
     ref_k, ref_x = fft2_sense(x, k, maps, mask)
     op = sense_operator(maps, mask)
-    assert np.array_equal(op.apply(x), ref_k)
-    assert np.array_equal(op.adjoint(k), ref_x)
+    assert np.array_equal(op.embedding.apply(op.apply(x)), ref_k)
+    assert np.array_equal(op.adjoint(op.embedding.adjoint(k)), ref_x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -489,21 +506,30 @@ def test_sense_column_path_on_random_column_subsets(log_h, log_w, coils, seed, d
     h, w = 2 ** log_h, 2 ** log_w
     cols = data.draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=w // 3,
                               unique=True))
-    weights = data.draw(st.lists(st.floats(0.1, 2.0), min_size=len(cols),
-                                 max_size=len(cols)))
     mask = np.zeros((h, w))
-    mask[:, cols] = weights
+    mask[:, cols] = 1.0
     maps = make_coil_maps(coils, (h, w), seed)
     plan = sense_plan(maps, mask)
-    assert np.array_equal(plan.cols, np.sort(cols))
-    rng = RngStream(seed)
-    x = rng.randn((h, w), dtype=COMPLEX)
-    k = rng.randn((coils, h, w), dtype=COMPLEX)
-    ref_k, ref_x = fft2_sense(x, k, maps, mask)
-    assert relative(sense_apply(x, maps, mask, plan), ref_k) <= 1e-12
-    assert relative(sense_adjoint(k, maps, mask, plan), ref_x) <= 1e-12
-    dot_test(sense_operator(maps, mask), rng, trials=3, tol=1e-10)
-    check_compact_range(maps, mask, rng, dense=h * w <= 256)
+    assert np.array_equal(plan.support, np.sort(cols))
+    check_compact_range(maps, mask, RngStream(seed), dense=h * w <= 256)
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_h=st.integers(2, 6), log_w=st.integers(2, 6), coils=st.integers(1, 4),
+       seed=st.integers(0, 2**16), density=st.floats(0.0, 1.0), data=st.data())
+def test_sense_on_random_2d_masks(log_h, log_w, coils, seed, density, data):
+    h, w = 2 ** log_h, 2 ** log_w
+    mask = (np.random.default_rng(seed).random((h, w)) < density).astype(float)
+    mask.flat[data.draw(st.integers(0, h * w - 1))] = 1.0  # at least one sample
+    check_measured_range(make_coil_maps(coils, (h, w), seed), mask, RngStream(seed))
+
+
+@pytest.mark.parametrize("weight", [0.5, 2.0, -1.0])
+@pytest.mark.parametrize("kind", ["uniform1d", "gaussian2d"])
+def test_sense_rejects_weighted_masks(kind, weight):
+    mask = make_mask(MaskSpec(kind, 4, 0.08, 1), (16, 16))
+    with pytest.raises(ConfigError, match="only 0 and 1"):
+        sense_operator(make_coil_maps(2, (16, 16), 0), np.where(mask != 0, weight, 0.0))
 
 
 @pytest.mark.parametrize("shape, kind, acc", [((12, 16), "uniform1d", 4),
@@ -516,9 +542,7 @@ def test_sense_rejects_non_power_of_two_images(shape, kind, acc):
     with pytest.raises(ConfigError, match="power-of-two"):
         sense_operator(maps, mask)
     with pytest.raises(ConfigError, match="power-of-two"):
-        sense_apply(np.zeros(shape, dtype=COMPLEX), maps, mask)
-    with pytest.raises(ConfigError, match="power-of-two"):
-        sense_adjoint(np.zeros((2,) + shape, dtype=COMPLEX), maps, mask)
+        sense_plan(maps, mask)
 
 
 # ---------------------------------------------------------------------------

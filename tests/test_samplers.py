@@ -93,7 +93,7 @@ def test_default_eta_anchors():
 def test_ddnm_full_mask_unitary_returns_adjoint_of_y():
     maps = make_coil_maps(1, (8, 8), 0)
     a = sense_operator(maps, np.ones((8, 8)))
-    y = RngStream(1).randn((1, 8, 8), dtype=COMPLEX)
+    y = RngStream(1).randn(a.range_shape, dtype=COMPLEX)
     for seed in (2, 3):
         xhat = RngStream(seed).randn((8, 8), dtype=COMPLEX)
         out, _ = ddnm_step(xhat, a, y)
@@ -111,7 +111,7 @@ def test_ddnm_matches_dense_pinv_oracle_single_coil():
     mask = make_mask(MaskSpec("uniform1d", 2, 0.125, 5), (8, 8))
     a = sense_operator(maps, mask)
     d = 64
-    dense = np.zeros((d, d), dtype=complex)
+    dense = np.zeros((math.prod(a.range_shape), d), dtype=complex)
     for j in range(d):
         e = np.zeros(d, dtype=complex)
         e[j] = 1.0
@@ -149,7 +149,7 @@ def test_pseudo_inverse_multicoil_matches_dense_pinv():
     mask = make_mask(MaskSpec("gaussian1d", 2, 0.125, 9), (8, 8))
     a = sense_operator(maps, mask)
     d = 64
-    dense = np.zeros((2 * d, d), dtype=complex)
+    dense = np.zeros((math.prod(a.range_shape), d), dtype=complex)
     for j in range(d):
         e = np.zeros(d, dtype=complex)
         e[j] = 1.0
@@ -558,7 +558,7 @@ def test_nan_from_the_operator_fails_the_run(dc):
         out = a.apply(x)
         if calls[0] == 6:
             out = out.copy()
-            out[0, 0, 0] = np.nan
+            out.flat[0] = np.nan
         return out
 
     bad = LinearMap(a.domain_shape, a.range_shape, poisoned, a.adjoint, name="bad")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dds.errors import ConfigError
-from dds.tensor import COMPLEX, RngStream, fft2, ifft2, inner, norm
+from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
 
 
 def test_fft_delta_is_constant():
@@ -76,23 +76,6 @@ def test_child_streams_are_stable_and_distinct():
     c0, c0b, c1 = r.child(0), r.child(0), r.child(1)
     assert c0.seed == c0b.seed != c1.seed
     assert np.array_equal(c0.randn((8,)), c0b.randn((8,)))
-
-
-def test_inner_identity_and_conjugation():
-    e1 = np.array([1.0, 0.0])
-    assert inner(e1, e1) == 1.0
-    z = np.array([1j, 0.0])
-    assert inner(z, np.array([1.0 + 0j, 0.0])) == pytest.approx(-1j)
-
-
-def test_inner_matches_norm_squared():
-    a = RngStream(9).randn((64,), dtype=COMPLEX)
-    assert abs(inner(a, a).real - norm(a) ** 2) <= 1e-14 * norm(a) ** 2
-
-
-def test_inner_shape_mismatch():
-    with pytest.raises(ConfigError):
-        inner(np.zeros(3), np.zeros(4))
 
 
 def test_uniform_transform_in_unit_interval():

@@ -1,11 +1,11 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
 
-Runs the CLI's `reconstruct` command in-process with `--seed 3` on 97
+Runs the CLI's `reconstruct` command in-process with `--seed 3` on 99
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
 `noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
-prints for each the name, the sha256 of the CSV and the exit code: 110
+prints for each the name, the sha256 of the CSV and the exit code: 112
 lines in all. Two checkouts behave the same on these runs exactly when the
 outputs match:
 
@@ -45,8 +45,10 @@ The grid:
 - `mri2d` and `mri2d-noisy` with VP `dds-cg` and VE `ddnm` on `uniform1d`
   and `gaussian1d` at acceleration 4, whose masks keep at most a third of
   the columns, so SENSE keeps its data in hybrid space at the sampled
-  columns (every other `mri2d` config samples at acceleration 2 and runs
-  the 2-D FFT on k-space);
+  columns (every other `mri2d` config samples at acceleration 2, where
+  SENSE keeps the measured k-space entries and runs the 2-D FFT);
+- `mri2d-noisy` with VP `ddnm` on `gaussian2d` and `poisson-disk-vd` at
+  acceleration 4, the noisy 2-D-mask path;
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
   all attempts in VP (3) and VE (2);
 - the three `bench/workloads.py` configs at phantom seed 1;
@@ -190,6 +192,9 @@ def grid(repo: Path) -> list[tuple[str, str]]:
             for dc, mode in (("dds-cg", "vp"), ("ddnm", "ve")):
                 out.append((f"{kind}/{dc}/{mode}/{mask}-4x",
                             mri(f"dc = {dc}\n{MODES[mode]}", kind=kind, mask=mask, acc=4)))
+    for mask in ("gaussian2d", "poisson-disk-vd"):
+        out.append((f"mri2d-noisy/ddnm/vp/{mask}-4x",
+                    mri(f"dc = ddnm\n{MODES['vp']}", kind="mri2d-noisy", mask=mask, acc=4)))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),

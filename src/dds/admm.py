@@ -90,8 +90,8 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
     then z <- shrink(D x' + w), w <- w + D x' - z. The new state carries the
     solve's y - A x'.
     """
-    if xhat.ndim != 3:
-        raise ConfigError("admm_tv_dc expects a 3-D volume")
+    if xhat.ndim != 3 or xhat.shape[0] < 2:
+        raise ConfigError("admm_tv_dc expects a 3-D volume with at least 2 slices")
     if state.z.shape != xhat.shape or state.w.shape != xhat.shape:
         raise ConfigError("ADMM state shapes must match the volume")
     dz = LinearMap(xhat.shape, xhat.shape, diff_z_apply, diff_z_adjoint,
@@ -114,8 +114,9 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     tv.cg_steps CG iterations. The z-axis TV couples slices only through the
     DC solve.
     """
-    if len(a.domain_shape) != 3:
-        raise ConfigError("dds_3d_reconstruct expects a volume operator")
+    if len(a.domain_shape) != 3 or a.domain_shape[0] < 2:
+        raise ConfigError(f"dds_3d_reconstruct expects a volume of at least 2 slices "
+                          f"(z-axis TV), got {a.domain_shape}")
     if cfg.dc != "dds-cg":
         raise ConfigError(f"volume reconstruction runs ADMM-TV data consistency; "
                           f"dc = {cfg.dc} is not supported, use dc = dds-cg")

@@ -19,19 +19,20 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .operators import LinearMap
-from .tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
+from .tensor import COMPLEX, REAL, RngStream, fft2, ifft2, is_pow2, norm
 
 
 def smooth_random_field(rng: RngStream, shape, length: float, dtype=REAL) -> np.ndarray:
     """Gaussian random field low-pass filtered to a correlation length (pixels).
 
-    length <= 0 returns plain white noise. 2-D shapes only (power-of-two
-    extents, filtering happens in Fourier space).
+    length <= 0 returns plain white noise. Otherwise the filter runs in
+    Fourier space, so the shape must be 2-D with power-of-two sides.
     """
     if length <= 0:
         return rng.randn(shape, dtype=dtype)
-    if len(shape) != 2:
-        raise ConfigError("smooth_random_field needs a 2-D shape")
+    if not (len(shape) == 2 and all(is_pow2(s) for s in shape)):
+        raise ConfigError(f"smooth > 0 needs a 2-D shape with power-of-two sides, "
+                          f"got {tuple(shape)}")
     w = rng.randn(shape, dtype=dtype)
     fy = np.fft.fftfreq(shape[0])[:, None]
     fx = np.fft.fftfreq(shape[1])[None, :]
@@ -238,8 +239,7 @@ class AffineSubspacePrior:
         q, _ = np.linalg.qr(raw)
         basis = np.ascontiguousarray(q.T.reshape((dim,) + tuple(signal_shape)))
         if offset_scale > 0:
-            offset = offset_scale * smooth_random_field(rng, signal_shape, smooth, dtype) \
-                if smooth > 0 else offset_scale * rng.randn(signal_shape, dtype=dtype)
+            offset = offset_scale * smooth_random_field(rng, signal_shape, smooth, dtype)
         else:
             offset = np.zeros(signal_shape, dtype=dtype)
         return cls(basis=basis, offset=offset)

@@ -58,6 +58,10 @@ class NoiseOffsetConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        for key in ("sigma_gt", "smooth"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:  # NaN fails every comparison
+                raise ConfigError(f"[noise_offset] {key} = {value} must be finite and >= 0")
 
 
 # the sections that ExperimentConfig.read builds a dataclass from
@@ -68,8 +72,8 @@ SECTION_CLASSES = {"sampler": SamplerConfig, "tv": TvConfig, "noise_offset": Noi
 # sampler seed (from --seed) and plus max_retries (rejection budget).
 CONFIG_KEYS = {section: set(keys.split()) for section, keys in {
     "problem": "kind noise_sigma noise_seed",
-    "phantom": "kind seed shape constant_z",
-    "prior": "kind seed complex smooth dim offset_scale components tau mean_scale",
+    "phantom": "kind seed shape",
+    "prior": "kind seed complex smooth dim offset_scale components tau",
     "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
                 "angles detector_bins",
     "sweep": "axis values repeats",
@@ -186,13 +190,9 @@ def build_prior(cfg: ExperimentConfig, signal_shape):
         if k < 1:
             raise ConfigError(f"[prior] components = {k} must be >= 1")
         tau = _nonnegative(cfg, "prior", "tau", 0.1)
-        scale = cfg.get("prior", "mean_scale", 1.0, float)
         rng = RngStream(seed)
-        means = np.stack([
-            scale * (smooth_random_field(rng, signal_shape, smooth, dtype)
-                     if smooth > 0 else rng.randn(signal_shape, dtype=dtype))
-            for _ in range(k)
-        ])
+        means = np.stack([smooth_random_field(rng, signal_shape, smooth, dtype)
+                          for _ in range(k)])
         weights = np.full(k, 1.0 / k)
         return GmmPrior(weights=weights, means=means, tau2=tau * tau)
     raise ConfigError(f"unknown prior kind {kind!r}")
@@ -219,9 +219,6 @@ def build_phantom(cfg: ExperimentConfig, prior):
         if len(shape) == len(prior.signal_shape):
             return prior.sample(rng)
         if len(shape) == 3 and len(prior.signal_shape) == 2:
-            if cfg.get("phantom", "constant_z", False, bool):
-                slc = prior.sample(rng)
-                return np.stack([slc] * shape[0])
             return np.stack([prior.sample(rng) for _ in range(shape[0])])
         raise ConfigError("phantom shape incompatible with the prior")
     raise ConfigError(f"unknown phantom kind {kind!r}")

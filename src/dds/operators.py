@@ -447,14 +447,21 @@ class RadonMatrix:
     col) pair appears once. ``hit_rows`` are the rows with at least one
     triplet and ``starts`` the index of each one's first triplet. The adjoint
     scatters the same triplets by column, so it is the exact transpose.
+    ``image_shape`` (side, side) and ``sino_shape`` (angles, detector_bins)
+    are the shapes the matrix was built for.
     """
 
-    shape: tuple[int, int]
+    image_shape: tuple[int, int]
+    sino_shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     hit_rows: np.ndarray
     starts: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return math.prod(self.sino_shape), math.prod(self.image_shape)
 
     @property
     def nnz(self) -> int:
@@ -529,46 +536,28 @@ def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
         weights.append(inner[hit])
     rows = np.concatenate(rows)
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return RadonMatrix((n_rows, npix), rows, np.concatenate(cols),
+    return RadonMatrix((n, n), (len(geom.angles), bins), rows, np.concatenate(cols),
                        np.concatenate(weights), rows[starts], starts)
 
 
-def radon_apply(x: np.ndarray, geom: RadonGeometry,
-                matrix: RadonMatrix | None = None) -> np.ndarray:
-    """Sinograms of images ``x`` (..., side, side); leading axes are a batch.
-
-    ``matrix`` is ``radon_matrix(geom)``, assembled here when not given.
-    """
-    x = np.asarray(x, dtype=REAL)
-    n = geom.side
-    if x.shape[-2:] != (n, n):
-        raise ConfigError(f"radon_apply expects (..., {n}, {n}) images, got {x.shape}")
-    mat = radon_matrix(geom) if matrix is None else matrix
-    sino = mat.matvec(x.reshape(-1, n * n))
-    return sino.reshape(x.shape[:-2] + (len(geom.angles), geom.detector_bins))
+def radon_apply(x: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
+    """Sinograms of images ``x`` (..., side, side); leading axes are a batch."""
+    sino = matrix.matvec(x.reshape(-1, matrix.shape[1]))
+    return sino.reshape(x.shape[:-2] + matrix.sino_shape)
 
 
-def radon_adjoint(sino: np.ndarray, geom: RadonGeometry,
-                  matrix: RadonMatrix | None = None) -> np.ndarray:
+def radon_adjoint(sino: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
     """Transpose of ``radon_apply`` on sinograms (..., angles, detector_bins)."""
-    sino = np.asarray(sino, dtype=REAL)
-    rng = (len(geom.angles), geom.detector_bins)
-    if sino.shape[-2:] != rng:
-        raise ConfigError(f"radon_adjoint expects (..., {rng[0]}, {rng[1]}) sinograms, "
-                          f"got {sino.shape}")
-    mat = radon_matrix(geom) if matrix is None else matrix
-    img = mat.rmatvec(sino.reshape(-1, rng[0] * rng[1]))
-    return img.reshape(sino.shape[:-2] + (geom.side, geom.side))
+    img = matrix.rmatvec(sino.reshape(-1, matrix.shape[0]))
+    return img.reshape(sino.shape[:-2] + matrix.image_shape)
 
 
 def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
     mat = radon_matrix(geom)
     # radon_apply/radon_adjoint are looked up at call time, so wrappers
     # installed on this module see every apply
-    op = LinearMap(lead + (geom.side, geom.side),
-                   lead + (len(geom.angles), geom.detector_bins),
-                   lambda x: radon_apply(x, geom, mat),
-                   lambda s: radon_adjoint(s, geom, mat),
+    op = LinearMap(lead + mat.image_shape, lead + mat.sino_shape,
+                   lambda x: radon_apply(x, mat), lambda s: radon_adjoint(s, mat),
                    domain_dtype=REAL, name=name)
     op.matrix = mat
     op.embedding = identity_map(op.range_shape, dtype=REAL)  # sinograms are the data
@@ -590,18 +579,12 @@ def slice_radon_operator(geom: RadonGeometry, n_slices: int, name="radon3d") -> 
 # z-axis finite differences (replicate boundary: last slice difference is 0)
 
 def diff_z_apply(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 3 or v.shape[0] < 2:
-        raise ConfigError("diff_z needs a 3-D volume with at least 2 slices")
     out = np.zeros_like(v)
     out[:-1] = v[1:] - v[:-1]
     return out
 
 
 def diff_z_adjoint(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    if u.ndim != 3 or u.shape[0] < 2:
-        raise ConfigError("diff_z needs a 3-D volume with at least 2 slices")
     out = np.zeros_like(u)
     out[0] = -u[0]
     out[1:-1] = u[:-2] - u[1:-1]
@@ -610,5 +593,9 @@ def diff_z_adjoint(u: np.ndarray) -> np.ndarray:
 
 
 def diff_z_operator(vol_shape, dtype=REAL, name="diff_z") -> LinearMap:
+    """D_z on volumes of ``vol_shape``: 3-D with at least 2 slices."""
+    if len(vol_shape) != 3 or vol_shape[0] < 2:
+        raise ConfigError(f"diff_z needs a 3-D volume with at least 2 slices, "
+                          f"got {tuple(vol_shape)}")
     return LinearMap(vol_shape, vol_shape, diff_z_apply, diff_z_adjoint,
                      domain_dtype=dtype, name=name)

@@ -1,9 +1,11 @@
 """Dense tensor core: dtype policy, unitary 1-D and 2-D FFTs, seeded Gaussian streams.
 
 Signals are plain numpy arrays restricted to float64 / complex128. The
-operations here check shapes, not finiteness; ``check_finite`` runs where
-data enters or leaves a run (files, operator data, CSV rows), and the
-sampler checks its residual once per step, where a run can diverge.
+FFTs check nothing per call: the power-of-two sides they are restricted to
+are checked once, where a shape enters (``sense_plan``,
+``smooth_random_field``). ``check_finite`` runs where data enters or leaves
+a run (files, operator data, CSV rows), and the sampler checks its residual
+once per step, where a run can diverge.
 """
 
 from __future__ import annotations
@@ -28,44 +30,24 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_fft_axes(x: np.ndarray, axes, ndim: int) -> tuple[int, ...]:
-    ax = tuple(int(a) for a in axes)
-    if len(ax) != ndim:
-        raise ConfigError(f"fft{ndim} expects exactly {ndim} axes")
-    for a in ax:
-        if not is_pow2(x.shape[a]):
-            raise ConfigError(
-                f"fft{ndim} requires power-of-two extents, got {x.shape[a]} on axis {a}"
-            )
-    return ax
+def fft2(x: np.ndarray) -> np.ndarray:
+    """Unitary 2-D FFT over the last two axes (norm split as 1/sqrt(HW))."""
+    return np.fft.fft2(np.asarray(x, dtype=COMPLEX), norm="ortho")
 
 
-def fft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
-    """Unitary 2-D FFT over two power-of-two axes (norm split as 1/sqrt(HW))."""
-    x = np.asarray(x, dtype=COMPLEX)
-    ax = _check_fft_axes(x, axes, 2)
-    return np.fft.fft2(x, axes=ax, norm="ortho")
-
-
-def ifft2(x: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+def ifft2(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2`; also unitary."""
-    x = np.asarray(x, dtype=COMPLEX)
-    ax = _check_fft_axes(x, axes, 2)
-    return np.fft.ifft2(x, axes=ax, norm="ortho")
+    return np.fft.ifft2(np.asarray(x, dtype=COMPLEX), norm="ortho")
 
 
-def fft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unitary 1-D FFT along one power-of-two axis (norm 1/sqrt(n))."""
-    x = np.asarray(x, dtype=COMPLEX)
-    (ax,) = _check_fft_axes(x, (axis,), 1)
-    return np.fft.fft(x, axis=ax, norm="ortho")
+def fft1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unitary 1-D FFT along ``axis`` (norm 1/sqrt(n))."""
+    return np.fft.fft(np.asarray(x, dtype=COMPLEX), axis=axis, norm="ortho")
 
 
-def ifft1(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def ifft1(x: np.ndarray, axis: int) -> np.ndarray:
     """Inverse of :func:`fft1`; also unitary."""
-    x = np.asarray(x, dtype=COMPLEX)
-    (ax,) = _check_fft_axes(x, (axis,), 1)
-    return np.fft.ifft(x, axis=ax, norm="ortho")
+    return np.fft.ifft(np.asarray(x, dtype=COMPLEX), axis=axis, norm="ortho")
 
 
 def norm(x: np.ndarray) -> float:

@@ -1,6 +1,8 @@
-"""tools/byte_oracle.py --compare reads two --dump trees and bounds the moves by number."""
+"""tools/byte_oracle.py names its BLAS threads, and --compare reads two --dump trees and
+bounds the moves by number."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -65,3 +67,11 @@ def test_compare_reads_sweep_and_metrics_csvs(tmp_path, capsys):
     byte_oracle.compare(tmp_path / "p", tmp_path / "c2")  # a run id moved
     assert capsys.readouterr().out.splitlines()[:2] == [
         "metrics/mri2d csv inf", "sweep/mri2d/eta/jobs1 csv inf"]
+
+
+def test_header_names_the_blas_threads_and_cpus(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    assert byte_oracle.blas_header() == ("blas OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+                                         f"MKL_NUM_THREADS=4 cpus={os.cpu_count()}")

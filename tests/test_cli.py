@@ -375,18 +375,21 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("dim = 4", "dim = 4\noffset_scale = -1", "[prior] offset_scale = -1.0 must be finite"),
     ("dim = 4", "dim = 4\noffset_scale = nan", "[prior] offset_scale = nan must be finite"),
     (CFG, CT_CFG.replace("complex = false", "complex = true"), "[prior] complex"),
+    (CFG, CT_CFG.replace("shape = 3 8 8", "shape = 2 12 12")
+     .replace("dim = 3", "dim = 3\nsmooth = 2"), "power-of-two sides, got (12, 12)"),
 ], ids=["non-integer-shape", "one-size-2d-shape", "prior-dim-above-pixels",
         "non-boolean-complex", "gmm-no-components", "gmm-negative-components",
         "nan-acceleration-uniform1d", "nan-acceleration-poisson-disk-vd",
         "inf-acceleration-uniform1d", "shepp-logan-3d-on-2d-shape", "negative-mask-seed",
         "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
-        "nan-offset-scale", "complex-prior-on-ct3d"])
+        "nan-offset-scale", "complex-prior-on-ct3d", "smoothed-prior-on-non-pow2-ct3d"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1, or, from negative-noise-sigma
     # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
     # offset_scale as 0, a negative tau with its sign lost in tau^2, a complex
-    # phantom cast to the real Radon domain) or to carry inf or NaN into the data
+    # phantom cast to the real Radon domain) or to carry inf or NaN into the data;
+    # the smoothed prior's sides are checked where its shape enters, not per FFT
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
@@ -471,6 +474,46 @@ def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0", "--out", str(out))
     _one_line_error(r)
     assert named in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+@pytest.mark.parametrize("value, named", [
+    ("smooth = -1", "[noise_offset] smooth = -1.0 must be finite and >= 0"),
+    ("smooth = nan", "[noise_offset] smooth = nan must be finite and >= 0"),
+    ("sigma_gt = -0.1", "[noise_offset] sigma_gt = -0.1 must be finite and >= 0"),
+    ("sigma_gt = nan", "[noise_offset] sigma_gt = nan must be finite and >= 0"),
+    ("sigma_gt = inf", "[noise_offset] sigma_gt = inf must be finite and >= 0"),
+    ("shape = 24 24", "power-of-two sides, got (24, 24)"),
+], ids=["negative-smooth", "nan-smooth", "negative-sigma-gt", "nan-sigma-gt", "inf-sigma-gt",
+        "non-pow2-shape"])
+def test_bad_noise_offset_value_exits_2(tmp_path, value, named):
+    # smooth = -1 or nan ran white-noise phantoms with exit 0, and
+    # sigma_gt = nan exited 3 in the first CG solve; the smoothed phantom's
+    # shape is checked where it enters, not by the FFT
+    cfgp = tmp_path / "no.ini"
+    cfgp.write_text(f"[noise_offset]\ntrials = 1\n{value}\n")
+    out = tmp_path / "no.csv"
+    r = run_cli("noise-offset", "--config", str(cfgp), "--seed", "1", "--out", str(out))
+    _one_line_error(r)
+    assert named in r.stderr
+    assert not out.exists()
+
+
+def test_ct3d_single_slice_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    # z-axis TV needs two slices; a 1-slice volume used to run the denoiser
+    # through the VE warm-up and fail at the first ADMM sweep
+    from dds import cli
+    from dds.diffusion import AffineSubspaceDenoiser
+
+    calls = []
+    monkeypatch.setattr(AffineSubspaceDenoiser, "denoise", lambda *args: calls.append(args))
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace("shape = 3 8 8", "shape = 1 8 8"))
+    out = tmp_path / "r"
+    assert cli.main(["reconstruct", "--config", str(cfgp), "--seed", "0",
+                     "--out", str(out)]) == 2
+    assert "at least 2 slices" in capsys.readouterr().err
+    assert calls == []
     assert not (out / "x0.dtf").exists()
 
 

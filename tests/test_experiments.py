@@ -90,8 +90,8 @@ def test_config_boolean_spellings(raw, value):
 # [noise_offset] keys were derived from their dataclasses
 PINNED_CONFIG_KEYS = {
     "problem": "kind noise_sigma noise_seed",
-    "phantom": "kind seed shape constant_z",
-    "prior": "kind seed complex smooth dim offset_scale components tau mean_scale",
+    "phantom": "kind seed shape",
+    "prior": "kind seed complex smooth dim offset_scale components tau",
     "operator": "kind mask_kind acceleration acs_fraction mask_seed coils maps_seed "
                 "angles detector_bins",
     "sampler": "nfe eta cg_steps gamma mode dc xi dps_step scale_step_by_residual "

@@ -549,9 +549,9 @@ def test_sense_rejects_non_power_of_two_images(shape, kind, acc):
 # radon
 
 def test_radon_zero_image():
-    geom = RadonGeometry.uniform(16, 8)
-    assert norm(radon_apply(np.zeros((16, 16)), geom)) == 0.0
-    assert norm(radon_adjoint(np.zeros((8, 16)), geom)) == 0.0
+    mat = radon_matrix(RadonGeometry.uniform(16, 8))
+    assert norm(radon_apply(np.zeros((16, 16)), mat)) == 0.0
+    assert norm(radon_adjoint(np.zeros((8, 16)), mat)) == 0.0
 
 
 def test_radon_disk_symmetry_on_lattice_symmetric_angles():
@@ -561,7 +561,7 @@ def test_radon_disk_symmetry_on_lattice_symmetric_angles():
     geom = RadonGeometry(side=32, angles=np.array([0.0, math.pi / 2]), detector_bins=32)
     yy, xx = np.mgrid[0:32, 0:32] - 15.5
     disk = np.exp(-(yy ** 2 + xx ** 2) / (2 * 4.0 ** 2))
-    sino = radon_apply(disk, geom)
+    sino = radon_apply(disk, radon_matrix(geom))
     assert np.max(np.abs(sino[0] - sino[1])) < 1e-6
 
 
@@ -569,7 +569,7 @@ def test_radon_disk_symmetry_generic_angles_percent_level():
     geom = RadonGeometry.uniform(32, 8)
     yy, xx = np.mgrid[0:32, 0:32] - 15.5
     disk = np.exp(-(yy ** 2 + xx ** 2) / (2 * 4.0 ** 2))
-    sino = radon_apply(disk, geom)
+    sino = radon_apply(disk, radon_matrix(geom))
     spread = np.max(np.abs(sino - sino[0][None, :]))
     assert spread <= 0.02 * sino.max()
 
@@ -592,7 +592,7 @@ def test_radon_central_pixel_reading_matches_matrix_oracle():
     mat = naive_radon_matrix(geom)
     img = np.zeros((16, 16))
     img[8, 8] = 1.0
-    sino = radon_apply(img, geom)
+    sino = radon_apply(img, radon_matrix(geom))
     for a in range(6):
         want = mat[a * 16 + 8, 8 * 16 + 8]
         assert abs(sino[a, 8] - want) < 1e-8
@@ -602,13 +602,13 @@ def test_slice_radon_operator_applies_per_slice():
     for geom, nz in ((RadonGeometry.uniform(8, 4), 3),
                      (RadonGeometry(side=9, angles=np.arange(5) * math.pi / 5,
                                     detector_bins=12, step=0.4), 4)):
-        op = slice_radon_operator(geom, nz)
+        op, single = slice_radon_operator(geom, nz), radon_operator(geom)
         vol = RngStream(2).randn((nz, geom.side, geom.side))
         sino = RngStream(7).randn((nz, len(geom.angles), geom.detector_bins))
         out, back = op.apply(vol), op.adjoint(sino)
         for z in range(nz):
-            assert norm(out[z] - radon_apply(vol[z], geom)) < 1e-14
-            assert norm(back[z] - radon_adjoint(sino[z], geom)) < 1e-14
+            assert norm(out[z] - single.apply(vol[z])) < 1e-14
+            assert norm(back[z] - single.adjoint(sino[z])) < 1e-14
         dot_test(op, RngStream(3), trials=10, tol=1e-10)
 
 
@@ -684,19 +684,22 @@ def test_radon_embedding_is_the_identity():
 def test_radon_apply_batches_leading_axes():
     geom = RadonGeometry(side=7, angles=np.arange(3) * math.pi / 3, detector_bins=10)
     mat = radon_matrix(geom)
+    assert (mat.image_shape, mat.sino_shape) == ((7, 7), (3, 10))
     vol = RngStream(4).randn((2, 3, 7, 7))
-    sino = radon_apply(vol, geom, mat)
+    sino = radon_apply(vol, mat)
     assert sino.shape == (2, 3, 3, 10)
-    back = radon_adjoint(sino, geom, mat)
+    back = radon_adjoint(sino, mat)
     assert back.shape == vol.shape
     for i in range(2):
         for z in range(3):
-            assert np.array_equal(sino[i, z], radon_apply(vol[i, z], geom))
-            assert np.array_equal(back[i, z], radon_adjoint(sino[i, z], geom))
+            assert np.array_equal(sino[i, z], radon_apply(vol[i, z], mat))
+            assert np.array_equal(back[i, z], radon_adjoint(sino[i, z], mat))
+    # the kernels trust their callers; the operator checks shapes
+    op = slice_radon_operator(geom, 3)
     with pytest.raises(ConfigError):
-        radon_apply(np.zeros((3, 8, 7)), geom, mat)
+        op.apply(np.zeros((3, 8, 7)))
     with pytest.raises(ConfigError):
-        radon_adjoint(np.zeros((10, 3)), geom, mat)
+        op.adjoint(np.zeros((10, 3)))
 
 
 def test_slice_radon_operator_calls_module_level_kernels_once_per_volume(monkeypatch):
@@ -706,9 +709,9 @@ def test_slice_radon_operator_calls_module_level_kernels_once_per_volume(monkeyp
     calls = []
 
     def spy(fn):
-        def wrapped(data, geom, matrix=None):
-            calls.append((fn.__name__, data.shape, matrix is not None))
-            return fn(data, geom, matrix)
+        def wrapped(data, matrix):
+            calls.append((fn.__name__, data.shape, matrix is op.matrix))
+            return fn(data, matrix)
         return wrapped
 
     op = slice_radon_operator(RadonGeometry.uniform(8, 4), 3)
@@ -745,8 +748,9 @@ def test_diff_z_matches_dense_transpose():
 
 
 def test_diff_z_needs_two_slices():
-    with pytest.raises(ConfigError):
-        diff_z_apply(np.zeros((1, 4, 4)))
+    for shape in ((1, 4, 4), (4, 4)):
+        with pytest.raises(ConfigError, match="at least 2 slices"):
+            diff_z_operator(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dds.diffusion import smooth_random_field
 from dds.errors import ConfigError
 from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
 
@@ -26,8 +27,11 @@ def test_fft_parseval():
 
 
 def test_fft_rejects_non_pow2():
-    with pytest.raises(ConfigError):
-        fft2(np.zeros((6, 8), dtype=COMPLEX))
+    # the FFTs check nothing per call; a smoothed field's shape is checked
+    # where it enters, as sense_plan checks the SENSE image sides
+    for shape in ((6, 8), (24, 24)):
+        with pytest.raises(ConfigError, match="power-of-two"):
+            smooth_random_field(RngStream(0), shape, 2.0)
 
 
 def test_fft_batched_axes():

@@ -1,13 +1,17 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
 
-Runs the CLI's `reconstruct` command in-process with `--seed 3` on 99
+The first line names the BLAS thread settings (`OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS`, `MKL_NUM_THREADS`, each value or `unset`) and the CPU
+count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
+2 BLAS threads, so two outputs compare only when this line matches. Then
+it runs the CLI's `reconstruct` command in-process with `--seed 3` on 99
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
 `noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
 prints for each the name, the sha256 of the CSV and the exit code: 112
-lines in all. Two checkouts behave the same on these runs exactly when the
-outputs match:
+hash lines after the header. Two checkouts behave the same on these runs
+exactly when the outputs match:
 
     python3 tools/byte_oracle.py > change.txt
     python3 tools/byte_oracle.py --repo ../parent-checkout > parent.txt
@@ -69,6 +73,7 @@ import hashlib
 import importlib.util
 import io
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -224,6 +229,15 @@ SWEEP_CONFIGS = {
 METRICS = "mri2d/dds-cg/vp/defaults"
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_header() -> str:
+    """The first output line: each BLAS thread variable (or `unset`) and the CPU count."""
+    settings = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARIABLES)
+    return f"blas {settings} cpus={os.cpu_count()}"
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
@@ -339,6 +353,7 @@ def main(argv=None) -> int:
         ap.error(f"--dump directory {args.dump} is not empty")
     from dds import cli
 
+    print(blas_header(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
 

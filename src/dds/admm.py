@@ -40,9 +40,7 @@ class SliceDenoiser:
 
 
 def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
-    """Proximal map of kappa |.|: shrink magnitudes by kappa, dead-zone at 0."""
-    if kappa < 0:
-        raise ConfigError("soft threshold needs kappa >= 0")
+    """Proximal map of kappa |.| for kappa >= 0: shrink magnitudes by kappa, dead-zone at 0."""
     v = np.asarray(v)
     mag = np.abs(v)
     shrink = np.where(mag > kappa, 1.0 - kappa / np.where(mag > 0, mag, 1.0), 0.0)
@@ -88,12 +86,9 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
     x-update: CGLS on min ||y - A x||^2 + rho ||(z - w) - D x||^2, the normal
     equations (A'A + rho D'D) x = A'y + rho D'(z - w), warm-started at xhat;
     then z <- shrink(D x' + w), w <- w + D x' - z. The new state carries the
-    solve's y - A x'.
+    solve's y - A x'. xhat and the state are volumes of one shape with at
+    least 2 slices, as dds_3d_reconstruct builds them.
     """
-    if xhat.ndim != 3 or xhat.shape[0] < 2:
-        raise ConfigError("admm_tv_dc expects a 3-D volume with at least 2 slices")
-    if state.z.shape != xhat.shape or state.w.shape != xhat.shape:
-        raise ConfigError("ADMM state shapes must match the volume")
     dz = LinearMap(xhat.shape, xhat.shape, diff_z_apply, diff_z_adjoint,
                    domain_dtype=a.domain_dtype, name="diff_z")
     xp, report = cg(a, y, xhat, cfg.cg_steps, stack=(dz, state.z - state.w, cfg.rho))
@@ -105,7 +100,7 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
 
 def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
                        tv: TvConfig, rng: RngStream | None = None,
-                       x_true: np.ndarray | None = None, schedule=None) -> ReconResult:
+                       x_true: np.ndarray | None = None) -> ReconResult:
     """Volume reconstruction: slice-wise denoising, shared-state ADMM-TV DC.
 
     Runs the shared sampling loop with a stateful DC step. VP applies
@@ -120,7 +115,7 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     if cfg.dc != "dds-cg":
         raise ConfigError(f"volume reconstruction runs ADMM-TV data consistency; "
                           f"dc = {cfg.dc} is not supported, use dc = dds-cg")
-    sched = schedule if schedule is not None else make_schedule(cfg)
+    sched = make_schedule(cfg)
     vp = isinstance(sched, VpSchedule)
     switch_t = sched.n_steps // 2  # VE warm-up: plain CG while t >= switch_t
     state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)

@@ -25,7 +25,7 @@ from .diffusion import (
     smooth_random_field,
 )
 from .errors import ConfigError
-from .metrics import estimate_noise, psnr, ssim
+from .metrics import estimate_noise, middle_slice, psnr, ssim
 from .operators import (
     LinearMap,
     MaskSpec,
@@ -338,15 +338,11 @@ MET_COLUMNS = [f.name for f in fields(MetricsRow)]
 MET_HEADER = MET_COLUMNS[:MET_COLUMNS.index("wall_seconds")]
 
 
-def _middle_slice(mag: np.ndarray) -> np.ndarray:
-    return mag[mag.shape[0] // 2] if mag.ndim == 3 else mag
-
-
 def magnitude_ssim(mx: np.ndarray, mref: np.ndarray) -> float:
     """SSIM of two magnitude images, on the middle axial slice of volumes;
     NaN when the image is smaller than the SSIM window."""
     try:
-        return ssim(_middle_slice(mx), _middle_slice(mref))
+        return ssim(middle_slice(mx), middle_slice(mref))
     except ConfigError:
         return math.nan
 

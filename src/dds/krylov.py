@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .operators import LinearMap
 
 
@@ -40,22 +40,20 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
          tol: float = 0.0, stack=None) -> tuple[np.ndarray, CgReport]:
     """Run at most ``iters`` CGLS steps on min ||b - A x||^2 + w ||c - B x||^2.
 
-    ``stack = (B, c, w)`` adds the second term, with B a LinearMap and w > 0;
-    without it the problem is plain least squares. ``x0 = None`` starts from
-    zero without applying A to it. The iterates are those of plain CG on the
-    normal equations (A*A + w B*B) x = A*b + w B*c, but CGLS carries the data
-    residual s = b - A x (and t = c - B x) and forms the gradient
-    r = A*s + w B*t from it, so ``report.residual`` is s at return and
+    ``stack = (B, c, w)`` adds the second term, with B a LinearMap and w
+    finite and > 0; without it the problem is plain least squares. The
+    callers' configs fix iters >= 0 and w (1/gamma or rho), so neither is
+    checked here. ``x0 = None`` starts from zero without applying A to it.
+    The iterates are those of plain CG on the normal equations
+    (A*A + w B*B) x = A*b + w B*c, but CGLS carries the data residual
+    s = b - A x (and t = c - B x) and forms the gradient r = A*s + w B*t
+    from it, so ``report.residual`` is s at return and
     ``report.residual_norms`` holds the ||r_k|| that plain CG would report.
     Stops early once ||r_k|| <= tol. With tol = 0 the cap rules, and the last
     step skips its A*s (and B*t), which only a stopping test or a next step
     would read; ``residual_norms`` then ends with ||r_(iters-1)||.
     """
-    if iters < 0:
-        raise ConfigError("cgls: iteration cap must be >= 0")
     bop, c, w = stack if stack is not None else (None, None, 0.0)
-    if bop is not None and not w > 0:
-        raise ConfigError("cgls: the stacked term's weight must be > 0")
     if x0 is None:
         x = np.zeros(a.domain_shape, dtype=a.domain_dtype)
         s = np.array(b, dtype=np.result_type(b, a.range_dtype))

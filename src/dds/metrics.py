@@ -77,6 +77,11 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.mean(num / den))
 
 
+def middle_slice(x: np.ndarray) -> np.ndarray:
+    """The image that stands for x: the middle axial slice of a volume, else x."""
+    return x[x.shape[0] // 2] if x.ndim == 3 else x
+
+
 def estimate_noise(x: np.ndarray) -> float:
     """Robust sigma estimate: MAD of the finest diagonal Haar detail / 0.6745.
 

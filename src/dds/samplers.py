@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericalError, SamplerDivergedError
 # bench/tracing.py times every data-consistency solve through the attribute
 # samplers.cg, so the solver keeps that name here.
 from .krylov import cgls as cg
-from .metrics import estimate_noise
+from .metrics import estimate_noise, middle_slice
 from .operators import LinearMap, identity_map
 from .tensor import RngStream, norm
 
@@ -73,8 +73,10 @@ class SamplerConfig:
         if self.cg_steps < 1:
             raise ConfigError("cg_steps must be >= 1")
         for key in ("gamma", "xi", "dps_step"):  # NaN fails every comparison
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be > 0")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be > 0 and finite")
+        if not 1.0 / self.gamma < math.inf:  # the proximal solve weighs by 1/gamma
+            raise ConfigError("gamma must be > 0 with a finite 1/gamma")
         if not 0 <= self.ve_truncation < 1:
             raise ConfigError("ve_truncation must lie in [0, 1)")
         s = self.ve_sigma_max  # VE runs need var(N) = s * s finite too
@@ -171,8 +173,6 @@ def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray
 
 def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> np.ndarray:
     """One descent step x - xi A*(A x - y) on the residual 1/2 ||y - Ax||^2."""
-    if xi <= 0:
-        raise ConfigError("gradient step size must be positive")
     return x - xi * a.adjoint(a.apply(x) - y)
 
 
@@ -228,12 +228,9 @@ def make_schedule(cfg: SamplerConfig):
 
 
 def _trace_noise(x: np.ndarray) -> float:
-    if x.ndim == 2:
-        img = x
-    elif x.ndim == 3:
-        img = x[x.shape[0] // 2]
-    else:
+    if x.ndim not in (2, 3):
         return math.nan
+    img = middle_slice(x)
     if min(img.shape) < 2:
         return math.nan
     return estimate_noise(np.real(img))
@@ -319,12 +316,9 @@ def rejection_wrap(run_fn, tau: float, max_retries: int, base_rng: RngStream) ->
     """Rerun ``run_fn(rng)`` with derived fresh seeds until the residual clears tau.
 
     Exhausted retries return the best-residual attempt flagged not accepted.
-    The result's ``attempts`` counts runs performed.
+    The result's ``attempts`` counts runs performed. Needs tau >= 0 and
+    max_retries >= 1, which SamplerConfig and run_reconstruction check.
     """
-    if tau < 0:
-        raise ConfigError("rejection threshold must be nonnegative")
-    if max_retries < 1:
-        raise ConfigError("need at least one attempt")
     best = None
     for attempt in range(1, max_retries + 1):
         res = run_fn(base_rng.child(attempt - 1))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dds.diffusion import _check_t
 from dds.errors import ConfigError, NumericalError
 from dds.krylov import CgReport
 from dds.operators import LinearMap, diff_z_apply
@@ -160,6 +159,11 @@ def jacobi_residual_sequence(a: LinearMap, y: np.ndarray, x0: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # Tweedie and parameterization conversions
+
+def _check_t(sched, t: int):
+    if not (1 <= t <= sched.n_steps):
+        raise ConfigError(f"timestep {t} outside [1, {sched.n_steps}]")
+
 
 def vp_tweedie(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched) -> np.ndarray:
     """Posterior-mean estimate xhat = (x_t - sqrt(var_t) eps_hat) / scale_t."""

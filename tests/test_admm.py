@@ -45,11 +45,6 @@ def test_soft_threshold_examples():
     assert np.array_equal(soft_threshold(v, 0.0), v)
 
 
-def test_soft_threshold_rejects_negative_kappa():
-    with pytest.raises(ConfigError):
-        soft_threshold(np.zeros(3), -0.1)
-
-
 def test_soft_threshold_is_exact_prox_by_grid_refinement():
     # independent oracle: refine a grid search of kappa|u| + (u-v)^2/2;
     # extended precision is needed because the objective is quadratically
@@ -104,13 +99,6 @@ def test_admm_x_update_optimality_at_convergence():
     from dds.operators import diff_z_adjoint
     grad = a.adjoint(a.apply(xp) - y) + rho * diff_z_adjoint(diff_z_apply(xp) - state.z + state.w)
     assert norm(grad) <= 1e-6 * norm(a.adjoint(y))
-
-
-def test_admm_state_shape_validation():
-    _, _, x_true, a, y = ct_problem(40)
-    bad = AdmmState.zeros((2, 2, 2))
-    with pytest.raises(ConfigError):
-        admm_tv_dc(x_true, a, y, bad, TvConfig())
 
 
 def test_shared_state_single_iteration_tracks_reference_admm():
@@ -198,6 +186,8 @@ def test_tv_config_validation():
         TvConfig(rho=0.0)
     with pytest.raises(ConfigError):
         TvConfig(lam=-1.0)
+    with pytest.raises(ConfigError):
+        TvConfig(cg_steps=-1)
 
 
 @pytest.mark.parametrize("mode", ["vp", "ve"])

@@ -103,9 +103,17 @@ def _traced_span_names(text):
     (MRI_CFG.format(dc="dds-cg"), {"krylov.cg", "diffusion.ddim", "diffusion.denoise"}),
     (MRI_CFG.format(dc="ddnm"), {"samplers.ddnm_step", "diffusion.ddim"}),
     (MRI_CFG.format(dc="projection"), {"samplers.ddnm_step", "diffusion.ddim"}),
+    (MRI_CFG.format(dc="dds-proximal-cg"),
+     {"krylov.cg", "diffusion.ddim", "diffusion.denoise"}),
+    # gradient and dps apply A and A* from the loop itself, through no hooked helper
+    (MRI_CFG.format(dc="gradient"),
+     {"linear_map.apply", "linear_map.adjoint", "diffusion.ddim", "diffusion.denoise"}),
+    (MRI_CFG.format(dc="dps"),
+     {"linear_map.apply", "linear_map.adjoint", "diffusion.ddim", "diffusion.denoise"}),
     (CT_CFG.format(nfe=4, mode="vp"), {"admm.sweep", "diffusion.ddim", "diffusion.denoise"}),
     (CT_CFG.format(nfe=6, mode="ve"), {"admm.sweep", "krylov.cg", "diffusion.ddim"}),
-], ids=["mri2d-dds-cg", "mri2d-ddnm", "mri2d-projection", "ct3d-vp", "ct3d-ve"])
+], ids=["mri2d-dds-cg", "mri2d-ddnm", "mri2d-projection", "mri2d-dds-proximal-cg",
+        "mri2d-gradient", "mri2d-dps", "ct3d-vp", "ct3d-ve"])
 def test_loops_call_through_hooked_attributes(text, in_loop):
     names, loop_children = _traced_span_names(text)
     assert "samplers.loop" in names and "samplers.estimate_noise" in names

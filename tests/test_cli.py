@@ -456,10 +456,15 @@ def test_detector_bins_below_one_exits_2(tmp_path, bins):
     ("mode = ve\nve_sigma_max = nan", "ve_sigma_max must be finite and > 0"),
     ("mode = ve\nve_sigma_max = inf", "ve_sigma_max must be finite and > 0"),
     ("mode = ve\nve_sigma_max = 1e160", "ve_sigma_max must be finite and > 0, with a finite"),
+    ("gamma = inf", "gamma must be > 0 and finite"),
+    ("gamma = 1e-320", "gamma must be > 0 with a finite 1/gamma"),
+    ("xi = inf", "xi must be > 0 and finite"),
+    ("dps_step = inf", "dps_step must be > 0 and finite"),
 ], ids=["non-boolean", "no-retries", "negative-retries", "negative-tau",
         "negative-tau-with-retries", "negative-dps-step", "zero-dps-step",
         "full-ve-truncation", "ve-truncation-above-1", "nan-gamma", "zero-xi", "nan-xi",
-        "nan-ve-sigma-max", "inf-ve-sigma-max", "huge-ve-sigma-max"])
+        "nan-ve-sigma-max", "inf-ve-sigma-max", "huge-ve-sigma-max", "inf-gamma",
+        "subnormal-gamma", "inf-xi", "inf-dps-step"])
 def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     # the boolean ran as false and tau = -1 was rejected only when
     # max_retries > 1 sent it through rejection_wrap; dps_step = -1 ran
@@ -467,7 +472,9 @@ def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     # consistency, ve_truncation = 2 failed with a timestep error and
     # gamma = nan reached the first CG solve; ve_sigma_max = nan or inf
     # built a schedule of non-finite sigmas and exited 3 after numpy warnings,
-    # and ve_sigma_max = 1e160 overflowed sigma^2 in a traceback (exit 1)
+    # and ve_sigma_max = 1e160 overflowed sigma^2 in a traceback (exit 1);
+    # gamma = inf, xi = inf and dps_step = inf passed the config, and
+    # gamma = 1e-320 gave the proximal solve an infinite weight 1/gamma
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace("dc = dds-cg", f"dc = dds-cg\n{extra}"))
     out = tmp_path / "r"

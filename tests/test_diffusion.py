@@ -76,6 +76,25 @@ def test_ve_schedule_needs_a_finite_top_variance():
     assert math.isfinite(sched.var(sched.n_steps))
 
 
+def test_ddim_radicand_is_nonnegative_on_every_schedule_that_builds():
+    # ddim_step trusts var(t-1) - (eta ddim_std(t))^2 >= 0 and clamps only
+    # round-off, so every schedule the constructors accept must keep it
+    scheds = []
+    for n in range(2, 1001):
+        try:
+            scheds.append(VpSchedule.default(n))
+        except ConfigError:
+            continue
+    assert scheds
+    scheds += [VeSchedule.geometric(n, sigma_max=s) for n in (2, 3, 10, 50, 200, 1000)
+               for s in (0.011, 0.1, 1.0, 10.0, 100.0, 1e4, 1e8)]
+    for sched in scheds:
+        for t in range(2, sched.n_steps + 1):
+            var, std = sched.var(t - 1), sched.ddim_std(t)
+            for eta in (0.0, 0.5, 1.0):
+                assert var - (eta * std) ** 2 >= -1e-12, (type(sched).__name__, t, eta)
+
+
 # ---------------------------------------------------------------------------
 # Tweedie and conversions
 
@@ -362,14 +381,6 @@ def test_vp_step_eta1_matches_ddpm_ancestral_mean():
         alpha_t = s.alphas[t]
         ddpm_mean = (xt - (1 - alpha_t) / math.sqrt(1 - s.abars[t]) * eh) / math.sqrt(alpha_t)
         assert norm(deterministic - ddpm_mean) < 1e-12
-
-
-def test_vp_step_rejects_bad_t_and_eta():
-    s = VpSchedule.default(10)
-    with pytest.raises(ConfigError):
-        ddim_step(np.zeros(2), np.zeros(2), 1, 0.0, RngStream(0), s)
-    with pytest.raises(ConfigError):
-        ddim_step(np.zeros(2), np.zeros(2), 5, 1.5, RngStream(0), s)
 
 
 def test_ve_step_eta0_deterministic():

@@ -184,12 +184,6 @@ def test_gradient_step_descends_residual_for_stable_steps():
         assert norm(y - a.apply(out)) < norm(y - a.apply(x))
 
 
-def test_gradient_step_rejects_nonpositive_xi():
-    a = identity_map((2,), dtype=REAL)
-    with pytest.raises(ConfigError):
-        gradient_dc_step(np.zeros(2), a, np.zeros(2), 0.0)
-
-
 def dps_step(x_t, t, prior, a, y, gamma, sched):
     """The make_dc ``dps`` step at (x_t, t), handed the loop's posterior mean."""
     dc = make_dc(SamplerConfig(dc="dps", dps_step=gamma), a, y, sched, prior)
@@ -339,6 +333,35 @@ def test_vp_ve_agree_on_matched_schedules():
     assert norm(r_vp.x0 - x_true) <= 1e-3 * norm(x_true)
     assert norm(r_ve.x0 - x_true) <= 1e-3 * norm(x_true)
     assert norm(r_vp.x0 - r_ve.x0) <= 1e-3 * norm(x_true)
+
+
+@pytest.mark.parametrize("mode, truncation, k_stop", [
+    ("vp", 1 / 50, 1), ("ve", 1 / 50, 1), ("ve", 0.2, 2),
+], ids=["vp", "ve", "ve-truncated"])
+def test_loop_keeps_every_timestep_in_range(monkeypatch, mode, truncation, k_stop):
+    # the denoisers and ddim_step trust t: the loop hands the denoiser
+    # t in [k_stop, N] and the DDIM step t in [k_stop + 1, N]
+    _, den, _, a, y = sense_problem(151, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    den_ts, ddim_ts = [], []
+
+    class SpyDenoiser:
+        prior = den.prior
+
+        def denoise(self, x, t, sched):
+            den_ts.append(t)
+            return den.denoise(x, t, sched)
+
+    def ddim_spy(xhat_dc, eps_hat, t, eta, rng, sched):
+        ddim_ts.append(t)
+        return diffusion.ddim_step(xhat_dc, eps_hat, t, eta, rng, sched)
+
+    monkeypatch.setattr(samplers, "vp_ddim_step", ddim_spy)
+    n = 10
+    cfg = SamplerConfig(nfe=n, eta=0.5, cg_steps=2, dc="dds-cg", mode=mode,
+                        ve_truncation=truncation, seed=0)
+    dds_reconstruct(a, y, SpyDenoiser(), cfg, rng=RngStream(0))
+    assert den_ts == list(range(n, k_stop - 1, -1))
+    assert ddim_ts == list(range(n, k_stop, -1))
 
 
 def test_ve_truncation_stops_early():

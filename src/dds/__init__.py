@@ -8,9 +8,7 @@ adjoints, single-iteration ADMM-TV for volumes, and a batch experiment CLI.
 
 from .admm import AdmmState, TvConfig, admm_tv_dc, dds_3d_reconstruct, soft_threshold
 from .diffusion import (
-    AffineSubspaceDenoiser,
     AffineSubspacePrior,
-    GmmDenoiser,
     GmmPrior,
     VeSchedule,
     VpSchedule,

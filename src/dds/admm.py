@@ -32,7 +32,6 @@ class SliceDenoiser:
 
     def __init__(self, inner):
         self.inner = inner
-        self.prior = getattr(inner, "prior", None)
 
     def denoise(self, vol, t, sched):
         return np.stack([self.inner.denoise(vol[z], t, sched)

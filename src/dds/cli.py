@@ -60,7 +60,10 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError("measurement shape does not match the configured operator")
         problem.y = e.adjoint(y.astype(e.range_dtype))
         xt_path = indir / "x_true.dtf"
-        problem.x_true = read_dtf(xt_path) if xt_path.exists() else problem.x_true
+        if xt_path.exists():
+            problem.x_true = read_dtf(xt_path)
+            if problem.x_true.shape != problem.a.domain_shape:
+                raise ConfigError("x_true.dtf shape does not match the operator domain")
     scfg = xp.sampler_config(cfg, seed=args.seed)
     tv = xp.tv_config(cfg) if problem.kind == "ct3d" else None
     retries = cfg.get("sampler", "max_retries", 1, int)

@@ -180,7 +180,8 @@ class AffineSubspacePrior:
     """Uniform prior on the affine set {Q a + c}: orthonormal atoms plus offset.
 
     ``basis`` stacks the l orthonormal atoms as (l, *signal_shape); ``offset``
-    is the affine shift (zeros for a subspace through the origin).
+    is the affine shift (zeros for a subspace through the origin). The prior
+    is its own denoiser: ``denoise`` is the exact posterior mean E[x0 | x_t].
     """
 
     basis: np.ndarray
@@ -219,6 +220,9 @@ class AffineSubspacePrior:
         q = self.basis.reshape(self.dim, -1)
         return (q.T @ coef).reshape(self.signal_shape) + self.offset
 
+    def denoise(self, x_t, t, sched):
+        return affine_prior_denoise(x_t, t, self, sched)
+
     @classmethod
     def random(cls, signal_shape, dim: int, seed: int = 0, dtype=COMPLEX,
                offset_scale: float = 0.0, smooth: float = 0.0) -> "AffineSubspacePrior":
@@ -245,7 +249,7 @@ class AffineSubspacePrior:
 
 @dataclass(frozen=True)
 class GmmPrior:
-    """Isotropic Gaussian mixture with shared per-component variance tau^2."""
+    """Isotropic Gaussian mixture, shared variance tau^2; its own exact denoiser."""
 
     weights: np.ndarray
     means: np.ndarray   # (K, *signal_shape)
@@ -274,6 +278,9 @@ class GmmPrior:
         k = min(k, self.n_components - 1)
         noise = rng.randn(self.signal_shape, dtype=self.means.dtype.type)
         return self.means[k] + math.sqrt(self.tau2) * noise
+
+    def denoise(self, x_t, t, sched):
+        return gmm_denoise(x_t, t, self, sched)
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +322,6 @@ def gmm_denoise(x_t: np.ndarray, t: int, prior: GmmPrior, sched) -> np.ndarray:
     post = (prior.tau2 * scale * x[None, :] + kvar * mu) / mvar
     xhat = resp @ post
     return xhat.reshape(prior.signal_shape)
-
-
-class AffineSubspaceDenoiser:
-    """Denoiser contract implementation backed by an affine-subspace prior."""
-
-    def __init__(self, prior: AffineSubspacePrior):
-        self.prior = prior
-
-    def denoise(self, x_t, t, sched):
-        return affine_prior_denoise(x_t, t, self.prior, sched)
-
-
-class GmmDenoiser:
-    """Denoiser contract implementation backed by a Gaussian-mixture prior."""
-
-    def __init__(self, prior: GmmPrior):
-        self.prior = prior
-
-    def denoise(self, x_t, t, sched):
-        return gmm_denoise(x_t, t, self.prior, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ import numpy as np
 
 from .admm import TvConfig, dds_3d_reconstruct
 from .diffusion import (
-    AffineSubspaceDenoiser,
     AffineSubspacePrior,
-    GmmDenoiser,
     GmmPrior,
     VeSchedule,
     smooth_random_field,
@@ -160,7 +158,7 @@ class Problem:
     a: LinearMap
     y: np.ndarray
     x_true: np.ndarray
-    denoiser: object
+    denoiser: object  # the prior itself; bench/tracing.py hooks denoise under this name
     prior: object
     noise_sigma: float
     aux: dict = field(default_factory=dict)
@@ -196,14 +194,6 @@ def build_prior(cfg: ExperimentConfig, signal_shape):
         weights = np.full(k, 1.0 / k)
         return GmmPrior(weights=weights, means=means, tau2=tau * tau)
     raise ConfigError(f"unknown prior kind {kind!r}")
-
-
-def make_denoiser(prior):
-    if isinstance(prior, AffineSubspacePrior):
-        return AffineSubspaceDenoiser(prior)
-    if isinstance(prior, GmmPrior):
-        return GmmDenoiser(prior)
-    raise ConfigError("no analytic denoiser for this prior")
 
 
 def build_phantom(cfg: ExperimentConfig, prior):
@@ -280,7 +270,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         nrng = RngStream(cfg.get("problem", "noise_seed", 0, int))
         e = a.embedding
         y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
-    return Problem(kind=kind, a=a, y=y, x_true=x_true, denoiser=make_denoiser(prior),
+    return Problem(kind=kind, a=a, y=y, x_true=x_true, denoiser=prior,
                    prior=prior, noise_sigma=sigma, aux=aux)
 
 
@@ -377,7 +367,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     the result is identical regardless of ``jobs``. Each run honours
     ``[sampler] max_retries`` as ``dds reconstruct`` does. Rows come back
     ordered by run index, followed by per-value mean/std summary rows. A
-    value equal to an earlier one after the cast raises ConfigError.
+    value repeated after the cast, jobs < 1 or a [tv] axis off ct3d raises ConfigError.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -385,6 +375,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         raise ConfigError("sweep needs at least one value")
     if repeats < 1:
         raise ConfigError(f"sweep needs repeats >= 1, got {repeats}")
+    if jobs < 1:
+        raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
     section, name = SWEEP_AXES[axis]
     cast = annotation_cast(typing.get_type_hints(SECTION_CLASSES[section])[name])
     parsed = []
@@ -398,6 +390,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
                               f"{values[parsed.index(value)]!r}")
         parsed.append(value)
     problem = build_problem(cfg)
+    if section == "tv" and problem.kind != "ct3d":
+        raise ConfigError(f"sweep axis {axis} sets [tv] {name}, which {problem.kind} ignores")
     if (axis, problem.kind) == ("cg-steps", "ct3d"):
         section = "tv"
     retries = cfg.get("sampler", "max_retries", 1, int)

@@ -51,9 +51,6 @@ class LinearMap:
             )
         return self._adjoint(y)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
 
 def identity_map(shape, dtype=COMPLEX) -> LinearMap:
     return LinearMap(shape, shape, lambda x: np.array(x, copy=True),

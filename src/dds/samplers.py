@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,24 +104,14 @@ class StepRecord:
     subspace_dist: float = math.nan
 
 
-@dataclass
-class SamplerTrace:
-    records: list[StepRecord] = field(default_factory=list)
-
-    def append(self, rec: StepRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class SamplerTrace(list):
+    """The run's StepRecords, one per step."""
 
     def to_csv(self, path) -> None:
         """One row per step; the columns are the StepRecord fields, "_" written "-"."""
         names = [f.name for f in fields(StepRecord)]
         write_csv(path, [n.replace("_", "-") for n in names],
-                  ([getattr(r, n) for n in names] for r in self.records))
+                  ([getattr(r, n) for n in names] for r in self))
 
 
 @dataclass
@@ -260,9 +250,8 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     vp = isinstance(sched, VpSchedule)
 
     shape, dtype = a.domain_shape, a.domain_dtype
-    prior = getattr(denoiser, "prior", None)
-    if not (isinstance(prior, AffineSubspacePrior) and prior.signal_shape == shape):
-        prior = None  # slice-wise priors cannot score whole-volume iterates
+    # an affine prior is the run's prior too; other denoisers (slice-wise, GMM) have none
+    prior = denoiser if isinstance(denoiser, AffineSubspacePrior) else None
     if dc is None:
         dc = make_dc(cfg, a, y, sched, prior)
     project_noisy = cfg.dc == "projection"

@@ -20,9 +20,7 @@ import numpy as np
 
 from dds.admm import AdmmState, SliceDenoiser, TvConfig, admm_tv_dc, dds_3d_reconstruct, soft_threshold
 from dds.diffusion import (
-    AffineSubspaceDenoiser,
     AffineSubspacePrior,
-    GmmDenoiser,
     GmmPrior,
     VeSchedule,
     VpSchedule,
@@ -222,7 +220,7 @@ def test_acceptance_06_ddim_limits():
         worst = max(worst, norm(deterministic - ddpm))
     # eta = 0 end-to-end bitwise determinism
     prior = AffineSubspacePrior.random((16, 16), 4, seed=4)
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     maps = make_coil_maps(2, (16, 16), 5)
     mask = make_mask(MaskSpec("uniform1d", 2, 0.1, 6), (16, 16))
     a = sense_operator(maps, mask)
@@ -247,7 +245,7 @@ def test_acceptance_07_exact_recovery_and_baseline_ordering():
     problems, errs, errs_ddnm = [], [], []
     for s in range(20):
         prior = AffineSubspacePrior.random((32, 32), 8, seed=100 + s)
-        den = AffineSubspaceDenoiser(prior)
+        den = prior
         x_true = prior.sample(RngStream(200 + s))
         mask = make_mask(MaskSpec("uniform1d", 4, 0.08, 300 + s), (32, 32))
         maps = make_coil_maps(2, (32, 32), seed=400 + s)
@@ -301,7 +299,7 @@ def test_acceptance_08_noisy_proximal_vs_gradient():
         means = np.stack([2.0 * np.abs(smooth_random_field(mr, (32, 32), 3.0))
                           for _ in range(3)])
         gp = GmmPrior(weights=np.ones(3) / 3, means=means, tau2=0.09)
-        den = GmmDenoiser(gp)
+        den = gp
         x_true = gp.sample(RngStream(70 + s))
         y = a.apply(x_true) + 0.05 * RngStream(110 + s).randn(a.range_shape)
         c1 = SamplerConfig(nfe=20, eta=0.15, cg_steps=5, gamma=0.95,
@@ -373,7 +371,7 @@ def test_acceptance_10_admm_tv():
 
     # lambda = 0 reduction to the flat sampler
     prior2 = AffineSubspacePrior.random((8, 8), 3, seed=60, dtype=REAL)
-    den = AffineSubspaceDenoiser(prior2)
+    den = prior2
     x_t2 = np.stack([prior2.sample(RngStream(61 + i)) for i in range(3)])
     a2 = slice_radon_operator(RadonGeometry.uniform(8, 8), 3)
     y2 = a2.apply(x_t2)

@@ -10,7 +10,7 @@ from dds.admm import (
     dds_3d_reconstruct,
     soft_threshold,
 )
-from dds.diffusion import AffineSubspaceDenoiser, AffineSubspacePrior
+from dds.diffusion import AffineSubspacePrior
 from dds.errors import ConfigError
 from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
 from dds.samplers import SamplerConfig, dds_reconstruct
@@ -23,7 +23,7 @@ from test_samplers import trace_against_dc_outputs
 
 def ct_problem(seed, nz=4, side=8, angles=6, dim=4, constant_z=False):
     prior = AffineSubspacePrior.random((side, side), dim, seed=seed, dtype=REAL)
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     rng = RngStream(seed + 1)
     if constant_z:
         slc = prior.sample(rng)
@@ -151,7 +151,7 @@ def test_3d_strong_tv_flattens_consistent_identical_slices():
     evals, evecs = np.linalg.eigh((dense + dense.T) / 2)
     basis = np.ascontiguousarray(evecs[:, np.argsort(evals)[-12:-4]].T.reshape(8, 8, 8))
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros((8, 8)))
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     x_true = np.stack([prior.sample(RngStream(71))] * 2)
     a = slice_radon_operator(geom, 2)
     y = a.apply(x_true)

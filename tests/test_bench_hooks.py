@@ -87,14 +87,18 @@ mode = {mode}
 """
 
 
-def _traced_span_names(text):
+def _traced_spans(text):
     cfg = ExperimentConfig(text)
     problem = build_problem(cfg)
     tracer = tracing.Tracer()
     tv = tv_config(cfg) if problem.kind == "ct3d" else None
     with tracing.installed(tracer, DDS, problem):
         run_reconstruction(problem, sampler_config(cfg, 0), tv=tv, rng=RngStream(0))
-    spans = tracer.take()
+    return problem, tracer.take()
+
+
+def _traced_span_names(text):
+    _, spans = _traced_spans(text)
     loops = {i for i, s in enumerate(spans) if s[0] == "samplers.loop"}
     return {s[0] for s in spans}, {s[0] for s in spans if s[3] in loops}
 
@@ -118,3 +122,20 @@ def test_loops_call_through_hooked_attributes(text, in_loop):
     names, loop_children = _traced_span_names(text)
     assert "samplers.loop" in names and "samplers.estimate_noise" in names
     assert in_loop <= loop_children
+
+
+@pytest.mark.parametrize("text, nfe, slices", [
+    (MRI_CFG.format(dc="dds-cg"), 4, 1),
+    (MRI_CFG.format(dc="dps"), 4, 1),
+    (CT_CFG.format(nfe=4, mode="vp"), 4, 2),
+    (CT_CFG.format(nfe=6, mode="ve"), 6, 2),
+], ids=["mri2d-dds-cg", "mri2d-dps", "ct3d-vp", "ct3d-ve"])
+def test_instance_hooks_on_the_prior_count_every_call(text, nfe, slices):
+    # the problem's denoiser is its prior, so the tracer wraps denoise and
+    # distance on one object: one denoise per step (per slice of a volume),
+    # and one subspace distance per step of a 2-D run, none on a volume
+    problem, spans = _traced_spans(text)
+    assert problem.denoiser is problem.prior
+    names = [s[0] for s in spans]
+    assert names.count("diffusion.denoise") == nfe * slices
+    assert names.count("samplers.prior_distance") == (nfe if slices == 1 else 0)

@@ -1,8 +1,10 @@
-"""tools/byte_oracle.py names its BLAS threads, and --compare reads two --dump trees and
+"""tools/byte_oracle.py names and pins its BLAS threads, and --compare reads two --dump trees and
 bounds the moves by number."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,3 +77,17 @@ def test_header_names_the_blas_threads_and_cpus(monkeypatch):
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
     assert byte_oracle.blas_header() == ("blas OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
                                          f"MKL_NUM_THREADS=4 cpus={os.cpu_count()}")
+
+
+def test_script_pins_unset_blas_threads_to_one():
+    # the bench pins one BLAS thread where none is set, and the
+    # bench/mri2d-dds bytes differ between 1 and 2 threads
+    env = {k: v for k, v in os.environ.items() if k not in byte_oracle.BLAS_THREAD_VARIABLES}
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / "byte_oracle.py")],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        header = proc.stdout.readline()
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert header.split()[1:4] == [f"{v}=1" for v in byte_oracle.BLAS_THREAD_VARIABLES]

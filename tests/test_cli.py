@@ -288,6 +288,43 @@ def test_sweep_repeats_below_one_exits_2(cfg_file, tmp_path, repeats):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2(cfg_file, tmp_path, jobs):
+    # --jobs 0 and negative counts used to run serially without a word
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--config", str(cfg_file), "--axis", "eta",
+                "--values", "0.0", "--jobs", jobs, "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert "jobs" in r.stderr
+    assert not out.exists()
+
+
+def test_sweep_lambda_on_a_2d_problem_exits_2(cfg_file, tmp_path):
+    # [tv] lam is read by ct3d alone: a 2-D lambda sweep used to exit 0 with
+    # rows that differed only through each run's derived seed
+    out = tmp_path / "s.csv"
+    r = run_cli("sweep", "--config", str(cfg_file), "--axis", "lambda",
+                "--values", "0.1,100", "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert "lambda" in r.stderr and "mri2d" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16, 2)], ids=["8x8", "16x16x2"])
+def test_reconstruct_in_with_misshapen_x_true_exits_2(cfg_file, tmp_path, shape):
+    # an x_true.dtf off the operator's domain shape used to end in a numpy
+    # broadcast traceback and exit 1
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg_file), "--out", str(sim)).returncode == 0
+    write_dtf(sim / "x_true.dtf", RngStream(0).randn(shape))
+    out = tmp_path / "rec"
+    r = run_cli("reconstruct", "--config", str(cfg_file), "--in", str(sim),
+                "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert "x_true.dtf" in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
 def test_emit_volume_slice_range(tmp_path):
     vol = tmp_path / "vol.dtf"
     write_dtf(vol, RngStream(0).randn((3, 4, 4)))
@@ -510,10 +547,10 @@ def test_ct3d_single_slice_exits_2_before_sampling(tmp_path, monkeypatch, capsys
     # z-axis TV needs two slices; a 1-slice volume used to run the denoiser
     # through the VE warm-up and fail at the first ADMM sweep
     from dds import cli
-    from dds.diffusion import AffineSubspaceDenoiser
+    from dds.diffusion import AffineSubspacePrior
 
     calls = []
-    monkeypatch.setattr(AffineSubspaceDenoiser, "denoise", lambda *args: calls.append(args))
+    monkeypatch.setattr(AffineSubspacePrior, "denoise", lambda *args: calls.append(args))
     cfgp = tmp_path / "ct.ini"
     cfgp.write_text(CT_CFG.replace("shape = 3 8 8", "shape = 1 8 8"))
     out = tmp_path / "r"

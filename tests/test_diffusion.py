@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from dds.diffusion import (
-    AffineSubspaceDenoiser,
     AffineSubspacePrior,
-    GmmDenoiser,
     GmmPrior,
     VeSchedule,
     VpSchedule,
@@ -182,7 +180,7 @@ def test_denoiser_contract_consistency_identities():
                    means=RngStream(7).randn((2, 16)), tau2=0.3)
     rng = RngStream(6)
     x_t = rng.randn((16,))
-    denoisers = (AffineSubspaceDenoiser(prior), GmmDenoiser(gmm))
+    denoisers = (prior, gmm)
     for den in denoisers:
         for t in (2, 5, 10):
             xh = den.denoise(x_t, t, vp)

@@ -247,7 +247,6 @@ SINGLE_POINTS = [
     ("mri2d", "eta", "0.5", {"eta": 0.5}, {}),
     ("mri2d", "nfe", "5", {"nfe": 5}, {}),
     ("mri2d", "cg-steps", "2", {"cg_steps": 2}, {}),
-    ("mri2d", "lambda", "0.3", {}, {}),
     ("ct3d", "eta", "0.5", {"eta": 0.5}, {}),
     ("ct3d", "nfe", "5", {"nfe": 5}, {}),
     ("ct3d", "cg-steps", "3", {}, {"cg_steps": 3}),

@@ -5,7 +5,6 @@ import pytest
 
 from dds import diffusion, samplers
 from dds.diffusion import (
-    AffineSubspaceDenoiser,
     AffineSubspacePrior,
     VeSchedule,
     VpSchedule,
@@ -38,7 +37,7 @@ from test_operators import normal_map
 
 def sense_problem(seed, shape=(32, 32), dim=8, coils=4, acc=4.0, kind="uniform1d"):
     prior = AffineSubspacePrior.random(shape, dim, seed=seed)
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     x_true = prior.sample(RngStream(seed + 1))
     mask = make_mask(MaskSpec(kind, acc, 0.08, seed + 2), shape)
     maps = make_coil_maps(coils, shape, seed=seed + 3)
@@ -232,7 +231,7 @@ def test_dps_step_equals_projected_gradient_form():
 def test_identity_problem_recovers_measurement():
     # A = I with the truth inside the prior: CG fixes the iterate at y
     prior = AffineSubspacePrior.random((16,), 4, seed=80, dtype=REAL)
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     x_true = prior.sample(RngStream(81))
     a = identity_map((16,), dtype=REAL)
     cfg = SamplerConfig(nfe=8, eta=0.0, cg_steps=1, dc="dds-cg", seed=0)
@@ -257,7 +256,7 @@ def test_exact_recovery_beats_subspace_least_squares_tolerance():
     evals, evecs = np.linalg.eigh((dense + dense.conj().T) / 2)
     basis = np.ascontiguousarray(evecs[:, np.argsort(evals)[-16:-8]].T.reshape(8, 16, 16))
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros((16, 16), dtype=complex))
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     x_true = prior.sample(RngStream(92))
     y = a.apply(x_true)
     q = prior.basis.reshape(prior.dim, -1).T
@@ -345,8 +344,6 @@ def test_loop_keeps_every_timestep_in_range(monkeypatch, mode, truncation, k_sto
     den_ts, ddim_ts = [], []
 
     class SpyDenoiser:
-        prior = den.prior
-
         def denoise(self, x, t, sched):
             den_ts.append(t)
             return den.denoise(x, t, sched)
@@ -389,7 +386,7 @@ def test_confinement_trace_on_operator_invariant_subspace():
     sel = np.argsort(evals)[-40:-32]
     basis = np.ascontiguousarray(evecs[:, sel].T.reshape(8, 16, 16))
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros((16, 16), dtype=complex))
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     x_true = prior.sample(RngStream(3))
     y = a.apply(x_true)
     for dc in ("dds-cg", "dps"):
@@ -406,7 +403,7 @@ def test_ddnm_projection_leave_subspace_generically():
     prior, den, x_true, a, y = sense_problem(160, shape=(16, 16), coils=1, acc=4.0, dim=4)
     cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="ddnm", seed=0)
     res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
-    mid = res.trace.records[1]
+    mid = res.trace[1]
     assert mid.subspace_dist > 1e-6  # generic instances keep a visible gap
 
 
@@ -553,14 +550,14 @@ def test_divergence_raises_with_trace_attached():
     geom = RadonGeometry.uniform(16, 12)
     a = radon_operator(geom)
     prior = AffineSubspacePrior.random((16, 16), 4, seed=0, dtype=REAL)
-    den = AffineSubspaceDenoiser(prior)
+    den = prior
     y = a.apply(prior.sample(RngStream(1)))
     cfg = SamplerConfig(nfe=20, eta=0.0, cg_steps=1, dc="gradient", xi=1e16, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SamplerDivergedError) as exc:
             dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
     # the trace ends with the step whose residual is not finite
-    records = exc.value.trace.records
+    records = exc.value.trace
     assert not math.isfinite(records[-1].residual)
     assert all(math.isfinite(r.residual) for r in records[:-1])
     assert f"at t = {records[-1].t}" in str(exc.value)
@@ -603,4 +600,4 @@ def test_trace_csv_roundtrip(tmp_path):
     assert len(lines) == 1 + len(res.trace)
     first = lines[1].split(",")
     assert int(first[0]) == 5
-    assert float(first[1]) == res.trace.records[0].residual
+    assert float(first[1]) == res.trace[0].residual

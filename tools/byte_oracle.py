@@ -3,7 +3,9 @@
 The first line names the BLAS thread settings (`OPENBLAS_NUM_THREADS`,
 `OMP_NUM_THREADS`, `MKL_NUM_THREADS`, each value or `unset`) and the CPU
 count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
-2 BLAS threads, so two outputs compare only when this line matches. Then
+2 BLAS threads, so two outputs compare only when this line matches. Run as
+a script, the oracle sets each of the three that is unset to 1 before numpy
+loads, as `bench/run.py` does, so its bytes are the bench's. Then
 it runs the CLI's `reconstruct` command in-process with `--seed 3` on 99
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
@@ -78,7 +80,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # importing the module leaves the environment alone
+    for _var in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 DC_STRATEGIES = ("dds-cg", "dds-proximal-cg", "ddnm", "projection", "gradient", "dps")
 
@@ -227,9 +234,6 @@ SWEEP_CONFIGS = {
 }
 # the reconstruct config whose estimate `metrics` scores against its phantom
 METRICS = "mri2d/dds-cg/vp/defaults"
-
-
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def blas_header() -> str:

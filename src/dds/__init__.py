@@ -12,9 +12,7 @@ from .diffusion import (
     GmmPrior,
     VeSchedule,
     VpSchedule,
-    affine_prior_denoise,
     ddim_step,
-    gmm_denoise,
     mcg_dps_gradient,
 )
 from .dtf import read_dtf, write_dtf
@@ -22,7 +20,6 @@ from .errors import ConfigError, NumericalError, SamplerDivergedError
 from .krylov import CgReport, cgls
 from .metrics import estimate_noise, psnr, ssim
 from .operators import (
-    CoilMaps,
     LinearMap,
     MaskSpec,
     RadonGeometry,

@@ -58,12 +58,16 @@ def cmd_reconstruct(args) -> int:
         e = problem.a.embedding
         if y.shape != e.range_shape:
             raise ConfigError("measurement shape does not match the configured operator")
+        if y.dtype.kind == "c" and e.range_dtype.kind != "c":  # the cast would drop y.imag
+            raise ConfigError(f"{y_path} is complex, but {problem.a.name} measures real data")
         problem.y = e.adjoint(y.astype(e.range_dtype))
         xt_path = indir / "x_true.dtf"
         if xt_path.exists():
             problem.x_true = read_dtf(xt_path)
             if problem.x_true.shape != problem.a.domain_shape:
                 raise ConfigError("x_true.dtf shape does not match the operator domain")
+            if problem.x_true.dtype.kind == "c" and problem.a.domain_dtype.kind != "c":
+                raise ConfigError(f"{xt_path} is complex, but {problem.a.name} has a real domain")
     scfg = xp.sampler_config(cfg, seed=args.seed)
     tv = xp.tv_config(cfg) if problem.kind == "ct3d" else None
     retries = cfg.get("sampler", "max_retries", 1, int)

@@ -220,8 +220,15 @@ class AffineSubspacePrior:
         q = self.basis.reshape(self.dim, -1)
         return (q.T @ coef).reshape(self.signal_shape) + self.offset
 
-    def denoise(self, x_t, t, sched):
-        return affine_prior_denoise(x_t, t, self, sched)
+    def denoise(self, x_t: np.ndarray, t: int, sched) -> np.ndarray:
+        """Exact posterior mean E[x0 | x_t].
+
+        (1/s_t) * [P(x_t - s_t c) + s_t c] with s_t = scale(t), which for c = 0
+        is the scaled projector (1/s_t) P x_t and for VE (s_t = 1) is
+        P(x_t - c) + c.
+        """
+        s = sched.scale(t)
+        return (self.project_linear(x_t - s * self.offset) + s * self.offset) / s
 
     @classmethod
     def random(cls, signal_shape, dim: int, seed: int = 0, dtype=COMPLEX,
@@ -279,49 +286,30 @@ class GmmPrior:
         noise = rng.randn(self.signal_shape, dtype=self.means.dtype.type)
         return self.means[k] + math.sqrt(self.tau2) * noise
 
-    def denoise(self, x_t, t, sched):
-        return gmm_denoise(x_t, t, self, sched)
+    def denoise(self, x_t: np.ndarray, t: int, sched) -> np.ndarray:
+        """Exact posterior mean E[x0 | x_t] via conjugate Gaussians.
 
-
-# ---------------------------------------------------------------------------
-# Analytic denoisers
-
-def affine_prior_denoise(x_t: np.ndarray, t: int, prior: AffineSubspacePrior,
-                         sched) -> np.ndarray:
-    """Exact posterior mean under the affine-subspace prior.
-
-    (1/s_t) * [P(x_t - s_t c) + s_t c] with s_t = scale(t), which for c = 0
-    is the scaled projector (1/s_t) P x_t and for VE (s_t = 1) is
-    P(x_t - c) + c.
-    """
-    s = sched.scale(t)
-    return (prior.project_linear(x_t - s * prior.offset) + s * prior.offset) / s
-
-
-def gmm_denoise(x_t: np.ndarray, t: int, prior: GmmPrior, sched) -> np.ndarray:
-    """Exact posterior mean under the GMM prior via conjugate Gaussians.
-
-    Component responsibilities come from the kernel-convolved marginals
-    (log-sum-exp); each component contributes its conjugate posterior mean.
-    """
-    scale, kvar = sched.scale(t), sched.var(t)
-    # marginal of x_t per component: N(scale mu_k, (scale^2 tau^2 + kvar) I)
-    mvar = scale * scale * prior.tau2 + kvar
-    x = x_t.ravel()
-    mu = prior.means.reshape(prior.n_components, -1)
-    sq = np.array([float(np.real(np.vdot(x - scale * m, x - scale * m))) for m in mu])
-    # circular complex Gaussians put the whole variance in |.|^2, so the
-    # exponent loses the usual factor-2 denominator
-    denom = mvar if np.iscomplexobj(x_t) else 2.0 * mvar
-    loglik = np.log(np.maximum(prior.weights, 1e-300)) - sq / denom
-    top = float(np.max(loglik))
-    if not np.isfinite(top):
-        raise NumericalError("gmm_denoise: all component responsibilities underflowed")
-    resp = np.exp(loglik - top)
-    resp /= resp.sum()
-    post = (prior.tau2 * scale * x[None, :] + kvar * mu) / mvar
-    xhat = resp @ post
-    return xhat.reshape(prior.signal_shape)
+        Component responsibilities come from the kernel-convolved marginals
+        (log-sum-exp); each component contributes its conjugate posterior mean.
+        """
+        scale, kvar = sched.scale(t), sched.var(t)
+        # marginal of x_t per component: N(scale mu_k, (scale^2 tau^2 + kvar) I)
+        mvar = scale * scale * self.tau2 + kvar
+        x = x_t.ravel()
+        mu = self.means.reshape(self.n_components, -1)
+        sq = np.array([float(np.real(np.vdot(x - scale * m, x - scale * m))) for m in mu])
+        # circular complex Gaussians put the whole variance in |.|^2, so the
+        # exponent loses the usual factor-2 denominator
+        denom = mvar if np.iscomplexobj(x_t) else 2.0 * mvar
+        loglik = np.log(np.maximum(self.weights, 1e-300)) - sq / denom
+        top = float(np.max(loglik))
+        if not np.isfinite(top):
+            raise NumericalError("GmmPrior.denoise: all component responsibilities underflowed")
+        resp = np.exp(loglik - top)
+        resp /= resp.sum()
+        post = (self.tau2 * scale * x[None, :] + kvar * mu) / mvar
+        xhat = resp @ post
+        return xhat.reshape(self.signal_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +332,13 @@ def ddim_step(xhat_dc: np.ndarray, eps_hat: np.ndarray, t: int, eta: float,
     return out
 
 
-def mcg_dps_gradient(x_t: np.ndarray, t: int, prior: AffineSubspacePrior,
+def mcg_dps_gradient(xhat: np.ndarray, t: int, prior: AffineSubspacePrior,
                      a: LinearMap, y: np.ndarray, sched) -> np.ndarray:
-    """Manifold-constrained gradient for the affine prior.
+    """Manifold-constrained gradient for the affine prior, at the loop's
+    Tweedie estimate ``xhat`` = ``prior.denoise(x_t, t, sched)``.
 
     The denoiser Jacobian is the projector scaled by 1/scale(t), so the
-    chain rule gives P A*(A xhat - y) / scale(t) with xhat the analytic
-    posterior mean.
+    chain rule gives P A*(A xhat - y) / scale(t).
     """
-    xhat = affine_prior_denoise(x_t, t, prior, sched)
     g = a.adjoint(a.apply(xhat) - y)
     return prior.project_linear(g) / sched.scale(t)

@@ -226,7 +226,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
         mask = make_mask(spec, signal_shape[-2:])
         maps = make_coil_maps(cfg.get("operator", "coils", 1, int), signal_shape[-2:],
                               seed=cfg.get("operator", "maps_seed", 0, int))
-        return sense_operator(maps, mask), {"mask": mask, "maps": maps.maps}
+        return sense_operator(maps, mask), {"mask": mask, "maps": maps}
     if kind == "radon3d":
         if len(signal_shape) != 3:
             raise ConfigError("radon3d needs a 3-D phantom shape")

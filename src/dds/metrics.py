@@ -13,7 +13,8 @@ from .tensor import REAL
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float | None = None) -> float:
     """20 log10(peak) - 10 log10(MSE); returns +inf when the images match.
 
-    ``peak`` defaults to the ground-truth maximum (common MRI convention).
+    ``peak`` defaults to the ground-truth maximum (common MRI convention)
+    and must be positive and finite.
     """
     x = np.asarray(x, dtype=REAL)
     ref = np.asarray(ref, dtype=REAL)
@@ -21,8 +22,8 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float | None = None) -> float:
         raise ConfigError(f"psnr: shape mismatch {x.shape} vs {ref.shape}")
     if peak is None:
         peak = float(np.max(np.abs(ref)))
-    if peak <= 0:
-        raise ConfigError("psnr: peak must be positive")
+    if not 0 < peak < math.inf:  # NaN fails this too
+        raise ConfigError(f"psnr: peak = {peak} must be positive and finite")
     mse = float(np.mean((x - ref) ** 2))
     if mse == 0.0:
         return math.inf

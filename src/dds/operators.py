@@ -244,31 +244,8 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Coil sensitivities
 
-@dataclass(frozen=True)
-class CoilMaps:
-    """Normalized complex sensitivities, stacked (c, H, W) with sum |s|^2 = 1."""
-
-    maps: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.maps)
-        if m.ndim != 3:
-            raise ConfigError("coil maps must be stacked (c, H, W)")
-        ssq = np.sum(np.abs(m) ** 2, axis=0)
-        if not np.max(np.abs(ssq - 1.0)) <= 1e-10:  # NaN fails this too
-            raise ConfigError("coil maps must be finite and normalized: sum |s|^2 = 1")
-
-    @property
-    def ncoils(self) -> int:
-        return self.maps.shape[0]
-
-    @property
-    def image_shape(self):
-        return self.maps.shape[1:]
-
-
-def make_coil_maps(c: int, shape, seed: int = 0) -> CoilMaps:
-    """Smooth complex Gaussian-bump sensitivities centered on the border.
+def make_coil_maps(c: int, shape, seed: int = 0) -> np.ndarray:
+    """Smooth complex Gaussian-bump sensitivities centered on the border, (c, H, W).
 
     Bump centers sit at distinct points around the image border (evenly in
     angle with a small seeded jitter), each carrying a gentle linear phase;
@@ -293,7 +270,7 @@ def make_coil_maps(c: int, shape, seed: int = 0) -> CoilMaps:
         maps[i] = mag * np.exp(1j * phase)
     ssq = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
     maps /= ssq[None, :, :]
-    return CoilMaps(maps)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +320,29 @@ class SensePlan:
         return ifft1(k[:, :, self.support], axis=-2)
 
 
-def sense_plan(maps: CoilMaps, mask: np.ndarray) -> SensePlan:
-    """The SensePlan of ``maps`` and a 0/1 ``mask``; power-of-two image sides only."""
-    c, h, w = maps.maps.shape
+def sense_plan(maps: np.ndarray, mask: np.ndarray) -> SensePlan:
+    """The SensePlan of normalized coil ``maps`` (c, H, W), sum_c |s_c|^2 = 1,
+    and a 0/1 ``mask``; power-of-two image sides only."""
+    if maps.ndim != 3:
+        raise ConfigError("coil maps must be stacked (c, H, W)")
+    ssq = np.sum(np.abs(maps) ** 2, axis=0)
+    if not np.max(np.abs(ssq - 1.0)) <= 1e-10:  # NaN fails this too
+        raise ConfigError("coil maps must be finite and normalized: sum |s|^2 = 1")
+    c, h, w = maps.shape
     if mask.shape != (h, w):
         raise ConfigError(f"sense: mask shape {mask.shape} != map shape {(h, w)}")
     if not (is_pow2(h) and is_pow2(w)):
         raise ConfigError(f"sense needs power-of-two image sides, got {h}x{w}")
     if not ((mask == 0) | (mask == 1)).all():
         raise ConfigError("sense: the mask must hold only 0 and 1")
-    conj_maps = np.conj(maps.maps)
+    conj_maps = np.conj(maps)
     cols = np.flatnonzero(mask[0])
     if not (3 * cols.size <= w and (mask == mask[0]).all()):
         support = np.flatnonzero(mask)
-        return SensePlan(maps.maps, conj_maps, support, (c, support.size))
+        return SensePlan(maps, conj_maps, support, (c, support.size))
     # exponents reduced mod w keep every entry a root of unity to round-off
     dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
-    return SensePlan(maps.maps, conj_maps, cols, (c, h, cols.size), dft,
+    return SensePlan(maps, conj_maps, cols, (c, h, cols.size), dft,
                      np.ascontiguousarray(dft.conj().T))
 
 
@@ -382,7 +365,7 @@ def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
     return np.sum(plan.conj_maps * coil, axis=0)
 
 
-def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
+def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMap:
     """A = P F S as a LinearMap over its SensePlan, holding E as ``.embedding``.
 
     The range is the measured entries (see SensePlan), and ``.embedding`` is
@@ -393,9 +376,9 @@ def sense_operator(maps: CoilMaps, mask: np.ndarray, name="sense") -> LinearMap:
     plan = sense_plan(maps, mask)
     # sense_apply/sense_adjoint are looked up at call time, so wrappers
     # installed on this module see every apply
-    op = LinearMap(maps.image_shape, plan.range_shape, lambda x: sense_apply(x, plan),
+    op = LinearMap(maps.shape[1:], plan.range_shape, lambda x: sense_apply(x, plan),
                    lambda y: sense_adjoint(y, plan), name=name)
-    op.embedding = LinearMap(plan.range_shape, maps.maps.shape, plan.embed, plan.restrict,
+    op.embedding = LinearMap(plan.range_shape, maps.shape, plan.embed, plan.restrict,
                              name=f"{name} embedding")
     return op
 
@@ -464,23 +447,6 @@ class RadonMatrix:
     def nnz(self) -> int:
         return int(self.weights.size)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Rows of ``x`` (batch, n_cols) times the matrix; one slice at a time
-        keeps the temporaries at one slice's nonzeros."""
-        out = np.zeros((x.shape[0], self.shape[0]), dtype=REAL)
-        for xz, oz in zip(x, out):
-            # reduceat is wrong on empty segments, so only hit rows are written
-            oz[self.hit_rows] = np.add.reduceat(xz.take(self.cols) * self.weights, self.starts)
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Rows of ``y`` (batch, n_rows) times the transpose."""
-        out = np.empty((y.shape[0], self.shape[1]), dtype=REAL)
-        for yz, oz in zip(y, out):
-            oz[:] = np.bincount(self.cols, weights=yz.take(self.rows) * self.weights,
-                                minlength=self.shape[1])
-        return out
-
 
 def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
     """Ray-driven bilinear discretization of ``geom`` as a RadonMatrix.
@@ -538,15 +504,27 @@ def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
 
 
 def radon_apply(x: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
-    """Sinograms of images ``x`` (..., side, side); leading axes are a batch."""
-    sino = matrix.matvec(x.reshape(-1, matrix.shape[1]))
-    return sino.reshape(x.shape[:-2] + matrix.sino_shape)
+    """Sinograms of images ``x`` (..., side, side); leading axes are a batch,
+    run one slice at a time so the temporaries hold one slice's nonzeros."""
+    n_rows, n_cols = matrix.shape
+    flat = x.reshape(-1, n_cols)
+    out = np.zeros((flat.shape[0], n_rows), dtype=REAL)
+    for xz, oz in zip(flat, out):
+        # reduceat is wrong on empty segments, so only hit rows are written
+        oz[matrix.hit_rows] = np.add.reduceat(xz.take(matrix.cols) * matrix.weights,
+                                              matrix.starts)
+    return out.reshape(x.shape[:-2] + matrix.sino_shape)
 
 
 def radon_adjoint(sino: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
     """Transpose of ``radon_apply`` on sinograms (..., angles, detector_bins)."""
-    img = matrix.rmatvec(sino.reshape(-1, matrix.shape[0]))
-    return img.reshape(sino.shape[:-2] + matrix.image_shape)
+    n_rows, n_cols = matrix.shape
+    flat = sino.reshape(-1, n_rows)
+    out = np.empty((flat.shape[0], n_cols), dtype=REAL)
+    for yz, oz in zip(flat, out):
+        oz[:] = np.bincount(matrix.cols, weights=yz.take(matrix.rows) * matrix.weights,
+                            minlength=n_cols)
+    return out.reshape(sino.shape[:-2] + matrix.image_shape)
 
 
 def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:

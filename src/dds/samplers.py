@@ -205,7 +205,7 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
     gamma = step_size(cfg.dps_step)
     return lambda x, xhat, t: (
-        xhat - gamma(xhat) * mcg_dps_gradient(x, t, prior, a, y, sched), None)
+        xhat - gamma(xhat) * mcg_dps_gradient(xhat, t, prior, a, y, sched), None)
 
 
 # ---------------------------------------------------------------------------

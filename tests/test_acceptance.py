@@ -24,8 +24,6 @@ from dds.diffusion import (
     GmmPrior,
     VeSchedule,
     VpSchedule,
-    affine_prior_denoise,
-    gmm_denoise,
     mcg_dps_gradient,
     smooth_random_field,
     ddim_step as vp_ddim_step,
@@ -132,11 +130,11 @@ def test_acceptance_04_projector_denoiser_identities():
         rng = RngStream(9000 + s)
         for t in (2, 4, 6, 8, 10):
             x_t = rng.randn((24,))
-            xh = affine_prior_denoise(x_t, t, prior, vp)
+            xh = prior.denoise(x_t, t, vp)
             want = prior.project_linear(x_t) / math.sqrt(vp.abars[t])
             worst_proj = max(worst_proj, norm(xh - want))
             gamma = 0.31
-            lhs = xh - gamma * mcg_dps_gradient(x_t, t, prior, a, y, vp)
+            lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
             zeta = gamma / math.sqrt(vp.abars[t])
             rhs = prior.project_linear(xh - zeta * a.adjoint(a.apply(xh) - y))
             worst_eq = max(worst_eq, norm(lhs - rhs) / max(norm(lhs), 1.0))
@@ -176,7 +174,7 @@ def test_acceptance_05_total_noise_and_ve_marginals():
         shrink = tau2 * math.sqrt(ab) / (ab * tau2 + (1 - ab))
         xhat = (tau2 * math.sqrt(ab) * x_t + (1 - ab) * mu[None, :]) / (ab * tau2 + (1 - ab))
         for i in range(20):  # vectorized denoiser must equal the module op
-            assert norm(xhat[i] - gmm_denoise(x_t[i], t, prior, vp)) < 1e-10
+            assert norm(xhat[i] - prior.denoise(x_t[i], t, vp)) < 1e-10
         eps_hat = (x_t - math.sqrt(ab) * xhat) / math.sqrt(1 - ab)
         bt = vp.btildes[t]
         w = math.sqrt(1 - vp.abars[t - 1] - (eta * bt) ** 2) * eps_hat + eta * bt * noise
@@ -190,7 +188,7 @@ def test_acceptance_05_total_noise_and_ve_marginals():
         x_t = mu[None, :] + st * eps0
         xhat = (tau2 * x_t + st ** 2 * mu[None, :]) / (tau2 + st ** 2)
         for i in range(20):
-            assert norm(xhat[i] - gmm_denoise(x_t[i], t, prior, ve)) < 1e-10
+            assert norm(xhat[i] - prior.denoise(x_t[i], t, ve)) < 1e-10
         s_hat = (xhat - x_t) / st ** 2
         bt = 1 - (sp / st) ** 2
         w = -sp * st * math.sqrt(1 - bt ** 2 * eta ** 2) * s_hat + sp * eta * bt * noise

@@ -325,6 +325,37 @@ def test_reconstruct_in_with_misshapen_x_true_exits_2(cfg_file, tmp_path, shape)
     assert not (out / "x0.dtf").exists()
 
 
+@pytest.mark.parametrize("name", ["y.dtf", "x_true.dtf"])
+def test_reconstruct_in_with_complex_data_on_a_real_operator_exits_2(tmp_path, name):
+    # radon3d measures and reconstructs real data: a complex y.dtf lost its
+    # imaginary part with a ComplexWarning and the run exited 0
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG)
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfgp), "--out", str(sim)).returncode == 0
+    x = read_dtf(sim / name)
+    write_dtf(sim / name, x + 1j * x)
+    out = tmp_path / "rec"
+    r = run_cli("reconstruct", "--config", str(cfgp), "--in", str(sim),
+                "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert name in r.stderr and "complex" in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_metrics_peak_must_be_finite(cfg_file, tmp_path, peak):
+    # --peak nan and --peak inf used to print "psnr nan dB"/"psnr inf dB" and exit 0
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg_file), "--out", str(sim)).returncode == 0
+    x_true = sim / "x_true.dtf"
+    write_dtf(tmp_path / "x.dtf", read_dtf(x_true) + 0.1)
+    r = run_cli("metrics", "--x", str(tmp_path / "x.dtf"), "--ref", str(x_true),
+                "--peak", peak)
+    _one_line_error(r)
+    assert "peak" in r.stderr
+
+
 def test_emit_volume_slice_range(tmp_path):
     vol = tmp_path / "vol.dtf"
     write_dtf(vol, RngStream(0).randn((3, 4, 4)))

@@ -8,10 +8,8 @@ from dds.diffusion import (
     GmmPrior,
     VeSchedule,
     VpSchedule,
-    affine_prior_denoise,
     ddim_step,
     eps_from_denoised,
-    gmm_denoise,
     mcg_dps_gradient,
     smooth_random_field,
 )
@@ -167,7 +165,7 @@ def test_conversions_invert_the_schedule_marginal(sched):
         if ve:
             # VE outputs keep the bits of the sigma_t formulas they replace
             assert math.sqrt(sched.var(t)) == sched.sigmas[t]
-            assert np.array_equal(affine_prior_denoise(x_t, t, prior, sched),
+            assert np.array_equal(prior.denoise(x_t, t, sched),
                                   prior.project_affine(x_t))
 
 
@@ -208,7 +206,7 @@ def test_affine_denoise_worked_example():
     # (1 - 0.36)(1 - 39/64) = 0.64 * 25/64 = 0.25 exactly in binary floats
     sched = VpSchedule.from_betas([0.36, 0.609375])
     assert sched.abars[2] == 0.25
-    out = affine_prior_denoise(np.array([3.0, 4.0]), 2, prior, sched)
+    out = prior.denoise(np.array([3.0, 4.0]), 2, sched)
     assert norm(out - np.array([6.0, 0.0])) < 1e-12
 
 
@@ -217,14 +215,14 @@ def test_affine_denoise_identity_at_abar_one():
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros(2))
     sched = VpSchedule.from_betas([1e-14, 2e-14])
     x = np.array([2.0, 0.0])  # inside the span
-    assert norm(affine_prior_denoise(x, 1, prior, sched) - x) < 1e-9
+    assert norm(prior.denoise(x, 1, sched) - x) < 1e-9
 
 
 def test_affine_denoise_ve_kills_orthogonal_part():
     basis = np.array([[1.0, 0.0]])
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros(2))
     ve = VeSchedule.geometric(5)
-    out = affine_prior_denoise(np.array([0.0, 3.0]), 3, prior, ve)
+    out = prior.denoise(np.array([0.0, 3.0]), 3, ve)
     assert norm(out) < 1e-14
 
 
@@ -233,10 +231,10 @@ def test_affine_denoise_with_offset_fixes_affine_set():
     vp = VpSchedule.default(8)
     rng = RngStream(10)
     for t in (2, 6):
-        xh = affine_prior_denoise(rng.randn((8,)), t, prior, vp)
+        xh = prior.denoise(rng.randn((8,)), t, vp)
         assert prior.distance(xh) < 1e-10 * max(norm(xh), 1.0)
     x_on = prior.sample(rng)
-    assert norm(affine_prior_denoise(x_on, 3, prior, VeSchedule.geometric(8)) - x_on) < 1e-12
+    assert norm(prior.denoise(x_on, 3, VeSchedule.geometric(8)) - x_on) < 1e-12
 
 
 def test_affine_prior_exact_projector_identity():
@@ -247,7 +245,7 @@ def test_affine_prior_exact_projector_identity():
     for t in (2, 5, 9):
         x = rng.randn((12,), dtype=COMPLEX)
         want = prior.project_linear(x) / math.sqrt(vp.abars[t])
-        assert norm(affine_prior_denoise(x, t, prior, vp) - want) < 1e-12
+        assert norm(prior.denoise(x, t, vp) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +259,14 @@ def test_gmm_k1_conjugate_closed_form():
     ab = vp.abars[t]
     x = RngStream(13).randn((3,))
     want = (0.3 * math.sqrt(ab) * x + (1 - ab) * mu) / (ab * 0.3 + (1 - ab))
-    assert norm(gmm_denoise(x, t, prior, vp) - want) < 1e-12
+    assert norm(prior.denoise(x, t, vp) - want) < 1e-12
 
 
 def test_gmm_point_mass_limit_returns_mean():
     mu = np.array([1.0, 2.0])
     prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=1e-16)
     vp = VpSchedule.default(10)
-    out = gmm_denoise(RngStream(14).randn((2,)), 5, prior, vp)
+    out = prior.denoise(RngStream(14).randn((2,)), 5, vp)
     assert norm(out - mu) < 1e-7
 
 
@@ -276,7 +274,7 @@ def test_gmm_symmetric_components_cancel_at_origin():
     mu = np.array([[1.0, -2.0], [-1.0, 2.0]])
     prior = GmmPrior(weights=np.array([0.5, 0.5]), means=mu, tau2=0.2)
     vp = VpSchedule.default(10)
-    out = gmm_denoise(np.zeros(2), 4, prior, vp)
+    out = prior.denoise(np.zeros(2), 4, vp)
     assert norm(out) < 1e-12
 
 
@@ -296,7 +294,7 @@ def test_gmm_matches_quadrature_oracle_1d():
         lik = np.exp(-((xval - math.sqrt(ab) * grid) ** 2) / (2 * (1 - ab)))
         post = dens * lik
         want = float(np.trapezoid(grid * post) / np.trapezoid(post))
-        got = gmm_denoise(np.array([xval]), t, prior, vp)[0]
+        got = prior.denoise(np.array([xval]), t, vp)[0]
         assert abs(got - want) < 1e-6
 
 
@@ -313,7 +311,7 @@ def test_gmm_ve_mode_matches_conjugate_form():
     s2 = ve.sigmas[t] ** 2
     x = RngStream(15).randn((2,))
     want = (0.5 * x + s2 * mu) / (0.5 + s2)
-    assert norm(gmm_denoise(x, t, prior, ve) - want) < 1e-12
+    assert norm(prior.denoise(x, t, ve) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +419,9 @@ def test_ddim_step_marginal_variance_monte_carlo(mode):
     scale, kvar = s.scale(t), s.var(t)
     x_t = scale * mu[None, :] + math.sqrt(kvar) * eps0
     xhat = (tau2 * scale * x_t + kvar * mu[None, :]) / (scale * scale * tau2 + kvar)
-    # spot-check the vectorized denoiser against gmm_denoise
+    # spot-check the vectorized denoiser against GmmPrior.denoise
     for i in range(50):
-        assert norm(xhat[i] - gmm_denoise(x_t[i], t, prior, s)) < 1e-12
+        assert norm(xhat[i] - prior.denoise(x_t[i], t, s)) < 1e-12
     x_prev = ddim_step(xhat, eps_from_denoised(x_t, xhat, t, s), t, eta, rng, s)
     dev = x_prev - s.scale(t - 1) * mu[None, :]
     trace = float(np.mean(np.sum(dev ** 2, axis=1)))
@@ -459,14 +457,14 @@ def test_mcg_zero_at_consistent_denoised_point():
     x_on = prior.sample(RngStream(33))
     y = a.apply(x_on)
     x_t = math.sqrt(vp.abars[t]) * x_on  # denoises exactly to x_on
-    g = mcg_dps_gradient(x_t, t, prior, a, y, vp)
+    g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
     assert norm(g) < 1e-10
 
 
 def test_mcg_lies_in_subspace():
     prior, a, y = _setup_mcg(40)
     vp = VpSchedule.default(8)
-    g = mcg_dps_gradient(RngStream(41).randn((6,)), 5, prior, a, y, vp)
+    g = mcg_dps_gradient(prior.denoise(RngStream(41).randn((6,)), 5, vp), 5, prior, a, y, vp)
     assert norm(g - prior.project_linear(g)) < 1e-12 * max(norm(g), 1.0)
 
 
@@ -476,10 +474,10 @@ def test_mcg_matches_finite_differences():
     vp = VpSchedule.default(6)
     t = 3
     x_t = RngStream(51).randn((4,))
-    g = mcg_dps_gradient(x_t, t, prior, a, y, vp)
+    g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
 
     def loss(x):
-        xh = affine_prior_denoise(x, t, prior, vp)
+        xh = prior.denoise(x, t, vp)
         r = a.apply(xh) - y
         return 0.5 * float(r @ r)
 
@@ -501,8 +499,8 @@ def test_projected_gradient_identity():
         for t in (2, 4, 6, 8, 10):
             x_t = rng.randn((8,))
             gamma = 0.37
-            xh = affine_prior_denoise(x_t, t, prior, vp)
-            lhs = xh - gamma * mcg_dps_gradient(x_t, t, prior, a, y, vp)
+            xh = prior.denoise(x_t, t, vp)
+            lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
             zeta = gamma / math.sqrt(vp.abars[t])
             grad = a.adjoint(a.apply(xh) - y)
             rhs = prior.project_linear(xh - zeta * grad)
@@ -525,4 +523,4 @@ def test_gmm_underflow_of_all_responsibilities_raises():
                      means=np.zeros((2, 4)), tau2=0.1)
     vp = VpSchedule.default(10)
     with pytest.raises(NumericalError):
-        gmm_denoise(np.full(4, 1e200), 5, prior, vp)
+        prior.denoise(np.full(4, 1e200), 5, vp)

@@ -35,6 +35,14 @@ def test_psnr_monotone_in_noise():
     assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.parametrize("peak", [0.0, -1.0, math.nan, math.inf])
+def test_psnr_peak_must_be_positive_and_finite(peak):
+    # NaN and inf used to pass the peak <= 0 check and return nan/inf dB
+    x = RngStream(3).randn((4, 4))
+    with pytest.raises(ConfigError, match="peak"):
+        psnr(x + 0.1, x, peak=peak)
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ConfigError):
         psnr(np.zeros((2, 2)), np.zeros((3, 3)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dds.errors import ConfigError, NumericalError
 from dds.operators import (
-    CoilMaps,
     LinearMap,
     MaskSpec,
     RadonGeometry,
@@ -269,32 +268,37 @@ def test_mask_rejects_bad_acceleration():
 
 def test_single_coil_has_unit_modulus():
     maps = make_coil_maps(1, (16, 16), seed=0)
-    assert np.max(np.abs(np.abs(maps.maps[0]) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(maps[0]) - 1.0)) < 1e-12
 
 
 def test_coil_maps_normalized():
     maps = make_coil_maps(4, (32, 32), seed=7)
-    ssq = np.sum(np.abs(maps.maps) ** 2, axis=0)
+    ssq = np.sum(np.abs(maps) ** 2, axis=0)
     assert np.max(np.abs(ssq - 1.0)) < 1e-10
 
 
 def test_coil_maps_reproducible():
     a = make_coil_maps(4, (16, 16), seed=3)
     b = make_coil_maps(4, (16, 16), seed=3)
-    assert np.array_equal(a.maps, b.maps)
+    assert np.array_equal(a, b)
 
 
 def test_coil_maps_rejects_denormalized():
-    with pytest.raises(ConfigError):
-        CoilMaps(maps=2.0 * make_coil_maps(2, (8, 8), 0).maps)
+    with pytest.raises(ConfigError, match="normalized"):
+        sense_operator(2.0 * make_coil_maps(2, (8, 8), 0), np.ones((8, 8)))
 
 
 def test_coil_maps_rejects_nan():
     # NaN made the normalization test false, so such maps were accepted
-    maps = make_coil_maps(2, (8, 8), 0).maps.copy()
+    maps = make_coil_maps(2, (8, 8), 0)
     maps[1, 3, 4] = np.nan
     with pytest.raises(ConfigError, match="must be finite"):
-        CoilMaps(maps=maps)
+        sense_operator(maps, np.ones((8, 8)))
+
+
+def test_coil_maps_rejects_unstacked():
+    with pytest.raises(ConfigError, match="stacked"):
+        sense_operator(make_coil_maps(1, (8, 8), 0)[0], np.ones((8, 8)))
 
 
 def test_operator_data_is_checked_once_at_construction():
@@ -311,7 +315,7 @@ def test_operator_data_is_checked_once_at_construction():
 # sense operator
 
 def test_sense_single_coil_full_mask_is_fft():
-    maps = CoilMaps(maps=np.ones((1, 8, 8), dtype=COMPLEX))
+    maps = np.ones((1, 8, 8), dtype=COMPLEX)
     mask = np.ones((8, 8))
     a = sense_operator(maps, mask)
     e = a.embedding
@@ -358,15 +362,15 @@ def test_sense_shape_validation():
 
 def fft2_sense(x, k, maps, mask):
     """The 2-D FFT formulas of SENSE apply and adjoint."""
-    return (mask[None] * fft2(maps.maps * x[None]),
-            np.sum(np.conj(maps.maps) * ifft2(mask[None] * k), axis=0))
+    return (mask[None] * fft2(maps * x[None]),
+            np.sum(np.conj(maps) * ifft2(mask[None] * k), axis=0))
 
 
 def dense_sense(maps, mask):
     """mask * (F_H kron F_W) * diag(maps), stacked over coils, from DFT matrices."""
     h, w = mask.shape
     f = np.kron(*(np.fft.fft(np.eye(n), norm="ortho") for n in (h, w)))
-    return np.concatenate([mask.reshape(-1, 1) * f * s.reshape(1, -1) for s in maps.maps])
+    return np.concatenate([mask.reshape(-1, 1) * f * s.reshape(1, -1) for s in maps])
 
 
 def relative(a, b):
@@ -401,7 +405,7 @@ def test_sense_column_path_matches_fft2_and_dense(kind, acc, side, coils):
 
 def hybrid_rows(dense, maps, cols):
     """The rows of a dense k-space operator in hybrid space at ``cols``: F_y* along k_y."""
-    c, h, w = maps.maps.shape
+    c, h, w = maps.shape
     fy_inv = np.fft.ifft(np.eye(h), norm="ortho")
     rows = np.einsum("ij,cjwd->ciwd", fy_inv, dense.reshape(c, h, w, -1))
     return rows[:, :, cols].reshape(c * h * len(cols), -1)
@@ -416,8 +420,8 @@ def check_measured_range(maps, mask, rng):
     """
     op = sense_operator(maps, mask)
     e = op.embedding
-    assert math.prod(op.range_shape) == maps.ncoils * np.count_nonzero(mask)
-    assert (e.domain_shape, e.range_shape) == (op.range_shape, (maps.ncoils,) + mask.shape)
+    assert math.prod(op.range_shape) == len(maps) * np.count_nonzero(mask)
+    assert (e.domain_shape, e.range_shape) == (op.range_shape, (len(maps),) + mask.shape)
     dot_test(op, rng, trials=3, tol=1e-10)
     dot_test(e, rng, trials=3, tol=1e-10)
     v = rng.randn(op.range_shape, dtype=COMPLEX)
@@ -438,7 +442,7 @@ def check_compact_range(maps, mask, rng, dense=False):
     """
     op = check_measured_range(maps, mask, rng)
     cols = sense_plan(maps, mask).support
-    assert op.range_shape == (maps.ncoils, mask.shape[0], cols.size)
+    assert op.range_shape == (len(maps), mask.shape[0], cols.size)
     if dense:
         rows = hybrid_rows(dense_sense(maps, mask), maps, cols)
         assert relative(op_to_matrix(op), rows) <= 1e-12
@@ -700,6 +704,26 @@ def test_radon_apply_batches_leading_axes():
         op.apply(np.zeros((3, 8, 7)))
     with pytest.raises(ConfigError):
         op.adjoint(np.zeros((10, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(side=st.integers(1, 16), bins=st.integers(1, 24), step=st.floats(0.2, 1.5),
+       angles=st.lists(st.floats(0.0, math.pi, exclude_max=True), min_size=1, max_size=8,
+                       unique=True),
+       slices=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_radon_on_random_geometries(side, bins, step, angles, slices, seed):
+    # dot-tests the 2-D operator (no slices) or the slice-wise one, whose
+    # batch must equal its slices run one at a time
+    geom = RadonGeometry(side=side, angles=np.sort(angles), detector_bins=bins, step=step)
+    op = slice_radon_operator(geom, slices) if slices else radon_operator(geom)
+    dot_test(op, RngStream(seed), trials=3, tol=1e-10)
+    if slices:
+        vol = RngStream(seed + 1).randn(op.domain_shape)
+        sino = RngStream(seed + 2).randn(op.range_shape)
+        out, back = radon_apply(vol, op.matrix), radon_adjoint(sino, op.matrix)
+        for z in range(slices):
+            assert np.array_equal(out[z], radon_apply(vol[z], op.matrix))
+            assert np.array_equal(back[z], radon_adjoint(sino[z], op.matrix))
 
 
 def test_slice_radon_operator_calls_module_level_kernels_once_per_volume(monkeypatch):

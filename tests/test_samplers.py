@@ -8,7 +8,6 @@ from dds.diffusion import (
     AffineSubspacePrior,
     VeSchedule,
     VpSchedule,
-    affine_prior_denoise,
 )
 from dds.errors import ConfigError
 from dds.operators import (
@@ -186,7 +185,7 @@ def test_gradient_step_descends_residual_for_stable_steps():
 def dps_step(x_t, t, prior, a, y, gamma, sched):
     """The make_dc ``dps`` step at (x_t, t), handed the loop's posterior mean."""
     dc = make_dc(SamplerConfig(dc="dps", dps_step=gamma), a, y, sched, prior)
-    return dc(x_t, affine_prior_denoise(x_t, t, prior, sched), t)[0]
+    return dc(x_t, prior.denoise(x_t, t, sched), t)[0]
 
 
 def test_dps_step_consistent_point_unchanged():
@@ -219,7 +218,7 @@ def test_dps_step_equals_projected_gradient_form():
     t, gamma = 6, 0.45
     x_t = RngStream(73).randn((10,))
     lhs = dps_step(x_t, t, prior, a, y, gamma, vp)
-    xh = affine_prior_denoise(x_t, t, prior, vp)
+    xh = prior.denoise(x_t, t, vp)
     zeta = gamma / math.sqrt(vp.abars[t])
     rhs = prior.project_affine(xh - zeta * a.adjoint(a.apply(xh) - y))
     assert norm(lhs - rhs) <= 1e-10 * max(norm(lhs), 1.0)
@@ -438,22 +437,28 @@ def test_scale_step_by_residual_divides_step(dc, step):
     assert not np.allclose(scaled(x, xhat, 5)[0], plain(x, xhat, 5)[0])
 
 
-@pytest.mark.parametrize("dc, calls", [("dds-cg", 8), ("dps", 15)])
+@pytest.mark.parametrize("dc, calls", [("dds-cg", 8), ("dps", 8)])
 def test_dps_reuses_the_loop_posterior_mean(monkeypatch, dc, calls):
-    # nfe 8 VP: 8 denoiser calls; dps adds only the one inside its gradient per step
+    # nfe 8 VP: 8 denoiser calls for every strategy, and dps's gradient is
+    # taken at the very xhat the loop's denoiser returned
     _, den, _, a, y = sense_problem(179, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    count = 0
+    denoise, gradient = AffineSubspacePrior.denoise, samplers.mcg_dps_gradient
+    xhats, taken = [], []
 
     def spy(*args):
-        nonlocal count
-        count += 1
-        return affine_prior_denoise(*args)
+        xhats.append(denoise(*args))
+        return xhats[-1]
 
-    for mod in (diffusion, samplers):
-        if hasattr(mod, "affine_prior_denoise"):
-            monkeypatch.setattr(mod, "affine_prior_denoise", spy)
+    def gradient_spy(xhat, *args):
+        taken.append(xhat)
+        return gradient(xhat, *args)
+
+    monkeypatch.setattr(AffineSubspacePrior, "denoise", spy)
+    monkeypatch.setattr(samplers, "mcg_dps_gradient", gradient_spy)
     dds_reconstruct(a, y, den, SamplerConfig(nfe=8, dc=dc, seed=0), rng=RngStream(0))
-    assert count == calls
+    assert len(xhats) == calls
+    if dc == "dps":
+        assert len(taken) == calls - 1 and all(g is x for g, x in zip(taken, xhats))
 
 
 def test_dps_without_affine_prior_is_config_error():

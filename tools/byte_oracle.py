@@ -11,8 +11,11 @@ configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
 `noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
-prints for each the name, the sha256 of the CSV and the exit code: 112
-hash lines after the header. Two checkouts behave the same on these runs
+prints for each the name, the sha256 of the CSV and the exit code. Last,
+it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
+`y.dtf`, `mask.dtf` and `maps.dtf` and the exit code, each followed by a
+`reconstruct --in` line on the files it wrote, hashed as above: 118 hash
+lines after the header. Two checkouts behave the same on these runs
 exactly when the outputs match:
 
     python3 tools/byte_oracle.py > change.txt
@@ -25,9 +28,10 @@ against a checkout that predates this script.
 
 ``--dump DIR`` keeps the outputs instead of hashing them in a temporary
 directory: `DIR/<config>/x0.dtf` and `trace.csv` per reconstruct config,
-and `DIR/<name>/sweep.csv`, `noise_offset.csv` or `metrics.csv` per other
-line. Two dumps, one per checkout, bound a round-off move by number where
-the hashes only show that it happened:
+`DIR/<name>/sweep.csv`, `noise_offset.csv` or `metrics.csv` per CSV line,
+and `DIR/simulate/<config>/` and `DIR/reconstruct-in/<config>/` per
+simulated config. Two dumps, one per checkout, bound a round-off move by
+number where the hashes only show that it happened:
 
     python3 tools/byte_oracle.py --compare PARENT_DUMP CHANGE_DUMP
 
@@ -64,7 +68,11 @@ The grid:
 - `noise-offset` on its defaults with 3 trials, and with every
   `[noise_offset]` key set;
 - `metrics --out` of the `mri2d/dds-cg/vp/defaults` estimate against the
-  phantom `simulate` writes for that config.
+  phantom `simulate` writes for that config;
+- `simulate`, then `reconstruct --in --seed 3` on its files, for the
+  `mri2d` `gaussian1d` 4x column mask, the `mri2d-noisy` `gaussian2d` 4x
+  mask and `ct3d` VP: the coil maps and mask files, and the E* read path
+  (k-space back to the operator's range), that no other line reaches.
 """
 
 from __future__ import annotations
@@ -234,6 +242,9 @@ SWEEP_CONFIGS = {
 }
 # the reconstruct config whose estimate `metrics` scores against its phantom
 METRICS = "mri2d/dds-cg/vp/defaults"
+# the configs `simulate` writes files for, which `reconstruct --in` reads back
+SIMULATE = ("mri2d/dds-cg/vp/gaussian1d-4x", "mri2d-noisy/ddnm/vp/gaussian2d-4x", "ct3d/vp")
+SIMULATED = ("x_true.dtf", "y.dtf", "mask.dtf", "maps.dtf")
 
 
 def blas_header() -> str:
@@ -394,6 +405,16 @@ def main(argv=None) -> int:
         csv_line(f"metrics/{METRICS}", "metrics.csv",
                  ["metrics", "--x", str(outs[METRICS] / "x0.dtf"),
                   "--ref", str(sim / "x_true.dtf")])
+        root = args.dump if args.dump else tmp
+        for name in SIMULATE:
+            sim, rec = root / "simulate" / name, root / "reconstruct-in" / name
+            config = config_file(dict(configs)[name])
+            code = run_quietly(cli, ["simulate", "--config", config, "--out", str(sim)])
+            print(f"simulate/{name}", *(sha256(sim / f) for f in SIMULATED), code, flush=True)
+            code = run_quietly(cli, ["reconstruct", "--config", config, "--in", str(sim),
+                                     "--seed", "3", "--out", str(rec)])
+            print(f"reconstruct-in/{name} {sha256(rec / 'x0.dtf')} {sha256(rec / 'trace.csv')} "
+                  f"{code}", flush=True)
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Subcommands: simulate, reconstruct, sweep, noise-offset, metrics, emit.
 Exit codes: 0 success, 2 validation or file-system error, 3 numerical
-failure. Artifacts are byte-reproducible from (config, seed); wall-clock
-timing columns are opt-in via --timing because they would break that
-contract.
+failure. Artifacts are byte-reproducible from (config, seed) at a given
+BLAS thread count; wall-clock timing columns are opt-in via --timing
+because they would break that contract.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ def _load_cfg(path) -> xp.ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     return xp.ExperimentConfig.load(p)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def cmd_simulate(args) -> int:
@@ -60,6 +64,10 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError("measurement shape does not match the configured operator")
         if y.dtype.kind == "c" and e.range_dtype.kind != "c":  # the cast would drop y.imag
             raise ConfigError(f"{y_path} is complex, but {problem.a.name} measures real data")
+        for name, built in problem.aux.items():  # E* keeps y.dtf's entries on this mask only
+            saved_path = indir / f"{name}.dtf"
+            if saved_path.exists() and not _same_bits(read_dtf(saved_path), built):
+                raise ConfigError(f"{saved_path} differs from the configured operator's {name}")
         problem.y = e.adjoint(y.astype(e.range_dtype))
         xt_path = indir / "x_true.dtf"
         if xt_path.exists():

@@ -12,6 +12,7 @@ which is exact for the Hermitian PSD systems used here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
     r = gradient()
     p = r.copy()  # updated in place below; only x, s, t and p are owned here
     rs = _sq(r)
-    norms = [float(np.sqrt(rs))]
+    norms = [math.sqrt(rs)]
     if iters == 0 or norms[0] <= tol:
         return report(0, norms)
     it = 0
@@ -84,7 +85,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         q = a.apply(p)
         qb = None if bop is None else bop.apply(p)
         curv = _sq(q) if bop is None else _sq(q) + w * _sq(qb)
-        if not np.isfinite(curv):
+        if not math.isfinite(curv):
             raise NumericalError("cgls: non-finite curvature")
         if curv == 0.0:
             break  # p is in the null space of the stack: nothing further to do
@@ -98,9 +99,9 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
             break
         r = gradient()
         rs_new = _sq(r)
-        if not np.isfinite(rs_new):
+        if not math.isfinite(rs_new):
             raise NumericalError("cgls: non-finite residual")
-        norms.append(float(np.sqrt(rs_new)))
+        norms.append(math.sqrt(rs_new))
         if norms[-1] <= tol or rs_new == 0.0:
             break
         p *= rs_new / rs
@@ -110,4 +111,4 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
 
 
 def _sq(v: np.ndarray) -> float:
-    return float(np.real(np.vdot(v, v)))
+    return np.vdot(v, v).real.item()

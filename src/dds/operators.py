@@ -351,7 +351,7 @@ def sense_apply(x: np.ndarray, plan: SensePlan) -> np.ndarray:
     coil = plan.maps * x
     c, h, w = coil.shape
     if plan.dft is None:
-        return fft2(coil).reshape(c, h * w)[:, plan.support]
+        return fft2(coil).reshape(c, h * w).take(plan.support, axis=1)
     return (coil.reshape(c * h, w) @ plan.dft).reshape(plan.range_shape)
 
 
@@ -362,7 +362,10 @@ def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
     else:
         c, h, n = y.shape
         coil = (y.reshape(c * h, n) @ plan.idft).reshape(plan.maps.shape)
-    return np.sum(plan.conj_maps * coil, axis=0)
+    # coil is this call's own array; conj_maps stays the first operand, since
+    # numpy's complex product rounds differently with the operands swapped
+    np.multiply(plan.conj_maps, coil, out=coil)
+    return coil.sum(axis=0)
 
 
 def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMap:

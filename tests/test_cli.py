@@ -325,6 +325,30 @@ def test_reconstruct_in_with_misshapen_x_true_exits_2(cfg_file, tmp_path, shape)
     assert not (out / "x0.dtf").exists()
 
 
+@pytest.mark.parametrize("name,edits", [
+    ("mask.dtf", {"mask_kind = uniform1d": "mask_kind = gaussian1d",
+                  "acceleration = 2": "acceleration = 4", "mask_seed = 3": "mask_seed = 4"}),
+    ("maps.dtf", {"maps_seed = 5": "maps_seed = 6"}),
+], ids=["mask", "maps"])
+def test_reconstruct_in_with_another_mask_or_maps_exits_2(cfg_file, tmp_path, name, edits):
+    # the operator is rebuilt from the config, and E* keeps only y.dtf's
+    # entries on its mask: data simulated on a 2x uniform1d mask and read on
+    # a 4x gaussian1d one used to exit 0 with 85% of y.dtf's energy dropped
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg_file), "--out", str(sim)).returncode == 0
+    text = CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    other = tmp_path / "other.ini"
+    other.write_text(text)
+    out = tmp_path / "rec"
+    r = run_cli("reconstruct", "--config", str(other), "--in", str(sim),
+                "--seed", "0", "--out", str(out))
+    _one_line_error(r)
+    assert name in r.stderr
+    assert not (out / "x0.dtf").exists()
+
+
 @pytest.mark.parametrize("name", ["y.dtf", "x_true.dtf"])
 def test_reconstruct_in_with_complex_data_on_a_real_operator_exits_2(tmp_path, name):
     # radon3d measures and reconstructs real data: a complex y.dtf lost its

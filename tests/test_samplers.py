@@ -333,6 +333,57 @@ def test_vp_ve_agree_on_matched_schedules():
     assert norm(r_vp.x0 - r_ve.x0) <= 1e-3 * norm(x_true)
 
 
+class _Start:
+    """A stream stand-in whose one draw is a given start (eta = 0 draws no more)."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def randn(self, shape, dtype):
+        return self.z.copy()
+
+
+def vp_and_rescaled_ve_x0(seed, dc, n=20):
+    """x0 of a VP run and of a VE run on sigma_t = sqrt(var(t)) / scale(t) from
+    the same start z, the VE state being x / scale(t), at eta = 0."""
+    prior, den, x_true, a, y = sense_problem(seed, shape=(16, 16), dim=8, coils=4, acc=4.0)
+    vp = VpSchedule.default(n)
+    ve = VeSchedule.from_sigmas([math.sqrt(vp.var(t)) / vp.scale(t) for t in range(1, n + 1)])
+    z = RngStream(1000 + seed).randn(a.domain_shape, dtype=COMPLEX)
+    kw = dict(nfe=n, eta=0.0, cg_steps=5, dc=dc)
+    r_vp = dds_reconstruct(a, y, den, SamplerConfig(mode="vp", **kw), rng=_Start(z),
+                           schedule=vp)
+    r_ve = dds_reconstruct(a, y, den, SamplerConfig(mode="ve", ve_truncation=0.0, **kw),
+                           rng=_Start(z / (vp.scale(n) * ve.sigmas[n])), schedule=ve)
+    return r_vp.x0, r_ve.x0
+
+
+# Worst relative x0 difference over seeds 1-150: dds-cg 4.7e-16, dds-proximal-cg
+# 8.4e-16, gradient 1.0e-15, ddnm 9.7e-13 (the pseudo-inverse's round-off).
+@pytest.mark.parametrize("dc, seeds, bound", [
+    ("dds-cg", range(1, 6), 1e-12),
+    ("dds-proximal-cg", range(1, 6), 1e-12),
+    ("gradient", range(1, 6), 1e-12),
+    ("ddnm", range(1, 21), 1e-11),
+], ids=["dds-cg", "dds-proximal-cg", "gradient", "ddnm"])
+def test_vp_is_ve_on_its_sigma_grid(dc, seeds, bound):
+    # both schedules state x_t = scale(t) x0 + sqrt(var(t)) eps, so a VP run is
+    # a VE run on sigma_t = sqrt(var(t)) / scale(t) in the state x / scale(t)
+    for seed in seeds:
+        x_vp, x_ve = vp_and_rescaled_ve_x0(seed, dc)
+        assert norm(x_vp - x_ve) <= bound * norm(x_vp), seed
+
+
+@pytest.mark.parametrize("dc", ["projection", "dps"])
+def test_projection_and_dps_are_not_rescaled_ve(dc):
+    # projection projects the scaled noisy iterate, and the dps step is
+    # 1/scale(t) larger in VP: these two differ beyond round-off (seeds 1-150:
+    # projection by 1.5e-2 median, dps by about 1)
+    for seed in range(1, 4):
+        x_vp, x_ve = vp_and_rescaled_ve_x0(seed, dc)
+        assert norm(x_vp - x_ve) > 1e-6 * norm(x_vp), seed
+
+
 @pytest.mark.parametrize("mode, truncation, k_stop", [
     ("vp", 1 / 50, 1), ("ve", 1 / 50, 1), ("ve", 0.2, 2),
 ], ids=["vp", "ve", "ve-truncated"])

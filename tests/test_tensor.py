@@ -3,7 +3,7 @@ import pytest
 
 from dds.diffusion import smooth_random_field
 from dds.errors import ConfigError
-from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
+from dds.tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
 
 
 def test_fft_delta_is_constant():
@@ -40,6 +40,18 @@ def test_fft_batched_axes():
     stacked = fft2(x)
     for i in range(3):
         assert norm(stacked[i] - fft2(x[i])) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(4, 16, 8), (32, 32)], ids=["chw", "hw"])
+@pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
+def test_fft_passes_match_numpy_2d_bit_for_bit(shape, dtype):
+    # fft2/ifft2 run np.fft.fft2's 1-D passes themselves (axis -1, then -2);
+    # if a numpy release reorders its passes, this says why the bytes moved
+    x = RngStream(4).randn(shape, dtype=dtype)
+    for ours, numpys in ((fft2, np.fft.fft2), (ifft2, np.fft.ifft2)):
+        got, want = ours(x), numpys(x, norm="ortho")
+        assert got.dtype == want.dtype == COMPLEX
+        assert got.tobytes() == want.tobytes()
 
 
 def test_randn_deterministic_for_equal_seeds():

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import VpSchedule
 # bench/tracing.py hooks both names as admm attributes; both are the one DDIM step.
 from .diffusion import ddim_step as ve_ddim_step, ddim_step as vp_ddim_step  # noqa: F401
 from .errors import ConfigError
 # bench/tracing.py times the x-update solves through the attribute admm.cg,
 # so the solver keeps that name here.
-from .krylov import cgls as cg
+from .krylov import CgReport, cgls as cg
 from .operators import LinearMap, diff_z_adjoint, diff_z_apply
-from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_schedule
+from .samplers import ReconResult, SamplerConfig, dds_reconstruct
 from .tensor import RngStream
 
 
@@ -48,15 +47,10 @@ def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
 
 @dataclass
 class AdmmState:
-    """Split variable z and scaled dual w, persisted across diffusion steps.
-
-    ``residual`` is y - A x' of the sweep that produced the state, as its
-    x-update solve carried it (None before the first sweep).
-    """
+    """Split variable z and scaled dual w, persisted across diffusion steps."""
 
     z: np.ndarray
     w: np.ndarray
-    residual: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, shape, dtype=np.float64) -> "AdmmState":
@@ -79,14 +73,15 @@ class TvConfig:
 
 
 def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
-               cfg: TvConfig) -> tuple[np.ndarray, AdmmState]:
+               cfg: TvConfig) -> tuple[np.ndarray, AdmmState, CgReport]:
     """One ADMM sweep of the TV-regularized data-consistency problem.
 
     x-update: CGLS on min ||y - A x||^2 + rho ||(z - w) - D x||^2, the normal
     equations (A'A + rho D'D) x = A'y + rho D'(z - w), warm-started at xhat;
-    then z <- shrink(D x' + w), w <- w + D x' - z. The new state carries the
-    solve's y - A x'. xhat and the state are volumes of one shape with at
-    least 2 slices, as dds_3d_reconstruct builds them.
+    then z <- shrink(D x' + w), w <- w + D x' - z. Returns x', the new state
+    and the x-update solve's report, whose ``residual`` is y - A x'. xhat and
+    the state are volumes of one shape with at least 2 slices, as
+    dds_3d_reconstruct builds them.
     """
     dz = LinearMap(xhat.shape, xhat.shape, diff_z_apply, diff_z_adjoint,
                    domain_dtype=a.domain_dtype, name="diff_z")
@@ -94,7 +89,7 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
     dx = diff_z_apply(xp)
     z_new = soft_threshold(dx + state.w, cfg.lam / cfg.rho)
     w_new = state.w + dx - z_new
-    return xp, AdmmState(z=z_new, w=w_new, residual=report.residual)
+    return xp, AdmmState(z=z_new, w=w_new), report
 
 
 def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
@@ -114,18 +109,16 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     if cfg.dc != "dds-cg":
         raise ConfigError(f"volume reconstruction runs ADMM-TV data consistency; "
                           f"dc = {cfg.dc} is not supported, use dc = dds-cg")
-    sched = make_schedule(cfg)
-    vp = isinstance(sched, VpSchedule)
-    switch_t = sched.n_steps // 2  # VE warm-up: plain CG while t >= switch_t
+    vp = cfg.mode == "vp"
+    switch_t = cfg.nfe // 2  # VE warm-up: plain CG while t >= switch_t
     state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)
 
     def admm_dc(x, xhat, t):
         nonlocal state
         if vp or t < switch_t:
-            xp, state = admm_tv_dc(xhat, a, y, state, tv)
-            return xp, state.residual
-        xp, report = cg(a, y, xhat, tv.cg_steps)
-        return xp, report.residual
+            xp, state, report = admm_tv_dc(xhat, a, y, state, tv)
+            return xp, report
+        return cg(a, y, xhat, tv.cg_steps)
 
     return dds_reconstruct(a, y, SliceDenoiser(denoiser), cfg, rng=rng, x_true=x_true,
-                           schedule=sched, dc=admm_dc)
+                           dc=admm_dc)

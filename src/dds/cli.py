@@ -45,7 +45,7 @@ def cmd_simulate(args) -> int:
         write_dtf(out / "mask.dtf", problem.aux["mask"])
     if "maps" in problem.aux:
         write_dtf(out / "maps.dtf", problem.aux["maps"])
-    (out / "config.ini").write_text(cfg.text)
+    (out / "config.ini").write_text(cfg.text, encoding="utf-8")
     print(f"simulated {problem.kind}: wrote x_true.dtf, y.dtf to {out}")
     return 0
 

@@ -55,7 +55,7 @@ _BETA_END = 0.02
 
 @dataclass(frozen=True)
 class VpSchedule:
-    """Variance-preserving discretization: beta_t, alpha_t, abar_t, btilde_t.
+    """Variance-preserving discretization: beta_t, abar_t, btilde_t.
 
     btilde_t is the eta = 1 stochastic std
     sqrt((1 - abar_{t-1})/(1 - abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
@@ -63,7 +63,6 @@ class VpSchedule:
     """
 
     betas: np.ndarray       # (N+1,), betas[0] = 0 sentinel
-    alphas: np.ndarray
     abars: np.ndarray       # abars[0] = 1
     btildes: np.ndarray     # btildes[0] = btildes[1] = 0
 
@@ -97,14 +96,13 @@ class VpSchedule:
     @classmethod
     def from_betas(cls, betas) -> "VpSchedule":
         b = np.concatenate([[0.0], np.asarray(betas, dtype=REAL)])
-        a = 1.0 - b
-        abar = np.cumprod(a)
+        abar = np.cumprod(1.0 - b)
         bt = np.zeros_like(b)
         for t in range(2, len(b)):
             bt[t] = math.sqrt((1 - abar[t - 1]) / (1 - abar[t])) * math.sqrt(
                 1 - abar[t] / abar[t - 1]
             )
-        return cls(betas=b, alphas=a, abars=abar, btildes=bt)
+        return cls(betas=b, abars=abar, btildes=bt)
 
     @classmethod
     def default(cls, n_steps: int) -> "VpSchedule":
@@ -156,8 +154,8 @@ class VeSchedule:
                   sigma_max: float = 10.0) -> "VeSchedule":
         if n_steps < 2 or not 0 < sigma_min < sigma_max < math.inf:
             raise ConfigError("need n_steps >= 2 and 0 < sigma_min < sigma_max < inf")
-        s = sigma_min * (sigma_max / sigma_min) ** (np.arange(n_steps) / (n_steps - 1))
-        return cls(sigmas=np.concatenate([[0.0], s]))
+        return cls.from_sigmas(
+            sigma_min * (sigma_max / sigma_min) ** (np.arange(n_steps) / (n_steps - 1)))
 
     @classmethod
     def from_sigmas(cls, sigmas) -> "VeSchedule":
@@ -207,9 +205,6 @@ class AffineSubspacePrior:
         """Orthogonal projection onto span(Q), ignoring the offset."""
         q = self.basis.reshape(self.dim, -1)
         return (q.T @ (q.conj() @ v.ravel())).reshape(v.shape)
-
-    def project_affine(self, v: np.ndarray) -> np.ndarray:
-        return self.project_linear(v - self.offset) + self.offset
 
     def distance(self, v: np.ndarray) -> float:
         r = v - self.offset

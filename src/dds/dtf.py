@@ -4,12 +4,13 @@ DTF layout: magic ``DDS1``, one dtype byte (0 = real64, 1 = complex128), one
 ndim byte, ndim little-endian u64 extents, then the row-major payload in
 little-endian (complex stored as interleaved re, im doubles). Readers
 reject wrong magic, bad dtype bytes, and truncated payloads. A CSV artifact
-writes floats as their shortest round-trip ``repr``, everything else with
-``str``, and ends every line with ``"\n"``.
+writes floats (numpy float64 included) as their shortest round-trip
+``repr``, everything else with ``str``, and ends every line with ``"\n"``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -23,7 +24,7 @@ _CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<c16")}
 
 
 def write_dtf(path, x: np.ndarray) -> None:
-    x = np.ascontiguousarray(x)
+    x = np.asarray(x)  # np.ascontiguousarray would make a 0-d array 1-d
     if x.dtype not in _DTYPE_CODES:
         if np.iscomplexobj(x):
             x = x.astype(COMPLEX)
@@ -56,13 +57,16 @@ def read_dtf(path) -> np.ndarray:
     if any(s <= 0 for s in shape):
         raise ConfigError(f"{path}: non-positive extent in {shape}")
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # a Python int: extents past int64 cannot wrap it
     expected = offset + count * dtype.itemsize
     if len(blob) != expected:
         raise ConfigError(
             f"{path}: payload size mismatch (got {len(blob)} bytes, want {expected})"
         )
-    arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+    try:
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except ValueError as exc:  # more dimensions than numpy supports
+        raise ConfigError(f"{path}: {exc}") from exc
     arr = arr.astype(REAL if code == 0 else COMPLEX)
     check_finite(arr, f"read_dtf({path})")
     return arr
@@ -70,7 +74,7 @@ def read_dtf(path) -> np.ndarray:
 
 def write_csv(path, header: list[str], rows) -> None:
     lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
               for row in rows]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -97,7 +97,8 @@ class ExperimentConfig:
 
     def __init__(self, text: str):
         self.text = text
-        self._cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        # no interpolation: a value is read as written, "%" included
+        self._cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
         try:
             self._cp.read_string(text)
         except configparser.Error as exc:
@@ -116,7 +117,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls(Path(path).read_text())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
+        return cls(text)
 
     def get(self, section: str, key: str, default=None, cast=str):
         if not self._cp.has_option(section, key):
@@ -468,7 +473,7 @@ def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
         y = a.apply(x_true)
         x_noisy = x_true + cfg.sigma_gt * rng.child(2).randn(shape)
         sigma_np = estimate_noise(x_noisy)
-        x_den = prior.project_affine(x_noisy)
+        x_den = prior.denoise(x_noisy, t_mid, sched)
 
         dc = {s: make_dc(SamplerConfig(dc=s, cg_steps=5), a, y, sched, prior)
               for s in ("ddnm", "gradient", "dps", "dds-cg")}

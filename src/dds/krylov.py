@@ -23,17 +23,11 @@ from .operators import LinearMap
 
 @dataclass
 class CgReport:
-    """Per-run CG record: iterations and residual norm path.
-
-    ``residual_monotone`` flags whether the Euclidean residual norms were
-    non-increasing (within 1e-9 absolute slack); CG only guarantees monotone
-    A-norm error, so a dip-and-rise here is reported, never an error.
-    ``residual`` is the data residual b - Ax at return (CGLS only).
-    """
+    """Per-run CG record: iterations, residual norm path, and the data
+    residual b - Ax at return."""
 
     iterations: int
     residual_norms: list[float]
-    residual_monotone: bool = True
     residual: np.ndarray | None = None
 
 
@@ -68,18 +62,14 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         r = a.adjoint(s)
         return r if bop is None else r + w * bop.adjoint(t)
 
-    def report(it, norms):
-        mono = all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
-        return x, CgReport(it, norms, residual_monotone=mono, residual=s)
-
     if iters == 0 and tol <= 0:
-        return report(0, [])
+        return x, CgReport(0, [], s)
     r = gradient()
     p = r.copy()  # updated in place below; only x, s, t and p are owned here
     rs = _sq(r)
     norms = [math.sqrt(rs)]
     if iters == 0 or norms[0] <= tol:
-        return report(0, norms)
+        return x, CgReport(0, norms, s)
     it = 0
     for k in range(iters):
         q = a.apply(p)
@@ -107,7 +97,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         p *= rs_new / rs
         p += r
         rs = rs_new
-    return report(it, norms)
+    return x, CgReport(it, norms, s)
 
 
 def _sq(v: np.ndarray) -> float:

@@ -446,10 +446,6 @@ class RadonMatrix:
     def shape(self) -> tuple[int, int]:
         return math.prod(self.sino_shape), math.prod(self.image_shape)
 
-    @property
-    def nnz(self) -> int:
-        return int(self.weights.size)
-
 
 def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
     """Ray-driven bilinear discretization of ``geom`` as a RadonMatrix.

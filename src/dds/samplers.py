@@ -32,7 +32,7 @@ from .dtf import write_csv
 from .errors import ConfigError, NumericalError, SamplerDivergedError
 # bench/tracing.py times every data-consistency solve through the attribute
 # samplers.cg, so the solver keeps that name here.
-from .krylov import cgls as cg
+from .krylov import CgReport, cgls as cg
 from .metrics import estimate_noise, middle_slice
 from .operators import LinearMap, identity_map
 from .tensor import RngStream, norm
@@ -127,11 +127,11 @@ class ReconResult:
 # ---------------------------------------------------------------------------
 # Pseudo-inverse machinery
 
-def pseudo_inverse_apply(a: LinearMap, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the Moore-Penrose pseudo-inverse to a range tensor: (A+ r, r - A A+ r).
+def pseudo_inverse_apply(a: LinearMap, r: np.ndarray) -> tuple[np.ndarray, CgReport]:
+    """Apply the Moore-Penrose pseudo-inverse to a range tensor: (A+ r, report).
 
     Runs CGLS from zero on min ||r - Az||, whose limit is the min-norm
-    least-squares solution A+ r, and returns the residual it carries. Where
+    least-squares solution A+ r; the report's ``residual`` is r - A A+ r. Where
     A A* is an orthogonal projector (single-coil Cartesian SENSE) the first
     step is exactly A* r and the solve stops there. The tolerance is
     relative to ||A*r||, as is the check on ||A*(r - Az)||. Ill-conditioned
@@ -146,19 +146,20 @@ def pseudo_inverse_apply(a: LinearMap, r: np.ndarray) -> tuple[np.ndarray, np.nd
             f"pseudo-inverse CG did not converge (relative residual "
             f"{rep.residual_norms[-1] / rn:.3e})"
         )
-    return z, rep.residual
+    return z, rep
 
 
 # ---------------------------------------------------------------------------
 # Data-consistency steps
 
-def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray, CgReport]:
     """Range-space replacement (I - A+A) xhat + A+ y, via xhat + A+(y - A xhat).
 
-    Returns x' with the y - A x' that the pseudo-inverse solve carried.
+    Returns x' with the pseudo-inverse solve's report, whose ``residual`` is
+    y - A x'.
     """
-    z, residual = pseudo_inverse_apply(a, y - a.apply(xhat))
-    return xhat + z, residual
+    z, report = pseudo_inverse_apply(a, y - a.apply(xhat))
+    return xhat + z, report
 
 
 def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> np.ndarray:
@@ -168,11 +169,12 @@ def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> n
 
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             prior: AffineSubspacePrior | None = None):
-    """Build the data-consistency step ``dc(x, xhat, t) -> (x', y - A x')`` named by cfg.dc.
+    """Build the data-consistency step ``dc(x, xhat, t) -> (x', report)`` named by cfg.dc.
 
     ``x`` is the noisy iterate at step t and ``xhat`` its Tweedie estimate.
-    The CGLS-based steps return the data residual their solve carries; the
-    others return None in its place and leave the forward to the caller.
+    The CGLS-based steps return the CgReport of the solve that produced x',
+    whose ``residual`` is y - A x'; the others return None in its place and
+    leave the forward to the caller.
     ``projection`` leaves xhat unchanged: the loop projects the noisy iterate
     after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
     posterior mean at (x, t), which the loop's denoiser computes.
@@ -182,18 +184,14 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             return lambda xhat: base
         return lambda xhat: base / max(norm(y - a.apply(xhat)), 1e-12)
 
-    def solved(out):
-        x, report = out
-        return x, report.residual
-
     if cfg.dc == "dds-cg":
-        return lambda x, xhat, t: solved(cg(a, y, xhat, cfg.cg_steps))
+        return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps)
     if cfg.dc == "dds-proximal-cg":
         # min ||y - Ax||^2 + 1/gamma ||xhat - x||^2, the proximal objective
         # gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2 scaled by 2/gamma
         ident = identity_map(a.domain_shape, dtype=a.domain_dtype)
-        return lambda x, xhat, t: solved(cg(a, y, xhat, cfg.cg_steps,
-                                            stack=(ident, xhat, 1.0 / cfg.gamma)))
+        return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps,
+                                     stack=(ident, xhat, 1.0 / cfg.gamma))
     if cfg.dc == "ddnm":
         return lambda x, xhat, t: ddnm_step(xhat, a, y)
     if cfg.dc == "projection":
@@ -236,7 +234,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     the pre-DC eps_hat, for VP and VE alike. The last step applies Tweedie
     only. VE starts from sigma_N-scaled noise and, with truncation, stops at
     t <= nfe * ve_truncation. The residual ||y - A x'|| that the trace
-    records comes from the DC step when its solve carried y - A x', and from
+    records comes from the DC step's CgReport when it returns one, and from
     a forward apply otherwise. It is the run's finiteness check: a step
     where it is not finite ends the run with SamplerDivergedError, its trace
     included.
@@ -263,13 +261,11 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
     trace = SamplerTrace()
 
-    def record(t, x, xp, xhat, data_residual=None) -> float:
+    def record(t, x, xp, xhat, report=None) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-            if data_residual is None:
-                data_residual = y - a.apply(xp)
             rec = StepRecord(
                 t=t,
-                residual=norm(data_residual),
+                residual=norm(report.residual if report is not None else y - a.apply(xp)),
                 gt_error=norm(xhat - x_true) if x_true is not None else math.nan,
                 noise_est=_trace_noise(x),
                 subspace_dist=prior.distance(xp) if prior is not None else math.nan,
@@ -283,8 +279,8 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         for t in range(sched.n_steps, k_stop, -1):
             xhat = denoiser.denoise(x, t, sched)
             eps_hat = eps_from_denoised(x, xhat, t, sched)
-            xp, data_residual = dc(x, xhat, t)
-            record(t, x, xp, xhat, data_residual)
+            xp, report = dc(x, xhat, t)
+            record(t, x, xp, xhat, report)
             x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
             if project_noisy:
                 x = ddnm_step(x, a, y)[0]

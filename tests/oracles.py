@@ -75,8 +75,7 @@ def cg(op: LinearMap, rhs: np.ndarray, x0: np.ndarray, iters: int,
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    mono = all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
-    return x, CgReport(it, norms, residual_monotone=mono)
+    return x, CgReport(it, norms)
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,8 @@ def test_acceptance_06_ddim_limits():
         out = vp_ddim_step(xh, eh, t, 1.0, RngStream(77), vp)
         drawn = RngStream(77).randn((6,))
         deterministic = out - vp.btildes[t] * drawn
-        ddpm = (x_t - (1 - vp.alphas[t]) / math.sqrt(1 - vp.abars[t]) * eh) \
-            / math.sqrt(vp.alphas[t])
+        alpha = 1 - vp.betas[t]
+        ddpm = (x_t - (1 - alpha) / math.sqrt(1 - vp.abars[t]) * eh) / math.sqrt(alpha)
         worst = max(worst, norm(deterministic - ddpm))
     # eta = 0 end-to-end bitwise determinism
     prior = AffineSubspacePrior.random((16, 16), 4, seed=4)
@@ -358,12 +358,12 @@ def test_acceptance_10_admm_tv():
     x = anchor.copy()
     state = AdmmState.zeros(x_true.shape)
     for _ in range(50):
-        x, state = admm_tv_dc(x, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=5))
+        x, state, _ = admm_tv_dc(x, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=5))
     f_fast = tv_objective(x, a, y, lam)
     xr = anchor.copy()
     state = AdmmState.zeros(x_true.shape)
     for _ in range(500):
-        xr, state = admm_tv_dc(xr, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=30))
+        xr, state, _ = admm_tv_dc(xr, a, y, state, TvConfig(lam=lam, rho=rho, cg_steps=30))
     f_ref = tv_objective(xr, a, y, lam)
     objective_ok = f_fast <= 1.01 * f_ref + 1e-12
 

@@ -10,15 +10,16 @@ from dds.admm import (
     dds_3d_reconstruct,
     soft_threshold,
 )
-from dds.diffusion import AffineSubspacePrior
+from dds.diffusion import AffineSubspacePrior, VpSchedule
 from dds.errors import ConfigError
+from dds.krylov import CgReport
 from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
-from dds.samplers import SamplerConfig, dds_reconstruct
-from dds.tensor import REAL, RngStream, norm
+from dds.samplers import DC_STRATEGIES, SamplerConfig, dds_reconstruct, make_dc
+from dds.tensor import COMPLEX, REAL, RngStream, norm
 from oracles import cg, tv_objective
 from test_krylov import counted
 from test_operators import normal_map
-from test_samplers import trace_against_dc_outputs
+from test_samplers import sense_problem, trace_against_dc_outputs
 
 
 def ct_problem(seed, nz=4, side=8, angles=6, dim=4, constant_z=False):
@@ -73,7 +74,7 @@ def test_admm_zero_inner_iterations_keeps_x():
     _, _, x_true, a, y = ct_problem(10)
     state = AdmmState.zeros(x_true.shape)
     xhat = RngStream(11).randn(x_true.shape)
-    xp, new_state = admm_tv_dc(xhat, a, y, state, TvConfig(lam=1.0, rho=0.5, cg_steps=0))
+    xp, new_state, _ = admm_tv_dc(xhat, a, y, state, TvConfig(lam=1.0, rho=0.5, cg_steps=0))
     assert np.array_equal(xp, xhat)
     assert new_state.z.shape == xhat.shape
 
@@ -82,7 +83,7 @@ def test_admm_lam_zero_tiny_rho_matches_plain_cg():
     _, _, x_true, a, y = ct_problem(20)
     xhat = RngStream(21).randn(x_true.shape)
     state = AdmmState.zeros(x_true.shape)
-    xp, _ = admm_tv_dc(xhat, a, y, state, TvConfig(lam=0.0, rho=1e-12, cg_steps=5))
+    xp, _, _ = admm_tv_dc(xhat, a, y, state, TvConfig(lam=0.0, rho=1e-12, cg_steps=5))
     want, _ = cg(normal_map(a), a.adjoint(y), xhat, 5)
     assert norm(xp - want) <= 1e-6 * max(norm(want), 1.0)
 
@@ -95,7 +96,7 @@ def test_admm_x_update_optimality_at_convergence():
     rho = 0.7
     cfg = TvConfig(lam=0.3, rho=rho, cg_steps=600)
     xhat = RngStream(33).randn(x_true.shape)
-    xp, _ = admm_tv_dc(xhat, a, y, state, cfg)
+    xp, _, _ = admm_tv_dc(xhat, a, y, state, cfg)
     from dds.operators import diff_z_adjoint
     grad = a.adjoint(a.apply(xp) - y) + rho * diff_z_adjoint(diff_z_apply(xp) - state.z + state.w)
     assert norm(grad) <= 1e-6 * norm(a.adjoint(y))
@@ -112,14 +113,14 @@ def test_shared_state_single_iteration_tracks_reference_admm():
     state = AdmmState.zeros(x_true.shape)
     x = anchor.copy()
     for _ in range(50):
-        x, state = admm_tv_dc(x, a, y, state, cfg_fast)
+        x, state, _ = admm_tv_dc(x, a, y, state, cfg_fast)
     f_fast = tv_objective(x, a, y, lam)
 
     cfg_ref = TvConfig(lam=lam, rho=rho, cg_steps=30)
     state_r = AdmmState.zeros(x_true.shape)
     xr = anchor.copy()
     for _ in range(500):
-        xr, state_r = admm_tv_dc(xr, a, y, state_r, cfg_ref)
+        xr, state_r, _ = admm_tv_dc(xr, a, y, state_r, cfg_ref)
     f_ref = tv_objective(xr, a, y, lam)
     assert f_fast <= 1.01 * f_ref + 1e-12
 
@@ -226,3 +227,33 @@ def test_volume_trace_residual_is_the_dc_output_residual(monkeypatch, mode):
     res = dds_3d_reconstruct(a, y, den, cfg, TvConfig(lam=0.5, rho=0.5, cg_steps=3),
                              rng=RngStream(0))
     assert trace_against_dc_outputs(res.trace, outs, a, y) <= 1e-10 * norm(y)
+
+
+@pytest.mark.parametrize("name", [*DC_STRATEGIES, "volume-admm", "volume-ve-warm-up"])
+def test_dc_step_returns_its_solves_report(monkeypatch, name):
+    # the contract dc(x, xhat, t) -> (x', report): a solve's CgReport carries
+    # y - A x', and the steps that solve nothing return None
+    t = 6
+    if name.startswith("volume"):
+        _, den, _, a, y = ct_problem(90, nz=3)
+        y = y + 0.05 * RngStream(91).randn(y.shape)
+        steps = []
+        monkeypatch.setattr(admm, "dds_reconstruct", lambda *args, dc, **kw: steps.append(dc))
+        mode = "vp" if name == "volume-admm" else "ve"  # VE warms up with CG for t >= 4
+        dds_3d_reconstruct(a, y, den, SamplerConfig(nfe=8, mode=mode),
+                           TvConfig(lam=0.5, rho=0.5, cg_steps=3))
+        (dc,) = steps
+        x = xhat = RngStream(92).randn(a.domain_shape)
+    else:
+        prior, _, _, a, y = sense_problem(93, shape=(16, 16), coils=2, acc=2.0, dim=4)
+        y = y + 0.05 * RngStream(94).randn(y.shape, dtype=COMPLEX)
+        sched = VpSchedule.default(8)
+        dc = make_dc(SamplerConfig(nfe=8, dc=name), a, y, sched, prior)
+        x = RngStream(95).randn(a.domain_shape, dtype=COMPLEX)
+        xhat = prior.denoise(x, t, sched)
+    xp, report = dc(x, xhat, t)
+    if name in ("projection", "gradient", "dps"):
+        assert report is None
+    else:
+        assert isinstance(report, CgReport)
+        assert norm(report.residual - (y - a.apply(xp))) <= 1e-10 * norm(y)

@@ -47,3 +47,22 @@ def test_a_gap_inside_the_parent_spread_is_no_gain():
     # the change wins every pair, but by less than the parent's IQR (0.035)
     s = summary(PARENT, [p + 0.01 for p in PARENT], "higher")
     assert (s["wins"], s["gain"]) == (10, False)
+
+
+def test_regression_verdict_against_the_bound():
+    # PARENT's median is 1.505 and its IQR 0.035 (2.3% of the median)
+    regression = bench_pairs.regression
+    assert regression(PARENT, [p * 1.04 for p in PARENT], "lower", 0.05) == "none"
+    assert regression(PARENT, [p * 1.06 for p in PARENT], "lower", 0.05) == "worse"
+    assert regression(PARENT, [p * 1.06 for p in PARENT], "higher", 0.05) == "none"
+    assert regression(PARENT, [p * 0.94 for p in PARENT], "higher", 0.05) == "worse"
+    # a bound inside the parent's spread cannot tell a change either way ...
+    assert regression(PARENT, PARENT, "lower", 0.02) == "unresolved"
+    assert regression(PARENT, [p * 1.5 for p in PARENT], "lower", 0.02) == "unresolved"
+    # ... unless every change run beats every parent run
+    assert regression(PARENT, [1.46] * 10, "lower", 0.02) == "none"
+    assert regression(PARENT, [1.56] * 10, "higher", 0.02) == "none"
+    assert regression(PARENT, [1.47] * 10, "lower", 0.02) == "unresolved"  # ties min(PARENT)
+    # exact counts: zero spread and a bound of 2%
+    assert regression([540] * 5, [540] * 5, "lower", 0.02) == "none"
+    assert regression([540] * 5, [552] * 5, "lower", 0.02) == "worse"

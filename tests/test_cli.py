@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dds.dtf import read_dtf, write_dtf
+from dds.dtf import MAGIC, read_dtf, write_dtf
 from dds.tensor import RngStream
 
 CFG = """
@@ -596,6 +596,49 @@ def test_bad_noise_offset_value_exits_2(tmp_path, value, named):
     _one_line_error(r)
     assert named in r.stderr
     assert not out.exists()
+
+
+def _main_exits_2(argv, capsys):
+    """Run the CLI in-process; it must return 2 with a one-line error, no traceback."""
+    from dds import cli
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 byte used to raise UnicodeDecodeError out of the CLI (exit 1)
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_bytes(CFG.replace("dim = 4", "dim = 4  # r\xe9sum\xe9").encode("latin-1"))
+    err = _main_exits_2(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "o")],
+                        capsys)
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("value", ["mri2d%", "%(x)s"], ids=["bare", "reference"])
+def test_percent_in_a_config_value_is_read_literally(tmp_path, capsys, value):
+    # configparser interpolation used to raise InterpolationSyntaxError or
+    # InterpolationMissingOptionError out of the CLI (exit 1)
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("kind = mri2d", f"kind = {value}"))
+    err = _main_exits_2(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "o")],
+                        capsys)
+    assert f"unknown problem kind {value!r}" in err
+
+
+@pytest.mark.parametrize("extents", [(2 ** 32, 2 ** 32), (2 ** 62, 4)], ids=["2^32x2^32", "2^62x4"])
+@pytest.mark.parametrize("command", ["emit", "metrics", "reconstruct"])
+def test_dtf_extents_past_int64_exit_2(cfg_file, tmp_path, capsys, command, extents):
+    # the extents' product wrapped to 0 in int64, so an empty payload passed
+    # the size check and reshape raised ValueError out of the CLI (exit 1)
+    bad = tmp_path / "y.dtf"
+    bad.write_bytes(MAGIC + struct.pack("<BB2Q", 0, 2, *extents))
+    argv = {"emit": ["emit", "--in", str(bad), "--out", str(tmp_path / "x.pgm")],
+            "metrics": ["metrics", "--x", str(bad), "--ref", str(bad)],
+            "reconstruct": ["reconstruct", "--config", str(cfg_file), "--in", str(tmp_path),
+                            "--seed", "0", "--out", str(tmp_path / "r")]}[command]
+    assert "payload size mismatch" in _main_exits_2(argv, capsys)
 
 
 def test_ct3d_single_slice_exits_2_before_sampling(tmp_path, monkeypatch, capsys):

@@ -166,7 +166,7 @@ def test_conversions_invert_the_schedule_marginal(sched):
             # VE outputs keep the bits of the sigma_t formulas they replace
             assert math.sqrt(sched.var(t)) == sched.sigmas[t]
             assert np.array_equal(prior.denoise(x_t, t, sched),
-                                  prior.project_affine(x_t))
+                                  prior.project_linear(x_t - prior.offset) + prior.offset)
 
 
 def test_denoiser_contract_consistency_identities():
@@ -374,7 +374,7 @@ def test_vp_step_eta1_matches_ddpm_ancestral_mean():
         out = ddim_step(xh, eh, t, 1.0, stoch_rng, s)
         drawn = RngStream(99).randn((5,))
         deterministic = out - s.btildes[t] * drawn
-        alpha_t = s.alphas[t]
+        alpha_t = 1 - s.betas[t]
         ddpm_mean = (xt - (1 - alpha_t) / math.sqrt(1 - s.abars[t]) * eh) / math.sqrt(alpha_t)
         assert norm(deterministic - ddpm_mean) < 1e-12
 

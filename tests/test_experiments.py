@@ -15,6 +15,7 @@ from dds.experiments import (
     MET_HEADER,
     NOISE_OFFSET_STRATEGIES,
     ExperimentConfig,
+    SECTION_CLASSES,
     NoiseOffsetConfig,
     build_problem,
     emit_image,
@@ -502,6 +503,49 @@ def test_fuzzed_config_raises_only_config_or_numerical_errors(base, edits):
                 warnings.simplefilter("error", np.exceptions.ComplexWarning)
                 read()
         except (ConfigError, NumericalError):
+            pass
+
+
+# Garbled INI text: section blocks of real keys, with "%", comments, odd
+# separators, duplicate sections and keys, and stray fragments between them.
+INI_VALUES = ["", "2", "0.5", "nan", "1e400", "true", "vp", "dds-cg", "16 16", "%", "50%",
+              "%(kind)s", "# c", "x ; y"]
+INI_STRAY = st.lists(st.sampled_from(["[", "]", "=", ":", "%", "%(x)s", "#", ";", " ", "\t",
+                                      "x", "[DEFAULT]", "[x]", "\n"]),
+                     min_size=1, max_size=6).map(lambda parts: "".join(parts) + "\n")
+
+
+def _ini_block(section):
+    line = st.tuples(st.sampled_from(sorted(CONFIG_KEYS[section])),
+                     st.sampled_from(["=", ":", " = ", "=="]), st.sampled_from(INI_VALUES))
+    # a repeated key is drawn rarely here, so the text mostly parses
+    return st.lists(line, max_size=4, unique_by=lambda kv: kv[0]).map(
+        lambda lines: f"[{section}]\n" + "".join("".join(kv) + "\n" for kv in lines))
+
+
+INI_BLOCK = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(_ini_block)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=st.tuples(INI_BLOCK, st.lists(st.one_of(INI_BLOCK, INI_BLOCK, INI_STRAY),
+                                         max_size=4)).map(lambda t: t[0] + "".join(t[1])))
+def test_garbled_ini_text_raises_only_config_errors(text):
+    # parse, then read every key as text and every dataclass section; the
+    # CLI maps ConfigError to exit 2, and anything else is a traceback
+    try:
+        cfg = ExperimentConfig(text)
+    except ConfigError:
+        return
+    for section, keys in CONFIG_KEYS.items():
+        for key in sorted(keys):
+            try:
+                cfg.get(section, key)
+            except ConfigError:
+                pass
+    for section, cls in SECTION_CLASSES.items():
+        try:
+            cfg.read(section, cls)
+        except ConfigError:
             pass
 
 

@@ -8,8 +8,13 @@ end-to-end metric of this checkout's BENCHMARK.json: the parent's median
 and quartiles, the change's median, the change's wins and ties over the
 pairs, and whether a gain holds by the paired rule: the change wins at
 least nine tenths of the pairs (ties count for neither) and its median is
-better than the parent's by more than the parent's interquartile range.
-A run whose summary says `correct: false` or `failed > 0` is flagged.
+better than the parent's by more than the parent's interquartile range;
+and the no-regression verdict against the metric's bound: `none`, `worse`
+(the change's median is worse than the parent's by more than the bound,
+relative to the parent's median), or `unresolved` (the parent's IQR over
+its median exceeds the bound, so the runs cannot tell, unless every change
+run beats every parent run). A run whose summary says `correct: false` or
+`failed > 0` is flagged.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --workload mri2d-pinv \
         --pairs 10 --seconds 30 --seed 1
@@ -48,6 +53,17 @@ def summary(parent: list[float], change: list[float], better: str) -> dict:
         "change_median": change_median, "pairs": len(parent), "wins": wins, "ties": ties,
         "gain": wins >= 0.9 * len(parent) and gap > q3 - q1,
     }
+
+
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict for one metric: none, worse or unresolved."""
+    sign = 1.0 if better == "higher" else -1.0
+    if all(sign * (c - p) > 0 for c in change for p in parent):
+        return "none"
+    q1, median, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    return "worse" if sign * (statistics.median(change) - median) < -bound * abs(median) else "none"
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -90,14 +106,16 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}")
     for m in spec:
         name = m["name"]
-        s = summary([r["metrics"][name]["value"] for r in runs["parent"]],
-                    [r["metrics"][name]["value"] for r in runs["change"]], m["better"])
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        s = summary(parent, change, m["better"])
         base = s["parent_median"]
         move = f"{(s['change_median'] / base - 1) * 100:+.1f}%" if base else "n/a"
         print(f"{name:18s} parent {base:.6g} [{s['parent_q1']:.6g}, "
               f"{s['parent_q3']:.6g}] -> change {s['change_median']:.6g} ({move}), "
               f"wins {s['wins']}/{s['pairs']}, ties {s['ties']}, "
-              f"gain {'holds' if s['gain'] else 'not shown'}")
+              f"gain {'holds' if s['gain'] else 'not shown'}, regression "
+              f"{regression(parent, change, m['better'], m['bound'])}")
     if flagged:
         print(f"FLAGGED: {flagged} run(s) with correct false or failed > 0")
     return 1 if flagged else 0

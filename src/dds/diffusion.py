@@ -204,7 +204,13 @@ class AffineSubspacePrior:
     def project_linear(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto span(Q), ignoring the offset."""
         q = self.basis.reshape(self.dim, -1)
-        return (q.T @ (q.conj() @ v.ravel())).reshape(v.shape)
+        flat = v.ravel()
+        # Q* v with no conjugated copy of Q: on a complex basis
+        # conj(conj(v) @ Q^T) is the exact conjugate of the BLAS product
+        # q.conj() @ v; a real basis is its own conjugate, and on complex v
+        # the conj form would round differently
+        coef = np.conj(np.conj(flat) @ q.T) if np.iscomplexobj(q) else q @ flat
+        return (q.T @ coef).reshape(v.shape)
 
     def distance(self, v: np.ndarray) -> float:
         r = v - self.offset

@@ -91,8 +91,9 @@ def annotation_cast(kind):
 class ExperimentConfig:
     """Typed view over a flat INI config; keeps raw text for byte-exact copies.
 
-    Keys in unknown sections and unknown keys are rejected, so a misspelt
-    name cannot silently leave a default in force.
+    Keys in unknown sections, unknown keys and a ``[DEFAULT]`` section are
+    rejected, so a misspelt or misplaced name cannot silently leave a
+    default in force.
     """
 
     def __init__(self, text: str):
@@ -103,6 +104,10 @@ class ExperimentConfig:
             self._cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
+        # configparser copies [DEFAULT] keys into every section there is
+        if self._cp.defaults():
+            raise ConfigError("config section [DEFAULT] is not supported: "
+                              "name the section each key belongs to")
         for section in self._cp.sections():
             for key in self._cp.options(section):  # an empty section sets nothing
                 if section not in CONFIG_KEYS:

@@ -283,7 +283,8 @@ class SensePlan:
     The range holds the measured entries only. For a 0/1 mask, ``support``
     holds the flat indices of its sampled k-space entries and the range is
     (c, nnz): apply gathers them from ``fft2(maps * x)``, ``embed`` (E)
-    scatters them into zero-filled k-space (c, H, W) and ``restrict`` (E*)
+    scatters them into zero-filled k-space (c, H, W) through ``flat_support``,
+    their flat indices in every coil of (c * H * W), and ``restrict`` (E*)
     gathers them back. A column mask (constant along k_y, axis -2, with
     n <= W/3 sampled columns) instead has the sampled k_x columns as
     ``support``, ``dft`` the unitary W-point DFT restricted to them,
@@ -301,13 +302,14 @@ class SensePlan:
     range_shape: tuple
     dft: np.ndarray | None = None
     idft: np.ndarray | None = None
+    flat_support: np.ndarray | None = None
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """E: the range -> k-space (c, H, W), zero off the mask."""
         c, h, w = self.maps.shape
         if self.dft is None:
-            k = np.zeros((c, h * w), dtype=COMPLEX)
-            k[:, self.support] = y
+            k = np.zeros(c * h * w, dtype=COMPLEX)
+            k[self.flat_support] = y.ravel()
             return k.reshape(c, h, w)
         k = np.zeros((c, h, w), dtype=COMPLEX)
         k[:, :, self.support] = fft1(y, axis=-2)
@@ -339,7 +341,9 @@ def sense_plan(maps: np.ndarray, mask: np.ndarray) -> SensePlan:
     cols = np.flatnonzero(mask[0])
     if not (3 * cols.size <= w and (mask == mask[0]).all()):
         support = np.flatnonzero(mask)
-        return SensePlan(maps, conj_maps, support, (c, support.size))
+        flat_support = (np.arange(c)[:, None] * (h * w) + support).ravel()
+        return SensePlan(maps, conj_maps, support, (c, support.size),
+                         flat_support=flat_support)
     # exponents reduced mod w keep every entry a root of unity to round-off
     dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
     return SensePlan(maps, conj_maps, cols, (c, h, cols.size), dft,
@@ -425,10 +429,12 @@ class RadonMatrix:
     """Sparse Radon system matrix as coalesced (row, col, weight) triplets.
 
     Sinogram row ``a * detector_bins + b`` (angle a, bin b) of a flattened
-    image ``x`` is the sum of ``weights[k] * x[cols[k]]`` over the triplets
-    with ``rows[k]`` equal to it. Triplets are sorted by row and each (row,
-    col) pair appears once. ``hit_rows`` are the rows with at least one
-    triplet and ``starts`` the index of each one's first triplet. The adjoint
+    image ``x`` is the sum of ``weights[k] * x[cols[k]]`` over that row's
+    triplets. Triplets are sorted by row and each (row, col) pair appears
+    once, so the rows are held as run lengths: ``row_counts`` is the number
+    of triplets of each sinogram row, 0 for a row no ray hits. ``hit_rows``
+    are the rows with at least one triplet and ``starts`` the index of each
+    one's first triplet. Every col lies in [0, side * side). The adjoint
     scatters the same triplets by column, so it is the exact transpose.
     ``image_shape`` (side, side) and ``sino_shape`` (angles, detector_bins)
     are the shapes the matrix was built for.
@@ -436,7 +442,7 @@ class RadonMatrix:
 
     image_shape: tuple[int, int]
     sino_shape: tuple[int, int]
-    rows: np.ndarray
+    row_counts: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     hit_rows: np.ndarray
@@ -496,22 +502,28 @@ def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
         rows.append(r + r0)
         cols.append(c)
         weights.append(inner[hit])
-    rows = np.concatenate(rows)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return RadonMatrix((n, n), (len(geom.angles), bins), rows, np.concatenate(cols),
-                       np.concatenate(weights), rows[starts], starts)
+    row_counts = np.bincount(np.concatenate(rows), minlength=n_rows)
+    hit_rows = np.flatnonzero(row_counts)
+    starts = (np.cumsum(row_counts) - row_counts)[hit_rows]
+    return RadonMatrix((n, n), (len(geom.angles), bins), row_counts, np.concatenate(cols),
+                       np.concatenate(weights), hit_rows, starts)
 
 
 def radon_apply(x: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
     """Sinograms of images ``x`` (..., side, side); leading axes are a batch,
-    run one slice at a time so the temporaries hold one slice's nonzeros."""
+    run one slice at a time through one scratch array of the nonzeros."""
     n_rows, n_cols = matrix.shape
     flat = x.reshape(-1, n_cols)
     out = np.zeros((flat.shape[0], n_rows), dtype=REAL)
+    # made per call, not held: threads of one sweep share the matrix
+    buf = np.empty(matrix.weights.size, dtype=REAL)
     for xz, oz in zip(flat, out):
+        # every col is in range, so "clip" clips nothing; unlike the default
+        # "raise" it writes straight into buf, not through a temporary
+        np.take(xz, matrix.cols, out=buf, mode="clip")
+        np.multiply(buf, matrix.weights, out=buf)
         # reduceat is wrong on empty segments, so only hit rows are written
-        oz[matrix.hit_rows] = np.add.reduceat(xz.take(matrix.cols) * matrix.weights,
-                                              matrix.starts)
+        oz[matrix.hit_rows] = np.add.reduceat(buf, matrix.starts)
     return out.reshape(x.shape[:-2] + matrix.sino_shape)
 
 
@@ -521,8 +533,11 @@ def radon_adjoint(sino: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
     flat = sino.reshape(-1, n_rows)
     out = np.empty((flat.shape[0], n_cols), dtype=REAL)
     for yz, oz in zip(flat, out):
-        oz[:] = np.bincount(matrix.cols, weights=yz.take(matrix.rows) * matrix.weights,
-                            minlength=n_cols)
+        # the triplets are sorted by row, so repeating each row's value over
+        # its run gathers yz[row] per triplet by copying runs
+        w = np.repeat(yz, matrix.row_counts)
+        w *= matrix.weights
+        oz[:] = np.bincount(matrix.cols, weights=w, minlength=n_cols)
     return out.reshape(sino.shape[:-2] + matrix.image_shape)
 
 

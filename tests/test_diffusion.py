@@ -248,6 +248,19 @@ def test_affine_prior_exact_projector_identity():
         assert norm(prior.denoise(x, t, vp) - want) < 1e-12
 
 
+@pytest.mark.parametrize("shape, dim, dtype", [
+    ((64, 64), 32, COMPLEX), ((8, 32, 32), 8, COMPLEX), ((16, 16), 5, REAL), ((8, 8), 1, REAL),
+])
+def test_project_linear_equals_the_conjugated_basis_product(shape, dim, dtype):
+    # Q* v is formed as conj(conj(v) @ Q^T), not from a conjugated copy of Q,
+    # and keeps every byte of q.T @ (q.conj() @ v)
+    prior = AffineSubspacePrior.random(shape, dim, seed=3, dtype=dtype)
+    q = prior.basis.reshape(dim, -1)
+    for v in (RngStream(4).randn(shape, dtype=dtype), RngStream(5).randn(shape, dtype=COMPLEX)):
+        want = (q.T @ (q.conj() @ v.ravel())).reshape(shape)
+        assert np.array_equal(prior.project_linear(v), want)
+
+
 # ---------------------------------------------------------------------------
 # GMM prior and denoiser
 

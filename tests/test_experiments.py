@@ -176,6 +176,16 @@ def test_config_rejects_malformed_text():
         ExperimentConfig("not an ini file at all [")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nnfe = 3\ncg_steps = 7\n",            # was ignored: nfe 20
+    "[DEFAULT]\nnfe = 3\ncg_steps = 7\n\n[sampler]\n",  # was applied: nfe 3
+    "[DEFAULT]\nbogus = 3\n\n[sampler]\n",            # was named [sampler] bogus
+], ids=["alone", "beside-sampler", "unknown-key"])
+def test_config_rejects_a_default_section(text):
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        ExperimentConfig(text)
+
+
 def test_build_problem_shapes_and_consistency():
     p = build_problem(ExperimentConfig(BASE_CFG))
     assert p.x_true.shape == (16, 16)

@@ -480,9 +480,14 @@ def test_sense_2d_path_embedding_scatters_and_gathers(kind, acc):
     assert e.domain_shape == (3, support.size) and e.range_shape == (3, 16, 16)
     v = RngStream(8).randn(e.domain_shape, dtype=COMPLEX)
     k = e.apply(v)
-    assert np.array_equal(k.reshape(3, -1)[:, support], v)
+    ref = np.zeros((3, 16 * 16), dtype=COMPLEX)
+    ref[:, support] = v
+    assert np.array_equal(k, ref.reshape(3, 16, 16))
     assert np.all(k[:, mask == 0] == 0)
     assert np.array_equal(e.adjoint(k), v)
+    # each call returns its own array
+    k[:] = 0
+    assert np.array_equal(e.apply(v), ref.reshape(3, 16, 16))
     k = RngStream(9).randn(e.range_shape, dtype=COMPLEX)
     assert np.array_equal(e.adjoint(k), k.reshape(3, -1)[:, support])
 
@@ -656,18 +661,48 @@ def test_radon_matrix_extra_geometries_cover_empty_rows_and_columns():
     assert np.any(~narrow.any(axis=0))  # pixels between sparse rays
 
 
+def triplet_rows(m):
+    """The row of each triplet, rebuilt from the run lengths."""
+    return np.repeat(np.arange(m.shape[0]), m.row_counts)
+
+
 @pytest.mark.parametrize("geom", [RadonGeometry.uniform(8, 6)] + EXTRA_GEOMETRIES,
                          ids=lambda g: f"side{g.side}-a{len(g.angles)}-b{g.detector_bins}")
 def test_radon_matrix_triplets_are_coalesced_in_row_order(geom):
     m = radon_matrix(geom)
-    n_cols = geom.side * geom.side
-    assert m.shape == (len(geom.angles) * geom.detector_bins, n_cols)
-    key = m.rows * n_cols + m.cols
+    n_rows, n_cols = len(geom.angles) * geom.detector_bins, geom.side * geom.side
+    assert m.shape == (n_rows, n_cols)
+    assert m.row_counts.shape == (n_rows,) and m.row_counts.sum() == m.cols.size
+    rows = triplet_rows(m)
+    key = rows * n_cols + m.cols
     assert np.all(np.diff(key) > 0)  # sorted by row, each (row, col) once
     assert np.all(m.weights > 0)
-    assert np.array_equal(m.hit_rows, np.unique(m.rows))
-    assert np.array_equal(m.rows[m.starts], m.hit_rows)
+    # radon_apply's take(mode="clip") relies on every col being in range
+    assert np.all((m.cols >= 0) & (m.cols < n_cols))
+    assert np.array_equal(m.hit_rows, np.unique(rows))
+    assert np.array_equal(rows[m.starts], m.hit_rows)
     assert m.weights.size == np.count_nonzero(naive_radon_matrix(geom))
+
+
+@pytest.mark.parametrize("geom", [RadonGeometry.uniform(8, 6)] + EXTRA_GEOMETRIES,
+                         ids=lambda g: f"side{g.side}-a{len(g.angles)}-b{g.detector_bins}")
+def test_radon_kernels_equal_the_triplet_formulas(geom):
+    # the scratch buffer and the run-length row gather keep every byte of
+    # the plain per-slice gather, product, reduceat and bincount
+    m = radon_matrix(geom)
+    n_rows, n_cols = m.shape
+    rows = triplet_rows(m)
+    vol = RngStream(11).randn((2, 3) + m.image_shape)
+    sino = RngStream(12).randn((2, 3) + m.sino_shape)
+    want_out = np.zeros((6, n_rows))
+    want_back = np.empty((6, n_cols))
+    for x, y, o, b in zip(vol.reshape(6, -1), sino.reshape(6, -1), want_out, want_back):
+        o[m.hit_rows] = np.add.reduceat(x.take(m.cols) * m.weights, m.starts)
+        b[:] = np.bincount(m.cols, weights=y.take(rows) * m.weights, minlength=n_cols)
+    assert np.array_equal(radon_apply(vol, m), want_out.reshape(sino.shape))
+    assert np.array_equal(radon_adjoint(sino, m), want_back.reshape(vol.shape))
+    assert np.array_equal(radon_apply(vol[1, 2], m), want_out[5].reshape(m.sino_shape))
+    assert np.array_equal(radon_adjoint(sino[1, 2], m), want_back[5].reshape(m.image_shape))
 
 
 def test_radon_operator_holds_its_matrix():

@@ -21,7 +21,8 @@ from .errors import ConfigError
 # bench/tracing.py times the x-update solves through the attribute admm.cg,
 # so the solver keeps that name here.
 from .krylov import CgReport, cgls as cg
-from .operators import LinearMap, diff_z_adjoint, diff_z_apply
+# bench/tracing.py hooks admm.diff_z_adjoint too, so the name stays here.
+from .operators import LinearMap, diff_z_adjoint, diff_z_apply, diff_z_operator  # noqa: F401
 from .samplers import ReconResult, SamplerConfig, dds_reconstruct
 from .tensor import RngStream
 
@@ -83,8 +84,7 @@ def admm_tv_dc(xhat: np.ndarray, a: LinearMap, y: np.ndarray, state: AdmmState,
     the state are volumes of one shape with at least 2 slices, as
     dds_3d_reconstruct builds them.
     """
-    dz = LinearMap(xhat.shape, xhat.shape, diff_z_apply, diff_z_adjoint,
-                   domain_dtype=a.domain_dtype, name="diff_z")
+    dz = diff_z_operator(xhat.shape, dtype=a.domain_dtype)
     xp, report = cg(a, y, xhat, cfg.cg_steps, stack=(dz, state.z - state.w, cfg.rho))
     dx = diff_z_apply(xp)
     z_new = soft_threshold(dx + state.w, cfg.lam / cfg.rho)

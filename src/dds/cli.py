@@ -34,6 +34,11 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _sense_arrays(problem) -> dict:  # a SENSE plan's mask and maps, by file stem
+    plan = getattr(problem.a, "plan", None)
+    return {} if plan is None else {"mask": plan.mask, "maps": plan.maps}
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args.config)
     problem = xp.build_problem(cfg)
@@ -41,10 +46,8 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_dtf(out / "x_true.dtf", problem.x_true)
     write_dtf(out / "y.dtf", problem.a.embedding.apply(problem.y))
-    if "mask" in problem.aux:
-        write_dtf(out / "mask.dtf", problem.aux["mask"])
-    if "maps" in problem.aux:
-        write_dtf(out / "maps.dtf", problem.aux["maps"])
+    for name, arr in _sense_arrays(problem).items():
+        write_dtf(out / f"{name}.dtf", arr)
     (out / "config.ini").write_text(cfg.text, encoding="utf-8")
     print(f"simulated {problem.kind}: wrote x_true.dtf, y.dtf to {out}")
     return 0
@@ -64,7 +67,7 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError("measurement shape does not match the configured operator")
         if y.dtype.kind == "c" and e.range_dtype.kind != "c":  # the cast would drop y.imag
             raise ConfigError(f"{y_path} is complex, but {problem.a.name} measures real data")
-        for name, built in problem.aux.items():  # E* keeps y.dtf's entries on this mask only
+        for name, built in _sense_arrays(problem).items():  # E* keeps y.dtf on this mask only
             saved_path = indir / f"{name}.dtf"
             if saved_path.exists() and not _same_bits(read_dtf(saved_path), built):
                 raise ConfigError(f"{saved_path} differs from the configured operator's {name}")
@@ -210,8 +213,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # e.g. an --out path that cannot be created
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # e.g. an --out path that cannot be
+        # created, or a [phantom] shape whose arrays this host cannot hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -237,7 +237,7 @@ class AffineSubspacePrior:
         """Random orthonormal atoms; ``smooth`` > 0 low-pass filters the raw
         atoms to that correlation length before orthonormalization."""
         rng = RngStream(seed)
-        d = int(np.prod(signal_shape))
+        d = math.prod(signal_shape)
         if not 1 <= dim <= d:
             raise ConfigError(f"affine prior dim = {dim} must lie in [1, {d}] "
                               f"for signal shape {tuple(signal_shape)}")

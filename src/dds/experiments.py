@@ -10,7 +10,7 @@ import configparser
 import math
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -171,14 +171,15 @@ class Problem:
     denoiser: object  # the prior itself; bench/tracing.py hooks denoise under this name
     prior: object
     noise_sigma: float
-    aux: dict = field(default_factory=dict)
 
 
-def _nonnegative(cfg: ExperimentConfig, section: str, key: str, default: float) -> float:
-    """``[section] key`` as a finite float >= 0; NaN fails the comparison."""
-    v = cfg.get(section, key, default, float)
-    if not 0 <= v < math.inf:
-        raise ConfigError(f"[{section}] {key} = {v} must be finite and >= 0")
+def _at_least(cfg: ExperimentConfig, section: str, key: str, default, cast=float, low=0):
+    """``[section] key`` cast by ``cast`` and >= ``low``; a float must be
+    finite too (NaN fails the comparison)."""
+    v = cfg.get(section, key, default, cast)
+    if not low <= v < math.inf:
+        finite = "finite and " if cast is float else ""
+        raise ConfigError(f"[{section}] {key} = {v} must be {finite}>= {low}")
     return v
 
 
@@ -186,18 +187,17 @@ def build_prior(cfg: ExperimentConfig, signal_shape):
     kind = cfg.get("prior", "kind", "affine")
     seed = cfg.get("prior", "seed", 0, int)
     use_complex = cfg.get("prior", "complex", True, bool)
-    smooth = _nonnegative(cfg, "prior", "smooth", 0.0)
+    smooth = _at_least(cfg, "prior", "smooth", 0.0)
+    # every key is checked, also where this kind ignores it
+    dim = cfg.get("prior", "dim", 8, int)
+    offs = _at_least(cfg, "prior", "offset_scale", 0.0)
+    k = _at_least(cfg, "prior", "components", 3, int, low=1)
+    tau = _at_least(cfg, "prior", "tau", 0.1)
     dtype = COMPLEX if use_complex else REAL
     if kind == "affine":
-        dim = cfg.get("prior", "dim", 8, int)
-        offs = _nonnegative(cfg, "prior", "offset_scale", 0.0)
         return AffineSubspacePrior.random(signal_shape, dim, seed=seed, dtype=dtype,
                                           offset_scale=offs, smooth=smooth)
     if kind == "gmm":
-        k = cfg.get("prior", "components", 3, int)
-        if k < 1:
-            raise ConfigError(f"[prior] components = {k} must be >= 1")
-        tau = _nonnegative(cfg, "prior", "tau", 0.1)
         rng = RngStream(seed)
         means = np.stack([smooth_random_field(rng, signal_shape, smooth, dtype)
                           for _ in range(k)])
@@ -236,7 +236,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
         mask = make_mask(spec, signal_shape[-2:])
         maps = make_coil_maps(cfg.get("operator", "coils", 1, int), signal_shape[-2:],
                               seed=cfg.get("operator", "maps_seed", 0, int))
-        return sense_operator(maps, mask), {"mask": mask, "maps": maps}
+        return sense_operator(maps, mask)
     if kind == "radon3d":
         if len(signal_shape) != 3:
             raise ConfigError("radon3d needs a 3-D phantom shape")
@@ -245,7 +245,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
             cfg.get("operator", "angles", 12, int),
             cfg.get("operator", "detector_bins", signal_shape[-1], int),
         )
-        return slice_radon_operator(geom, signal_shape[0]), {}
+        return slice_radon_operator(geom, signal_shape[0])
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -255,13 +255,17 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         raise ConfigError(f"unknown problem kind {kind!r}")
     shape = cfg.get_ints("phantom", "shape")
     ndim = 3 if kind == "ct3d" else 2
+    given = f"[phantom] shape = {' '.join(map(str, shape))}"
     if len(shape) != ndim or min(shape) < 1:
-        raise ConfigError(f"[phantom] shape = {' '.join(map(str, shape))}: "
-                          f"{kind} needs {ndim} positive sizes")
+        raise ConfigError(f"{given}: {kind} needs {ndim} positive sizes")
+    # math.prod is exact where numpy's product of the sizes wraps past int64
+    if math.prod(shape) * np.dtype(COMPLEX).itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(f"{given}: {math.prod(shape)} complex entries are past numpy's "
+                          "size limit")
     prior_shape = shape[-2:] if kind == "ct3d" else shape
     prior = build_prior(cfg, prior_shape)
     x_true = build_phantom(cfg, prior)
-    a, aux = build_operator(cfg, shape)
+    a = build_operator(cfg, shape)
     if x_true.shape != a.domain_shape:
         raise ConfigError(
             f"phantom shape {x_true.shape} does not match operator domain {a.domain_shape}"
@@ -271,17 +275,18 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         raise ConfigError(f"[prior] complex = true needs a complex operator domain; "
                           f"{a.name} is real: set [prior] complex = false")
     y = a.apply(x_true.astype(a.domain_dtype))
-    sigma = _nonnegative(cfg, "problem", "noise_sigma", 0.0)
+    sigma = _at_least(cfg, "problem", "noise_sigma", 0.0)
+    noise_seed = _at_least(cfg, "problem", "noise_seed", 0, int)  # also with no noise drawn
     if kind == "mri2d-noisy" and sigma == 0.0:
         sigma = 0.05
     if sigma > 0:
         # drawn over the data (k-space for SENSE), then mapped into the range:
         # only measured entries carry noise
-        nrng = RngStream(cfg.get("problem", "noise_seed", 0, int))
+        nrng = RngStream(noise_seed)
         e = a.embedding
         y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
     return Problem(kind=kind, a=a, y=y, x_true=x_true, denoiser=prior,
-                   prior=prior, noise_sigma=sigma, aux=aux)
+                   prior=prior, noise_sigma=sigma)
 
 
 def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConfig:

@@ -36,20 +36,17 @@ class LinearMap:
         self.name = name
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != self.domain_shape:
-            raise ConfigError(
-                f"{self.name or 'operator'}: apply expects shape {self.domain_shape}, got {x.shape}"
-            )
-        return self._apply(x)
+        return self._apply(self._shaped(x, self.domain_shape, "apply"))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        if y.shape != self.range_shape:
-            raise ConfigError(
-                f"{self.name or 'operator'}: adjoint expects shape {self.range_shape}, got {y.shape}"
-            )
-        return self._adjoint(y)
+        return self._adjoint(self._shaped(y, self.range_shape, "adjoint"))
+
+    def _shaped(self, x, shape: tuple, call: str) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape != shape:
+            raise ConfigError(f"{self.name or 'operator'}: {call} expects shape {shape}, "
+                              f"got {x.shape}")
+        return x
 
 
 def identity_map(shape, dtype=COMPLEX) -> LinearMap:
@@ -280,13 +277,13 @@ def make_coil_maps(c: int, shape, seed: int = 0) -> np.ndarray:
 class SensePlan:
     """What SENSE apply/adjoint reuse across calls, built once per operator.
 
-    The range holds the measured entries only. For a 0/1 mask, ``support``
-    holds the flat indices of its sampled k-space entries and the range is
-    (c, nnz): apply gathers them from ``fft2(maps * x)``, ``embed`` (E)
-    scatters them into zero-filled k-space (c, H, W) through ``flat_support``,
-    their flat indices in every coil of (c * H * W), and ``restrict`` (E*)
-    gathers them back. A column mask (constant along k_y, axis -2, with
-    n <= W/3 sampled columns) instead has the sampled k_x columns as
+    ``mask`` is the checked 0/1 mask the plan was built from. The range
+    holds the measured entries only. For a 0/1 mask, ``support`` holds the
+    flat indices of its sampled entries in every coil of k-space (c * H * W)
+    and the range is (c, nnz): apply gathers them from ``fft2(maps * x)``,
+    ``embed`` (E) scatters them into zero-filled k-space (c, H, W), and
+    ``restrict`` (E*) gathers them back. A column mask (constant along k_y,
+    axis -2, with n <= W/3 sampled columns) instead has the sampled k_x columns as
     ``support``, ``dft`` the unitary W-point DFT restricted to them,
     F_W[:, cols] (W x n), and ``idft`` its adjoint (n x W). The mask
     commutes with the unitary k_y transform F_y, so the data are kept in
@@ -298,27 +295,26 @@ class SensePlan:
 
     maps: np.ndarray
     conj_maps: np.ndarray
+    mask: np.ndarray
     support: np.ndarray
     range_shape: tuple
     dft: np.ndarray | None = None
     idft: np.ndarray | None = None
-    flat_support: np.ndarray | None = None
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """E: the range -> k-space (c, H, W), zero off the mask."""
-        c, h, w = self.maps.shape
         if self.dft is None:
-            k = np.zeros(c * h * w, dtype=COMPLEX)
-            k[self.flat_support] = y.ravel()
-            return k.reshape(c, h, w)
-        k = np.zeros((c, h, w), dtype=COMPLEX)
+            k = np.zeros(self.maps.size, dtype=COMPLEX)
+            k[self.support] = y.ravel()
+            return k.reshape(self.maps.shape)
+        k = np.zeros(self.maps.shape, dtype=COMPLEX)
         k[:, :, self.support] = fft1(y, axis=-2)
         return k
 
     def restrict(self, k: np.ndarray) -> np.ndarray:
         """E*: the measured entries of k-space (c, H, W), in range layout."""
         if self.dft is None:
-            return k.reshape(k.shape[0], -1)[:, self.support]
+            return k.take(self.support).reshape(self.range_shape)
         return ifft1(k[:, :, self.support], axis=-2)
 
 
@@ -340,22 +336,20 @@ def sense_plan(maps: np.ndarray, mask: np.ndarray) -> SensePlan:
     conj_maps = np.conj(maps)
     cols = np.flatnonzero(mask[0])
     if not (3 * cols.size <= w and (mask == mask[0]).all()):
-        support = np.flatnonzero(mask)
-        flat_support = (np.arange(c)[:, None] * (h * w) + support).ravel()
-        return SensePlan(maps, conj_maps, support, (c, support.size),
-                         flat_support=flat_support)
+        support = np.flatnonzero(np.broadcast_to(mask, maps.shape))
+        return SensePlan(maps, conj_maps, mask, support, (c, support.size // c))
     # exponents reduced mod w keep every entry a root of unity to round-off
     dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
-    return SensePlan(maps, conj_maps, cols, (c, h, cols.size), dft,
+    return SensePlan(maps, conj_maps, mask, cols, (c, h, cols.size), dft,
                      np.ascontiguousarray(dft.conj().T))
 
 
 def sense_apply(x: np.ndarray, plan: SensePlan) -> np.ndarray:
     """The measured entries of ``F(maps * x)``, in the layout of ``plan.range_shape``."""
     coil = plan.maps * x
-    c, h, w = coil.shape
     if plan.dft is None:
-        return fft2(coil).reshape(c, h * w).take(plan.support, axis=1)
+        return fft2(coil).take(plan.support).reshape(plan.range_shape)
+    c, h, w = coil.shape
     return (coil.reshape(c * h, w) @ plan.dft).reshape(plan.range_shape)
 
 
@@ -373,7 +367,8 @@ def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
 
 
 def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMap:
-    """A = P F S as a LinearMap over its SensePlan, holding E as ``.embedding``.
+    """A = P F S as a LinearMap holding its SensePlan as ``.plan`` and E as
+    ``.embedding``.
 
     The range is the measured entries (see SensePlan), and ``.embedding`` is
     E: range -> k-space (c, H, W), with E* as its adjoint. ||y_hat - A x||
@@ -385,6 +380,7 @@ def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMa
     # installed on this module see every apply
     op = LinearMap(maps.shape[1:], plan.range_shape, lambda x: sense_apply(x, plan),
                    lambda y: sense_adjoint(y, plan), name=name)
+    op.plan = plan
     op.embedding = LinearMap(plan.range_shape, maps.shape, plan.embed, plan.restrict,
                              name=f"{name} embedding")
     return op

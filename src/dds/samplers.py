@@ -216,10 +216,8 @@ def make_schedule(cfg: SamplerConfig):
 
 
 def _trace_noise(x: np.ndarray) -> float:
-    if x.ndim not in (2, 3):
-        return math.nan
     img = middle_slice(x)
-    if min(img.shape) < 2:
+    if img.ndim != 2 or min(img.shape) < 2:
         return math.nan
     return estimate_noise(np.real(img))
 

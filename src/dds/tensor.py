@@ -81,7 +81,7 @@ class RngStream:
         shape = (shape,) if np.isscalar(shape) else tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ConfigError(f"randn: invalid shape {shape}")
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         dtype = np.dtype(dtype)
         if dtype == COMPLEX:
             re = self._gen.standard_normal(n)
@@ -106,6 +106,3 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(int(index),))
         derived = int(ss.generate_state(1, dtype=np.uint64)[0])
         return RngStream(derived)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, draws={self.draws})"

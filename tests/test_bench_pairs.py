@@ -66,3 +66,39 @@ def test_regression_verdict_against_the_bound():
     # exact counts: zero spread and a bound of 2%
     assert regression([540] * 5, [540] * 5, "lower", 0.02) == "none"
     assert regression([540] * 5, [552] * 5, "lower", 0.02) == "worse"
+
+
+RUN_OUTPUT = """\
+env {"python": "3.11.7", "seed": 1}
+ct3d-admm: 14 operations, failed_ratio 0.0
+unadjusted wall clock: recon_s_p50 0.23979535199759994 s, recons_per_s 3.7115401797652248 1/s, \
+host speed 0.41096647594684815 x reference
+recon_s_p50                        0.09933879532442753 s
+{"correct": true, "attempted": 14, "failed": 0, "metrics": {"recon_s_p50": \
+{"value": 0.09933879532442753, "unit": "s"}}}
+"""
+
+
+def test_a_run_reads_its_unadjusted_wall_clock():
+    out = bench_pairs.parse_run(RUN_OUTPUT)
+    assert (out["correct"], out["attempted"], out["failed"]) == (True, 14, 0)
+    assert out["metrics"]["recon_s_p50"]["value"] == 0.09933879532442753
+    assert out["unadjusted"] == {"recon_s_p50": 0.23979535199759994,
+                                 "recons_per_s": 3.7115401797652248,
+                                 "host_speed": 0.41096647594684815}
+    # an output without the line (an older bench/run.py) still parses
+    no_line = "\n".join(line for line in RUN_OUTPUT.splitlines()
+                        if not line.startswith("unadjusted"))
+    assert bench_pairs.parse_run(no_line)["unadjusted"] is None
+
+
+def test_unadjusted_medians_per_side():
+    runs = [{"unadjusted": {"recon_s_p50": p50, "recons_per_s": 1 / p50, "host_speed": speed}}
+            for p50, speed in ((0.2, 0.5), (0.4, 1.0), (0.25, 0.75))]
+    assert bench_pairs.unadjusted_line("parent", runs) == (
+        "unadjusted parent: recon_s_p50 0.25 s, recons_per_s 4 1/s, "
+        "host speed 0.75 x reference (medians of 3 runs)")
+    runs.append({"unadjusted": None})  # a run without the line is left out
+    assert bench_pairs.unadjusted_line("change", runs).endswith("(medians of 3 runs)")
+    assert bench_pairs.unadjusted_line("change", [{"unadjusted": None}]) == (
+        "unadjusted change: no wall clock line")

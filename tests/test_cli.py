@@ -1,11 +1,19 @@
+import configparser
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dds.dtf import MAGIC, read_dtf, write_dtf
+from dds.experiments import CONFIG_KEYS
+from dds.operators import MASK_KINDS
+from dds.samplers import DC_STRATEGIES
 from dds.tensor import RngStream
 
 CFG = """
@@ -466,6 +474,9 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("dim = 4", "dim = 4\nsmooth = nan", "[prior] smooth = nan must be finite and >= 0"),
     ("dim = 4", "dim = 4\noffset_scale = -1", "[prior] offset_scale = -1.0 must be finite"),
     ("dim = 4", "dim = 4\noffset_scale = nan", "[prior] offset_scale = nan must be finite"),
+    ("kind = mri2d", "kind = mri2d\nnoise_seed = -1", "[problem] noise_seed = -1 must be >= 0"),
+    ("dim = 4", "dim = 4\ntau = nan", "[prior] tau = nan must be finite and >= 0"),
+    ("dim = 4", "dim = 4\ncomponents = 0", "[prior] components = 0 must be >= 1"),
     (CFG, CT_CFG.replace("complex = false", "complex = true"), "[prior] complex"),
     (CFG, CT_CFG.replace("shape = 3 8 8", "shape = 2 12 12")
      .replace("dim = 3", "dim = 3\nsmooth = 2"), "power-of-two sides, got (12, 12)"),
@@ -475,13 +486,16 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
         "inf-acceleration-uniform1d", "shepp-logan-3d-on-2d-shape", "negative-mask-seed",
         "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
-        "nan-offset-scale", "complex-prior-on-ct3d", "smoothed-prior-on-non-pow2-ct3d"])
+        "nan-offset-scale", "noiseless-negative-noise-seed", "nan-tau-on-affine",
+        "no-components-on-affine", "complex-prior-on-ct3d", "smoothed-prior-on-non-pow2-ct3d"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1, or, from negative-noise-sigma
     # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
     # offset_scale as 0, a negative tau with its sign lost in tau^2, a complex
     # phantom cast to the real Radon domain) or to carry inf or NaN into the data;
-    # the smoothed prior's sides are checked where its shape enters, not per FFT
+    # the smoothed prior's sides are checked where its shape enters, not per FFT;
+    # a key is checked also where its kind ignores it (noise_seed without
+    # noise, tau and components on an affine prior), which used to exit 0
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
@@ -641,6 +655,38 @@ def test_dtf_extents_past_int64_exit_2(cfg_file, tmp_path, capsys, command, exte
     assert "payload size mismatch" in _main_exits_2(argv, capsys)
 
 
+@pytest.mark.parametrize("side", [10 ** 10, 2 ** 32], ids=["1e10", "2^32"])
+def test_phantom_shape_past_numpy_range_exits_2(tmp_path, capsys, side):
+    # numpy's product of the sizes wrapped: to a negative size ("negative
+    # dimensions are not allowed") or to 0 (the prior's dim bound became
+    # [1, 0]), each a traceback with exit 1
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG.replace("shape = 16 16", f"shape = {side} {side}"))
+    err = _main_exits_2(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "o")],
+                        capsys)
+    assert f"{side * side} complex entries are past numpy's size limit" in err
+
+
+def test_out_of_memory_exits_2(cfg_file, tmp_path, monkeypatch, capsys):
+    # a 65536 x 65536 shape raised numpy's _ArrayMemoryError out of the CLI
+    # (exit 1); the allocation is faked, since a host that overcommits could
+    # grant it and then fill it
+    from dds import experiments
+
+    numpy_message = ("Unable to allocate 64.0 GiB for an array with shape (65536, 65536) "
+                     "and data type complex128")
+    for exc, named in ((MemoryError(numpy_message), f"error: {numpy_message}"),
+                       (MemoryError(), "error: out of memory")):
+        def build_problem(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(experiments, "build_problem", build_problem)
+        for argv in (["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "o")],
+                     ["reconstruct", "--config", str(cfg_file), "--seed", "0",
+                      "--out", str(tmp_path / "r")]):
+            assert _main_exits_2(argv, capsys) == named + "\n"
+
+
 def test_ct3d_single_slice_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
     # z-axis TV needs two slices; a 1-slice volume used to run the denoiser
     # through the VE warm-up and fail at the first ADMM sweep
@@ -717,3 +763,51 @@ def test_column_mask_y_dtf_is_k_space_and_reads_back(tmp_path):
                 "--out", str(tmp_path / "bad"))
     _one_line_error(r)
     assert "measurement shape" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzer through the run: 1-3 keys of a runnable config set to edge
+# values; `dds reconstruct` ends in exit 0, 2 or 3 and raises nothing
+
+RUN_FUZZ_SECTIONS = ("problem", "phantom", "prior", "operator", "sampler", "tv")
+RUN_FUZZ_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e-320", "1", "0.5", "abc", "", "true",
+                  "mri2d", "mri2d-noisy", "ct3d", "subspace-random", "gmm-draw",
+                  "shepp-logan-2d", "shepp-logan-3d", "affine", "gmm", "sense", "radon3d",
+                  "vp", "ve", *MASK_KINDS, *DC_STRATEGIES)
+# size keys draw only small values, so no run grows past the base's cost
+RUN_FUZZ_SIZES = ("-1", "0", "1", "2", "3", "4", "5", "nan", "1e-320", "abc", "")
+RUN_FUZZ_SHAPES = ("16 16", "8 8", "4 4", "8 16", "6 6", "16", "0 8", "-1 8", "3 8 8",
+                   "2 8 8", "1 8 8", "2 4 4", "3 6 6", "2 2 2 2", "abc", "")
+RUN_FUZZ_SIZE_KEYS = {"nfe", "cg_steps", "coils", "dim", "components", "max_retries",
+                      "angles", "detector_bins"}
+
+
+def _run_fuzz_values(key):
+    if key == "shape":
+        return st.sampled_from(RUN_FUZZ_SHAPES)
+    return st.sampled_from(RUN_FUZZ_SIZES if key in RUN_FUZZ_SIZE_KEYS else RUN_FUZZ_EDGES)
+
+
+RUN_FUZZ_EDIT = st.sampled_from(sorted((section, key) for section in RUN_FUZZ_SECTIONS
+                                       for key in CONFIG_KEYS[section])).flatmap(
+    lambda sk: st.tuples(st.just(sk), _run_fuzz_values(sk[1])))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(base=st.sampled_from([CFG.replace("nfe = 5", "nfe = 4"), CT_CFG]),
+       edits=st.lists(RUN_FUZZ_EDIT, min_size=1, max_size=3, unique_by=lambda e: e[0]))
+def test_fuzzed_config_reconstruct_exits_0_2_or_3(base, edits):
+    from dds import cli
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(base)
+    for (section, key), value in edits:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "exp.ini"
+        with open(cfgp, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        code = cli.main(["reconstruct", "--config", str(cfgp), "--seed", "0",
+                         "--out", str(Path(tmp) / "r")])
+    assert code in (0, 2, 3), edits

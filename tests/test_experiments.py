@@ -191,7 +191,7 @@ def test_build_problem_shapes_and_consistency():
     assert p.x_true.shape == (16, 16)
     # 2x uniform1d keeps more than a third of the columns: the range is the
     # sampled entries of each coil
-    assert p.y.shape == p.a.range_shape == (2, np.count_nonzero(p.aux["mask"]))
+    assert p.y.shape == p.a.range_shape == (2, np.count_nonzero(p.a.plan.mask))
     assert p.a.domain_shape == (16, 16)
     # noiseless: measurements equal the forward model of the truth
     assert np.linalg.norm(p.y - p.a.apply(p.x_true.astype(complex))) < 1e-12
@@ -463,10 +463,10 @@ def test_simulate_artifacts_match_regeneration(tmp_path):
     from dds.dtf import read_dtf, write_dtf
     cfg = ExperimentConfig(BASE_CFG)
     p1 = build_problem(cfg)
-    write_dtf(tmp_path / "mask.dtf", p1.aux["mask"])
+    write_dtf(tmp_path / "mask.dtf", p1.a.plan.mask)
     p2 = build_problem(cfg)
-    assert np.array_equal(read_dtf(tmp_path / "mask.dtf"), p2.aux["mask"])
-    assert np.array_equal(p1.aux["maps"], p2.aux["maps"])
+    assert np.array_equal(read_dtf(tmp_path / "mask.dtf"), p2.a.plan.mask)
+    assert np.array_equal(p1.a.plan.maps, p2.a.plan.maps)
     assert np.array_equal(p1.y, p2.y)
 
 
@@ -609,7 +609,7 @@ def test_measured_entries_are_the_sense_range(mask, acc):
     # the noise level sigma * sqrt(m) counts m = prod(range_shape) entries
     text = BASE_CFG.replace("mask_kind = uniform1d", f"mask_kind = {mask}")
     p = build_problem(ExperimentConfig(text.replace("acceleration = 2", f"acceleration = {acc}")))
-    assert math.prod(p.a.range_shape) == 2 * np.count_nonzero(p.aux["mask"])
+    assert math.prod(p.a.range_shape) == 2 * np.count_nonzero(p.a.plan.mask)
 
 
 def test_measured_entries_are_the_radon3d_range():

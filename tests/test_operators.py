@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -25,7 +26,7 @@ from dds.operators import (
     sense_plan,
     slice_radon_operator,
 )
-from dds.tensor import COMPLEX, RngStream, fft2, ifft2, norm
+from dds.tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
 from oracles import dot_test
 
 
@@ -490,6 +491,25 @@ def test_sense_2d_path_embedding_scatters_and_gathers(kind, acc):
     assert np.array_equal(e.apply(v), ref.reshape(3, 16, 16))
     k = RngStream(9).randn(e.range_shape, dtype=COMPLEX)
     assert np.array_equal(e.adjoint(k), k.reshape(3, -1)[:, support])
+
+
+@pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("uniform1d", 4)])
+def test_sense_operator_holds_its_plan(kind, acc):
+    # the operator holds the mask and maps it was planned from, and one
+    # support index: every coil's flat (c*H*W) entries on a 2-D mask, the
+    # sampled columns on a column mask
+    maps = make_coil_maps(3, (16, 16), 4)
+    mask = make_mask(MaskSpec(kind, acc, 0.08, 5), (16, 16))
+    plan = sense_operator(maps, mask).plan
+    assert plan.maps is maps and np.array_equal(plan.mask, mask)
+    assert plan.mask.dtype == REAL
+    if plan.dft is None:
+        assert np.array_equal(plan.support, np.flatnonzero(np.stack([mask] * 3)))
+    else:
+        assert kind == "uniform1d"
+        assert np.array_equal(plan.support, np.flatnonzero(mask[0]))
+    assert [f.name for f in dataclasses.fields(plan)] == [
+        "maps", "conj_maps", "mask", "support", "range_shape", "dft", "idft"]
 
 
 @pytest.mark.parametrize("kind, acc", [("gaussian2d", 4), ("poisson-disk-vd", 4),

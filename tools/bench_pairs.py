@@ -3,18 +3,23 @@
 Runs `bench/run.py --trace 0` of the parent checkout and of the checkout
 holding this script in --pairs pairs, one process at a time; the side that
 runs first alternates (the parent leads pair 1). Each run's last standard
-output line is its JSON summary. Every run is printed as it ends, then, per
-end-to-end metric of this checkout's BENCHMARK.json: the parent's median
-and quartiles, the change's median, the change's wins and ties over the
-pairs, and whether a gain holds by the paired rule: the change wins at
-least nine tenths of the pairs (ties count for neither) and its median is
-better than the parent's by more than the parent's interquartile range;
-and the no-regression verdict against the metric's bound: `none`, `worse`
-(the change's median is worse than the parent's by more than the bound,
-relative to the parent's median), or `unresolved` (the parent's IQR over
-its median exceeds the bound, so the runs cannot tell, unless every change
-run beats every parent run). A run whose summary says `correct: false` or
-`failed > 0` is flagged.
+output line is its JSON summary, and its `unadjusted wall clock:` line
+gives the times before the host-speed rescaling. Every run is printed as it
+ends, then, per end-to-end metric of this checkout's BENCHMARK.json: the
+parent's median and quartiles, the change's median, the change's wins and
+ties over the pairs, and whether a gain holds by the paired rule: the
+change wins at least nine tenths of the pairs (ties count for neither) and
+its median is better than the parent's by more than the parent's
+interquartile range; and the no-regression verdict against the metric's
+bound: `none`, `worse` (the change's median is worse than the parent's by
+more than the bound, relative to the parent's median), or `unresolved` (the
+parent's IQR over its median exceeds the bound, so the runs cannot tell,
+unless every change run beats every parent run). A run whose summary says
+`correct: false` or `failed > 0` is flagged. Last, per side, the medians of
+the unadjusted `recon_s_p50` and `recons_per_s` and of the host-speed
+ratio: the rescaling divides by a speed measured in the same process, so an
+adjusted metric can move against the wall clock, and these show whether it
+did.
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --workload mri2d-pinv \
         --pairs 10 --seconds 30 --seed 1
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -66,6 +72,32 @@ def regression(parent: list[float], change: list[float], better: str, bound: flo
     return "worse" if sign * (statistics.median(change) - median) < -bound * abs(median) else "none"
 
 
+UNADJUSTED = re.compile(r"^unadjusted wall clock: recon_s_p50 (\S+) s, recons_per_s (\S+) "
+                        r"1/s, host speed (\S+) x reference$", re.MULTILINE)
+
+
+def parse_run(stdout: str) -> dict:
+    """The JSON summary on the last line of one bench/run.py output, with the
+    ``unadjusted`` recon_s_p50, recons_per_s and host_speed of its wall clock
+    line (None when the output has no such line)."""
+    out = json.loads(stdout.strip().splitlines()[-1])
+    m = UNADJUSTED.search(stdout)
+    out["unadjusted"] = None if m is None else dict(
+        zip(("recon_s_p50", "recons_per_s", "host_speed"), map(float, m.groups())))
+    return out
+
+
+def unadjusted_line(side: str, runs: list[dict]) -> str:
+    """The medians of one side's unadjusted times and host-speed ratios."""
+    walls = [r["unadjusted"] for r in runs if r["unadjusted"] is not None]
+    if not walls:
+        return f"unadjusted {side}: no wall clock line"
+    med = {k: statistics.median(w[k] for w in walls) for k in walls[0]}
+    return (f"unadjusted {side}: recon_s_p50 {med['recon_s_p50']:.6g} s, recons_per_s "
+            f"{med['recons_per_s']:.6g} 1/s, host speed {med['host_speed']:.6g} x reference "
+            f"(medians of {len(walls)} runs)")
+
+
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
@@ -75,7 +107,7 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {checkout}/bench/run.py exited {proc.returncode}: "
                  f"{proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    return parse_run(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -116,6 +148,8 @@ def main(argv=None) -> int:
               f"wins {s['wins']}/{s['pairs']}, ties {s['ties']}, "
               f"gain {'holds' if s['gain'] else 'not shown'}, regression "
               f"{regression(parent, change, m['better'], m['bound'])}")
+    for side in ("parent", "change"):
+        print(unadjusted_line(side, runs[side]))
     if flagged:
         print(f"FLAGGED: {flagged} run(s) with correct false or failed > 0")
     return 1 if flagged else 0

@@ -112,11 +112,6 @@ class ExperimentConfig:
             for key in self._cp.options(section):  # an empty section sets nothing
                 if section not in CONFIG_KEYS:
                     raise ConfigError(f"unknown config section [{section}]")
-                if (section, key) == ("sampler", "projection_target"):
-                    raise ConfigError("[sampler] projection_target was removed: projection "
-                                      "always acts on the noisy iterate; for the "
-                                      "pseudo-inverse step on the denoised estimate use "
-                                      "dc = ddnm")
                 if key not in CONFIG_KEYS[section]:
                     raise ConfigError(f"unknown config key [{section}] {key}")
 
@@ -226,25 +221,26 @@ def build_phantom(cfg: ExperimentConfig, prior):
 
 def build_operator(cfg: ExperimentConfig, signal_shape):
     kind = cfg.get("operator", "kind", "sense")
+    # every key is checked, also where this kind ignores it
+    spec = MaskSpec(
+        kind=cfg.get("operator", "mask_kind", "uniform1d"),
+        acceleration=cfg.get("operator", "acceleration", 4.0, float),
+        acs_fraction=cfg.get("operator", "acs_fraction", 0.08, float),
+        seed=_at_least(cfg, "operator", "mask_seed", 0, int),
+    )
+    coils = _at_least(cfg, "operator", "coils", 1, int, low=1)
+    maps_seed = _at_least(cfg, "operator", "maps_seed", 0, int)
+    geom = RadonGeometry.uniform(
+        signal_shape[-1],
+        _at_least(cfg, "operator", "angles", 12, int, low=1),
+        cfg.get("operator", "detector_bins", signal_shape[-1], int),
+    )
     if kind == "sense":
-        spec = MaskSpec(
-            kind=cfg.get("operator", "mask_kind", "uniform1d"),
-            acceleration=cfg.get("operator", "acceleration", 4.0, float),
-            acs_fraction=cfg.get("operator", "acs_fraction", 0.08, float),
-            seed=cfg.get("operator", "mask_seed", 0, int),
-        )
         mask = make_mask(spec, signal_shape[-2:])
-        maps = make_coil_maps(cfg.get("operator", "coils", 1, int), signal_shape[-2:],
-                              seed=cfg.get("operator", "maps_seed", 0, int))
-        return sense_operator(maps, mask)
+        return sense_operator(make_coil_maps(coils, signal_shape[-2:], seed=maps_seed), mask)
     if kind == "radon3d":
         if len(signal_shape) != 3:
             raise ConfigError("radon3d needs a 3-D phantom shape")
-        geom = RadonGeometry.uniform(
-            signal_shape[-1],
-            cfg.get("operator", "angles", 12, int),
-            cfg.get("operator", "detector_bins", signal_shape[-1], int),
-        )
         return slice_radon_operator(geom, signal_shape[0])
     raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -418,10 +414,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         idx, (val, value, rep) = task
         sets = {section: {name: value}}
         scfg = sampler_config(cfg, seed, **sets.get("sampler", {}))
-        tv = tv_config(cfg, **sets.get("tv", {})) if problem.kind == "ct3d" else None
+        tv = tv_config(cfg, **sets.get("tv", {}))  # checked also where a 2-D run ignores it
         res = run_reconstruction(problem, scfg, tv=tv, rng=base_rng.child(idx),
                                  max_retries=retries)
-        return evaluate(problem, res, f"{axis}={val}:rep={rep}", scfg, tv=tv)
+        return evaluate(problem, res, f"{axis}={val}:rep={rep}", scfg,
+                        tv=tv if problem.kind == "ct3d" else None)
 
     if jobs > 1:  # map keeps the task order
         with ThreadPoolExecutor(max_workers=jobs) as pool:

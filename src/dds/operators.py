@@ -54,14 +54,14 @@ def identity_map(shape, dtype=COMPLEX) -> LinearMap:
                      lambda y: np.array(y, copy=True), domain_dtype=dtype, name="identity")
 
 
-def matrix_operator(mat: np.ndarray, name="dense") -> LinearMap:
+def matrix_operator(mat: np.ndarray) -> LinearMap:
     """Dense matrix as a LinearMap over flat vectors (testing / small systems)."""
-    mat = check_finite(np.asarray(mat), f"{name} matrix")
+    mat = check_finite(np.asarray(mat), "dense matrix")
     dtype = COMPLEX if np.iscomplexobj(mat) else REAL
     mh = mat.conj().T
     return LinearMap((mat.shape[1],), (mat.shape[0],),
                      lambda x: mat @ x, lambda y: mh @ y,
-                     domain_dtype=dtype, name=name)
+                     domain_dtype=dtype, name="dense")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
     return coil.sum(axis=0)
 
 
-def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMap:
+def sense_operator(maps: np.ndarray, mask: np.ndarray) -> LinearMap:
     """A = P F S as a LinearMap holding its SensePlan as ``.plan`` and E as
     ``.embedding``.
 
@@ -374,15 +374,15 @@ def sense_operator(maps: np.ndarray, mask: np.ndarray, name="sense") -> LinearMa
     E: range -> k-space (c, H, W), with E* as its adjoint. ||y_hat - A x||
     counts measured entries only.
     """
-    mask = check_finite(np.asarray(mask, dtype=REAL), f"{name} mask")
+    mask = check_finite(np.asarray(mask, dtype=REAL), "sense mask")
     plan = sense_plan(maps, mask)
     # sense_apply/sense_adjoint are looked up at call time, so wrappers
     # installed on this module see every apply
     op = LinearMap(maps.shape[1:], plan.range_shape, lambda x: sense_apply(x, plan),
-                   lambda y: sense_adjoint(y, plan), name=name)
+                   lambda y: sense_adjoint(y, plan), name="sense")
     op.plan = plan
     op.embedding = LinearMap(plan.range_shape, maps.shape, plan.embed, plan.restrict,
-                             name=f"{name} embedding")
+                             name="sense embedding")
     return op
 
 
@@ -549,15 +549,15 @@ def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
     return op
 
 
-def radon_operator(geom: RadonGeometry, name="radon") -> LinearMap:
+def radon_operator(geom: RadonGeometry) -> LinearMap:
     """2-D Radon as a LinearMap holding its system matrix as ``.matrix`` and
     the identity as ``.embedding``."""
-    return _radon_map(geom, (), name)
+    return _radon_map(geom, (), "radon")
 
 
-def slice_radon_operator(geom: RadonGeometry, n_slices: int, name="radon3d") -> LinearMap:
+def slice_radon_operator(geom: RadonGeometry, n_slices: int) -> LinearMap:
     """Axial-slice-wise Radon on a (nz, n, n) volume, one shared system matrix."""
-    return _radon_map(geom, (int(n_slices),), name)
+    return _radon_map(geom, (int(n_slices),), "radon3d")
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +577,10 @@ def diff_z_adjoint(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def diff_z_operator(vol_shape, dtype=REAL, name="diff_z") -> LinearMap:
+def diff_z_operator(vol_shape, dtype=REAL) -> LinearMap:
     """D_z on volumes of ``vol_shape``: 3-D with at least 2 slices."""
     if len(vol_shape) != 3 or vol_shape[0] < 2:
         raise ConfigError(f"diff_z needs a 3-D volume with at least 2 slices, "
                           f"got {tuple(vol_shape)}")
     return LinearMap(vol_shape, vol_shape, diff_z_apply, diff_z_adjoint,
-                     domain_dtype=dtype, name=name)
+                     domain_dtype=dtype, name="diff_z")

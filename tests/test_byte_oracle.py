@@ -91,3 +91,16 @@ def test_script_pins_unset_blas_threads_to_one():
         proc.kill()
         proc.communicate()
     assert header.split()[1:4] == [f"{v}=1" for v in byte_oracle.BLAS_THREAD_VARIABLES]
+
+
+def test_grid_names_the_cli_paths_no_other_line_reaches():
+    # built, not run: the shepp-logan phantoms, the prior's offset and complex
+    # smooth field, the fully sampled mask, and the estimates emit reads
+    configs = dict(byte_oracle.grid(ROOT))
+    assert len(configs) == 103
+    assert "kind = shepp-logan-2d" in configs["mri2d/dds-cg/vp/shepp-logan-2d"]
+    assert "kind = shepp-logan-3d" in configs["ct3d/vp/shepp-logan-3d"]
+    assert "offset_scale = 0.5\nsmooth = 2" in configs["mri2d/dds-cg/vp/offset-smooth"]
+    assert "acceleration = 1\n" in configs["mri2d/dds-cg/vp/fully-sampled"]
+    assert all(name in configs for name, _ in byte_oracle.EMITS)
+    assert "[sweep]\naxis = eta" in byte_oracle.SWEEP_SECTION

@@ -318,6 +318,17 @@ def test_sweep_lambda_on_a_2d_problem_exits_2(cfg_file, tmp_path):
     assert not out.exists()
 
 
+def test_reconstruct_in_without_y_dtf_exits_2(cfg_file, tmp_path):
+    # read_dtf's FileNotFoundError names the file, and main maps OSError to 2
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    r = run_cli("reconstruct", "--config", str(cfg_file), "--in", str(empty),
+                "--seed", "0", "--out", str(tmp_path / "r"))
+    _one_line_error(r)
+    assert str(empty / "y.dtf") in r.stderr
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (16, 16, 2)], ids=["8x8", "16x16x2"])
 def test_reconstruct_in_with_misshapen_x_true_exits_2(cfg_file, tmp_path, shape):
     # an x_true.dtf off the operator's domain shape used to end in a numpy
@@ -414,12 +425,13 @@ def test_ct3d_rejects_dc_other_than_dds_cg(tmp_path, dc):
 
 
 def test_projection_target_key_exits_2(tmp_path):
+    # the removed key is rejected like any other unknown key
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace("dc = dds-cg", "dc = projection\nprojection_target = denoised"))
     r = run_cli("reconstruct", "--config", str(cfgp), "--seed", "0",
                 "--out", str(tmp_path / "r"))
     _one_line_error(r)
-    assert "projection_target" in r.stderr and "dc = ddnm" in r.stderr
+    assert "unknown config key [sampler] projection_target" in r.stderr
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -543,6 +555,37 @@ def test_detector_bins_below_one_exits_2(tmp_path, bins):
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(out))
     _one_line_error(r)
     assert "detector_bins >= 1" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base, old, new, named", [
+    (CT_CFG, "angles = 5", "angles = 5\nacceleration = nan", "acceleration = nan"),
+    (CT_CFG, "angles = 5", "angles = 5\nmask_kind = affine", "mask kind 'affine'"),
+    (CT_CFG, "angles = 5", "angles = 5\nmask_seed = sense", "[operator] mask_seed='sense'"),
+    (CT_CFG, "angles = 5", "angles = 5\ncoils =", "[operator] coils=''"),
+    (CFG, "maps_seed = 5", "maps_seed = 5\ndetector_bins = -1", "detector_bins >= 1"),
+    (CFG, "dc = dds-cg", "dc = dds-cg\n[tv]\nlam = vp", "[tv] lam='vp'"),
+], ids=["ct3d-nan-acceleration", "ct3d-mask-kind", "ct3d-mask-seed", "ct3d-empty-coils",
+        "mri2d-detector-bins", "mri2d-tv-lam"])
+def test_key_the_problem_ignores_is_checked(tmp_path, capsys, base, old, new, named):
+    # [operator] keys of the other operator kind, and [tv] on a 2-D problem,
+    # used to go unread and exit 0
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(base.replace(old, new))
+    out = tmp_path / "r"
+    err = _main_exits_2(["reconstruct", "--config", str(cfgp), "--seed", "0",
+                         "--out", str(out)], capsys)
+    assert named in err
+    assert not out.exists()
+
+
+def test_sweep_on_a_2d_problem_checks_tv(tmp_path, capsys):
+    cfgp = tmp_path / "exp.ini"
+    cfgp.write_text(CFG + "\n[tv]\nlam = vp\n")
+    out = tmp_path / "sweep.csv"
+    err = _main_exits_2(["sweep", "--config", str(cfgp), "--axis", "eta", "--values", "0.0",
+                         "--seed", "0", "--out", str(out)], capsys)
+    assert "[tv] lam='vp'" in err
     assert not out.exists()
 
 

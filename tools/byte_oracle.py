@@ -1,4 +1,4 @@
-"""Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`.
+"""Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`/`emit`.
 
 The first line names the BLAS thread settings (`OPENBLAS_NUM_THREADS`,
 `OMP_NUM_THREADS`, `MKL_NUM_THREADS`, each value or `unset`) and the CPU
@@ -6,16 +6,18 @@ count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
 2 BLAS threads, so two outputs compare only when this line matches. Run as
 a script, the oracle sets each of the three that is unset to 1 before numpy
 loads, as `bench/run.py` does, so its bytes are the bench's. Then
-it runs the CLI's `reconstruct` command in-process with `--seed 3` on 99
+it runs the CLI's `reconstruct` command in-process with `--seed 3` on 103
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
-write). Then it runs `sweep` on 10 axis/config/`--jobs` cases,
-`noise-offset` on 2 configs and `metrics` on 1 pair of DTF files, and
-prints for each the name, the sha256 of the CSV and the exit code. Last,
-it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
+write). Then it runs `sweep` on 11 axis/config/`--jobs` cases,
+`noise-offset` on 2 configs and `metrics` on 2 pairs of DTF files, and
+prints for each the name, the sha256 of the CSV and the exit code; and
+`emit` on 2 estimates, printing the sha256 of the PGM and the exit code.
+Then it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
 `y.dtf`, `mask.dtf` and `maps.dtf` and the exit code, each followed by a
-`reconstruct --in` line on the files it wrote, hashed as above: 118 hash
-lines after the header. Two checkouts behave the same on these runs
+`reconstruct --in` line on the files it wrote, hashed as above. Last, a
+`reconstruct` on a config file that does not exist prints `- - 2`: 127
+hash lines after the header. Two checkouts behave the same on these runs
 exactly when the outputs match:
 
     python3 tools/byte_oracle.py > change.txt
@@ -29,9 +31,10 @@ against a checkout that predates this script.
 ``--dump DIR`` keeps the outputs instead of hashing them in a temporary
 directory: `DIR/<config>/x0.dtf` and `trace.csv` per reconstruct config,
 `DIR/<name>/sweep.csv`, `noise_offset.csv` or `metrics.csv` per CSV line,
-and `DIR/simulate/<config>/` and `DIR/reconstruct-in/<config>/` per
-simulated config. Two dumps, one per checkout, bound a round-off move by
-number where the hashes only show that it happened:
+`DIR/simulate/<config>/` and `DIR/reconstruct-in/<config>/` per
+simulated config, and `DIR/emit/<config>/image.pgm` per PGM (which
+`--compare` leaves out). Two dumps, one per checkout, bound a round-off
+move by number where the hashes only show that it happened:
 
     python3 tools/byte_oracle.py --compare PARENT_DUMP CHANGE_DUMP
 
@@ -59,20 +62,27 @@ The grid:
   SENSE keeps the measured k-space entries and runs the 2-D FFT);
 - `mri2d-noisy` with VP `ddnm` on `gaussian2d` and `poisson-disk-vd` at
   acceleration 4, the noisy 2-D-mask path;
+- `mri2d` VP `dds-cg` on the `shepp-logan-2d` phantom, on an affine prior
+  with `offset_scale` = 0.5 and `smooth` = 2 (the offset and the complex
+  smooth field), and at acceleration 1 (the fully sampled mask);
 - `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
-  all attempts in VP (3) and VE (2);
+  all attempts in VP (3) and VE (2), and VP on the `shepp-logan-3d` phantom;
 - the three `bench/workloads.py` configs at phantom seed 1;
 - `sweep --seed 3 --repeats 2` over `eta`, `nfe` and `cg-steps` on the
   `mri2d` VP `dds-cg` config, and over `cg-steps` and `lambda` on the
-  `ct3d` VP config, each at `--jobs` 1 and 2 (no rejection);
+  `ct3d` VP config, each at `--jobs` 1 and 2 (no rejection), and one over
+  `eta` on the `mri2d` config that takes axis, values and repeats from its
+  `[sweep]` section alone;
 - `noise-offset` on its defaults with 3 trials, and with every
   `[noise_offset]` key set;
 - `metrics --out` of the `mri2d/dds-cg/vp/defaults` estimate against the
-  phantom `simulate` writes for that config;
+  phantom `simulate` writes for that config, and against itself (PSNR inf);
+- `emit` of that estimate, and of slice 1 of the `ct3d/vp` estimate;
 - `simulate`, then `reconstruct --in --seed 3` on its files, for the
   `mri2d` `gaussian1d` 4x column mask, the `mri2d-noisy` `gaussian2d` 4x
   mask and `ct3d` VP: the coil maps and mask files, and the E* read path
-  (k-space back to the operator's range), that no other line reaches.
+  (k-space back to the operator's range), that no other line reaches;
+- `reconstruct` on a missing config file, which pins its exit code (2).
 """
 
 from __future__ import annotations
@@ -215,6 +225,11 @@ def grid(repo: Path) -> list[tuple[str, str]]:
     for mask in ("gaussian2d", "poisson-disk-vd"):
         out.append((f"mri2d-noisy/ddnm/vp/{mask}-4x",
                     mri(f"dc = ddnm\n{MODES['vp']}", kind="mri2d-noisy", mask=mask, acc=4)))
+    vp = f"dc = dds-cg\n{MODES['vp']}"
+    out.append(("mri2d/dds-cg/vp/shepp-logan-2d", mri(vp, phantom="shepp-logan-2d")))
+    out.append(("mri2d/dds-cg/vp/offset-smooth",
+                mri(vp, prior=f"{AFFINE}\noffset_scale = 0.5\nsmooth = 2")))
+    out.append(("mri2d/dds-cg/vp/fully-sampled", mri(vp, acc=1)))
     for name, sampler in (
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),
@@ -223,6 +238,8 @@ def grid(repo: Path) -> list[tuple[str, str]]:
         ("ve/rejection", "mode = ve\nnfe = 6\nrejection_tau = 1e-12\nmax_retries = 2"),
     ):
         out.append((f"ct3d/{name}", CT.format(sampler=sampler)))
+    out.append(("ct3d/vp/shepp-logan-3d", CT.format(sampler="mode = vp\nnfe = 6")
+                .replace("kind = subspace-random", "kind = shepp-logan-3d")))
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   repo / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -240,8 +257,12 @@ SWEEP_CONFIGS = {
     "mri2d": mri(f"dc = dds-cg\n{MODES['vp']}"),
     "ct3d": CT.format(sampler="mode = vp\nnfe = 6"),
 }
+# a sweep whose axis, values and repeats all come from its [sweep] section
+SWEEP_SECTION = SWEEP_CONFIGS["mri2d"] + "\n[sweep]\naxis = eta\nvalues = 0.0 0.5\nrepeats = 2\n"
 # the reconstruct config whose estimate `metrics` scores against its phantom
 METRICS = "mri2d/dds-cg/vp/defaults"
+# the reconstruct estimates `emit` writes a PGM of, with the --slice of a volume
+EMITS = ((METRICS, None), ("ct3d/vp", "1"))
 # the configs `simulate` writes files for, which `reconstruct --in` reads back
 SIMULATE = ("mri2d/dds-cg/vp/gaussian1d-4x", "mri2d-noisy/ddnm/vp/gaussian2d-4x", "ct3d/vp")
 SIMULATED = ("x_true.dtf", "y.dtf", "mask.dtf", "maps.dtf")
@@ -396,6 +417,8 @@ def main(argv=None) -> int:
                          ["sweep", "--config", config_file(SWEEP_CONFIGS[problem]),
                           "--axis", axis, "--values", values, "--repeats", "2",
                           "--seed", "3", "--jobs", jobs])
+        csv_line("sweep/mri2d/section", "sweep.csv",
+                 ["sweep", "--config", config_file(SWEEP_SECTION), "--seed", "3"])
         for name, text in NOISE_OFFSET.items():
             csv_line(name, "noise_offset.csv",
                      ["noise-offset", "--config", config_file(text), "--seed", "3"])
@@ -405,7 +428,16 @@ def main(argv=None) -> int:
         csv_line(f"metrics/{METRICS}", "metrics.csv",
                  ["metrics", "--x", str(outs[METRICS] / "x0.dtf"),
                   "--ref", str(sim / "x_true.dtf")])
+        csv_line(f"metrics-self/{METRICS}", "metrics.csv",
+                 ["metrics", "--x", str(outs[METRICS] / "x0.dtf"),
+                  "--ref", str(outs[METRICS] / "x0.dtf")])
         root = args.dump if args.dump else tmp
+        for name, slice_ in EMITS:
+            pgm = root / "emit" / name / "image.pgm"
+            pgm.parent.mkdir(parents=True, exist_ok=True)
+            code = run_quietly(cli, ["emit", "--in", str(outs[name] / "x0.dtf"),
+                                     "--out", str(pgm), *(["--slice", slice_] if slice_ else [])])
+            print(f"emit/{name} {sha256(pgm)} {code}", flush=True)
         for name in SIMULATE:
             sim, rec = root / "simulate" / name, root / "reconstruct-in" / name
             config = config_file(dict(configs)[name])
@@ -415,6 +447,11 @@ def main(argv=None) -> int:
                                      "--seed", "3", "--out", str(rec)])
             print(f"reconstruct-in/{name} {sha256(rec / 'x0.dtf')} {sha256(rec / 'trace.csv')} "
                   f"{code}", flush=True)
+        out = root / "missing-config"
+        code = run_quietly(cli, ["reconstruct", "--config", str(tmp / "missing.ini"),
+                                 "--seed", "3", "--out", str(out)])
+        print(f"missing-config {sha256(out / 'x0.dtf')} {sha256(out / 'trace.csv')} {code}",
+              flush=True)
     return 0
 
 

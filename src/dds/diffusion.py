@@ -17,7 +17,7 @@ the sampling loop passes only timesteps in [1, N].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,16 +55,16 @@ _BETA_END = 0.02
 
 @dataclass(frozen=True)
 class VpSchedule:
-    """Variance-preserving discretization: beta_t, abar_t, btilde_t.
+    """Variance-preserving discretization: beta_t, and abar_t, btilde_t derived from it.
 
-    btilde_t is the eta = 1 stochastic std
-    sqrt((1 - abar_{t-1})/(1 - abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
+    abar_t is the product of 1 - beta_s over s <= t, and btilde_t the eta = 1
+    stochastic std sqrt((1 - abar_{t-1})/(1 - abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
     i.e. the ancestral-sampling noise scale of the matching DDPM.
     """
 
-    betas: np.ndarray       # (N+1,), betas[0] = 0 sentinel
-    abars: np.ndarray       # abars[0] = 1
-    btildes: np.ndarray     # btildes[0] = btildes[1] = 0
+    betas: np.ndarray                       # (N+1,), betas[0] = 0 sentinel
+    abars: np.ndarray = field(init=False)   # abars[0] = 1
+    btildes: np.ndarray = field(init=False)  # btildes[0] = btildes[1] = 0
 
     def __post_init__(self):
         b = self.betas[1:]
@@ -72,11 +72,16 @@ class VpSchedule:
             raise ConfigError("beta_t must lie strictly inside (0, 1)")
         if np.any(np.diff(b) <= 0):
             raise ConfigError("beta_t must be strictly increasing")
-        ab = self.abars
+        ab = np.cumprod(1.0 - self.betas)
+        bt = np.zeros_like(self.betas)
+        for t in range(2, len(ab)):
+            bt[t] = math.sqrt((1 - ab[t - 1]) / (1 - ab[t])) * math.sqrt(1 - ab[t] / ab[t - 1])
+        object.__setattr__(self, "abars", ab)  # the dataclass is frozen
+        object.__setattr__(self, "btildes", bt)
         if np.any(np.diff(ab) >= 0) or np.any(ab[1:] <= 0) or np.any(ab[1:] >= 1):
             raise ConfigError("abar_t must be strictly decreasing within (0, 1)")
         # eta = 1 is the extreme stochastic case; radicand must stay >= 0
-        rad = 1.0 - ab[:-1] - self.btildes[1:] ** 2
+        rad = 1.0 - ab[:-1] - bt[1:] ** 2
         if np.any(rad < -1e-12):
             raise ConfigError("schedule violates 1 - abar_{t-1} - btilde_t^2 >= 0")
 
@@ -95,14 +100,7 @@ class VpSchedule:
 
     @classmethod
     def from_betas(cls, betas) -> "VpSchedule":
-        b = np.concatenate([[0.0], np.asarray(betas, dtype=REAL)])
-        abar = np.cumprod(1.0 - b)
-        bt = np.zeros_like(b)
-        for t in range(2, len(b)):
-            bt[t] = math.sqrt((1 - abar[t - 1]) / (1 - abar[t])) * math.sqrt(
-                1 - abar[t] / abar[t - 1]
-            )
-        return cls(betas=b, abars=abar, btildes=bt)
+        return cls(betas=np.concatenate([[0.0], np.asarray(betas, dtype=REAL)]))
 
     @classmethod
     def default(cls, n_steps: int) -> "VpSchedule":

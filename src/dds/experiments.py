@@ -184,10 +184,12 @@ def build_prior(cfg: ExperimentConfig, signal_shape):
     use_complex = cfg.get("prior", "complex", True, bool)
     smooth = _at_least(cfg, "prior", "smooth", 0.0)
     # every key is checked, also where this kind ignores it
-    dim = cfg.get("prior", "dim", 8, int)
+    dim = _at_least(cfg, "prior", "dim", 8, int, low=1)
     offs = _at_least(cfg, "prior", "offset_scale", 0.0)
     k = _at_least(cfg, "prior", "components", 3, int, low=1)
     tau = _at_least(cfg, "prior", "tau", 0.1)
+    if not tau * tau > 0:  # the mixture's variance
+        raise ConfigError(f"[prior] tau = {tau} must have tau^2 > 0")
     dtype = COMPLEX if use_complex else REAL
     if kind == "affine":
         return AffineSubspacePrior.random(signal_shape, dim, seed=seed, dtype=dtype,

@@ -3,8 +3,8 @@
 CGLS (Hestenes and Stiefel 1952; Bjorck, Numerical Methods for Least Squares
 Problems, 1996, section 7.4) runs the classic CG recursion (alpha_k =
 r'r / q'q, beta_k = r'r new/old) with a hard iteration cap and optional
-residual tolerance on the normal equations of a least-squares problem
-without forming A*A: it carries the data residual b - Ax, which every
+relative residual tolerance on the normal equations of a least-squares
+problem without forming A*A: it carries the data residual b - Ax, which every
 data-consistency solve of the sampler then reports for free. Complex tensors
 use conjugated inner products with the real part taken for the step scalars,
 which is exact for the Hermitian PSD systems used here.
@@ -44,9 +44,9 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
     s = b - A x (and t = c - B x) and forms the gradient r = A*s + w B*t
     from it, so ``report.residual`` is s at return and
     ``report.residual_norms`` holds the ||r_k|| that plain CG would report.
-    Stops early once ||r_k|| <= tol. With tol = 0 the cap rules, and the last
-    step skips its A*s (and B*t), which only a stopping test or a next step
-    would read; ``residual_norms`` then ends with ||r_(iters-1)||.
+    Stops early once ||r_k|| <= tol ||r_0||. With tol = 0 the cap rules, and
+    the last step skips its A*s (and B*t), which only a stopping test or a
+    next step would read; ``residual_norms`` then ends with ||r_(iters-1)||.
     """
     bop, c, w = stack if stack is not None else (None, None, 0.0)
     if x0 is None:
@@ -68,7 +68,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
     p = r.copy()  # updated in place below; only x, s, t and p are owned here
     rs = _sq(r)
     norms = [math.sqrt(rs)]
-    if iters == 0 or norms[0] <= tol:
+    if iters == 0 or norms[0] <= tol * norms[0]:
         return x, CgReport(0, norms, s)
     it = 0
     for k in range(iters):
@@ -92,7 +92,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         if not math.isfinite(rs_new):
             raise NumericalError("cgls: non-finite residual")
         norms.append(math.sqrt(rs_new))
-        if norms[-1] <= tol or rs_new == 0.0:
+        if norms[-1] <= tol * norms[0] or rs_new == 0.0:
             break
         p *= rs_new / rs
         p += r

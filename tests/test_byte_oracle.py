@@ -95,9 +95,15 @@ def test_script_pins_unset_blas_threads_to_one():
 
 def test_grid_names_the_cli_paths_no_other_line_reaches():
     # built, not run: the shepp-logan phantoms, the prior's offset and complex
-    # smooth field, the fully sampled mask, and the estimates emit reads
+    # smooth field, the fully sampled mask, the single-coil pseudo-inverse
+    # that stops on its tolerance, and the estimates emit reads
     configs = dict(byte_oracle.grid(ROOT))
-    assert len(configs) == 103
+    assert len(configs) == 107
+    for dc in ("ddnm", "projection"):
+        for mask in ("uniform1d", "gaussian2d"):
+            text = configs[f"mri2d-noisy/{dc}/vp/{mask}-1-coil"]
+            assert "coils = 1\n" in text and f"mask_kind = {mask}\n" in text
+            assert "kind = mri2d-noisy\n" in text and "mode = vp\n" in text
     assert "kind = shepp-logan-2d" in configs["mri2d/dds-cg/vp/shepp-logan-2d"]
     assert "kind = shepp-logan-3d" in configs["ct3d/vp/shepp-logan-3d"]
     assert "offset_scale = 0.5\nsmooth = 2" in configs["mri2d/dds-cg/vp/offset-smooth"]

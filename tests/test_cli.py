@@ -489,6 +489,10 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("kind = mri2d", "kind = mri2d\nnoise_seed = -1", "[problem] noise_seed = -1 must be >= 0"),
     ("dim = 4", "dim = 4\ntau = nan", "[prior] tau = nan must be finite and >= 0"),
     ("dim = 4", "dim = 4\ncomponents = 0", "[prior] components = 0 must be >= 1"),
+    ("kind = affine\ndim = 4", "kind = gmm\ndim = -5", "[prior] dim = -5 must be >= 1"),
+    ("kind = affine\ndim = 4", "kind = gmm\ndim = 0", "[prior] dim = 0 must be >= 1"),
+    ("dim = 4", "dim = 4\ntau = 0", "[prior] tau = 0.0 must have tau^2 > 0"),
+    ("kind = affine", "kind = gmm\ntau = 1e-200", "[prior] tau = 1e-200 must have tau^2 > 0"),
     (CFG, CT_CFG.replace("complex = false", "complex = true"), "[prior] complex"),
     (CFG, CT_CFG.replace("shape = 3 8 8", "shape = 2 12 12")
      .replace("dim = 3", "dim = 3\nsmooth = 2"), "power-of-two sides, got (12, 12)"),
@@ -499,7 +503,9 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
         "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
         "nan-offset-scale", "noiseless-negative-noise-seed", "nan-tau-on-affine",
-        "no-components-on-affine", "complex-prior-on-ct3d", "smoothed-prior-on-non-pow2-ct3d"])
+        "no-components-on-affine", "gmm-negative-dim", "gmm-zero-dim", "zero-tau-on-affine",
+        "gmm-tau-squared-underflow", "complex-prior-on-ct3d",
+        "smoothed-prior-on-non-pow2-ct3d"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1, or, from negative-noise-sigma
     # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
@@ -507,7 +513,8 @@ def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # phantom cast to the real Radon domain) or to carry inf or NaN into the data;
     # the smoothed prior's sides are checked where its shape enters, not per FFT;
     # a key is checked also where its kind ignores it (noise_seed without
-    # noise, tau and components on an affine prior), which used to exit 0
+    # noise, tau and components on an affine prior, dim on a mixture), by the
+    # rule of the kind that reads it, which used to exit 0
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))

@@ -40,6 +40,29 @@ def test_vp_schedule_rejects_decreasing_betas():
         VpSchedule.from_betas([0.2, 0.1])
 
 
+def test_vp_schedule_checks_beta_before_deriving_from_it():
+    # a negative beta_t used to reach math.sqrt of a negative number first
+    with pytest.raises(ConfigError, match="strictly inside"):
+        VpSchedule.from_betas([-0.1, 0.2])
+
+
+def test_vp_schedule_derives_abar_and_btilde_from_beta():
+    # beta_t is the only constructor field: abar_t = prod_{s <= t} (1 - beta_s)
+    # and the DDPM posterior std btilde_t = sqrt((1 - abar_{t-1}) / (1 - abar_t) beta_t)
+    betas = [0.1, 0.2, 0.3]
+    s = VpSchedule.from_betas(betas)
+    with pytest.raises(TypeError):  # not even arrays that agree with beta_t
+        VpSchedule(betas=s.betas, abars=s.abars, btildes=s.btildes)
+    assert s.betas.tolist() == [0.0, *betas]
+    assert s.abars[0] == 1.0 and s.btildes[0] == 0.0
+    abar = 1.0
+    for t, beta in enumerate(betas, start=1):
+        prev, abar = abar, abar * (1.0 - beta)
+        assert s.abars[t] == pytest.approx(abar, rel=1e-15)
+        assert s.btildes[t] == pytest.approx(math.sqrt((1 - prev) / (1 - abar) * beta),
+                                             rel=1e-14, abs=0.0)
+
+
 def test_ve_schedule_geometric():
     s = VeSchedule.geometric(10, 0.01, 10.0)
     assert s.sigmas[1] == pytest.approx(0.01)

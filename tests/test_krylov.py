@@ -429,7 +429,8 @@ def test_capped_cgls_skips_its_last_adjoint():
     assert rep.iterations == 4 and len(rep.residual_norms) == 4
     a.calls.update(apply=0, adjoint=0)
     _, rep = cgls(a, y, None, 4, 1e-300)
-    # a start from zero applies nothing; a tolerance forms every gradient
+    # a start from zero applies nothing; a tolerance (here relative, so
+    # 1e-300 ||r_0|| and never reached) forms every gradient
     assert a.calls == {"apply": 4, "adjoint": 5}
     assert len(rep.residual_norms) == 5
 
@@ -446,5 +447,20 @@ def test_cgls_exact_start_stops_at_once():
     m = RngStream(57).randn((6, 4))
     xs = RngStream(58).randn((4,))
     x, rep = cgls(matrix_operator(m), m @ xs, xs, 5, 1e-12)
+    # the tolerance is relative, so only a zero first gradient is within it
     assert rep.iterations == 0 and np.array_equal(x, xs)
+    assert rep.residual_norms == [0.0]
+
+
+def test_cgls_tolerance_is_relative_to_the_first_gradient():
+    # scaling b by a power of two scales every iterate and gradient exactly,
+    # so the stop falls on the same step whatever the scale of the data
+    m = RngStream(59).randn((12, 8)) @ np.diag(np.logspace(0, -2, 8))
+    a, b = matrix_operator(m), RngStream(60).randn((12,))
+    x, rep = cgls(a, b, None, 50, 1e-3)
+    norms = rep.residual_norms
+    assert rep.iterations == 7 and norms[-1] <= 1e-3 * norms[0] < norms[-2]
+    for c in (2.0 ** -40, 2.0 ** 40):
+        xc, repc = cgls(a, c * b, None, 50, 1e-3)
+        assert repc.iterations == rep.iterations and np.array_equal(xc, c * x)
 

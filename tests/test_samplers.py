@@ -125,7 +125,8 @@ def test_ddnm_matches_dense_pinv_oracle_single_coil():
 @pytest.mark.parametrize("kind", ["uniform1d", "gaussian2d", "poisson-disk-vd"])
 def test_single_coil_pseudo_inverse_is_one_cgls_step(kind):
     # A A* is the sampling mask, so CGLS from zero takes the step z = A* r
-    # and stops: A*r up front, then A*s, A p and the stopping test's A*s
+    # and stops: the first gradient A*s, whose norm scales the tolerance,
+    # then A p and the stopping test's A*s
     _, _, _, a, y = sense_problem(60, shape=(16, 16), coils=1, acc=2.0, kind=kind)
     r = y + 0.05 * RngStream(61).randn(y.shape, dtype=COMPLEX)  # off the range too
     z, report = pseudo_inverse_apply(a, r)
@@ -133,7 +134,29 @@ def test_single_coil_pseudo_inverse_is_one_cgls_step(kind):
     assert norm(report.residual - (r - a.apply(z))) <= 1e-12 * norm(r)
     ca = counted(a)
     pseudo_inverse_apply(ca, r)
-    assert ca.calls == {"apply": 1, "adjoint": 3}
+    assert ca.calls == {"apply": 1, "adjoint": 2}
+
+
+def test_capped_ddnm_pays_one_forward_and_one_adjoint_per_cgls_step(monkeypatch):
+    # per step: A xhat and the first gradient, then one forward and one
+    # adjoint per CGLS step (a tolerance forms every gradient), with no
+    # separate ||A*r|| for the tolerance; plus the final x0's forward
+    _, den, _, a, y = sense_problem(64, shape=(16, 16), coils=4, acc=4.0, dim=4,
+                                    kind="poisson-disk-vd")
+    a = counted(a)
+    iterations = []
+    solve = samplers.cg
+
+    def spy(*args):
+        out = solve(*args)
+        iterations.append(out[1].iterations)
+        return out
+
+    monkeypatch.setattr(samplers, "cg", spy)
+    nfe, cap = 4, samplers._PINV_MAXITER
+    dds_reconstruct(a, y, den, SamplerConfig(nfe=nfe, dc="ddnm", seed=0), rng=RngStream(0))
+    assert iterations == [cap] * (nfe - 1)  # the multi-coil solve never reaches its tolerance
+    assert a.calls == {"apply": (nfe - 1) * (cap + 1) + 1, "adjoint": (nfe - 1) * (cap + 1)}
 
 
 def test_ddnm_output_satisfies_measurements_when_consistent():

@@ -6,7 +6,7 @@ count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
 2 BLAS threads, so two outputs compare only when this line matches. Run as
 a script, the oracle sets each of the three that is unset to 1 before numpy
 loads, as `bench/run.py` does, so its bytes are the bench's. Then
-it runs the CLI's `reconstruct` command in-process with `--seed 3` on 103
+it runs the CLI's `reconstruct` command in-process with `--seed 3` on 107
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 11 axis/config/`--jobs` cases,
@@ -16,7 +16,7 @@ prints for each the name, the sha256 of the CSV and the exit code; and
 Then it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
 `y.dtf`, `mask.dtf` and `maps.dtf` and the exit code, each followed by a
 `reconstruct --in` line on the files it wrote, hashed as above. Last, a
-`reconstruct` on a config file that does not exist prints `- - 2`: 127
+`reconstruct` on a config file that does not exist prints `- - 2`: 131
 hash lines after the header. Two checkouts behave the same on these runs
 exactly when the outputs match:
 
@@ -62,6 +62,10 @@ The grid:
   SENSE keeps the measured k-space entries and runs the 2-D FFT);
 - `mri2d-noisy` with VP `ddnm` on `gaussian2d` and `poisson-disk-vd` at
   acceleration 4, the noisy 2-D-mask path;
+- `mri2d-noisy` with one coil, VP `ddnm` and `projection` on `uniform1d`
+  and `gaussian2d`: A A* is then a projector, so each pseudo-inverse solve
+  stops on its relative tolerance after one step (the 2-coil solves stop on
+  it after 17 to 37 steps, or run to the cap of 200);
 - `mri2d` VP `dds-cg` on the `shepp-logan-2d` phantom, on an affine prior
   with `offset_scale` = 0.5 and `smooth` = 2 (the offset and the complex
   smooth field), and at acceleration 1 (the fully sampled mask);
@@ -123,7 +127,7 @@ complex = true
 
 [operator]
 kind = sense
-coils = 2
+coils = {coils}
 mask_kind = {mask}
 acceleration = {acc}
 acs_fraction = 0.1
@@ -189,10 +193,10 @@ VARIANTS = {
 
 
 def mri(sampler: str, kind="mri2d", phantom="subspace-random", prior=AFFINE,
-        mask="uniform1d", acc=2) -> str:
-    """An `MRI` config; the defaults are the grid's 2x `uniform1d` problem."""
+        mask="uniform1d", acc=2, coils=2) -> str:
+    """An `MRI` config; the defaults are the grid's 2-coil 2x `uniform1d` problem."""
     return MRI.format(kind=kind, phantom=phantom, prior=prior, mask=mask, acc=acc,
-                      sampler=sampler)
+                      coils=coils, sampler=sampler)
 
 
 def grid(repo: Path) -> list[tuple[str, str]]:
@@ -225,6 +229,11 @@ def grid(repo: Path) -> list[tuple[str, str]]:
     for mask in ("gaussian2d", "poisson-disk-vd"):
         out.append((f"mri2d-noisy/ddnm/vp/{mask}-4x",
                     mri(f"dc = ddnm\n{MODES['vp']}", kind="mri2d-noisy", mask=mask, acc=4)))
+    # one coil: A A* is a projector, so the pseudo-inverse stops on its tolerance
+    for dc in ("ddnm", "projection"):
+        for mask in ("uniform1d", "gaussian2d"):
+            out.append((f"mri2d-noisy/{dc}/vp/{mask}-1-coil",
+                        mri(f"dc = {dc}\n{MODES['vp']}", kind="mri2d-noisy", mask=mask, coils=1)))
     vp = f"dc = dds-cg\n{MODES['vp']}"
     out.append(("mri2d/dds-cg/vp/shepp-logan-2d", mri(vp, phantom="shepp-logan-2d")))
     out.append(("mri2d/dds-cg/vp/offset-smooth",

@@ -2,12 +2,14 @@
 
 Config files are flat INI key-value sections (diffable, hand-editable); a
 config plus the command-line seed reproduces every output byte for byte.
+Rejection sampling reruns with derived seeds (run_reconstruction).
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -35,7 +37,7 @@ from .operators import (
     slice_radon_operator,
 )
 from .phantoms import shepp_logan_2d, shepp_logan_3d
-from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc, rejection_wrap
+from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc
 from .tensor import COMPLEX, REAL, RngStream, check_finite
 
 
@@ -125,7 +127,7 @@ class ExperimentConfig:
 
     def get(self, section: str, key: str, default=None, cast=str):
         if not self._cp.has_option(section, key):
-            if default is None and cast is not bool:
+            if default is None:
                 raise ConfigError(f"config missing [{section}] {key}")
             return default
         raw = self._cp.get(section, key)
@@ -163,9 +165,11 @@ class Problem:
     a: LinearMap
     y: np.ndarray
     x_true: np.ndarray
-    denoiser: object  # the prior itself; bench/tracing.py hooks denoise under this name
     prior: object
     noise_sigma: float
+
+    # bench/tracing.py hooks denoise under this name
+    denoiser = property(lambda self: self.prior)
 
 
 def _at_least(cfg: ExperimentConfig, section: str, key: str, default, cast=float, low=0):
@@ -283,8 +287,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         nrng = RngStream(noise_seed)
         e = a.embedding
         y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
-    return Problem(kind=kind, a=a, y=y, x_true=x_true, denoiser=prior,
-                   prior=prior, noise_sigma=sigma)
+    return Problem(kind=kind, a=a, y=y, x_true=x_true, prior=prior, noise_sigma=sigma)
 
 
 def sampler_config(cfg: ExperimentConfig, seed: int, **overrides) -> SamplerConfig:
@@ -297,23 +300,38 @@ def tv_config(cfg: ExperimentConfig, **overrides) -> TvConfig:
 
 def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | None = None,
                        rng: RngStream | None = None, max_retries: int = 1) -> ReconResult:
-    """One reconstruction; with a rejection threshold configured, reruns with
-    derived fresh seeds up to ``max_retries`` times until the residual clears."""
+    """One reconstruction: its sampling attempts, their acceptance and their wall time.
+
+    With no ``rejection_tau``, or ``max_retries`` = 1, one attempt runs on
+    ``rng``; otherwise attempt k runs on ``rng.child(k)`` and the run stops
+    at the first residual <= tau. With none cleared, the lowest-residual
+    attempt (the earliest on a tie) returns, not accepted. ``accepted`` is
+    None without a tau, ``attempts`` counts the attempts made and
+    ``wall_seconds`` times them all.
+    """
     if max_retries < 1:
         raise ConfigError(f"[sampler] max_retries must be >= 1, got {max_retries}")
+    t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(scfg.seed)
-
-    def one(stream: RngStream) -> ReconResult:
+    tau = scfg.rejection_tau
+    streams = [rng] if tau is None or max_retries == 1 else map(rng.child, range(max_retries))
+    best = None
+    for attempts, stream in enumerate(streams, 1):
         if problem.kind == "ct3d":
-            return dds_3d_reconstruct(problem.a, problem.y, problem.denoiser, scfg,
-                                      tv if tv is not None else TvConfig(),
-                                      rng=stream, x_true=problem.x_true)
-        return dds_reconstruct(problem.a, problem.y, problem.denoiser, scfg,
-                               rng=stream, x_true=problem.x_true)
-
-    if scfg.rejection_tau is None or max_retries <= 1:
-        return one(rng)
-    return rejection_wrap(one, scfg.rejection_tau, max_retries, rng)
+            res = dds_3d_reconstruct(problem.a, problem.y, problem.prior, scfg,
+                                     tv if tv is not None else TvConfig(),
+                                     rng=stream, x_true=problem.x_true)
+        else:
+            res = dds_reconstruct(problem.a, problem.y, problem.prior, scfg,
+                                  rng=stream, x_true=problem.x_true)
+        if best is None or res.residual < best.residual:
+            best = res
+        if tau is not None and res.residual <= tau:
+            break
+    best.accepted = None if tau is None else best.residual <= tau
+    best.attempts = attempts
+    best.wall_seconds = time.perf_counter() - t_start
+    return best
 
 
 # ---------------------------------------------------------------------------

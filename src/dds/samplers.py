@@ -5,14 +5,12 @@ DDIM step serves VP and VE; make_dc builds its data-consistency step once
 per run, so strategy ablations are a config sweep. Baselines cover
 pseudo-inverse replacement (on the denoised estimate or the noisy iterate),
 one-step gradient descent on the residual, and the projected-gradient step
-available when the denoiser Jacobian is an analytic projector. Rejection
-sampling reruns with derived seeds.
+available when the denoiser Jacobian is an analytic projector.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,6 +116,7 @@ class SamplerTrace(list):
 class ReconResult:
     x0: np.ndarray
     trace: SamplerTrace  # the last record holds the result's residual ||y - A x0||
+    # the run-level fields, which experiments.run_reconstruction sets
     accepted: bool | None = None
     wall_seconds: float = 0.0
     attempts: int = 1
@@ -238,7 +237,6 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     where it is not finite ends the run with SamplerDivergedError, its trace
     included.
     """
-    t_start = time.perf_counter()
     rng = rng if rng is not None else RngStream(cfg.seed)
     sched = schedule if schedule is not None else make_schedule(cfg)
     if sched.n_steps != cfg.nfe:
@@ -260,7 +258,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
     trace = SamplerTrace()
 
-    def record(t, x, xp, xhat, report=None) -> float:
+    def record(t, x, xp, xhat, report=None) -> None:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
             rec = StepRecord(
                 t=t,
@@ -272,7 +270,6 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         trace.append(rec)
         if not math.isfinite(rec.residual):
             raise NumericalError(f"residual {rec.residual} at t = {t}")
-        return rec.residual
 
     try:
         for t in range(sched.n_steps, k_stop, -1):
@@ -285,33 +282,10 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
                 x = ddnm_step(x, a, y)[0]
 
         x0 = denoiser.denoise(x, k_stop, sched)
-        residual = record(k_stop, x, x0, x0)
+        record(k_stop, x, x0, x0)
     except NumericalError as exc:
         raise SamplerDivergedError(f"sampler diverged: {exc}", trace=trace) from exc
     if not np.all(np.isfinite(x0)):  # pixels no ray hits never reach the residual
         raise SamplerDivergedError("sampler produced non-finite output", trace=trace)
 
-    accepted = None if cfg.rejection_tau is None else bool(residual <= cfg.rejection_tau)
-    return ReconResult(x0=x0, trace=trace, accepted=accepted,
-                       wall_seconds=time.perf_counter() - t_start)
-
-
-def rejection_wrap(run_fn, tau: float, max_retries: int, base_rng: RngStream) -> ReconResult:
-    """Rerun ``run_fn(rng)`` with derived fresh seeds until the residual clears tau.
-
-    Exhausted retries return the best-residual attempt flagged not accepted.
-    The result's ``attempts`` counts runs performed. Needs tau >= 0 and
-    max_retries >= 1, which SamplerConfig and run_reconstruction check.
-    """
-    best = None
-    for attempt in range(1, max_retries + 1):
-        res = run_fn(base_rng.child(attempt - 1))
-        res.attempts = attempt
-        if res.residual <= tau:
-            res.accepted = True
-            return res
-        if best is None or res.residual < best.residual:
-            best = res
-    best.accepted = False
-    best.attempts = max_retries
-    return best
+    return ReconResult(x0=x0, trace=trace)

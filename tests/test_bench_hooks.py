@@ -6,6 +6,7 @@ renames one of them breaks the benchmark. These tests keep the names
 resolvable and check that the loops really call through them.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from dds.experiments import (
     ExperimentConfig,
+    Problem,
     build_problem,
     run_reconstruction,
     sampler_config,
@@ -139,3 +141,11 @@ def test_instance_hooks_on_the_prior_count_every_call(text, nfe, slices):
     names = [s[0] for s in spans]
     assert names.count("diffusion.denoise") == nfe * slices
     assert names.count("samplers.prior_distance") == (nfe if slices == 1 else 0)
+
+
+def test_problem_denoiser_is_its_prior_under_a_second_name():
+    # the tracer hooks problem.denoiser; it used to be a second field that
+    # had to be built holding the same object as prior
+    problem = build_problem(ExperimentConfig(MRI_CFG.format(dc="dds-cg")))
+    assert "denoiser" not in {f.name for f in dataclasses.fields(Problem)}
+    assert problem.denoiser is problem.prior

@@ -96,9 +96,10 @@ def test_script_pins_unset_blas_threads_to_one():
 def test_grid_names_the_cli_paths_no_other_line_reaches():
     # built, not run: the shepp-logan phantoms, the prior's offset and complex
     # smooth field, the fully sampled mask, the single-coil pseudo-inverse
-    # that stops on its tolerance, and the estimates emit reads
+    # that stops on its tolerance, the 2-D rejection runs, and the estimates
+    # emit reads
     configs = dict(byte_oracle.grid(ROOT))
-    assert len(configs) == 107
+    assert len(configs) == 110
     for dc in ("ddnm", "projection"):
         for mask in ("uniform1d", "gaussian2d"):
             text = configs[f"mri2d-noisy/{dc}/vp/{mask}-1-coil"]
@@ -108,5 +109,11 @@ def test_grid_names_the_cli_paths_no_other_line_reaches():
     assert "kind = shepp-logan-3d" in configs["ct3d/vp/shepp-logan-3d"]
     assert "offset_scale = 0.5\nsmooth = 2" in configs["mri2d/dds-cg/vp/offset-smooth"]
     assert "acceleration = 1\n" in configs["mri2d/dds-cg/vp/fully-sampled"]
+    # the 2-D rejection runs: one attempt with tau set, all attempts failing, accepted at once
+    assert "rejection_tau = 1e-12\n" in configs["mri2d/dds-cg/vp/rejection-once"]
+    assert "max_retries" not in configs["mri2d/dds-cg/vp/rejection-once"]
+    assert "rejection_tau = 1e-12\nmax_retries = 3" in configs["mri2d/dds-cg/vp/rejection"]
+    assert "mode = ve\n" in configs["mri2d/dds-cg/ve/rejection-accept"]
+    assert "rejection_tau = 10\nmax_retries = 3" in configs["mri2d/dds-cg/ve/rejection-accept"]
     assert all(name in configs for name, _ in byte_oracle.EMITS)
     assert "[sweep]\naxis = eta" in byte_oracle.SWEEP_SECTION

@@ -623,7 +623,7 @@ def test_sweep_on_a_2d_problem_checks_tv(tmp_path, capsys):
         "subnormal-gamma", "inf-xi", "inf-dps-step"])
 def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     # the boolean ran as false and tau = -1 was rejected only when
-    # max_retries > 1 sent it through rejection_wrap; dps_step = -1 ran
+    # max_retries > 1 sent it down the rejection path; dps_step = -1 ran
     # gradient ascent, dps_step = 0 and ve_truncation = 1 skipped data
     # consistency, ve_truncation = 2 failed with a timestep error and
     # gamma = nan reached the first CG solve; ve_sigma_max = nan or inf

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from dds.admm import TvConfig
 from dds.dtf import write_csv
 from dds.errors import ConfigError, NumericalError
+from dds import experiments
 from dds.experiments import (
     CONFIG_KEYS,
     MET_HEADER,
@@ -76,6 +78,8 @@ def test_config_typed_access():
     assert cfg.get("nope", "missing", "fallback") == "fallback"
     with pytest.raises(ConfigError):
         cfg.get("nope", "missing")
+    with pytest.raises(ConfigError, match="config missing"):  # whatever its cast
+        cfg.get("nope", "missing", cast=bool)
 
 
 @pytest.mark.parametrize("raw, value", [
@@ -446,6 +450,23 @@ def test_run_reconstruction_with_rejection_retries():
     res = run_reconstruction(problem, scfg, rng=RngStream(2), max_retries=4)
     assert res.accepted is True
     assert res.attempts == 1  # consistent problem clears the threshold at once
+
+
+def test_run_reconstruction_times_every_attempt(monkeypatch):
+    # wall_seconds used to time the returned attempt only
+    real = experiments.dds_reconstruct
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "dds_reconstruct", slow)
+    problem = build_problem(ExperimentConfig(BASE_CFG))
+    scfg = sampler_config(ExperimentConfig(BASE_CFG), 2, rejection_tau=1e-12)
+    res = run_reconstruction(problem, scfg, rng=RngStream(2), max_retries=3)
+    assert res.accepted is False
+    assert res.attempts == 3
+    assert res.wall_seconds >= 0.15
 
 
 @pytest.mark.parametrize("retries", [0, -3])

@@ -11,6 +11,7 @@ from dds.diffusion import (
     VpSchedule,
 )
 from dds.errors import ConfigError
+from dds.experiments import Problem, run_reconstruction
 from dds.operators import (
     MaskSpec,
     identity_map,
@@ -28,7 +29,6 @@ from dds.samplers import (
     make_dc,
     make_schedule,
     pseudo_inverse_apply,
-    rejection_wrap,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
 from test_krylov import counted
@@ -632,32 +632,42 @@ def test_trace_residual_is_the_dc_output_residual(monkeypatch, dc, mode, nfe, co
 # ---------------------------------------------------------------------------
 # rejection sampling
 
-def _quick_run(a, y, den, seed_rng):
-    cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=5, dc="dds-cg", seed=0)
-    return dds_reconstruct(a, y, den, cfg, rng=seed_rng)
+def _quick_run(seed, tau, max_retries, noise=0.0):
+    """A 16x16 2-coil problem's run through run_reconstruction on RngStream(0)."""
+    _, den, x_true, a, y = sense_problem(seed, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    if noise:
+        y = y + noise * RngStream(seed + 1).randn(a.range_shape, dtype=COMPLEX)
+    problem = Problem(kind="mri2d", a=a, y=y, x_true=x_true, prior=den, noise_sigma=noise)
+    cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=5, dc="dds-cg", seed=0, rejection_tau=tau)
+    return run_reconstruction(problem, cfg, rng=RngStream(0), max_retries=max_retries)
 
 
 def test_rejection_infinite_tau_accepts_first():
-    _, den, _, a, y = sense_problem(180, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    res = rejection_wrap(lambda rng: _quick_run(a, y, den, rng), math.inf, 5, RngStream(0))
+    res = _quick_run(180, math.inf, 5)
     assert res.accepted is True
     assert res.attempts == 1
 
 
 def test_rejection_zero_tau_exhausts_and_flags():
-    _, den, _, a, y = sense_problem(190, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    y = y + 0.1 * RngStream(191).randn(a.range_shape, dtype=COMPLEX)
-    res = rejection_wrap(lambda rng: _quick_run(a, y, den, rng), 0.0, 3, RngStream(0))
+    res = _quick_run(190, 0.0, 3, noise=0.1)
     assert res.accepted is False
     assert res.attempts == 3
 
 
 def test_rejection_accepts_consistent_problem():
-    _, den, _, a, y = sense_problem(200, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    res = rejection_wrap(lambda rng: _quick_run(a, y, den, rng), 1e-3, 5, RngStream(0))
+    res = _quick_run(200, 1e-3, 5)
     assert res.accepted is True
     assert res.attempts == 1
     assert res.residual <= 1e-3
+
+
+def test_sampling_loop_leaves_acceptance_to_the_run():
+    # the loop used to set accepted from rejection_tau itself
+    _, den, _, a, y = sense_problem(200, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    cfg = SamplerConfig(nfe=6, eta=0.0, dc="dds-cg", seed=0, rejection_tau=math.inf)
+    res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
+    assert res.accepted is None
+    assert res.attempts == 1
 
 
 def test_divergence_raises_with_trace_attached():

@@ -6,7 +6,7 @@ count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
 2 BLAS threads, so two outputs compare only when this line matches. Run as
 a script, the oracle sets each of the three that is unset to 1 before numpy
 loads, as `bench/run.py` does, so its bytes are the bench's. Then
-it runs the CLI's `reconstruct` command in-process with `--seed 3` on 107
+it runs the CLI's `reconstruct` command in-process with `--seed 3` on 110
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 11 axis/config/`--jobs` cases,
@@ -16,7 +16,7 @@ prints for each the name, the sha256 of the CSV and the exit code; and
 Then it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
 `y.dtf`, `mask.dtf` and `maps.dtf` and the exit code, each followed by a
 `reconstruct --in` line on the files it wrote, hashed as above. Last, a
-`reconstruct` on a config file that does not exist prints `- - 2`: 131
+`reconstruct` on a config file that does not exist prints `- - 2`: 134
 hash lines after the header. Two checkouts behave the same on these runs
 exactly when the outputs match:
 
@@ -55,6 +55,10 @@ The grid:
 - VP `dds-cg` on each random mask kind (`gaussian1d`, `gaussian2d`,
   `poisson-disk-vd`; the configs above use `uniform1d`);
 - VP `dps` with `dps_step` = -1, which the config check rejects (exit 2);
+- VP `dds-cg` with `rejection_tau` = 1e-12 and no `max_retries` (one
+  attempt, on the base stream), the same with `max_retries` = 3 (every
+  attempt fails), and VE `dds-cg` with `rejection_tau` = 10 and
+  `max_retries` = 3 (accepted on the first attempt);
 - `mri2d` and `mri2d-noisy` with VP `dds-cg` and VE `ddnm` on `uniform1d`
   and `gaussian1d` at acceleration 4, whose masks keep at most a third of
   the columns, so SENSE keeps its data in hybrid space at the sampled
@@ -218,6 +222,12 @@ def grid(repo: Path) -> list[tuple[str, str]]:
         *((f"dds-cg/vp/{m}", m, f"dc = dds-cg\n{MODES['vp']}")
           for m in ("gaussian1d", "gaussian2d", "poisson-disk-vd")),
         ("dps/vp/negative-step", "uniform1d", f"dc = dps\n{MODES['vp']}\ndps_step = -1"),
+        # rejection: one attempt on the base stream; every attempt fails; accepted at once
+        *((f"dds-cg/{mode}/{name}", "uniform1d", f"dc = dds-cg\n{MODES[mode]}\n{keys}")
+          for name, mode, keys in (
+              ("rejection-once", "vp", "rejection_tau = 1e-12"),
+              ("rejection", "vp", "rejection_tau = 1e-12\nmax_retries = 3"),
+              ("rejection-accept", "ve", "rejection_tau = 10\nmax_retries = 3"))),
     ):
         out.append((f"mri2d/{name}", mri(sampler, mask=mask)))
     # 4x column masks keep at most a third of the columns: the SENSE column path

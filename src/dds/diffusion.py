@@ -74,8 +74,7 @@ class VpSchedule:
             raise ConfigError("beta_t must be strictly increasing")
         ab = np.cumprod(1.0 - self.betas)
         bt = np.zeros_like(self.betas)
-        for t in range(2, len(ab)):
-            bt[t] = math.sqrt((1 - ab[t - 1]) / (1 - ab[t])) * math.sqrt(1 - ab[t] / ab[t - 1])
+        bt[2:] = np.sqrt((1 - ab[1:-1]) / (1 - ab[2:])) * np.sqrt(1 - ab[2:] / ab[1:-1])
         object.__setattr__(self, "abars", ab)  # the dataclass is frozen
         object.__setattr__(self, "btildes", bt)
         if np.any(np.diff(ab) >= 0) or np.any(ab[1:] <= 0) or np.any(ab[1:] >= 1):
@@ -279,7 +278,7 @@ class GmmPrior:
         return self.means.shape[1:]
 
     def sample(self, rng: RngStream) -> np.ndarray:
-        u = rng.uniform()
+        u = 0.5 * (1.0 + math.erf(rng.randn(1)[0] / math.sqrt(2.0)))  # normal CDF: U(0, 1)
         k = int(np.searchsorted(np.cumsum(self.weights), u))
         k = min(k, self.n_components - 1)
         noise = rng.randn(self.signal_shape, dtype=self.means.dtype.type)

@@ -440,11 +440,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
         return evaluate(problem, res, f"{axis}={val}:rep={rep}", scfg,
                         tv=tv if problem.kind == "ct3d" else None)
 
-    if jobs > 1:  # map keeps the task order
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:  # map keeps the task order
+        rows = list(pool.map(one, tasks))
 
     # per-value mean/std rows over repeats; value i ran tasks i*repeats onwards
     out = list(rows)

@@ -26,13 +26,13 @@ class LinearMap:
     """
 
     def __init__(self, domain_shape, range_shape, apply_fn, adjoint_fn,
-                 domain_dtype=COMPLEX, range_dtype=None, name=""):
+                 domain_dtype=COMPLEX, name=""):
         self.domain_shape = tuple(int(s) for s in domain_shape)
         self.range_shape = tuple(int(s) for s in range_shape)
         self._apply = apply_fn
         self._adjoint = adjoint_fn
         self.domain_dtype = np.dtype(domain_dtype)
-        self.range_dtype = np.dtype(range_dtype if range_dtype is not None else domain_dtype)
+        self.range_dtype = self.domain_dtype  # no operator maps between dtypes
         self.name = name
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -179,10 +179,10 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
     posterior mean at (x, t), which the loop's denoiser computes.
     """
-    def step_size(base):
+    def step(base, xhat):
         if not cfg.scale_step_by_residual:
-            return lambda xhat: base
-        return lambda xhat: base / max(norm(y - a.apply(xhat)), 1e-12)
+            return base
+        return base / max(norm(y - a.apply(xhat)), 1e-12)
 
     if cfg.dc == "dds-cg":
         return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps)
@@ -197,13 +197,11 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     if cfg.dc == "projection":
         return lambda x, xhat, t: (xhat, None)
     if cfg.dc == "gradient":
-        xi = step_size(cfg.xi)
-        return lambda x, xhat, t: (gradient_dc_step(xhat, a, y, xi(xhat)), None)
+        return lambda x, xhat, t: (gradient_dc_step(xhat, a, y, step(cfg.xi, xhat)), None)
     if prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
-    gamma = step_size(cfg.dps_step)
     return lambda x, xhat, t: (
-        xhat - gamma(xhat) * mcg_dps_gradient(xhat, t, prior, a, y, sched), None)
+        xhat - step(cfg.dps_step, xhat) * mcg_dps_gradient(xhat, t, prior, a, y, sched), None)
 
 
 # ---------------------------------------------------------------------------

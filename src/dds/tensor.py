@@ -61,13 +61,12 @@ def norm(x: np.ndarray) -> float:
 
 
 class RngStream:
-    """Deterministic Gaussian stream with a draw counter.
+    """Deterministic stream of Gaussian draws, and its derived child streams.
 
     Backed by PCG64 + numpy's ziggurat ``standard_normal``; a fixed seed
     replays the exact draw sequence. Draw order is documented so traces are
     replayable: real draws fill row-major; complex draws consume one real
-    block then one imaginary block, each N(0, 1/2) so E|z|^2 = 1. The
-    ``uniform`` helper maps one Gaussian draw through the normal CDF.
+    block then one imaginary block, each N(0, 1/2) so E|z|^2 = 1.
     """
 
     def __init__(self, seed: int):
@@ -75,7 +74,6 @@ class RngStream:
         if self.seed < 0:
             raise ConfigError(f"seed = {self.seed} must be >= 0")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self.draws = 0
 
     def randn(self, shape, dtype=REAL) -> np.ndarray:
         shape = (shape,) if np.isscalar(shape) else tuple(int(s) for s in shape)
@@ -86,20 +84,10 @@ class RngStream:
         if dtype == COMPLEX:
             re = self._gen.standard_normal(n)
             im = self._gen.standard_normal(n)
-            self.draws += 2 * n
-            out = ((re + 1j * im) / math.sqrt(2.0)).reshape(shape)
-        elif dtype == REAL:
-            out = self._gen.standard_normal(n).reshape(shape)
-            self.draws += n
-        else:
-            raise ConfigError(f"randn: unsupported dtype {dtype}")
-        return out
-
-    def uniform(self) -> float:
-        """One U(0,1) variate via the normal CDF of a single Gaussian draw."""
-        z = self._gen.standard_normal()
-        self.draws += 1
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+            return ((re + 1j * im) / math.sqrt(2.0)).reshape(shape)
+        if dtype == REAL:
+            return self._gen.standard_normal(n).reshape(shape)
+        raise ConfigError(f"randn: unsupported dtype {dtype}")
 
     def child(self, index: int) -> "RngStream":
         """Independent stream derived deterministically from (seed, index)."""

@@ -222,6 +222,11 @@ def test_affine_prior_requires_orthonormal_basis():
         AffineSubspacePrior(basis=bad, offset=np.zeros(2))
 
 
+def test_affine_prior_offset_must_have_the_atom_shape():
+    with pytest.raises(ConfigError, match="offset shape"):
+        AffineSubspacePrior(basis=np.eye(2)[:1].reshape(1, 2), offset=np.zeros(3))
+
+
 def test_affine_denoise_worked_example():
     # Q = span(e1), abar = 0.25: xhat = (1/0.5) * (3, 0) = (6, 0)
     basis = np.array([[1.0, 0.0]])
@@ -339,6 +344,24 @@ def test_gmm_weights_must_sum_to_one():
         GmmPrior(weights=np.array([0.5, 0.2]), means=np.zeros((2, 3)), tau2=1.0)
 
 
+def test_gmm_prior_checks_tau2_and_one_mean_per_weight():
+    with pytest.raises(ConfigError, match="tau"):
+        GmmPrior(weights=np.array([0.5, 0.5]), means=np.zeros((2, 3)), tau2=0.0)
+    with pytest.raises(ConfigError, match="one mean per weight"):
+        GmmPrior(weights=np.array([0.5, 0.5]), means=np.zeros((3, 3)), tau2=1.0)
+
+
+def test_gmm_sample_picks_component_k_with_probability_w_k():
+    # one Gaussian draw through the normal CDF picks the component; the means
+    # sit 100 tau apart, so the nearest mean names the component drawn
+    w, n = np.array([0.2, 0.3, 0.5]), 20_000
+    prior = GmmPrior(weights=w, means=np.array([[0.0], [1.0], [2.0]]), tau2=1e-4)
+    rng = RngStream(8)
+    picks = [int(np.rint(prior.sample(rng)[0])) for _ in range(n)]
+    freq = np.bincount(picks, minlength=3) / n
+    assert np.all(np.abs(freq - w) <= 4 * np.sqrt(w * (1 - w) / n))
+
+
 def test_gmm_ve_mode_matches_conjugate_form():
     mu = np.array([0.2, 0.4])
     prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=0.5)
@@ -359,7 +382,8 @@ def test_vp_step_eta0_pure_mean():
     rng = RngStream(17)
     out = ddim_step(xh, np.zeros(4), 5, 0.0, rng, s)
     assert norm(out - math.sqrt(s.abars[4]) * xh) < 1e-14
-    assert rng.draws == 0  # deterministic path must not consume randomness
+    # deterministic path must not consume randomness
+    assert np.array_equal(rng.randn((3,)), RngStream(17).randn((3,)))
 
 
 def test_vp_step_coefficient_identity():
@@ -424,7 +448,7 @@ def test_ve_step_eta0_deterministic():
     out = ddim_step(xh, -s.sigmas[t] * sh, t, 0.0, rng, s)  # eps_hat = -sigma_t shat
     want = xh - s.sigmas[t - 1] * s.sigmas[t] * sh
     assert norm(out - want) < 1e-14
-    assert rng.draws == 0
+    assert np.array_equal(rng.randn((3,)), RngStream(1).randn((3,)))
 
 
 def test_ve_step_coefficient_identity():

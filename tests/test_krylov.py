@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dds.errors import ConfigError
+from dds.errors import ConfigError, NumericalError
 from dds.krylov import cgls
 from dds.operators import (
     LinearMap,
@@ -304,7 +304,7 @@ def counted(a):
         return a.adjoint(y)
 
     out = LinearMap(a.domain_shape, a.range_shape, fwd, adj, domain_dtype=a.domain_dtype,
-                    range_dtype=a.range_dtype, name=a.name)
+                    name=a.name)
     out.calls = calls
     return out
 
@@ -450,6 +450,22 @@ def test_cgls_exact_start_stops_at_once():
     # the tolerance is relative, so only a zero first gradient is within it
     assert rep.iterations == 0 and np.array_equal(x, xs)
     assert rep.residual_norms == [0.0]
+
+
+def test_cgls_raises_on_a_later_non_finite_gradient():
+    # the first gradient and the first curvature are finite; the adjoint
+    # overflows from its second call on, so the second gradient is not
+    m = RngStream(61).randn((5, 3))
+    calls = []
+
+    def adj(y):
+        calls.append(1)
+        return m.T @ y if len(calls) == 1 else (m.T @ y) * 1e308 * 1e308
+
+    a = LinearMap((3,), (5,), lambda x: m @ x, adj, domain_dtype=REAL)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite residual"):
+        cgls(a, RngStream(62).randn((5,)), None, 3)
+    assert len(calls) == 2
 
 
 def test_cgls_tolerance_is_relative_to_the_first_gradient():

@@ -99,6 +99,13 @@ def test_ssim_rejects_small_images():
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+def test_ssim_rejects_shape_mismatch_and_non_2d_input():
+    with pytest.raises(ConfigError, match="shape mismatch"):
+        ssim(np.zeros((16, 16)), np.zeros((16, 12)))
+    with pytest.raises(ConfigError, match="2-D"):
+        ssim(np.zeros((2, 16, 16)), np.zeros((2, 16, 16)))
+
+
 def test_ssim_constant_reference_convention():
     x = np.full((12, 12), 3.0)
     assert ssim(x, x) == pytest.approx(1.0)
@@ -137,6 +144,12 @@ def test_estimate_noise_rejects_complex_or_1d():
         estimate_noise(np.zeros((4, 4), dtype=complex))
     with pytest.raises(ConfigError):
         estimate_noise(np.zeros(16))
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (1, 1)])
+def test_estimate_noise_rejects_images_below_2x2(shape):
+    with pytest.raises(ConfigError, match="too small"):
+        estimate_noise(np.zeros(shape))
 
 
 def test_estimate_noise_odd_dimensions_cropped():

@@ -302,6 +302,16 @@ def test_coil_maps_rejects_unstacked():
         sense_operator(make_coil_maps(1, (8, 8), 0)[0], np.ones((8, 8)))
 
 
+def test_coil_maps_need_at_least_one_coil():
+    with pytest.raises(ConfigError, match="at least one coil"):
+        make_coil_maps(0, (8, 8))
+
+
+def test_sense_plan_rejects_a_mask_off_the_map_shape():
+    with pytest.raises(ConfigError, match="mask shape"):
+        sense_plan(make_coil_maps(2, (8, 8), 0), np.ones((8, 4)))
+
+
 def test_operator_data_is_checked_once_at_construction():
     maps = make_coil_maps(2, (8, 8), 0)
     mask = np.ones((8, 8))

@@ -10,8 +10,9 @@ from dds.diffusion import (
     VeSchedule,
     VpSchedule,
 )
-from dds.errors import ConfigError
+from dds.errors import ConfigError, NumericalError
 from dds.experiments import Problem, run_reconstruction
+from dds.krylov import CgReport
 from dds.operators import (
     MaskSpec,
     identity_map,
@@ -67,6 +68,13 @@ def test_config_rejects_negative_rejection_tau(tau):
     with pytest.raises(ConfigError, match="rejection_tau must be >= 0"):
         SamplerConfig(rejection_tau=tau)
     assert SamplerConfig(rejection_tau=0.0).rejection_tau == 0.0
+
+
+def test_reconstruct_rejects_a_schedule_of_another_length():
+    _, den, _, a, y = sense_problem(13, shape=(8, 8), coils=1, acc=1.0, dim=2)
+    cfg = SamplerConfig(nfe=6, seed=0)
+    with pytest.raises(ConfigError, match="schedule length"):
+        dds_reconstruct(a, y, den, cfg, schedule=VpSchedule.default(5))
 
 
 def test_default_config_builds_vp_schedule():
@@ -180,6 +188,16 @@ def test_pseudo_inverse_multicoil_matches_dense_pinv():
     want = (np.linalg.pinv(dense) @ r.ravel()).reshape(8, 8)
     got, _ = pseudo_inverse_apply(a, r)
     assert norm(got - want) <= 1e-6 * norm(want)
+
+
+def test_pseudo_inverse_raises_when_the_capped_solve_does_not_converge(monkeypatch):
+    # the capped solve ends above 1e-2 of its first gradient: no pinv to return
+    a = matrix_operator(RngStream(11).randn((4, 3)))
+    r = RngStream(12).randn((4,))
+    monkeypatch.setattr(samplers, "cg", lambda a, r, *args: (
+        np.zeros(3), CgReport(samplers._PINV_MAXITER, [1.0, 0.02], r)))
+    with pytest.raises(NumericalError, match="did not converge"):
+        pseudo_inverse_apply(a, r)
 
 
 def test_gradient_step_consistent_point_unchanged():
@@ -308,7 +326,9 @@ def test_eta_zero_deterministic_without_rng():
     cfg = SamplerConfig(nfe=6, eta=0.0, cg_steps=3, dc="dds-cg", seed=1)
     rng = RngStream(1)
     res = dds_reconstruct(a, y, den, cfg, rng=rng)
-    assert rng.draws == 2 * 16 * 16  # only the complex init draw
+    fresh = RngStream(1)
+    fresh.randn((16, 16), dtype=COMPLEX)  # only the complex init draw
+    assert np.array_equal(rng.randn((3,)), fresh.randn((3,)))
 
 
 def test_trace_has_one_record_per_step():
@@ -688,6 +708,31 @@ def test_divergence_raises_with_trace_attached():
     assert not math.isfinite(records[-1].residual)
     assert all(math.isfinite(r.residual) for r in records[:-1])
     assert f"at t = {records[-1].t}" in str(exc.value)
+
+
+def test_non_finite_output_off_every_ray_fails_the_run():
+    # one detector bin leaves pixels no ray hits: an inf written there at
+    # k_stop never reaches the residual, so the final check must catch it
+    from dds.errors import SamplerDivergedError
+    from dds.operators import RadonGeometry, radon_operator
+    a = radon_operator(RadonGeometry.uniform(8, 4, detector_bins=1))
+    unhit = np.ones(64, dtype=bool)
+    unhit[a.matrix.cols] = False
+    assert unhit.any()
+
+    class InfOffTheRays:
+        def denoise(self, x, t, sched):
+            out = np.array(x, copy=True)
+            if t == 1:
+                out.reshape(-1)[unhit] = np.inf
+            return out
+
+    y = a.apply(RngStream(14).randn((8, 8)))
+    cfg = SamplerConfig(nfe=4, eta=0.0, cg_steps=2, dc="dds-cg", seed=0)
+    with pytest.raises(SamplerDivergedError, match="non-finite output") as exc:
+        dds_reconstruct(a, y, InfOffTheRays(), cfg, rng=RngStream(0))
+    assert len(exc.value.trace) == cfg.nfe
+    assert all(math.isfinite(r.residual) for r in exc.value.trace)
 
 
 @pytest.mark.parametrize("dc", ["dds-cg", "dds-proximal-cg", "ddnm", "projection",

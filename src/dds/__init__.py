@@ -9,7 +9,7 @@ trace records are imported from their own modules.
 """
 
 from .admm import TvConfig, dds_3d_reconstruct
-from .diffusion import AffineSubspacePrior, GmmPrior, VeSchedule, VpSchedule
+from .diffusion import AffineSubspacePrior, GmmPrior, Schedule
 from .dtf import read_dtf, write_dtf
 from .errors import ConfigError, NumericalError, SamplerDivergedError
 from .operators import (LinearMap, MaskSpec, RadonGeometry, make_coil_maps, make_mask,

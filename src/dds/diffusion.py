@@ -1,23 +1,23 @@
 """Noise schedules, Tweedie denoising, analytic priors, and the DDIM step.
 
-Schedules are 1-indexed: index t covers timesteps 1..N with t = N the
-noisiest, and the index-0 slot holds the collapse sentinel (abar_0 = 1,
-sigma_0 = 0) so the final step folds cleanly into plain Tweedie denoising.
-
-Both schedules state their marginal as x_t = scale(t) x0 + sqrt(var(t)) eps
-(VP: sqrt(abar_t) and 1 - abar_t; VE: 1 and sigma_t^2), and every
-parametrization formula below is written once against those two numbers.
-The DDIM step needs one more: ddim_std(t), the schedule's eta = 1 noise std.
+One Schedule serves VP and VE. It states the marginal as
+x_t = scale(t) x0 + sqrt(var(t)) eps (VP: sqrt(abar_t) and 1 - abar_t; VE: 1
+and sigma_t^2), and every parametrization formula below is written once
+against those two numbers. The DDIM step needs one more: ddim_std(t), the
+schedule's eta = 1 noise std. The loop reads two more: the std of its start
+noise and the step it stops at. Schedules are 1-indexed: index t covers
+timesteps 1..N with t = N the noisiest, and the index-0 slot holds the
+collapse sentinel (scale 1, var 0).
 
 The functions below trust their arguments: the schedule and prior
-constructors check their own data, SamplerConfig keeps eta in [0, 1], and
-the sampling loop passes only timesteps in [1, N].
+constructors check their own data, NaN included, SamplerConfig keeps eta in
+[0, 1], and the sampling loop passes only timesteps in [1, N].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,9 @@ def smooth_random_field(rng: RngStream, shape, length: float, dtype=REAL) -> np.
     if not (len(shape) == 2 and all(is_pow2(s) for s in shape)):
         raise ConfigError(f"smooth > 0 needs a 2-D shape with power-of-two sides, "
                           f"got {tuple(shape)}")
+    with np.errstate(over="ignore"):  # past this, the filter overflows or turns NaN
+        if not 2.0 * np.float64(math.pi * length) ** 2 < math.inf:
+            raise ConfigError(f"smooth = {length} is too large for the low-pass filter")
     w = rng.randn(shape, dtype=dtype)
     fy = np.fft.fftfreq(shape[0])[:, None]
     fx = np.fft.fftfreq(shape[1])[None, :]
@@ -47,116 +50,113 @@ def smooth_random_field(rng: RngStream, shape, length: float, dtype=REAL) -> np.
     return out
 
 
-# the linear-beta training schedule that VpSchedule.default subsamples
+# the linear-beta training schedule that Schedule.vp subsamples
 _TRAIN_STEPS = 1000
 _BETA_START = 1e-4
 _BETA_END = 0.02
 
 
 @dataclass(frozen=True)
-class VpSchedule:
-    """Variance-preserving discretization: beta_t, and abar_t, btilde_t derived from it.
+class Schedule:
+    """A VP or VE grid as its marginal x_t = scale(t) x0 + sqrt(var(t)) eps.
 
-    abar_t is the product of 1 - beta_s over s <= t, and btilde_t the eta = 1
-    stochastic std sqrt((1 - abar_{t-1})/(1 - abar_t)) * sqrt(1 - abar_t/abar_{t-1}),
-    i.e. the ancestral-sampling noise scale of the matching DDPM.
+    Per step t = 0..N it holds scale(t), var(t) and ddim_std(t), the eta = 1
+    noise std of the DDIM step; ``start`` is the std of the first iterate
+    x_N and ``stop`` the step whose Tweedie estimate the run returns. The VP
+    and VE constructors check their parameters, __post_init__ what the loop
+    trusts of any schedule.
     """
 
-    betas: np.ndarray                       # (N+1,), betas[0] = 0 sentinel
-    abars: np.ndarray = field(init=False)   # abars[0] = 1
-    btildes: np.ndarray = field(init=False)  # btildes[0] = btildes[1] = 0
+    scales: np.ndarray     # (N+1,)
+    variances: np.ndarray  # (N+1,)
+    ddim_stds: np.ndarray  # (N+1,)
+    start: float = 1.0
+    stop: int = 1
 
     def __post_init__(self):
-        b = self.betas[1:]
-        if np.any(b <= 0) or np.any(b >= 1):
-            raise ConfigError("beta_t must lie strictly inside (0, 1)")
-        if np.any(np.diff(b) <= 0):
-            raise ConfigError("beta_t must be strictly increasing")
-        ab = np.cumprod(1.0 - self.betas)
-        bt = np.zeros_like(self.betas)
-        bt[2:] = np.sqrt((1 - ab[1:-1]) / (1 - ab[2:])) * np.sqrt(1 - ab[2:] / ab[1:-1])
-        object.__setattr__(self, "abars", ab)  # the dataclass is frozen
-        object.__setattr__(self, "btildes", bt)
-        if np.any(np.diff(ab) >= 0) or np.any(ab[1:] <= 0) or np.any(ab[1:] >= 1):
-            raise ConfigError("abar_t must be strictly decreasing within (0, 1)")
+        s, v, d = self.scales, self.variances, self.ddim_stds
+        # NaN fails every comparison
+        if not (len(s) == len(d) == len(v) > 2 and v[0] == 0 and np.all(np.diff(v) > 0)
+                and v[-1] < math.inf):
+            raise ConfigError("need N >= 2 and finite var(t) strictly increasing from var(0) = 0")
+        if not np.all((s > 0) & (s <= 1)):
+            raise ConfigError("scale(t) must lie in (0, 1]")
         # eta = 1 is the extreme stochastic case; radicand must stay >= 0
-        rad = 1.0 - ab[:-1] - bt[1:] ** 2
-        if np.any(rad < -1e-12):
-            raise ConfigError("schedule violates 1 - abar_{t-1} - btilde_t^2 >= 0")
+        if not (np.all(d >= 0) and np.all(v[:-1] - d[1:] ** 2 >= -1e-12)):
+            raise ConfigError("need ddim_std(t) >= 0 and var(t-1) - ddim_std(t)^2 >= 0")
+        if not (0 < self.start < math.inf and 1 <= self.stop < self.n_steps):
+            raise ConfigError(f"need a finite start > 0 and 1 <= stop < N, got {self.start}, "
+                              f"{self.stop}")
 
     @property
     def n_steps(self) -> int:
-        return len(self.betas) - 1
+        return len(self.variances) - 1
 
     def scale(self, t: int) -> float:
-        return math.sqrt(self.abars[t])
+        return float(self.scales[t])
 
     def var(self, t: int) -> float:
-        return 1.0 - self.abars[t]
+        return float(self.variances[t])
 
     def ddim_std(self, t: int) -> float:
-        return self.btildes[t]
+        return float(self.ddim_stds[t])
 
     @classmethod
-    def from_betas(cls, betas) -> "VpSchedule":
-        return cls(betas=np.concatenate([[0.0], np.asarray(betas, dtype=REAL)]))
+    def from_betas(cls, betas) -> "Schedule":
+        """VP from beta_1..beta_N: scale sqrt(abar_t), var 1 - abar_t (abar_t the product
+        of 1 - beta_s, s <= t), and ddim_std the matching DDPM's ancestral noise std
+        sqrt((1 - abar_{t-1})/(1 - abar_t)) sqrt(1 - abar_t/abar_{t-1})."""
+        b = np.asarray(betas, dtype=REAL)
+        if not np.all((b > 0) & (b < 1)):  # NaN fails every comparison
+            raise ConfigError("beta_t must lie strictly inside (0, 1)")
+        if not np.all(np.diff(b) > 0):
+            raise ConfigError("beta_t must be strictly increasing")
+        ab = np.cumprod(1.0 - np.concatenate([[0.0], b]))
+        bt = np.zeros_like(ab)
+        bt[2:] = np.sqrt((1 - ab[1:-1]) / (1 - ab[2:])) * np.sqrt(1 - ab[2:] / ab[1:-1])
+        return cls(scales=np.sqrt(ab), variances=1.0 - ab, ddim_stds=bt)
 
     @classmethod
-    def default(cls, n_steps: int) -> "VpSchedule":
+    def vp(cls, n_steps: int) -> "Schedule":
         """Linear training betas subsampled to n_steps by even index striding."""
         if not (2 <= n_steps <= _TRAIN_STEPS):
             raise ConfigError(f"need 2 <= n_steps <= {_TRAIN_STEPS}")
-        b_tr = np.linspace(_BETA_START, _BETA_END, _TRAIN_STEPS)
-        abar_tr = np.cumprod(1.0 - b_tr)
-        idx = np.array([((k + 1) * _TRAIN_STEPS) // n_steps - 1 for k in range(n_steps)])
-        abar = abar_tr[idx]
-        prev = np.concatenate([[1.0], abar[:-1]])
-        betas = 1.0 - abar / prev
+        abar = np.cumprod(1.0 - np.linspace(_BETA_START, _BETA_END, _TRAIN_STEPS))[
+            [((k + 1) * _TRAIN_STEPS) // n_steps - 1 for k in range(n_steps)]]
+        betas = 1.0 - abar / np.concatenate([[1.0], abar[:-1]])
         try:
             return cls.from_betas(betas)
         except ConfigError as exc:
             raise ConfigError(f"no VP schedule for nfe = {n_steps}: {exc}") from exc
 
-
-@dataclass(frozen=True)
-class VeSchedule:
-    """Variance-exploding discretization with geometric sigma_t."""
-
-    sigmas: np.ndarray  # (N+1,), sigmas[0] = 0 sentinel
-
-    def __post_init__(self):
-        s = self.sigmas[1:]
-        top = float(s[-1])
+    @classmethod
+    def from_sigmas(cls, sigmas, stop: int = 1) -> "Schedule":
+        """VE from sigma_1..sigma_N: scale 1, var sigma_t^2, start sigma_N, and
+        ddim_std(t) = sigma_{t-1} (1 - sigma_{t-1}^2 / sigma_t^2)."""
+        sig = np.concatenate([[0.0], np.asarray(sigmas, dtype=REAL)])
+        top = float(sig[-1])
         # NaN fails every comparison, and a finite var(N) = top * top bounds every variance
-        if not (s[0] > 0 and np.all(np.diff(s) > 0) and top * top < math.inf):
+        if not (len(sig) > 1 and sig[1] > 0 and np.all(np.diff(sig[1:]) > 0)
+                and top * top < math.inf):
             raise ConfigError("sigma_t must be finite and strictly increasing with sigma_1 > 0, "
                               "and sigma_N^2 finite")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.sigmas) - 1
-
-    def scale(self, t: int) -> float:
-        return 1.0
-
-    def var(self, t: int) -> float:
-        return float(self.sigmas[t]) ** 2
-
-    def ddim_std(self, t: int) -> float:
-        s_prev = self.sigmas[t - 1]
-        return s_prev * (1.0 - (s_prev / self.sigmas[t]) ** 2)
+        # scalar powers step by step: an array square rounds differently from pow
+        var = [float(x) ** 2 for x in sig]
+        std = [0.0] + [sp * (1.0 - (sp / st) ** 2) for sp, st in zip(sig[:-1], sig[1:])]
+        return cls(scales=np.ones_like(sig), variances=np.array(var), ddim_stds=np.array(std),
+                   start=top, stop=stop)
 
     @classmethod
-    def geometric(cls, n_steps: int, sigma_min: float = 0.01,
-                  sigma_max: float = 10.0) -> "VeSchedule":
-        if n_steps < 2 or not 0 < sigma_min < sigma_max < math.inf:
-            raise ConfigError("need n_steps >= 2 and 0 < sigma_min < sigma_max < inf")
+    def ve(cls, n_steps: int, sigma_min: float = 0.01, sigma_max: float = 10.0,
+           truncation: float = 0.0) -> "Schedule":
+        """Geometric sigma_t from sigma_min to sigma_max; the run stops at step
+        max(1, int(n_steps * truncation))."""
+        if n_steps < 2 or not (0 < sigma_min < sigma_max < math.inf and 0 <= truncation < 1):
+            raise ConfigError("need n_steps >= 2, 0 < sigma_min < sigma_max < inf "
+                              "and 0 <= truncation < 1")
         return cls.from_sigmas(
-            sigma_min * (sigma_max / sigma_min) ** (np.arange(n_steps) / (n_steps - 1)))
-
-    @classmethod
-    def from_sigmas(cls, sigmas) -> "VeSchedule":
-        return cls(sigmas=np.concatenate([[0.0], np.asarray(sigmas, dtype=REAL)]))
+            sigma_min * (sigma_max / sigma_min) ** (np.arange(n_steps) / (n_steps - 1)),
+            stop=max(1, int(n_steps * truncation)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ class AffineSubspacePrior:
     def __post_init__(self):
         q = self.basis.reshape(self.basis.shape[0], -1)
         gram = q.conj() @ q.T
-        if np.max(np.abs(gram - np.eye(q.shape[0]))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(q.shape[0]))) <= 1e-10:  # NaN fails too
             raise ConfigError("affine prior basis is not orthonormal")
         if self.offset.shape != self.basis.shape[1:]:
             raise ConfigError("offset shape must match the atom shape")
@@ -262,10 +262,10 @@ class GmmPrior:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=REAL)
-        if abs(float(w.sum()) - 1.0) > 1e-12 or np.any(w < 0):
+        if not (abs(float(w.sum()) - 1.0) <= 1e-12 and np.all(w >= 0)):  # NaN fails
             raise ConfigError("mixture weights must be nonnegative and sum to 1")
-        if self.tau2 <= 0:
-            raise ConfigError("tau^2 must be positive")
+        if not 0 < self.tau2 < math.inf:
+            raise ConfigError("tau^2 must be positive and finite")
         if self.means.shape[0] != w.shape[0]:
             raise ConfigError("one mean per weight required")
 

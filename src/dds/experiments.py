@@ -21,7 +21,7 @@ from .admm import TvConfig, dds_3d_reconstruct
 from .diffusion import (
     AffineSubspacePrior,
     GmmPrior,
-    VeSchedule,
+    Schedule,
     smooth_random_field,
 )
 from .errors import ConfigError
@@ -192,8 +192,8 @@ def build_prior(cfg: ExperimentConfig, signal_shape):
     offs = _at_least(cfg, "prior", "offset_scale", 0.0)
     k = _at_least(cfg, "prior", "components", 3, int, low=1)
     tau = _at_least(cfg, "prior", "tau", 0.1)
-    if not tau * tau > 0:  # the mixture's variance
-        raise ConfigError(f"[prior] tau = {tau} must have tau^2 > 0")
+    if not 0 < tau * tau < math.inf:  # the mixture's variance
+        raise ConfigError(f"[prior] tau = {tau} must have tau^2 > 0 and finite")
     dtype = COMPLEX if use_complex else REAL
     if kind == "affine":
         return AffineSubspacePrior.random(signal_shape, dim, seed=seed, dtype=dtype,
@@ -484,7 +484,7 @@ def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
     base = RngStream(seed)
     geom = RadonGeometry.uniform(shape[-1], cfg.angles)
     a = radon_operator(geom)
-    sched = VeSchedule.geometric(10, sigma_max=1.0)
+    sched = Schedule.ve(10, sigma_max=1.0)
     t_mid = 5
     rows = []
     offsets = {s: [] for s in NOISE_OFFSET_STRATEGIES}

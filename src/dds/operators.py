@@ -402,7 +402,7 @@ class RadonGeometry:
         ang = np.asarray(self.angles, dtype=REAL)
         if ang.size == 0:
             raise ConfigError("RadonGeometry needs at least one angle")
-        if np.any(np.diff(ang) <= 0) or ang[0] < 0 or ang[-1] >= math.pi:
+        if not (np.all(np.diff(ang) > 0) and ang[0] >= 0 and ang[-1] < math.pi):  # NaN fails
             raise ConfigError("angles must be strictly increasing within [0, pi)")
         if self.side < 1 or self.detector_bins < 1 or not self.step > 0:
             raise ConfigError("RadonGeometry needs side >= 1, detector_bins >= 1, step > 0")

@@ -1,10 +1,11 @@
 """The reconstruction loop: CG-decomposed DDIM sampling plus baseline DC steps.
 
 One loop serves images and, via admm.dds_3d_reconstruct, volumes, and one
-DDIM step serves VP and VE; make_dc builds its data-consistency step once
-per run, so strategy ablations are a config sweep. Baselines cover
-pseudo-inverse replacement (on the denoised estimate or the noisy iterate),
-one-step gradient descent on the residual, and the projected-gradient step
+DDIM step serves VP and VE: the loop reads its start noise and stop step
+from the Schedule. make_dc builds the data-consistency step once per run,
+so strategy ablations are a config sweep. Baselines cover pseudo-inverse
+replacement (on the denoised estimate or the noisy iterate), one-step
+gradient descent on the residual, and the projected-gradient step
 available when the denoiser Jacobian is an analytic projector.
 """
 
@@ -17,8 +18,7 @@ import numpy as np
 
 from .diffusion import (
     AffineSubspacePrior,
-    VeSchedule,
-    VpSchedule,
+    Schedule,
     # bench/tracing.py times the DDIM step through both of these attributes,
     # so the one step keeps both names; the loop calls it as vp_ddim_step
     ddim_step as ve_ddim_step,
@@ -207,10 +207,11 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
 # ---------------------------------------------------------------------------
 # Main reconstruction loop
 
-def make_schedule(cfg: SamplerConfig):
+def make_schedule(cfg: SamplerConfig) -> Schedule:
+    """The schedule of cfg.mode: VP, or VE up to ve_sigma_max stopping at ve_truncation."""
     if cfg.mode == "vp":
-        return VpSchedule.default(cfg.nfe)
-    return VeSchedule.geometric(cfg.nfe, sigma_max=cfg.ve_sigma_max)
+        return Schedule.vp(cfg.nfe)
+    return Schedule.ve(cfg.nfe, sigma_max=cfg.ve_sigma_max, truncation=cfg.ve_truncation)
 
 
 def _trace_noise(x: np.ndarray) -> float:
@@ -227,11 +228,12 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
 
     Per step: Tweedie denoise, data consistency ``dc(x, xhat, t)`` (by
     default ``make_dc`` for cfg.dc), then ``ddim_step`` on the DC output and
-    the pre-DC eps_hat, for VP and VE alike. The last step applies Tweedie
-    only. VE starts from sigma_N-scaled noise and, with truncation, stops at
-    t <= nfe * ve_truncation. The residual ||y - A x'|| that the trace
-    records comes from the DC step's CgReport when it returns one, and from
-    a forward apply otherwise. It is the run's finiteness check: a step
+    the pre-DC eps_hat, for VP and VE alike. The schedule (``make_schedule``
+    of cfg unless one is injected) sets the std of the start noise and the
+    step whose Tweedie estimate the run returns: an injected schedule's
+    stop applies, not cfg.ve_truncation. The residual ||y - A x'|| that the
+    trace records comes from the DC step's CgReport when it returns one, and
+    from a forward apply otherwise. It is the run's finiteness check: a step
     where it is not finite ends the run with SamplerDivergedError, its trace
     included.
     """
@@ -240,7 +242,6 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     if sched.n_steps != cfg.nfe:
         raise ConfigError("schedule length disagrees with cfg.nfe")
     eta = cfg.resolved_eta()
-    vp = isinstance(sched, VpSchedule)
 
     shape, dtype = a.domain_shape, a.domain_dtype
     # an affine prior is the run's prior too; other denoisers (slice-wise, GMM) have none
@@ -249,11 +250,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         dc = make_dc(cfg, a, y, sched, prior)
     project_noisy = cfg.dc == "projection"
 
-    x = rng.randn(shape, dtype=dtype)
-    if not vp:
-        x = sched.sigmas[sched.n_steps] * x
-
-    k_stop = 1 if vp else max(1, int(cfg.nfe * cfg.ve_truncation))
+    x = sched.start * rng.randn(shape, dtype=dtype)
     trace = SamplerTrace()
 
     def record(t, x, xp, xhat, report=None) -> None:
@@ -270,7 +267,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
             raise NumericalError(f"residual {rec.residual} at t = {t}")
 
     try:
-        for t in range(sched.n_steps, k_stop, -1):
+        for t in range(sched.n_steps, sched.stop, -1):
             xhat = denoiser.denoise(x, t, sched)
             eps_hat = eps_from_denoised(x, xhat, t, sched)
             xp, report = dc(x, xhat, t)
@@ -279,8 +276,8 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
             if project_noisy:
                 x = ddnm_step(x, a, y)[0]
 
-        x0 = denoiser.denoise(x, k_stop, sched)
-        record(k_stop, x, x0, x0)
+        x0 = denoiser.denoise(x, sched.stop, sched)
+        record(sched.stop, x, x0, x0)
     except NumericalError as exc:
         raise SamplerDivergedError(f"sampler diverged: {exc}", trace=trace) from exc
     if not np.all(np.isfinite(x0)):  # pixels no ray hits never reach the residual

@@ -4,8 +4,8 @@ No run path calls these; they are the ground truth of the test suite:
 plain CG on a self-adjoint PSD operator (which CGLS must reproduce), Krylov
 bases and subspace distances (the paper's claim that CG warm-started at the
 Tweedie estimate stays in the Krylov tangent space), the Richardson residual
-recursion, the epsilon/score/Tweedie conversions, the ADMM-TV objective and
-the randomized adjoint dot-test.
+recursion, the default VP and VE grids, the epsilon/score/Tweedie
+conversions, the ADMM-TV objective and the randomized adjoint dot-test.
 """
 
 from __future__ import annotations
@@ -157,7 +157,27 @@ def jacobi_residual_sequence(a: LinearMap, y: np.ndarray, x0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Tweedie and parameterization conversions
+# Schedule grids, Tweedie and parameterization conversions
+
+def vp_betas(n: int) -> np.ndarray:
+    """beta_0..beta_N of the default VP grid, beta_0 = 0: the 1000-step linear
+    betas 1e-4..0.02, their abar read at indices ((k+1) 1000)//n - 1, and
+    beta_t = 1 - abar_t / abar_{t-1} of the abar read."""
+    train = np.cumprod(1.0 - np.linspace(1e-4, 0.02, 1000))
+    abar = train[[((k + 1) * 1000) // n - 1 for k in range(n)]]
+    return np.concatenate([[0.0], 1.0 - abar / np.concatenate([[1.0], abar[:-1]])])
+
+
+def vp_abars(n: int) -> np.ndarray:
+    """abar_0..abar_N of the default VP grid: the products of 1 - beta_s, s <= t."""
+    return np.cumprod(1.0 - vp_betas(n))
+
+
+def ve_sigmas(n: int, sigma_min: float = 0.01, sigma_max: float = 10.0) -> np.ndarray:
+    """sigma_0..sigma_N of the geometric VE grid, sigma_0 = 0."""
+    return np.concatenate([[0.0], sigma_min * (sigma_max / sigma_min)
+                           ** (np.arange(n) / (n - 1))])
+
 
 def _check_t(sched, t: int):
     if not (1 <= t <= sched.n_steps):

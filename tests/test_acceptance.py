@@ -22,8 +22,7 @@ from dds.admm import AdmmState, SliceDenoiser, TvConfig, admm_tv_dc, dds_3d_reco
 from dds.diffusion import (
     AffineSubspacePrior,
     GmmPrior,
-    VeSchedule,
-    VpSchedule,
+    Schedule,
     mcg_dps_gradient,
     smooth_random_field,
     ddim_step as vp_ddim_step,
@@ -44,7 +43,8 @@ from dds.operators import (
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
 
-from oracles import cg, dot_test, krylov_basis, subspace_distance, tv_objective
+from oracles import (cg, dot_test, krylov_basis, subspace_distance, tv_objective, ve_sigmas,
+                     vp_abars, vp_betas)
 from test_operators import adjoint_to_matrix, naive_radon_matrix, op_to_matrix
 
 
@@ -119,7 +119,7 @@ def test_acceptance_03_krylov_confinement():
 
 
 def test_acceptance_04_projector_denoiser_identities():
-    vp = VpSchedule.default(10)
+    vp, ab = Schedule.vp(10), vp_abars(10)
     worst_proj = 0.0
     worst_eq = 0.0
     for s in range(20):
@@ -131,11 +131,11 @@ def test_acceptance_04_projector_denoiser_identities():
         for t in (2, 4, 6, 8, 10):
             x_t = rng.randn((24,))
             xh = prior.denoise(x_t, t, vp)
-            want = prior.project_linear(x_t) / math.sqrt(vp.abars[t])
+            want = prior.project_linear(x_t) / math.sqrt(ab[t])
             worst_proj = max(worst_proj, norm(xh - want))
             gamma = 0.31
             lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
-            zeta = gamma / math.sqrt(vp.abars[t])
+            zeta = gamma / math.sqrt(ab[t])
             rhs = prior.project_linear(xh - zeta * a.adjoint(a.apply(xh) - y))
             worst_eq = max(worst_eq, norm(lhs - rhs) / max(norm(lhs), 1.0))
     ok = worst_proj <= 1e-12 and worst_eq <= 1e-10
@@ -146,15 +146,15 @@ def test_acceptance_04_projector_denoiser_identities():
 
 def test_acceptance_05_total_noise_and_ve_marginals():
     t0 = time.perf_counter()
-    vp = VpSchedule.default(12)
-    ve = VeSchedule.geometric(12, 0.05, 4.0)
+    vp, abars = Schedule.vp(12), vp_abars(12)
+    ve, sig = Schedule.ve(12, 0.05, 4.0), ve_sigmas(12, 0.05, 4.0)
     # coefficient identities, all timesteps and an eta grid
     coef = 0.0
     for t in range(2, 13):
         for eta in (0.0, 0.3, 0.7, 1.0):
-            rad = 1.0 - vp.abars[t - 1] - (eta * vp.btildes[t]) ** 2
-            coef = max(coef, abs(rad + (eta * vp.btildes[t]) ** 2 - (1 - vp.abars[t - 1])))
-            sp, st = ve.sigmas[t - 1], ve.sigmas[t]
+            rad = 1.0 - abars[t - 1] - (eta * vp.ddim_std(t)) ** 2
+            coef = max(coef, abs(rad + (eta * vp.ddim_std(t)) ** 2 - (1 - abars[t - 1])))
+            sp, st = sig[t - 1], sig[t]
             bt = 1 - (sp / st) ** 2
             lhs = (sp * math.sqrt(1 - bt ** 2 * eta ** 2)) ** 2 + (sp * eta * bt) ** 2
             coef = max(coef, abs(lhs - sp ** 2))
@@ -166,7 +166,7 @@ def test_acceptance_05_total_noise_and_ve_marginals():
     worst_mc = 0.0
     rng = RngStream(2)
     for t in (4, 8, 12):
-        ab = vp.abars[t]
+        ab = abars[t]
         eps0 = rng.randn((trials, d))
         noise = rng.randn((trials, d))
         x0 = mu[None, :]  # point-mass prior in the tau -> 0 limit
@@ -176,13 +176,13 @@ def test_acceptance_05_total_noise_and_ve_marginals():
         for i in range(20):  # vectorized denoiser must equal the module op
             assert norm(xhat[i] - prior.denoise(x_t[i], t, vp)) < 1e-10
         eps_hat = (x_t - math.sqrt(ab) * xhat) / math.sqrt(1 - ab)
-        bt = vp.btildes[t]
-        w = math.sqrt(1 - vp.abars[t - 1] - (eta * bt) ** 2) * eps_hat + eta * bt * noise
+        bt = vp.ddim_std(t)
+        w = math.sqrt(1 - abars[t - 1] - (eta * bt) ** 2) * eps_hat + eta * bt * noise
         trace = float(np.mean(np.sum(w ** 2, axis=1)))
-        target = d * (1 - vp.abars[t - 1])
+        target = d * (1 - abars[t - 1])
         worst_mc = max(worst_mc, abs(trace - target) / target)
     for t in (4, 8, 12):
-        st, sp = ve.sigmas[t], ve.sigmas[t - 1]
+        st, sp = sig[t], sig[t - 1]
         eps0 = rng.randn((trials, d))
         noise = rng.randn((trials, d))
         x_t = mu[None, :] + st * eps0
@@ -203,18 +203,18 @@ def test_acceptance_05_total_noise_and_ve_marginals():
 
 
 def test_acceptance_06_ddim_limits():
-    vp = VpSchedule.default(14)
+    vp, ab, betas = Schedule.vp(14), vp_abars(14), vp_betas(14)
     rng_data = RngStream(3)
     worst = 0.0
     for t in range(2, 15):
         xh = rng_data.randn((6,))
         eh = rng_data.randn((6,))
-        x_t = math.sqrt(vp.abars[t]) * xh + math.sqrt(1 - vp.abars[t]) * eh
+        x_t = math.sqrt(ab[t]) * xh + math.sqrt(1 - ab[t]) * eh
         out = vp_ddim_step(xh, eh, t, 1.0, RngStream(77), vp)
         drawn = RngStream(77).randn((6,))
-        deterministic = out - vp.btildes[t] * drawn
-        alpha = 1 - vp.betas[t]
-        ddpm = (x_t - (1 - alpha) / math.sqrt(1 - vp.abars[t]) * eh) / math.sqrt(alpha)
+        deterministic = out - vp.ddim_std(t) * drawn
+        alpha = 1 - betas[t]
+        ddpm = (x_t - (1 - alpha) / math.sqrt(1 - ab[t]) * eh) / math.sqrt(alpha)
         worst = max(worst, norm(deterministic - ddpm))
     # eta = 0 end-to-end bitwise determinism
     prior = AffineSubspacePrior.random((16, 16), 4, seed=4)

@@ -10,7 +10,7 @@ from dds.admm import (
     dds_3d_reconstruct,
     soft_threshold,
 )
-from dds.diffusion import AffineSubspacePrior, VpSchedule
+from dds.diffusion import AffineSubspacePrior, Schedule
 from dds.errors import ConfigError
 from dds.krylov import CgReport
 from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
@@ -247,7 +247,7 @@ def test_dc_step_returns_its_solves_report(monkeypatch, name):
     else:
         prior, _, _, a, y = sense_problem(93, shape=(16, 16), coils=2, acc=2.0, dim=4)
         y = y + 0.05 * RngStream(94).randn(y.shape, dtype=COMPLEX)
-        sched = VpSchedule.default(8)
+        sched = Schedule.vp(8)
         dc = make_dc(SamplerConfig(nfe=8, dc=name), a, y, sched, prior)
         x = RngStream(95).randn(a.domain_shape, dtype=COMPLEX)
         xhat = prior.denoise(x, t, sched)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from dds.dtf import write_dtf
+from dds.samplers import SamplerConfig, make_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("byte_oracle", ROOT / "tools" / "byte_oracle.py")
@@ -99,7 +100,7 @@ def test_grid_names_the_cli_paths_no_other_line_reaches():
     # that stops on its tolerance, the 2-D rejection runs, and the estimates
     # emit reads
     configs = dict(byte_oracle.grid(ROOT))
-    assert len(configs) == 110
+    assert len(configs) == 113
     for dc in ("ddnm", "projection"):
         for mask in ("uniform1d", "gaussian2d"):
             text = configs[f"mri2d-noisy/{dc}/vp/{mask}-1-coil"]
@@ -117,3 +118,15 @@ def test_grid_names_the_cli_paths_no_other_line_reaches():
     assert "rejection_tau = 10\nmax_retries = 3" in configs["mri2d/dds-cg/ve/rejection-accept"]
     assert all(name in configs for name, _ in byte_oracle.EMITS)
     assert "[sweep]\naxis = eta" in byte_oracle.SWEEP_SECTION
+
+
+def test_grid_stops_above_step_1_in_three_more_runs():
+    # the default ve_truncation of 1/50 stops VE at step 2 of nfe 100 and VP
+    # not at all; 0.4 stops ct3d's nfe 6 at step 2, below its ADMM switch at 3
+    configs = dict(byte_oracle.grid(ROOT))
+    for mode in ("vp", "ve"):
+        assert f"mode = {mode}\nnfe = 100\n" in configs[f"mri2d/dds-cg/{mode}/nfe-100"]
+    assert "mode = ve\nnfe = 6\nve_truncation = 0.4\n" in configs["ct3d/ve/truncation"]
+    runs = (dict(mode="vp", nfe=100), dict(mode="ve", nfe=100),
+            dict(mode="ve", nfe=6, ve_truncation=0.4))
+    assert [make_schedule(SamplerConfig(**kw)).stop for kw in runs] == [1, 2, 2]

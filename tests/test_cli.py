@@ -493,6 +493,12 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("kind = affine\ndim = 4", "kind = gmm\ndim = 0", "[prior] dim = 0 must be >= 1"),
     ("dim = 4", "dim = 4\ntau = 0", "[prior] tau = 0.0 must have tau^2 > 0"),
     ("kind = affine", "kind = gmm\ntau = 1e-200", "[prior] tau = 1e-200 must have tau^2 > 0"),
+    ("kind = affine", "kind = gmm\ntau = 1e200", "[prior] tau = 1e+200 must have tau^2 > 0 and"),
+    ("dim = 4", "dim = 4\ntau = 1e200", "[prior] tau = 1e+200 must have tau^2 > 0 and"),
+    ("dim = 4", "dim = 4\nsmooth = 3.5e153", "smooth = 3.5e+153 is too large"),
+    ("dim = 4", "dim = 4\nsmooth = 1e154", "smooth = 1e+154 is too large"),
+    ("kind = affine", "kind = gmm\ncomponents = 3\nsmooth = 3.5e153",
+     "smooth = 3.5e+153 is too large"),
     (CFG, CT_CFG.replace("complex = false", "complex = true"), "[prior] complex"),
     (CFG, CT_CFG.replace("shape = 3 8 8", "shape = 2 12 12")
      .replace("dim = 3", "dim = 3\nsmooth = 2"), "power-of-two sides, got (12, 12)"),
@@ -504,8 +510,9 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
         "nan-offset-scale", "noiseless-negative-noise-seed", "nan-tau-on-affine",
         "no-components-on-affine", "gmm-negative-dim", "gmm-zero-dim", "zero-tau-on-affine",
-        "gmm-tau-squared-underflow", "complex-prior-on-ct3d",
-        "smoothed-prior-on-non-pow2-ct3d"])
+        "gmm-tau-squared-underflow", "gmm-tau-squared-overflow", "tau-squared-overflow-on-affine",
+        "smooth-filter-nan", "smooth-filter-overflow", "gmm-smooth-filter-nan",
+        "complex-prior-on-ct3d", "smoothed-prior-on-non-pow2-ct3d"])
 def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # each used to end in a traceback and exit 1, or, from negative-noise-sigma
     # on, to run with exit 0 (a negative or NaN noise_sigma, smooth or
@@ -514,7 +521,10 @@ def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # the smoothed prior's sides are checked where its shape enters, not per FFT;
     # a key is checked also where its kind ignores it (noise_seed without
     # noise, tau and components on an affine prior, dim on a mixture), by the
-    # rule of the kind that reads it, which used to exit 0
+    # rule of the kind that reads it, which used to exit 0; tau = 1e200
+    # overflowed tau^2 past the check (exit 0 on an affine prior, 3 on a
+    # mixture), and smooth = 3.5e153 or 1e154 made the low-pass filter NaN
+    # (exit 3) or overflowed it in a traceback (exit 1)
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
@@ -647,12 +657,15 @@ def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     ("sigma_gt = nan", "[noise_offset] sigma_gt = nan must be finite and >= 0"),
     ("sigma_gt = inf", "[noise_offset] sigma_gt = inf must be finite and >= 0"),
     ("shape = 24 24", "power-of-two sides, got (24, 24)"),
+    ("smooth = 3.5e153", "smooth = 3.5e+153 is too large"),
+    ("smooth = 1e154", "smooth = 1e+154 is too large"),
 ], ids=["negative-smooth", "nan-smooth", "negative-sigma-gt", "nan-sigma-gt", "inf-sigma-gt",
-        "non-pow2-shape"])
+        "non-pow2-shape", "smooth-filter-nan", "smooth-filter-overflow"])
 def test_bad_noise_offset_value_exits_2(tmp_path, value, named):
     # smooth = -1 or nan ran white-noise phantoms with exit 0, and
     # sigma_gt = nan exited 3 in the first CG solve; the smoothed phantom's
-    # shape is checked where it enters, not by the FFT
+    # shape is checked where it enters, not by the FFT; smooth = 3.5e153 or
+    # 1e154 made the low-pass filter NaN or overflowed it
     cfgp = tmp_path / "no.ini"
     cfgp.write_text(f"[noise_offset]\ntrials = 1\n{value}\n")
     out = tmp_path / "no.csv"

@@ -6,8 +6,7 @@ import pytest
 from dds.diffusion import (
     AffineSubspacePrior,
     GmmPrior,
-    VeSchedule,
-    VpSchedule,
+    Schedule,
     ddim_step,
     eps_from_denoised,
     mcg_dps_gradient,
@@ -16,82 +15,87 @@ from dds.diffusion import (
 from dds.errors import ConfigError
 from dds.operators import matrix_operator
 from dds.tensor import COMPLEX, REAL, RngStream, norm
-from oracles import eps_from_score, score_from_denoised, score_from_eps, vp_tweedie
+from oracles import (eps_from_score, score_from_denoised, score_from_eps, ve_sigmas, vp_abars,
+                     vp_betas, vp_tweedie)
 
 
 # ---------------------------------------------------------------------------
 # schedules
 
 def test_vp_schedule_invariants():
-    s = VpSchedule.default(20)
-    b = s.betas[1:]
+    s = Schedule.vp(20)
+    b = vp_betas(20)[1:]
     assert np.all((b > 0) & (b < 1)) and np.all(np.diff(b) > 0)
-    ab = s.abars
+    ab = vp_abars(20)
     assert ab[0] == 1.0
     assert np.all(np.diff(ab) < 0) and np.all((ab[1:] > 0) & (ab[1:] < 1))
+    assert all(s.scale(t) == math.sqrt(ab[t]) and s.var(t) == 1.0 - ab[t] for t in range(21))
     # eta=1 radicand stays nonnegative for every t >= 2
-    rad = 1.0 - ab[1:-1] - s.btildes[2:] ** 2
+    rad = np.array([s.var(t - 1) - s.ddim_std(t) ** 2 for t in range(2, 21)])
     assert np.all(rad >= -1e-12)
-    assert s.btildes[1] == 0.0
+    assert s.ddim_std(1) == 0.0
+    assert s.start == 1.0 and s.stop == 1
 
 
 def test_vp_schedule_rejects_decreasing_betas():
     with pytest.raises(ConfigError):
-        VpSchedule.from_betas([0.2, 0.1])
+        Schedule.from_betas([0.2, 0.1])
 
 
 def test_vp_schedule_checks_beta_before_deriving_from_it():
     # a negative beta_t used to reach math.sqrt of a negative number first
     with pytest.raises(ConfigError, match="strictly inside"):
-        VpSchedule.from_betas([-0.1, 0.2])
+        Schedule.from_betas([-0.1, 0.2])
 
 
 def test_vp_schedule_derives_abar_and_btilde_from_beta():
-    # beta_t is the only constructor field: abar_t = prod_{s <= t} (1 - beta_s)
-    # and the DDPM posterior std btilde_t = sqrt((1 - abar_{t-1}) / (1 - abar_t) beta_t)
+    # abar_t = prod_{s <= t} (1 - beta_s) gives scale sqrt(abar_t) and var
+    # 1 - abar_t, and ddim_std is the DDPM posterior std
+    # btilde_t = sqrt((1 - abar_{t-1}) / (1 - abar_t) beta_t)
     betas = [0.1, 0.2, 0.3]
-    s = VpSchedule.from_betas(betas)
-    with pytest.raises(TypeError):  # not even arrays that agree with beta_t
-        VpSchedule(betas=s.betas, abars=s.abars, btildes=s.btildes)
-    assert s.betas.tolist() == [0.0, *betas]
-    assert s.abars[0] == 1.0 and s.btildes[0] == 0.0
+    s = Schedule.from_betas(betas)
+    assert s.n_steps == 3 and s.start == 1.0 and s.stop == 1
+    assert s.scale(0) == 1.0 and s.var(0) == 0.0 and s.ddim_std(0) == 0.0
     abar = 1.0
     for t, beta in enumerate(betas, start=1):
         prev, abar = abar, abar * (1.0 - beta)
-        assert s.abars[t] == pytest.approx(abar, rel=1e-15)
-        assert s.btildes[t] == pytest.approx(math.sqrt((1 - prev) / (1 - abar) * beta),
-                                             rel=1e-14, abs=0.0)
+        assert s.scale(t) == pytest.approx(math.sqrt(abar), rel=1e-15)
+        assert s.var(t) == pytest.approx(1.0 - abar, rel=1e-15)
+        assert s.ddim_std(t) == pytest.approx(math.sqrt((1 - prev) / (1 - abar) * beta),
+                                              rel=1e-14, abs=0.0)
 
 
 def test_ve_schedule_geometric():
-    s = VeSchedule.geometric(10, 0.01, 10.0)
-    assert s.sigmas[1] == pytest.approx(0.01)
-    assert s.sigmas[10] == pytest.approx(10.0)
-    assert np.all(np.diff(s.sigmas[1:]) > 0)
+    s = Schedule.ve(10, 0.01, 10.0)
+    assert math.sqrt(s.var(1)) == pytest.approx(0.01)
+    assert math.sqrt(s.var(10)) == pytest.approx(10.0)
+    assert np.all(np.diff([s.var(t) for t in range(1, 11)]) > 0)
+    assert all(s.scale(t) == 1.0 for t in range(11))
+    assert s.start == pytest.approx(10.0) and s.stop == 1
 
 
 def test_ve_schedule_rejects_bad_range():
     with pytest.raises(ConfigError):
-        VeSchedule.geometric(10, 0.5, 0.1)
+        Schedule.ve(10, 0.5, 0.1)
     # NaN fails every comparison, and inf passes sigma_max > sigma_min
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
-            VeSchedule.geometric(10, 0.01, bad)
+            Schedule.ve(10, 0.01, bad)
         with pytest.raises(ConfigError):
-            VeSchedule.geometric(10, bad, 10.0)
+            Schedule.ve(10, bad, 10.0)
         for sigmas in ([0.1, bad], [bad, 1.0], [0.1, bad, 1.0]):
             with pytest.raises(ConfigError):
-                VeSchedule.from_sigmas(sigmas)
+                Schedule.from_sigmas(sigmas)
 
 
 def test_ve_schedule_needs_a_finite_top_variance():
     # var(t) = sigma_t^2 used to overflow in an uncaught OverflowError
     for top in (1e160, 1e200):
         with pytest.raises(ConfigError, match="sigma_N\\^2 finite"):
-            VeSchedule.geometric(10, 0.01, top)
+            Schedule.ve(10, 0.01, top)
         with pytest.raises(ConfigError, match="sigma_N\\^2 finite"):
-            VeSchedule.from_sigmas([0.1, top])
-    sched = VeSchedule.geometric(10, 0.01, 1e150)
+            Schedule.from_sigmas([0.1, top])
+    sched = Schedule.ve(10, 0.01, 1e150)
     assert math.isfinite(sched.var(sched.n_steps))
 
 
@@ -101,55 +105,97 @@ def test_ddim_radicand_is_nonnegative_on_every_schedule_that_builds():
     scheds = []
     for n in range(2, 1001):
         try:
-            scheds.append(VpSchedule.default(n))
+            scheds.append(Schedule.vp(n))
         except ConfigError:
             continue
     assert scheds
-    scheds += [VeSchedule.geometric(n, sigma_max=s) for n in (2, 3, 10, 50, 200, 1000)
+    scheds += [Schedule.ve(n, sigma_max=s) for n in (2, 3, 10, 50, 200, 1000)
                for s in (0.011, 0.1, 1.0, 10.0, 100.0, 1e4, 1e8)]
     for sched in scheds:
         for t in range(2, sched.n_steps + 1):
             var, std = sched.var(t - 1), sched.ddim_std(t)
             for eta in (0.0, 0.5, 1.0):
-                assert var - (eta * std) ** 2 >= -1e-12, (type(sched).__name__, t, eta)
+                assert var - (eta * std) ** 2 >= -1e-12, (sched.start, t, eta)
+
+
+def test_a_directly_built_schedule_is_checked():
+    # __post_init__ checks what the loop trusts of any schedule, NaN included
+    ok = dict(scales=np.ones(4), variances=np.array([0.0, 1.0, 2.0, 3.0]),
+              ddim_stds=np.zeros(4), start=2.0, stop=1)
+    assert Schedule(**ok).n_steps == 3
+    nan, inf = math.nan, math.inf
+    for key, bad in (("variances", np.array([0.0, 1.0, nan, 3.0])),
+                     ("variances", np.array([0.0, 2.0, 1.0, 3.0])),
+                     ("variances", np.array([0.5, 1.0, 2.0, 3.0])),
+                     ("variances", np.array([0.0, 1.0, 2.0, inf])),
+                     ("scales", np.array([1.0, 1.0, nan, 1.0])),
+                     ("scales", np.array([1.0, 1.0, 0.0, 1.0])),
+                     ("scales", np.array([1.0, 1.0, 1.5, 1.0])),
+                     ("scales", np.ones(3)),
+                     ("ddim_stds", np.array([0.0, 0.0, 1.5, 0.0])),  # var(1) < 1.5^2
+                     ("ddim_stds", np.array([0.0, 0.0, nan, 0.0])),
+                     ("ddim_stds", np.array([0.0, 0.0, -0.5, 0.0])),
+                     ("start", nan), ("start", 0.0), ("start", inf),
+                     ("stop", 0), ("stop", 3)):
+        with pytest.raises(ConfigError):
+            Schedule(**{**ok, key: bad})
+
+
+@pytest.mark.parametrize("betas", [[math.nan] * 3, [0.1, math.nan, 0.3]],
+                         ids=["all-nan", "nan-between"])
+def test_vp_schedule_rejects_nan_betas(betas):
+    # NaN failed every comparison of the beta check, so [nan] * 3 built
+    # abar = [1, nan, nan, nan]
+    with pytest.raises(ConfigError, match="beta_t"):
+        Schedule.from_betas(betas)
+
+
+def test_ve_stop_is_the_truncation_floor():
+    cases = ((10, 0.0, 1), (10, 0.3, 3), (100, 1 / 50, 2), (6, 0.4, 2), (2, 0.9, 1))
+    assert [Schedule.ve(n, truncation=tr).stop for n, tr, _ in cases] == [k for *_, k in cases]
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ConfigError, match="truncation"):
+            Schedule.ve(10, truncation=bad)
+    assert Schedule.from_sigmas([0.1, 0.2, 0.4], stop=2).stop == 2
 
 
 # ---------------------------------------------------------------------------
 # Tweedie and conversions
 
 def test_tweedie_zero_eps():
-    s = VpSchedule.default(10)
+    s = Schedule.vp(10)
     x = RngStream(0).randn((4,))
     out = vp_tweedie(x, 5, np.zeros(4), s)
-    assert norm(out - x / math.sqrt(s.abars[5])) < 1e-14
+    assert norm(out - x / math.sqrt(vp_abars(10)[5])) < 1e-14
 
 
 def test_tweedie_inverts_forward_pair():
-    s = VpSchedule.default(10)
+    s = Schedule.vp(10)
+    ab = vp_abars(10)
     rng = RngStream(1)
     x0 = rng.randn((8,))
     eps = rng.randn((8,))
     t = 7
-    xt = math.sqrt(s.abars[t]) * x0 + math.sqrt(1 - s.abars[t]) * eps
+    xt = math.sqrt(ab[t]) * x0 + math.sqrt(1 - ab[t]) * eps
     assert norm(vp_tweedie(xt, t, eps, s) - x0) < 1e-12
 
 
 def test_tweedie_degenerate_abar_one():
     # abar ~ 1 at tiny t of a long schedule collapses toward identity
-    s = VpSchedule.from_betas([1e-12, 2e-12])
+    s = Schedule.from_betas([1e-12, 2e-12])
     x = RngStream(2).randn((4,))
     assert norm(vp_tweedie(x, 1, np.zeros(4), s) - x) < 1e-9
 
 
 def test_tweedie_rejects_out_of_range_t():
-    s = VpSchedule.default(10)
+    s = Schedule.vp(10)
     with pytest.raises(ConfigError):
         vp_tweedie(np.zeros(2), 11, np.zeros(2), s)
 
 
 def test_score_eps_conversions_roundtrip():
-    vp = VpSchedule.default(12)
-    ve = VeSchedule.geometric(12)
+    vp = Schedule.vp(12)
+    ve = Schedule.ve(12)
     v = RngStream(3).randn((6,))
     for sched, t in ((vp, 4), (ve, 9)):
         s_hat = score_from_eps(v, t, sched)
@@ -159,43 +205,43 @@ def test_score_eps_conversions_roundtrip():
 
 
 def test_ve_score_eps_denoised_consistency():
-    ve = VeSchedule.geometric(12)
+    ve = Schedule.ve(12)
+    sig = ve_sigmas(12)
     rng = RngStream(4)
     x_t = rng.randn((6,))
     xhat = rng.randn((6,))
     t = 5
     s_hat = score_from_denoised(x_t, xhat, t, ve)
     e_hat = eps_from_denoised(x_t, xhat, t, ve)
-    assert norm(s_hat - (xhat - x_t) / ve.sigmas[t] ** 2) < 1e-14
-    assert norm(e_hat - (x_t - xhat) / ve.sigmas[t]) < 1e-14
-    assert norm(e_hat + ve.sigmas[t] * s_hat) < 1e-14
+    assert norm(s_hat - (xhat - x_t) / sig[t] ** 2) < 1e-14
+    assert norm(e_hat - (x_t - xhat) / sig[t]) < 1e-14
+    assert norm(e_hat + sig[t] * s_hat) < 1e-14
 
 
-@pytest.mark.parametrize("sched", [VpSchedule.default(20), VeSchedule.geometric(12)],
-                         ids=["vp", "ve"])
-def test_conversions_invert_the_schedule_marginal(sched):
+@pytest.mark.parametrize("sched, sigmas", [(Schedule.vp(20), None),
+                                           (Schedule.ve(12), ve_sigmas(12))], ids=["vp", "ve"])
+def test_conversions_invert_the_schedule_marginal(sched, sigmas):
     # x_t = scale(t) x0 + sqrt(var(t)) eps is all the conversions know of a schedule
     rng = RngStream(21)
     x0, eps = rng.randn((6,), dtype=COMPLEX), rng.randn((6,), dtype=COMPLEX)
     prior = AffineSubspacePrior.random((6,), 2, seed=22, offset_scale=1.0)
-    ve = isinstance(sched, VeSchedule)
     for t in range(1, sched.n_steps + 1):
         x_t = sched.scale(t) * x0 + math.sqrt(sched.var(t)) * eps
         assert norm(eps_from_denoised(x_t, x0, t, sched) - eps) <= 1e-12 * norm(eps)
         assert norm(vp_tweedie(x_t, t, eps, sched) - x0) <= 1e-12 * norm(x0)
         assert norm(score_from_denoised(x_t, x0, t, sched)
                     - score_from_eps(eps, t, sched)) <= 1e-12 * norm(eps)
-        if ve:
+        if sigmas is not None:
             # VE outputs keep the bits of the sigma_t formulas they replace
-            assert math.sqrt(sched.var(t)) == sched.sigmas[t]
+            assert math.sqrt(sched.var(t)) == sigmas[t]
             assert np.array_equal(prior.denoise(x_t, t, sched),
                                   prior.project_linear(x_t - prior.offset) + prior.offset)
 
 
 def test_denoiser_contract_consistency_identities():
     # VP: x_t = sqrt(abar) xhat + sqrt(1-abar) eps;  VE: xhat = x_t + sigma^2 shat
-    vp = VpSchedule.default(10)
-    ve = VeSchedule.geometric(10)
+    vp, ab = Schedule.vp(10), vp_abars(10)
+    ve, sig = Schedule.ve(10), ve_sigmas(10)
     prior = AffineSubspacePrior.random((16,), 3, seed=5, dtype=REAL)
     gmm = GmmPrior(weights=np.array([0.4, 0.6]),
                    means=RngStream(7).randn((2, 16)), tau2=0.3)
@@ -206,11 +252,11 @@ def test_denoiser_contract_consistency_identities():
         for t in (2, 5, 10):
             xh = den.denoise(x_t, t, vp)
             eh = eps_from_denoised(x_t, xh, t, vp)
-            rebuilt = math.sqrt(vp.abars[t]) * xh + math.sqrt(1 - vp.abars[t]) * eh
+            rebuilt = math.sqrt(ab[t]) * xh + math.sqrt(1 - ab[t]) * eh
             assert norm(rebuilt - x_t) <= 1e-10 * max(norm(x_t), 1.0)
             xh = den.denoise(x_t, t, ve)
             sh = score_from_denoised(x_t, xh, t, ve)
-            assert norm(xh - (x_t + ve.sigmas[t] ** 2 * sh)) <= 1e-10 * max(norm(x_t), 1.0)
+            assert norm(xh - (x_t + sig[t] ** 2 * sh)) <= 1e-10 * max(norm(x_t), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +266,19 @@ def test_affine_prior_requires_orthonormal_basis():
     bad = np.stack([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
     with pytest.raises(ConfigError):
         AffineSubspacePrior(basis=bad, offset=np.zeros(2))
+
+
+def test_prior_constructors_reject_nan():
+    # each of these built a prior: NaN failed every comparison of the checks
+    with pytest.raises(ConfigError, match="orthonormal"):
+        AffineSubspacePrior(basis=np.full((2, 4), np.nan), offset=np.zeros(4))
+    means = np.zeros((2, 3))
+    for weights in ([np.nan, np.nan], [1.0, np.nan]):
+        with pytest.raises(ConfigError, match="weights"):
+            GmmPrior(weights=np.array(weights), means=means, tau2=1.0)
+    for tau2 in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tau"):
+            GmmPrior(weights=np.array([0.5, 0.5]), means=means, tau2=tau2)
 
 
 def test_affine_prior_offset_must_have_the_atom_shape():
@@ -232,8 +291,8 @@ def test_affine_denoise_worked_example():
     basis = np.array([[1.0, 0.0]])
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros(2))
     # (1 - 0.36)(1 - 39/64) = 0.64 * 25/64 = 0.25 exactly in binary floats
-    sched = VpSchedule.from_betas([0.36, 0.609375])
-    assert sched.abars[2] == 0.25
+    sched = Schedule.from_betas([0.36, 0.609375])
+    assert sched.scale(2) == 0.5
     out = prior.denoise(np.array([3.0, 4.0]), 2, sched)
     assert norm(out - np.array([6.0, 0.0])) < 1e-12
 
@@ -241,7 +300,7 @@ def test_affine_denoise_worked_example():
 def test_affine_denoise_identity_at_abar_one():
     basis = np.array([[1.0, 0.0]])
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros(2))
-    sched = VpSchedule.from_betas([1e-14, 2e-14])
+    sched = Schedule.from_betas([1e-14, 2e-14])
     x = np.array([2.0, 0.0])  # inside the span
     assert norm(prior.denoise(x, 1, sched) - x) < 1e-9
 
@@ -249,30 +308,30 @@ def test_affine_denoise_identity_at_abar_one():
 def test_affine_denoise_ve_kills_orthogonal_part():
     basis = np.array([[1.0, 0.0]])
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros(2))
-    ve = VeSchedule.geometric(5)
+    ve = Schedule.ve(5)
     out = prior.denoise(np.array([0.0, 3.0]), 3, ve)
     assert norm(out) < 1e-14
 
 
 def test_affine_denoise_with_offset_fixes_affine_set():
     prior = AffineSubspacePrior.random((8,), 2, seed=9, dtype=REAL, offset_scale=1.0)
-    vp = VpSchedule.default(8)
+    vp = Schedule.vp(8)
     rng = RngStream(10)
     for t in (2, 6):
         xh = prior.denoise(rng.randn((8,)), t, vp)
         assert prior.distance(xh) < 1e-10 * max(norm(xh), 1.0)
     x_on = prior.sample(rng)
-    assert norm(prior.denoise(x_on, 3, VeSchedule.geometric(8)) - x_on) < 1e-12
+    assert norm(prior.denoise(x_on, 3, Schedule.ve(8)) - x_on) < 1e-12
 
 
 def test_affine_prior_exact_projector_identity():
     # xhat = (1/sqrt(abar)) P x for the origin-through subspace
     prior = AffineSubspacePrior.random((12,), 4, seed=11, dtype=COMPLEX)
-    vp = VpSchedule.default(9)
+    vp = Schedule.vp(9)
     rng = RngStream(12)
     for t in (2, 5, 9):
         x = rng.randn((12,), dtype=COMPLEX)
-        want = prior.project_linear(x) / math.sqrt(vp.abars[t])
+        want = prior.project_linear(x) / math.sqrt(vp_abars(9)[t])
         assert norm(prior.denoise(x, t, vp) - want) < 1e-12
 
 
@@ -295,9 +354,9 @@ def test_project_linear_equals_the_conjugated_basis_product(shape, dim, dtype):
 def test_gmm_k1_conjugate_closed_form():
     mu = np.array([0.5, -1.0, 2.0])
     prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=0.3)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     t = 6
-    ab = vp.abars[t]
+    ab = vp_abars(10)[t]
     x = RngStream(13).randn((3,))
     want = (0.3 * math.sqrt(ab) * x + (1 - ab) * mu) / (ab * 0.3 + (1 - ab))
     assert norm(prior.denoise(x, t, vp) - want) < 1e-12
@@ -306,7 +365,7 @@ def test_gmm_k1_conjugate_closed_form():
 def test_gmm_point_mass_limit_returns_mean():
     mu = np.array([1.0, 2.0])
     prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=1e-16)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     out = prior.denoise(RngStream(14).randn((2,)), 5, vp)
     assert norm(out - mu) < 1e-7
 
@@ -314,7 +373,7 @@ def test_gmm_point_mass_limit_returns_mean():
 def test_gmm_symmetric_components_cancel_at_origin():
     mu = np.array([[1.0, -2.0], [-1.0, 2.0]])
     prior = GmmPrior(weights=np.array([0.5, 0.5]), means=mu, tau2=0.2)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     out = prior.denoise(np.zeros(2), 4, vp)
     assert norm(out) < 1e-12
 
@@ -325,10 +384,10 @@ def test_gmm_matches_quadrature_oracle_1d():
     means = np.array([[-1.0], [0.5], [2.0]])
     tau2 = 0.16
     prior = GmmPrior(weights=weights, means=means, tau2=tau2)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     grid = np.linspace(-8.0, 9.0, 200_001)
     for t, xval in ((2, 0.7), (7, -0.4)):
-        ab = vp.abars[t]
+        ab = vp_abars(10)[t]
         dens = np.zeros_like(grid)
         for w, m in zip(weights, means[:, 0]):
             dens += w * np.exp(-((grid - m) ** 2) / (2 * tau2)) / math.sqrt(2 * math.pi * tau2)
@@ -365,9 +424,9 @@ def test_gmm_sample_picks_component_k_with_probability_w_k():
 def test_gmm_ve_mode_matches_conjugate_form():
     mu = np.array([0.2, 0.4])
     prior = GmmPrior(weights=np.array([1.0]), means=mu[None, :], tau2=0.5)
-    ve = VeSchedule.geometric(8, 0.05, 2.0)
+    ve = Schedule.ve(8, 0.05, 2.0)
     t = 4
-    s2 = ve.sigmas[t] ** 2
+    s2 = ve_sigmas(8, 0.05, 2.0)[t] ** 2
     x = RngStream(15).randn((2,))
     want = (0.5 * x + s2 * mu) / (0.5 + s2)
     assert norm(prior.denoise(x, t, ve) - want) < 1e-12
@@ -377,26 +436,26 @@ def test_gmm_ve_mode_matches_conjugate_form():
 # DDIM step
 
 def test_vp_step_eta0_pure_mean():
-    s = VpSchedule.default(10)
+    s = Schedule.vp(10)
     xh = RngStream(16).randn((4,))
     rng = RngStream(17)
     out = ddim_step(xh, np.zeros(4), 5, 0.0, rng, s)
-    assert norm(out - math.sqrt(s.abars[4]) * xh) < 1e-14
+    assert norm(out - math.sqrt(vp_abars(10)[4]) * xh) < 1e-14
     # deterministic path must not consume randomness
     assert np.array_equal(rng.randn((3,)), RngStream(17).randn((3,)))
 
 
 def test_vp_step_coefficient_identity():
     # deterministic^2 + (eta btilde)^2 = 1 - abar_{t-1} at eta = 1
-    s = VpSchedule.default(16)
+    s, ab = Schedule.vp(16), vp_abars(16)
     for t in range(2, 17):
-        det = 1.0 - s.abars[t - 1] - s.btildes[t] ** 2
+        det = 1.0 - ab[t - 1] - s.ddim_std(t) ** 2
         assert det >= -1e-14
-        assert abs(det + s.btildes[t] ** 2 - (1.0 - s.abars[t - 1])) < 1e-14
+        assert abs(det + s.ddim_std(t) ** 2 - (1.0 - ab[t - 1])) < 1e-14
 
 
 def test_vp_step_seeded_reproducibility():
-    s = VpSchedule.default(10)
+    s = Schedule.vp(10)
     xh = RngStream(18).randn((6,))
     eh = RngStream(19).randn((6,))
     a = ddim_step(xh, eh, 7, 0.5, RngStream(7), s)
@@ -409,12 +468,12 @@ def test_vp_step_is_the_closed_form_bit_for_bit(dtype):
     # the VP transition as written before VP and VE shared one step:
     # sqrt(abar_{t-1}) xhat' + sqrt(1 - abar_{t-1} - eta^2 btilde_t^2) eps_hat
     # + eta btilde_t z
-    s = VpSchedule.default(20)
+    s, ab = Schedule.vp(20), vp_abars(20)
     data = RngStream(27)
     for t in range(2, 21):
         for eta in (0.0, 0.15, 0.5, 1.0):
             xh, eh = data.randn((5, 3), dtype=dtype), data.randn((5, 3), dtype=dtype)
-            ab_prev, bt = s.abars[t - 1], s.btildes[t]
+            ab_prev, bt = ab[t - 1], s.ddim_std(t)
             rad = 1.0 - ab_prev - (eta * bt) ** 2
             want = math.sqrt(ab_prev) * xh + math.sqrt(max(rad, 0.0)) * eh
             if eta > 0.0:
@@ -424,37 +483,37 @@ def test_vp_step_is_the_closed_form_bit_for_bit(dtype):
 
 def test_vp_step_eta1_matches_ddpm_ancestral_mean():
     # reconstruct x_t from (xhat, eps) and compare against the DDPM mean
-    s = VpSchedule.default(14)
+    s, ab = Schedule.vp(14), vp_abars(14)
     rng = RngStream(20)
     for t in (2, 8, 14):
         xh = rng.randn((5,))
         eh = rng.randn((5,))
-        xt = math.sqrt(s.abars[t]) * xh + math.sqrt(1 - s.abars[t]) * eh
+        xt = math.sqrt(ab[t]) * xh + math.sqrt(1 - ab[t]) * eh
         stoch_rng = RngStream(99)
         out = ddim_step(xh, eh, t, 1.0, stoch_rng, s)
         drawn = RngStream(99).randn((5,))
-        deterministic = out - s.btildes[t] * drawn
-        alpha_t = 1 - s.betas[t]
-        ddpm_mean = (xt - (1 - alpha_t) / math.sqrt(1 - s.abars[t]) * eh) / math.sqrt(alpha_t)
+        deterministic = out - s.ddim_std(t) * drawn
+        alpha_t = 1 - vp_betas(14)[t]
+        ddpm_mean = (xt - (1 - alpha_t) / math.sqrt(1 - ab[t]) * eh) / math.sqrt(alpha_t)
         assert norm(deterministic - ddpm_mean) < 1e-12
 
 
 def test_ve_step_eta0_deterministic():
-    s = VeSchedule.geometric(10)
+    s, sig = Schedule.ve(10), ve_sigmas(10)
     xh = RngStream(21).randn((4,))
     sh = RngStream(22).randn((4,))
     t = 6
     rng = RngStream(1)
-    out = ddim_step(xh, -s.sigmas[t] * sh, t, 0.0, rng, s)  # eps_hat = -sigma_t shat
-    want = xh - s.sigmas[t - 1] * s.sigmas[t] * sh
+    out = ddim_step(xh, -sig[t] * sh, t, 0.0, rng, s)  # eps_hat = -sigma_t shat
+    want = xh - sig[t - 1] * sig[t] * sh
     assert norm(out - want) < 1e-14
     assert np.array_equal(rng.randn((3,)), RngStream(1).randn((3,)))
 
 
 def test_ve_step_coefficient_identity():
-    s = VeSchedule.geometric(12)
+    s, sig = Schedule.ve(12), ve_sigmas(12)
     for t in range(2, 13):
-        sp, st = s.sigmas[t - 1], s.sigmas[t]
+        sp, st = sig[t - 1], sig[t]
         btilde = 1 - (sp / st) ** 2
         assert s.ddim_std(t) == sp * btilde  # the VE eta convention, bit for bit
         for eta in (0.0, 0.5, 1.0):
@@ -468,7 +527,7 @@ def test_ve_step_coefficient_identity():
 def test_ddim_step_marginal_variance_monte_carlo(mode):
     # exact point-mass denoiser at x0 = mu: x_{t-1} should sample
     # N(scale(t-1) mu, var(t-1) I)
-    s = VpSchedule.default(8) if mode == "vp" else VeSchedule.geometric(8, 0.1, 4.0)
+    s = Schedule.vp(8) if mode == "vp" else Schedule.ve(8, 0.1, 4.0)
     t, eta, d = 5, 0.7, 8
     mu = RngStream(23).randn((d,))
     tau2 = 1e-10
@@ -489,11 +548,11 @@ def test_ddim_step_marginal_variance_monte_carlo(mode):
 
 
 def test_ve_step_seeded_reproducibility():
-    s = VeSchedule.geometric(10)
+    s, sig = Schedule.ve(10), ve_sigmas(10)
     xh = RngStream(25).randn((4,))
     sh = RngStream(26).randn((4,))
-    a = ddim_step(xh, -s.sigmas[5] * sh, 5, 0.8, RngStream(3), s)
-    b = ddim_step(xh, -s.sigmas[5] * sh, 5, 0.8, RngStream(3), s)
+    a = ddim_step(xh, -sig[5] * sh, 5, 0.8, RngStream(3), s)
+    b = ddim_step(xh, -sig[5] * sh, 5, 0.8, RngStream(3), s)
     assert np.array_equal(a, b)
 
 
@@ -510,20 +569,20 @@ def _setup_mcg(seed, d=6, l=2):
 
 def test_mcg_zero_at_consistent_denoised_point():
     prior, a, y = _setup_mcg(30)
-    vp = VpSchedule.default(8)
+    vp = Schedule.vp(8)
     t = 4
     # choose x_t whose denoised estimate is data-consistent: xhat solves A xhat = y
     # build y from a subspace point so the consistent point is reachable
     x_on = prior.sample(RngStream(33))
     y = a.apply(x_on)
-    x_t = math.sqrt(vp.abars[t]) * x_on  # denoises exactly to x_on
+    x_t = math.sqrt(vp_abars(8)[t]) * x_on  # denoises exactly to x_on
     g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
     assert norm(g) < 1e-10
 
 
 def test_mcg_lies_in_subspace():
     prior, a, y = _setup_mcg(40)
-    vp = VpSchedule.default(8)
+    vp = Schedule.vp(8)
     g = mcg_dps_gradient(prior.denoise(RngStream(41).randn((6,)), 5, vp), 5, prior, a, y, vp)
     assert norm(g - prior.project_linear(g)) < 1e-12 * max(norm(g), 1.0)
 
@@ -531,7 +590,7 @@ def test_mcg_lies_in_subspace():
 def test_mcg_matches_finite_differences():
     # central differences of 1/2||y - A xhat(x_t)||^2 through the analytic denoiser
     prior, a, y = _setup_mcg(50, d=4, l=2)
-    vp = VpSchedule.default(6)
+    vp = Schedule.vp(6)
     t = 3
     x_t = RngStream(51).randn((4,))
     g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
@@ -552,7 +611,7 @@ def test_mcg_matches_finite_differences():
 
 def test_projected_gradient_identity():
     # xhat - gamma * mcg == P(xhat - zeta * grad) with zeta = gamma / sqrt(abar)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     for s in range(20):
         prior, a, y = _setup_mcg(60 + 3 * s, d=8, l=3)
         rng = RngStream(90 + s)
@@ -561,7 +620,7 @@ def test_projected_gradient_identity():
             gamma = 0.37
             xh = prior.denoise(x_t, t, vp)
             lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
-            zeta = gamma / math.sqrt(vp.abars[t])
+            zeta = gamma / math.sqrt(vp_abars(10)[t])
             grad = a.adjoint(a.apply(xh) - y)
             rhs = prior.project_linear(xh - zeta * grad)
             assert norm(lhs - rhs) <= 1e-10 * max(norm(lhs), 1.0)
@@ -577,10 +636,19 @@ def test_smooth_random_field_is_deterministic_and_smooth():
     assert hh(a) < 0.2 * hh(rough)
 
 
+@pytest.mark.parametrize("length", [3.5e153, 1e154, math.nan])
+def test_smooth_random_field_rejects_a_length_its_filter_cannot_hold(length):
+    # 1e154 overflowed (pi length)^2 in an OverflowError, and 3.5e153 made
+    # the filter's DC term -inf * 0 = NaN
+    with pytest.raises(ConfigError, match="smooth"):
+        smooth_random_field(RngStream(5), (8, 8), length)
+    assert np.all(np.isfinite(smooth_random_field(RngStream(5), (8, 8), 1e153)))
+
+
 def test_gmm_underflow_of_all_responsibilities_raises():
     from dds.errors import NumericalError
     prior = GmmPrior(weights=np.array([0.5, 0.5]),
                      means=np.zeros((2, 4)), tau2=0.1)
-    vp = VpSchedule.default(10)
+    vp = Schedule.vp(10)
     with pytest.raises(NumericalError):
         prior.denoise(np.full(4, 1e200), 5, vp)

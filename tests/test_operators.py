@@ -661,6 +661,14 @@ def test_radon_geometry_validation():
             RadonGeometry(side=side, angles=np.array([0.0]), detector_bins=bins, step=step)
 
 
+@pytest.mark.parametrize("angles", [[math.nan], [0.0, math.nan, 1.0], [math.nan, 1.0]],
+                         ids=["alone", "between-finite", "first"])
+def test_radon_geometry_rejects_nan_angles(angles):
+    # NaN failed none of the comparisons the check made, so each built a geometry
+    with pytest.raises(ConfigError, match="angles must be strictly increasing"):
+        RadonGeometry(side=8, angles=np.array(angles), detector_bins=8)
+
+
 # side, angles, detector bins, step: bins above and below the side (rows
 # that miss the image, pixels no ray reaches), other steps, one angle, odd side
 EXTRA_GEOMETRIES = [

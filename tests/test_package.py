@@ -15,7 +15,7 @@ ROOT_NAMES = {
     "make_coil_maps", "make_mask", "sense_operator",
     # operators, priors and schedules, the volume path
     "LinearMap", "RadonGeometry", "radon_operator", "slice_radon_operator",
-    "GmmPrior", "VpSchedule", "VeSchedule", "TvConfig", "dds_3d_reconstruct", "ReconResult",
+    "GmmPrior", "Schedule", "TvConfig", "dds_3d_reconstruct", "ReconResult",
     # dtypes, files and errors
     "REAL", "COMPLEX", "read_dtf", "write_dtf",
     "ConfigError", "NumericalError", "SamplerDivergedError",

@@ -7,8 +7,7 @@ import pytest
 from dds import diffusion, samplers
 from dds.diffusion import (
     AffineSubspacePrior,
-    VeSchedule,
-    VpSchedule,
+    Schedule,
 )
 from dds.errors import ConfigError, NumericalError
 from dds.experiments import Problem, run_reconstruction
@@ -32,6 +31,7 @@ from dds.samplers import (
     pseudo_inverse_apply,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
+from oracles import vp_abars
 from test_krylov import counted
 from test_operators import normal_map
 
@@ -74,7 +74,7 @@ def test_reconstruct_rejects_a_schedule_of_another_length():
     _, den, _, a, y = sense_problem(13, shape=(8, 8), coils=1, acc=1.0, dim=2)
     cfg = SamplerConfig(nfe=6, seed=0)
     with pytest.raises(ConfigError, match="schedule length"):
-        dds_reconstruct(a, y, den, cfg, schedule=VpSchedule.default(5))
+        dds_reconstruct(a, y, den, cfg, schedule=Schedule.vp(5))
 
 
 def test_default_config_builds_vp_schedule():
@@ -236,9 +236,9 @@ def test_dps_step_consistent_point_unchanged():
     a = matrix_operator(amat)
     x_on = prior.sample(RngStream(52))
     y = a.apply(x_on)
-    vp = VpSchedule.default(8)
+    vp = Schedule.vp(8)
     t = 5
-    x_t = math.sqrt(vp.abars[t]) * x_on
+    x_t = math.sqrt(vp_abars(8)[t]) * x_on
     out = dps_step(x_t, t, prior, a, y, 0.8, vp)
     assert norm(out - x_on) < 1e-10 * max(norm(x_on), 1.0)
 
@@ -247,7 +247,7 @@ def test_dps_step_stays_in_subspace():
     prior = AffineSubspacePrior.random((12,), 3, seed=60, dtype=REAL)
     a = matrix_operator(RngStream(61).randn((12, 12)) / 4.0)
     y = RngStream(62).randn((12,))
-    vp = VpSchedule.default(8)
+    vp = Schedule.vp(8)
     out = dps_step(RngStream(63).randn((12,)), 4, prior, a, y, 1.0, vp)
     assert prior.distance(out) < 1e-10 * max(norm(out), 1.0)
 
@@ -256,12 +256,12 @@ def test_dps_step_equals_projected_gradient_form():
     prior = AffineSubspacePrior.random((10,), 4, seed=70, dtype=REAL)
     a = matrix_operator(RngStream(71).randn((10, 10)) / 3.0)
     y = RngStream(72).randn((10,))
-    vp = VpSchedule.default(9)
+    vp = Schedule.vp(9)
     t, gamma = 6, 0.45
     x_t = RngStream(73).randn((10,))
     lhs = dps_step(x_t, t, prior, a, y, gamma, vp)
     xh = prior.denoise(x_t, t, vp)
-    zeta = gamma / math.sqrt(vp.abars[t])
+    zeta = gamma / math.sqrt(vp_abars(9)[t])
     v = xh - zeta * a.adjoint(a.apply(xh) - y)
     rhs = prior.project_linear(v - prior.offset) + prior.offset
     assert norm(lhs - rhs) <= 1e-10 * max(norm(lhs), 1.0)
@@ -344,7 +344,7 @@ def test_trace_has_one_record_per_step():
 def test_dds_cg_residual_never_worse_than_denoised_start():
     _, den, _, a, y = sense_problem(130)
     cfg = SamplerConfig(nfe=10, eta=0.3, cg_steps=5, dc="dds-cg", seed=3)
-    sched = VpSchedule.default(10)
+    sched = Schedule.vp(10)
     # replay the loop manually to compare pre/post DC residuals
     from dds.diffusion import ddim_step, eps_from_denoised
     from oracles import cg
@@ -365,9 +365,10 @@ def test_vp_ve_agree_on_matched_schedules():
     # sigma_t^2 = (1 - abar_t) / abar_t makes the two parameterizations align
     prior, den, x_true, a, y = sense_problem(140, shape=(16, 16), coils=2, acc=2.0, dim=4)
     n = 12
-    vp = VpSchedule.default(n)
-    sig = np.sqrt((1.0 - vp.abars[1:]) / vp.abars[1:])
-    ve = VeSchedule.from_sigmas(sig)
+    vp = Schedule.vp(n)
+    ab = vp_abars(n)
+    sig = np.sqrt((1.0 - ab[1:]) / ab[1:])
+    ve = Schedule.from_sigmas(sig)
     cfg_vp = SamplerConfig(nfe=n, eta=0.0, cg_steps=5, dc="dds-cg", mode="vp", seed=0)
     cfg_ve = SamplerConfig(nfe=n, eta=0.0, cg_steps=5, dc="dds-cg", mode="ve",
                            ve_truncation=0.0, seed=0)
@@ -396,14 +397,14 @@ def vp_and_rescaled_ve_x0(seed, dc, n=20):
     """x0 of a VP run and of a VE run on sigma_t = sqrt(var(t)) / scale(t) from
     the same start z, the VE state being x / scale(t), at eta = 0."""
     prior, den, x_true, a, y = sense_problem(seed, shape=(16, 16), dim=8, coils=4, acc=4.0)
-    vp = VpSchedule.default(n)
-    ve = VeSchedule.from_sigmas([math.sqrt(vp.var(t)) / vp.scale(t) for t in range(1, n + 1)])
+    vp = Schedule.vp(n)
+    ve = Schedule.from_sigmas([math.sqrt(vp.var(t)) / vp.scale(t) for t in range(1, n + 1)])
     z = RngStream(1000 + seed).randn(a.domain_shape, dtype=COMPLEX)
     kw = dict(nfe=n, eta=0.0, cg_steps=5, dc=dc)
     r_vp = dds_reconstruct(a, y, den, SamplerConfig(mode="vp", **kw), rng=_Start(z),
                            schedule=vp)
     r_ve = dds_reconstruct(a, y, den, SamplerConfig(mode="ve", ve_truncation=0.0, **kw),
-                           rng=_Start(z / (vp.scale(n) * ve.sigmas[n])), schedule=ve)
+                           rng=_Start(z / (vp.scale(n) * ve.start)), schedule=ve)
     return r_vp.x0, r_ve.x0
 
 
@@ -501,6 +502,28 @@ def test_ve_truncation_stops_early():
     assert [r.t for r in res.trace] == list(range(10, 2, -1))
 
 
+def test_an_injected_schedule_brings_its_own_start_and_stop():
+    # cfg.ve_truncation = 0 would stop at t = 1: the schedule's stop k rules
+    # instead, and the first iterate is the schedule's start times z
+    _, den, _, a, y = sense_problem(152, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    n, k = 10, 4
+    sched = Schedule.from_sigmas(0.05 * 2.0 ** np.arange(n), stop=k)
+    z = RngStream(153).randn(a.domain_shape, dtype=COMPLEX)
+    iterates = []
+
+    class SpyDenoiser:
+        def denoise(self, x, t, sched):
+            iterates.append(x.copy())
+            return den.denoise(x, t, sched)
+
+    cfg = SamplerConfig(nfe=n, eta=0.0, cg_steps=2, dc="dds-cg", mode="ve",
+                        ve_truncation=0.0, seed=0)
+    res = dds_reconstruct(a, y, SpyDenoiser(), cfg, rng=_Start(z), schedule=sched)
+    assert [r.t for r in res.trace] == list(range(n, k - 1, -1))  # N - k + 1 records
+    assert sched.start == 0.05 * 2.0 ** (n - 1)
+    assert np.array_equal(iterates[0], sched.start * z)
+
+
 def test_confinement_trace_on_operator_invariant_subspace():
     # subspace spanned by eigenvectors of A*A: CG keeps every DC output inside
     maps = make_coil_maps(4, (16, 16), seed=1)
@@ -544,7 +567,7 @@ def test_projection_strategy_targets_noisy_iterate():
     res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
     assert np.all(np.isfinite(res.x0))
     # the denoised estimate is left alone; the noisy iterate is projected
-    sched = VpSchedule.default(6)
+    sched = Schedule.vp(6)
     x = RngStream(171).randn((16, 16), dtype=COMPLEX)
     xhat = den.denoise(x, 6, sched)
     assert make_dc(cfg, a, y, sched, prior)(x, xhat, 6)[0] is xhat
@@ -556,7 +579,7 @@ def test_projection_strategy_targets_noisy_iterate():
 @pytest.mark.parametrize("dc, step", [("gradient", "xi"), ("dps", "dps_step")])
 def test_scale_step_by_residual_divides_step(dc, step):
     prior, den, x_true, a, y = sense_problem(175, shape=(16, 16), coils=2, acc=2.0, dim=4)
-    sched = VpSchedule.default(8)
+    sched = Schedule.vp(8)
     x = RngStream(176).randn((16, 16), dtype=COMPLEX)
     xhat = den.denoise(x, 5, sched)
     r = norm(y - a.apply(xhat))
@@ -596,7 +619,7 @@ def test_dps_reuses_the_loop_posterior_mean(monkeypatch, dc, calls):
 def test_dps_without_affine_prior_is_config_error():
     _, _, _, a, y = sense_problem(178, shape=(16, 16), coils=2, acc=2.0, dim=4)
     with pytest.raises(ConfigError, match="affine-subspace prior"):
-        make_dc(SamplerConfig(dc="dps"), a, y, VpSchedule.default(8), None)
+        make_dc(SamplerConfig(dc="dps"), a, y, Schedule.vp(8), None)
 
 
 @pytest.mark.parametrize("mode, nfe", [("vp", 8), ("ve", 12)])

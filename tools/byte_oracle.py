@@ -6,7 +6,7 @@ count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
 2 BLAS threads, so two outputs compare only when this line matches. Run as
 a script, the oracle sets each of the three that is unset to 1 before numpy
 loads, as `bench/run.py` does, so its bytes are the bench's. Then
-it runs the CLI's `reconstruct` command in-process with `--seed 3` on 110
+it runs the CLI's `reconstruct` command in-process with `--seed 3` on 113
 configs and prints one line per config: its name, the sha256 of `x0.dtf`,
 the sha256 of `trace.csv` and the exit code ("-" for a file the run did not
 write). Then it runs `sweep` on 11 axis/config/`--jobs` cases,
@@ -16,7 +16,7 @@ prints for each the name, the sha256 of the CSV and the exit code; and
 Then it runs `simulate` on 3 configs and prints the sha256 of `x_true.dtf`,
 `y.dtf`, `mask.dtf` and `maps.dtf` and the exit code, each followed by a
 `reconstruct --in` line on the files it wrote, hashed as above. Last, a
-`reconstruct` on a config file that does not exist prints `- - 2`: 134
+`reconstruct` on a config file that does not exist prints `- - 2`: 137
 hash lines after the header. Two checkouts behave the same on these runs
 exactly when the outputs match:
 
@@ -49,7 +49,9 @@ The grid:
   VP (nfe 8) and VE (nfe 12) x {defaults, `scale_step_by_residual` with
   `xi` = `dps_step` = 0.5, `eta` = 0.5}: 72 configs;
 - a GMM prior with `dds-cg`/VP, `gradient`/VE and `ddnm`/VP with eta 0.5;
-- VE `dds-cg` with `ve_truncation` = 0.2;
+- VE `dds-cg` with `ve_truncation` = 0.2, and VP and VE `dds-cg` at nfe 100,
+  where the default `ve_truncation` of 1/50 stops VE at step 2 and VP
+  ignores it;
 - VP `gradient` with `xi` = 1e16 and nfe 20, whose residual overflows, so
   its line pins the exit code of a diverging run (3);
 - VP `dds-cg` on each random mask kind (`gaussian1d`, `gaussian2d`,
@@ -73,8 +75,10 @@ The grid:
 - `mri2d` VP `dds-cg` on the `shepp-logan-2d` phantom, on an affine prior
   with `offset_scale` = 0.5 and `smooth` = 2 (the offset and the complex
   smooth field), and at acceleration 1 (the fully sampled mask);
-- `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, and rejection runs that use up
-  all attempts in VP (3) and VE (2), and VP on the `shepp-logan-3d` phantom;
+- `ct3d` 3x8x8 in VP, VE, VE with eta 0.5, VE with `ve_truncation` = 0.4
+  (nfe 6 stops at step 2, below the ADMM warm-up switch at step 3), and
+  rejection runs that use up all attempts in VP (3) and VE (2), and VP on
+  the `shepp-logan-3d` phantom;
 - the three `bench/workloads.py` configs at phantom seed 1;
 - `sweep --seed 3 --repeats 2` over `eta`, `nfe` and `cg-steps` on the
   `mri2d` VP `dds-cg` config, and over `cg-steps` and `lambda` on the
@@ -218,6 +222,8 @@ def grid(repo: Path) -> list[tuple[str, str]]:
         out.append((f"gmm/{dc}/{mode}", mri(sampler, phantom="gmm-draw", prior=GMM)))
     for name, mask, sampler in (
         ("dds-cg/ve/truncation", "uniform1d", f"dc = dds-cg\n{MODES['ve']}\nve_truncation = 0.2"),
+        *((f"dds-cg/{mode}/nfe-100", "uniform1d", f"dc = dds-cg\nmode = {mode}\nnfe = 100")
+          for mode in ("vp", "ve")),
         ("gradient/vp/overflow", "uniform1d", "dc = gradient\nmode = vp\nnfe = 20\nxi = 1e16"),
         *((f"dds-cg/vp/{m}", m, f"dc = dds-cg\n{MODES['vp']}")
           for m in ("gaussian1d", "gaussian2d", "poisson-disk-vd")),
@@ -253,6 +259,7 @@ def grid(repo: Path) -> list[tuple[str, str]]:
         ("vp", "mode = vp\nnfe = 6"),
         ("ve", "mode = ve\nnfe = 6"),
         ("ve/eta", "mode = ve\nnfe = 6\neta = 0.5"),
+        ("ve/truncation", "mode = ve\nnfe = 6\nve_truncation = 0.4"),
         ("vp/rejection", "mode = vp\nnfe = 6\nrejection_tau = 1e-12\nmax_retries = 3"),
         ("ve/rejection", "mode = ve\nnfe = 6\nrejection_tau = 1e-12\nmax_retries = 2"),
     ):

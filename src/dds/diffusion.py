@@ -189,6 +189,8 @@ class AffineSubspacePrior:
             raise ConfigError("affine prior basis is not orthonormal")
         if self.offset.shape != self.basis.shape[1:]:
             raise ConfigError("offset shape must match the atom shape")
+        if not np.all(np.abs(self.offset) < math.inf):  # NaN fails too
+            raise ConfigError("affine prior offset must be finite")
 
     @property
     def dim(self) -> int:
@@ -268,6 +270,8 @@ class GmmPrior:
             raise ConfigError("tau^2 must be positive and finite")
         if self.means.shape[0] != w.shape[0]:
             raise ConfigError("one mean per weight required")
+        if not np.all(np.abs(self.means) < math.inf):  # NaN fails too
+            raise ConfigError("mixture means must be finite")
 
     @property
     def n_components(self) -> int:
@@ -330,13 +334,13 @@ def ddim_step(xhat_dc: np.ndarray, eps_hat: np.ndarray, t: int, eta: float,
     return out
 
 
-def mcg_dps_gradient(xhat: np.ndarray, t: int, prior: AffineSubspacePrior,
-                     a: LinearMap, y: np.ndarray, sched) -> np.ndarray:
-    """Manifold-constrained gradient for the affine prior, at the loop's
-    Tweedie estimate ``xhat`` = ``prior.denoise(x_t, t, sched)``.
+def mcg_dps_gradient(r: np.ndarray, t: int, prior: AffineSubspacePrior,
+                     a: LinearMap, sched) -> np.ndarray:
+    """Manifold-constrained gradient for the affine prior, given the residual
+    ``r`` = A xhat - y at the loop's Tweedie estimate
+    ``xhat`` = ``prior.denoise(x_t, t, sched)``.
 
     The denoiser Jacobian is the projector scaled by 1/scale(t), so the
-    chain rule gives P A*(A xhat - y) / scale(t).
+    chain rule gives P A* r / scale(t).
     """
-    g = a.adjoint(a.apply(xhat) - y)
-    return prior.project_linear(g) / sched.scale(t)
+    return prior.project_linear(a.adjoint(r)) / sched.scale(t)

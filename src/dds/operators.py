@@ -54,16 +54,6 @@ def identity_map(shape, dtype=COMPLEX) -> LinearMap:
                      lambda y: np.array(y, copy=True), domain_dtype=dtype, name="identity")
 
 
-def matrix_operator(mat: np.ndarray) -> LinearMap:
-    """Dense matrix as a LinearMap over flat vectors (testing / small systems)."""
-    mat = check_finite(np.asarray(mat), "dense matrix")
-    dtype = COMPLEX if np.iscomplexobj(mat) else REAL
-    mh = mat.conj().T
-    return LinearMap((mat.shape[1],), (mat.shape[0],),
-                     lambda x: mat @ x, lambda y: mh @ y,
-                     domain_dtype=dtype, name="dense")
-
-
 # ---------------------------------------------------------------------------
 # Undersampling masks
 
@@ -108,7 +98,13 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
     points. The fully sampled ACS block sits at the center. The gaussian kinds
     draw until they hold round(N/acceleration) of the N columns or pixels;
     poisson-disk-vd bisects its radius scale until the density is within 10%
-    of 1/acceleration, or returns the closest of 18 tries. The random kinds
+    of 1/acceleration, or returns the closest of 18 tries. A dart throw
+    stops once its set pixels exceed the target by more than the larger of
+    10% and the closest try's gap: the count only grows within a throw, so
+    the full throw could neither land within 10% nor be closest, and the
+    bisection raises the scale as it would have; the mask is the one the full
+    throws give. Proposals are bucketed by pixel with a stable sort on keys
+    in the narrowest unsigned type that holds h*w - 1. The random kinds
     raise ConfigError when the ACS block alone exceeds that target. uniform1d
     is the constructive every-Rth-column pattern plus ACS, so its density can
     exceed 1/acceleration by up to the ACS fraction.
@@ -181,19 +177,22 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
               + (np.clip(np.rint(q1), acs_c[0], acs_c[-1]) - q1) ** 2)
     # proposals bucketed by pixel, in proposal order within a pixel, as an
     # (h, w, slots) index; empty slots hold n_prop, whose g = 0 makes r = 0,
-    # so no d2 falls below r^2 there
-    pix_r, pix_c = q0.astype(np.int32), q1.astype(np.int32)
-    pix = pix_r * w + pix_c
+    # so no d2 falls below r^2 there. The pixel keys take the narrowest
+    # unsigned type that holds h*w - 1: numpy's stable sort is a radix sort
+    # on keys of 16 bits or fewer, and gives the same order
+    pix = (q0.astype(np.int32) * w + q1.astype(np.int32)).astype(np.min_scalar_type(h * w - 1))
     order = np.argsort(pix, kind="stable").astype(np.int32)
     counts = np.bincount(pix, minlength=h * w)
     slot = np.arange(n_prop) - np.repeat(np.cumsum(counts) - counts, counts)
     near_idx = np.full((h * w, int(counts.max())), n_prop, dtype=np.int32)
     near_idx[pix[order], slot] = order
-    del pix, order, counts, slot
+    del order, counts, slot
     near_idx = near_idx.reshape(h, w, -1)
     near_q0, near_q1, near_g = (np.append(a, 0.0)[near_idx] for a in (q0, q1, g))
 
-    def throw(scale: float) -> np.ndarray:
+    def throw(scale: float, stop_gap: float) -> np.ndarray | None:
+        """The mask one dart throw at this radius scale sets, or None once
+        its set pixels exceed the target by more than stop_gap (relative)."""
         r = scale * g
         alive = d2_acs >= r * r
         near_r = scale * near_g
@@ -201,22 +200,25 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
         # every r is at most scale * g_max; the margin is far above the
         # rounding in d2 and r^2
         reach = scale * g_max + 1e-6
-        taken = []
+        m = cells.astype(REAL)
+        flat = m.reshape(-1)
+        got = count
         i = 0
         while True:
             # the first proposal that no accepted point has rejected is accepted
             i += int(alive[i:].argmax())
             if not alive[i]:
                 break
-            taken.append(i)
+            if not flat[pix[i]]:
+                flat[pix[i]] = 1.0
+                got += 1
+                if (got - target) / target > stop_gap:
+                    return None
             p0, p1 = q0[i], q1[i]
             win = (slice(max(math.floor(p0 - reach), 0), math.floor(p0 + reach) + 1),
                    slice(max(math.floor(p1 - reach), 0), math.floor(p1 + reach) + 1))
             d2 = (near_q0[win] - p0) ** 2 + (near_q1[win] - p1) ** 2
             alive[near_idx[win][d2 < near_rr[win]]] = False
-        m = np.zeros((h, w), dtype=REAL)
-        m[rs, cs] = 1.0
-        m[pix_r[taken], pix_c[taken]] = 1.0
         return m
 
     lo, hi = 0.05, 4.0 * math.sqrt(acc)
@@ -224,7 +226,10 @@ def make_mask(spec: MaskSpec, shape) -> np.ndarray:
     best_gap = math.inf
     for _ in range(18):
         mid = 0.5 * (lo + hi)
-        m = throw(mid)
+        m = throw(mid, max(0.10, best_gap))
+        if m is None:  # stopped: too dense, outside 10% and no closer than best
+            lo = mid
+            continue
         got = m.sum()
         gap = abs(got - target) / target
         if gap < best_gap:

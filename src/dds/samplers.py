@@ -162,9 +162,9 @@ def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray
     return xhat + z, report
 
 
-def gradient_dc_step(x: np.ndarray, a: LinearMap, y: np.ndarray, xi: float) -> np.ndarray:
-    """One descent step x - xi A*(A x - y) on the residual 1/2 ||y - Ax||^2."""
-    return x - xi * a.adjoint(a.apply(x) - y)
+def gradient_dc_step(x: np.ndarray, a: LinearMap, r: np.ndarray, xi: float) -> np.ndarray:
+    """One descent step x - xi A* r on 1/2 ||y - Ax||^2, given r = A x - y."""
+    return x - xi * a.adjoint(r)
 
 
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
@@ -179,10 +179,10 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
     posterior mean at (x, t), which the loop's denoiser computes.
     """
-    def step(base, xhat):
+    def step(base, r):
         if not cfg.scale_step_by_residual:
             return base
-        return base / max(norm(y - a.apply(xhat)), 1e-12)
+        return base / max(norm(r), 1e-12)
 
     if cfg.dc == "dds-cg":
         return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps)
@@ -196,12 +196,19 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
         return lambda x, xhat, t: ddnm_step(xhat, a, y)
     if cfg.dc == "projection":
         return lambda x, xhat, t: (xhat, None)
+    # the gradient steps form r = A xhat - y once, for the step and its size
     if cfg.dc == "gradient":
-        return lambda x, xhat, t: (gradient_dc_step(xhat, a, y, step(cfg.xi, xhat)), None)
+        def gradient(x, xhat, t):
+            r = a.apply(xhat) - y
+            return gradient_dc_step(xhat, a, r, step(cfg.xi, r)), None
+        return gradient
     if prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
-    return lambda x, xhat, t: (
-        xhat - step(cfg.dps_step, xhat) * mcg_dps_gradient(xhat, t, prior, a, y, sched), None)
+
+    def dps(x, xhat, t):
+        r = a.apply(xhat) - y
+        return xhat - step(cfg.dps_step, r) * mcg_dps_gradient(r, t, prior, a, sched), None
+    return dps
 
 
 # ---------------------------------------------------------------------------

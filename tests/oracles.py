@@ -1,11 +1,12 @@
 """Reference oracles that the tests check the package against.
 
 No run path calls these; they are the ground truth of the test suite:
-plain CG on a self-adjoint PSD operator (which CGLS must reproduce), Krylov
-bases and subspace distances (the paper's claim that CG warm-started at the
-Tweedie estimate stays in the Krylov tangent space), the Richardson residual
-recursion, the default VP and VE grids, the epsilon/score/Tweedie
-conversions, the ADMM-TV objective and the randomized adjoint dot-test.
+a dense matrix as an operator, plain CG on a self-adjoint PSD operator
+(which CGLS must reproduce), Krylov bases and subspace distances (the
+paper's claim that CG warm-started at the Tweedie estimate stays in the
+Krylov tangent space), the Richardson residual recursion, the default VP
+and VE grids, the epsilon/score/Tweedie conversions, the ADMM-TV objective
+and the randomized adjoint dot-test.
 """
 
 from __future__ import annotations
@@ -18,13 +19,23 @@ import numpy as np
 from dds.errors import ConfigError, NumericalError
 from dds.krylov import CgReport
 from dds.operators import LinearMap, diff_z_apply
-from dds.tensor import RngStream, norm
+from dds.tensor import COMPLEX, REAL, RngStream, check_finite, norm
 
 _BREAKDOWN_REL = 1e-12
 
 
 class IndefiniteOperatorError(NumericalError):
     """CG encountered a search-direction curvature that is negative beyond round-off."""
+
+
+def matrix_operator(mat: np.ndarray) -> LinearMap:
+    """Dense matrix as a LinearMap over flat vectors."""
+    mat = check_finite(np.asarray(mat), "dense matrix")
+    dtype = COMPLEX if np.iscomplexobj(mat) else REAL
+    mh = mat.conj().T
+    return LinearMap((mat.shape[1],), (mat.shape[0],),
+                     lambda x: mat @ x, lambda y: mh @ y,
+                     domain_dtype=dtype, name="dense")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from dds.operators import (
     diff_z_operator,
     make_coil_maps,
     make_mask,
-    matrix_operator,
     radon_operator,
     sense_operator,
     slice_radon_operator,
@@ -43,8 +42,8 @@ from dds.operators import (
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
 
-from oracles import (cg, dot_test, krylov_basis, subspace_distance, tv_objective, ve_sigmas,
-                     vp_abars, vp_betas)
+from oracles import (cg, dot_test, krylov_basis, matrix_operator, subspace_distance, tv_objective,
+                     ve_sigmas, vp_abars, vp_betas)
 from test_operators import adjoint_to_matrix, naive_radon_matrix, op_to_matrix
 
 
@@ -134,7 +133,7 @@ def test_acceptance_04_projector_denoiser_identities():
             want = prior.project_linear(x_t) / math.sqrt(ab[t])
             worst_proj = max(worst_proj, norm(xh - want))
             gamma = 0.31
-            lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
+            lhs = xh - gamma * mcg_dps_gradient(a.apply(xh) - y, t, prior, a, vp)
             zeta = gamma / math.sqrt(ab[t])
             rhs = prior.project_linear(xh - zeta * a.adjoint(a.apply(xh) - y))
             worst_eq = max(worst_eq, norm(lhs - rhs) / max(norm(lhs), 1.0))

@@ -13,10 +13,9 @@ from dds.diffusion import (
     smooth_random_field,
 )
 from dds.errors import ConfigError
-from dds.operators import matrix_operator
 from dds.tensor import COMPLEX, REAL, RngStream, norm
-from oracles import (eps_from_score, score_from_denoised, score_from_eps, ve_sigmas, vp_abars,
-                     vp_betas, vp_tweedie)
+from oracles import (eps_from_score, matrix_operator, score_from_denoised, score_from_eps,
+                     ve_sigmas, vp_abars, vp_betas, vp_tweedie)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +271,8 @@ def test_prior_constructors_reject_nan():
     # each of these built a prior: NaN failed every comparison of the checks
     with pytest.raises(ConfigError, match="orthonormal"):
         AffineSubspacePrior(basis=np.full((2, 4), np.nan), offset=np.zeros(4))
+    with pytest.raises(ConfigError, match="offset must be finite"):
+        AffineSubspacePrior(basis=np.eye(2)[:1], offset=np.array([np.nan, 0.0]))
     means = np.zeros((2, 3))
     for weights in ([np.nan, np.nan], [1.0, np.nan]):
         with pytest.raises(ConfigError, match="weights"):
@@ -279,6 +280,8 @@ def test_prior_constructors_reject_nan():
     for tau2 in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="tau"):
             GmmPrior(weights=np.array([0.5, 0.5]), means=means, tau2=tau2)
+    with pytest.raises(ConfigError, match="means must be finite"):
+        GmmPrior(weights=np.array([1.0]), means=np.full((1, 2), np.nan), tau2=1.0)
 
 
 def test_affine_prior_offset_must_have_the_atom_shape():
@@ -576,14 +579,15 @@ def test_mcg_zero_at_consistent_denoised_point():
     x_on = prior.sample(RngStream(33))
     y = a.apply(x_on)
     x_t = math.sqrt(vp_abars(8)[t]) * x_on  # denoises exactly to x_on
-    g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
+    g = mcg_dps_gradient(a.apply(prior.denoise(x_t, t, vp)) - y, t, prior, a, vp)
     assert norm(g) < 1e-10
 
 
 def test_mcg_lies_in_subspace():
     prior, a, y = _setup_mcg(40)
     vp = Schedule.vp(8)
-    g = mcg_dps_gradient(prior.denoise(RngStream(41).randn((6,)), 5, vp), 5, prior, a, y, vp)
+    xhat = prior.denoise(RngStream(41).randn((6,)), 5, vp)
+    g = mcg_dps_gradient(a.apply(xhat) - y, 5, prior, a, vp)
     assert norm(g - prior.project_linear(g)) < 1e-12 * max(norm(g), 1.0)
 
 
@@ -593,7 +597,7 @@ def test_mcg_matches_finite_differences():
     vp = Schedule.vp(6)
     t = 3
     x_t = RngStream(51).randn((4,))
-    g = mcg_dps_gradient(prior.denoise(x_t, t, vp), t, prior, a, y, vp)
+    g = mcg_dps_gradient(a.apply(prior.denoise(x_t, t, vp)) - y, t, prior, a, vp)
 
     def loss(x):
         xh = prior.denoise(x, t, vp)
@@ -619,7 +623,7 @@ def test_projected_gradient_identity():
             x_t = rng.randn((8,))
             gamma = 0.37
             xh = prior.denoise(x_t, t, vp)
-            lhs = xh - gamma * mcg_dps_gradient(xh, t, prior, a, y, vp)
+            lhs = xh - gamma * mcg_dps_gradient(a.apply(xh) - y, t, prior, a, vp)
             zeta = gamma / math.sqrt(vp_abars(10)[t])
             grad = a.adjoint(a.apply(xh) - y)
             rhs = prior.project_linear(xh - zeta * grad)

@@ -13,7 +13,6 @@ from dds.operators import (
     identity_map,
     make_coil_maps,
     make_mask,
-    matrix_operator,
     sense_operator,
     slice_radon_operator,
 )
@@ -23,6 +22,7 @@ from oracles import (
     cg,
     jacobi_residual_sequence,
     krylov_basis,
+    matrix_operator,
     subspace_distance,
 )
 from test_operators import normal_map, op_to_matrix

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dds.errors import ConfigError, NumericalError
@@ -17,7 +17,6 @@ from dds.operators import (
     diff_z_operator,
     make_coil_maps,
     make_mask,
-    matrix_operator,
     radon_adjoint,
     radon_apply,
     radon_matrix,
@@ -27,7 +26,7 @@ from dds.operators import (
     slice_radon_operator,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
-from oracles import dot_test
+from oracles import dot_test, matrix_operator
 
 
 def normal_map(a, gamma=1.0, plus=None):
@@ -127,7 +126,8 @@ def test_poisson_mask_density_and_acs():
 
 # sha256 of make_mask(MaskSpec(kind, acc, acs, seed), shape).tobytes(); the
 # 32x32 acc-4 ACS-0.08 seed-3 poisson-disk-vd mask is the mri2d-pinv benchmark
-# workload's, the 64x64 gaussian1d one with the same settings mri2d-dds's
+# workload's, the 64x64 gaussian1d one with the same settings mri2d-dds's; the
+# 128x128 one pins an image past 4,096 pixels whose keys still sort as 16 bits
 PINNED_MASKS = [
     ("poisson-disk-vd", (16, 16), 2.5, 0.0, 0, "48695e2a3d5b02a07529a9f2e26de461601764157ba1c483cec57b023b9ed20b"),
     ("poisson-disk-vd", (16, 16), 4, 0.08, 1, "c4a10166182d0c17d4b8703bdb561320b2ebe434154e946c63496a489d09ef34"),
@@ -143,6 +143,7 @@ PINNED_MASKS = [
     ("poisson-disk-vd", (32, 32), 4, 0.08, 12345, "cebcd6f6c1079e31b41896a9c3a2c0bd661e47cf3d73ff1f9ef199f10b6d642b"),
     ("poisson-disk-vd", (64, 64), 4, 0.08, 0, "24ffd3b017ad80406df5b318bd6705a9a53acd977500860429faf94c462abd36"),
     ("poisson-disk-vd", (64, 64), 2.5, 0.0, 9, "f390d51f1ea069102024ea806efcb06dcc8fb211e53a2fab842e6178f1a4f9db"),
+    ("poisson-disk-vd", (128, 128), 4, 0.08, 3, "bf87be9254fd6e346f7e28e4b9ebd89554b4774bd104475bfcc85c5a229e3fb5"),
     ("gaussian2d", (16, 16), 4, 0.08, 0, "47b8689e725979490307594f3e57e9b43bd8f44a4342b1e5f347cd4b1a7263ac"),
     ("gaussian2d", (24, 40), 2.5, 0.2, 1, "eb8a901473455b6641460de636d670a4c3559c80a24210cb0360ec6f1894d142"),
     ("gaussian2d", (32, 32), 8, 0.08, 5, "c52daa2b2a7e33a40234a7dd8c689ae783bee269b2861953ca34e82b639dba65"),
@@ -232,6 +233,12 @@ def _reference_poisson_mask(spec, shape):
 @settings(max_examples=12, deadline=None)
 @given(h=st.integers(4, 20), w=st.integers(4, 20),
        acc=st.floats(1.5, 8.0), acs=st.floats(0.0, 0.3), seed=st.integers(0, 10**6))
+# no throw in 18 lands within 10%: the closest is 4 points against 3.57 (above
+# target) and 2 against 2.86 (below); the third throw of a 16x20 mask is
+# stopped at 92 pixels against a target of 80 (it would set 180)
+@example(h=5, w=5, acc=7.0, acs=0.0, seed=0)
+@example(h=4, w=5, acc=7.0, acs=0.0, seed=2)
+@example(h=16, w=20, acc=4.0, acs=0.08, seed=1)
 def test_poisson_mask_matches_reference(h, w, acc, acs, seed):
     spec = MaskSpec("poisson-disk-vd", acc, acs, seed)
     if _acs_over_target(spec, (h, w)):

@@ -17,7 +17,6 @@ from dds.operators import (
     identity_map,
     make_coil_maps,
     make_mask,
-    matrix_operator,
     sense_operator,
 )
 from dds.samplers import (
@@ -31,7 +30,7 @@ from dds.samplers import (
     pseudo_inverse_apply,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
-from oracles import vp_abars
+from oracles import matrix_operator, vp_abars
 from test_krylov import counted
 from test_operators import normal_map
 
@@ -202,14 +201,14 @@ def test_pseudo_inverse_raises_when_the_capped_solve_does_not_converge(monkeypat
 
 def test_gradient_step_consistent_point_unchanged():
     _, _, x_true, a, y = sense_problem(40, shape=(16, 16), coils=2, acc=2.0)
-    out = gradient_dc_step(x_true, a, y, 0.7)
+    out = gradient_dc_step(x_true, a, a.apply(x_true) - y, 0.7)
     assert norm(out - x_true) < 1e-12 * max(norm(x_true), 1.0)
 
 
 def test_gradient_step_identity_operator_one_shot():
     a = identity_map((6,), dtype=REAL)
     y = RngStream(41).randn((6,))
-    out = gradient_dc_step(np.zeros(6), a, y, 1.0)
+    out = gradient_dc_step(np.zeros(6), a, a.apply(np.zeros(6)) - y, 1.0)
     assert np.array_equal(out, y)
 
 
@@ -220,7 +219,7 @@ def test_gradient_step_descends_residual_for_stable_steps():
     x = RngStream(44).randn((10,))
     opn2 = np.linalg.norm(m, 2) ** 2
     for xi in (0.5 / opn2, 1.0 / opn2, 1.9 / opn2):
-        out = gradient_dc_step(x, a, y, xi)
+        out = gradient_dc_step(x, a, a.apply(x) - y, xi)
         assert norm(y - a.apply(out)) < norm(y - a.apply(x))
 
 
@@ -592,10 +591,23 @@ def test_scale_step_by_residual_divides_step(dc, step):
     assert not np.allclose(scaled(x, xhat, 5)[0], plain(x, xhat, 5)[0])
 
 
+@pytest.mark.parametrize("dc, step", [("gradient", "xi"), ("dps", "dps_step")])
+def test_a_scaled_dc_step_applies_a_once(dc, step):
+    # the step size and the step share one residual A xhat - y
+    prior, den, _, a, y = sense_problem(175, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    a = counted(a)
+    sched = Schedule.vp(8)
+    x = RngStream(176).randn((16, 16), dtype=COMPLEX)
+    dc_step = make_dc(SamplerConfig(dc=dc, scale_step_by_residual=True, **{step: 0.7}),
+                      a, y, sched, prior)
+    dc_step(x, den.denoise(x, 5, sched), 5)
+    assert a.calls == {"apply": 1, "adjoint": 1}
+
+
 @pytest.mark.parametrize("dc, calls", [("dds-cg", 8), ("dps", 8)])
 def test_dps_reuses_the_loop_posterior_mean(monkeypatch, dc, calls):
     # nfe 8 VP: 8 denoiser calls for every strategy, and dps's gradient is
-    # taken at the very xhat the loop's denoiser returned
+    # taken at the residual of the very xhat the loop's denoiser returned
     _, den, _, a, y = sense_problem(179, shape=(16, 16), coils=2, acc=2.0, dim=4)
     denoise, gradient = AffineSubspacePrior.denoise, samplers.mcg_dps_gradient
     xhats, taken = [], []
@@ -604,16 +616,17 @@ def test_dps_reuses_the_loop_posterior_mean(monkeypatch, dc, calls):
         xhats.append(denoise(*args))
         return xhats[-1]
 
-    def gradient_spy(xhat, *args):
-        taken.append(xhat)
-        return gradient(xhat, *args)
+    def gradient_spy(r, *args):
+        taken.append(r)
+        return gradient(r, *args)
 
     monkeypatch.setattr(AffineSubspacePrior, "denoise", spy)
     monkeypatch.setattr(samplers, "mcg_dps_gradient", gradient_spy)
     dds_reconstruct(a, y, den, SamplerConfig(nfe=8, dc=dc, seed=0), rng=RngStream(0))
     assert len(xhats) == calls
     if dc == "dps":
-        assert len(taken) == calls - 1 and all(g is x for g, x in zip(taken, xhats))
+        assert len(taken) == calls - 1
+        assert all(np.array_equal(r, a.apply(x) - y) for r, x in zip(taken, xhats))
 
 
 def test_dps_without_affine_prior_is_config_error():

@@ -13,7 +13,7 @@ from .diffusion import AffineSubspacePrior, GmmPrior, Schedule
 from .dtf import read_dtf, write_dtf
 from .errors import ConfigError, NumericalError, SamplerDivergedError
 from .operators import (LinearMap, MaskSpec, RadonGeometry, make_coil_maps, make_mask,
-                        radon_operator, sense_operator, slice_radon_operator)
+                        radon_operator, sense_operator)
 from .samplers import ReconResult, SamplerConfig, dds_reconstruct
 from .tensor import COMPLEX, REAL, RngStream
 

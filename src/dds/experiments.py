@@ -34,7 +34,6 @@ from .operators import (
     make_mask,
     radon_operator,
     sense_operator,
-    slice_radon_operator,
 )
 from .phantoms import shepp_logan_2d, shepp_logan_3d
 from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc
@@ -247,7 +246,7 @@ def build_operator(cfg: ExperimentConfig, signal_shape):
     if kind == "radon3d":
         if len(signal_shape) != 3:
             raise ConfigError("radon3d needs a 3-D phantom shape")
-        return slice_radon_operator(geom, signal_shape[0])
+        return radon_operator(geom, signal_shape[0])
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 

@@ -290,12 +290,12 @@ class SensePlan:
     ``restrict`` (E*) gathers them back. A column mask (constant along k_y,
     axis -2, with n <= W/3 sampled columns) instead has the sampled k_x columns as
     ``support``, ``dft`` the unitary W-point DFT restricted to them,
-    F_W[:, cols] (W x n), and ``idft`` its adjoint (n x W). The mask
-    commutes with the unitary k_y transform F_y, so the data are kept in
-    hybrid space, F_y* k[:, :, cols] of shape (c, H, n): apply is one
-    (c*H x W) @ dft matmul and adjoint one (c*H x n) @ idft matmul, with no
-    FFT, and E/E* run the k_y transform. Above W/3 columns the restricted
-    transform measured slower than the full FFT.
+    F_W[:, cols] (W x n). The mask commutes with the unitary k_y transform
+    F_y, so the data are kept in hybrid space, F_y* k[:, :, cols] of shape
+    (c, H, n): apply is one (c*H x W) @ dft matmul and adjoint one
+    (c*H x n) @ dft^H matmul, with no FFT, and E/E* run the k_y transform.
+    Above W/3 columns the restricted transform measured slower than the
+    full FFT.
     """
 
     maps: np.ndarray
@@ -304,7 +304,6 @@ class SensePlan:
     support: np.ndarray
     range_shape: tuple
     dft: np.ndarray | None = None
-    idft: np.ndarray | None = None
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """E: the range -> k-space (c, H, W), zero off the mask."""
@@ -345,8 +344,7 @@ def sense_plan(maps: np.ndarray, mask: np.ndarray) -> SensePlan:
         return SensePlan(maps, conj_maps, mask, support, (c, support.size // c))
     # exponents reduced mod w keep every entry a root of unity to round-off
     dft = np.exp(-2j * math.pi / w * (np.outer(np.arange(w), cols) % w)) / math.sqrt(w)
-    return SensePlan(maps, conj_maps, mask, cols, (c, h, cols.size), dft,
-                     np.ascontiguousarray(dft.conj().T))
+    return SensePlan(maps, conj_maps, mask, cols, (c, h, cols.size), dft)
 
 
 def sense_apply(x: np.ndarray, plan: SensePlan) -> np.ndarray:
@@ -364,7 +362,7 @@ def sense_adjoint(y: np.ndarray, plan: SensePlan) -> np.ndarray:
         coil = ifft2(plan.embed(y))
     else:
         c, h, n = y.shape
-        coil = (y.reshape(c * h, n) @ plan.idft).reshape(plan.maps.shape)
+        coil = (y.reshape(c * h, n) @ plan.dft.conj().T).reshape(plan.maps.shape)
     # coil is this call's own array; conj_maps stays the first operand, since
     # numpy's complex product rounds differently with the operands swapped
     np.multiply(plan.conj_maps, coil, out=coil)
@@ -396,12 +394,12 @@ def sense_operator(maps: np.ndarray, mask: np.ndarray) -> LinearMap:
 
 @dataclass(frozen=True)
 class RadonGeometry:
-    """Parallel-beam geometry: square image side, projection angles, detector bins."""
+    """Parallel-beam geometry: square image side, projection angles, detector
+    bins. Every geometry samples its rays every _RAY_STEP = 0.5 pixels."""
 
     side: int
     angles: np.ndarray
     detector_bins: int
-    step: float = 0.5  # ray sampling step in pixels
 
     def __post_init__(self):
         ang = np.asarray(self.angles, dtype=REAL)
@@ -409,8 +407,8 @@ class RadonGeometry:
             raise ConfigError("RadonGeometry needs at least one angle")
         if not (np.all(np.diff(ang) > 0) and ang[0] >= 0 and ang[-1] < math.pi):  # NaN fails
             raise ConfigError("angles must be strictly increasing within [0, pi)")
-        if self.side < 1 or self.detector_bins < 1 or not self.step > 0:
-            raise ConfigError("RadonGeometry needs side >= 1, detector_bins >= 1, step > 0")
+        if self.side < 1 or self.detector_bins < 1:
+            raise ConfigError("RadonGeometry needs side >= 1 and detector_bins >= 1")
         object.__setattr__(self, "angles", ang)
 
     @classmethod
@@ -420,6 +418,8 @@ class RadonGeometry:
                    detector_bins=side if detector_bins is None else detector_bins)
 
 
+# Ray sampling step in pixels.
+_RAY_STEP = 0.5
 # Entries of the dense scratch array that coalesces one block of rays
 # (256 KB); blocks of rays are cut to fit it.
 _COALESCE_ENTRIES = 1 << 15
@@ -457,8 +457,8 @@ class RadonMatrix:
 def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
     """Ray-driven bilinear discretization of ``geom`` as a RadonMatrix.
 
-    Rays pass through detector-bin centers, sampled every ``step`` pixels
-    along the ray over the full image diagonal. Each sample adds ``step``
+    Rays pass through detector-bin centers, sampled every _RAY_STEP pixels
+    along the ray over the full image diagonal. Each sample adds _RAY_STEP
     times its bilinear weights to the four pixels around it; pixels off the
     grid are dropped. A block of rays is summed per (ray, pixel) in a dense
     scratch array over the grid padded by one pixel, so every sample whose
@@ -470,7 +470,7 @@ def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
     m = n + 2  # padded side
     half = (n - 1) / 2.0
     reach = n / math.sqrt(2.0) + 1.0
-    t = -reach + geom.step * np.arange(int(math.ceil(2.0 * reach / geom.step)) + 1)
+    t = -reach + _RAY_STEP * np.arange(int(math.ceil(2.0 * reach / _RAY_STEP)) + 1)
     # one ray per sinogram row: offset s along e_s = (cos, sin), walking
     # along e_t = (-sin, cos)
     n_rows = len(geom.angles) * bins
@@ -495,7 +495,7 @@ def radon_matrix(geom: RadonGeometry) -> RadonMatrix:
         gv = 1.0 - fv
         dense = np.bincount(
             np.concatenate((corner, corner + 1, corner + m, corner + m + 1)),
-            np.concatenate((gv * gu, gv * fu, fv * gu, fv * fu)) * geom.step,
+            np.concatenate((gv * gu, gv * fu, fv * gu, fv * fu)) * _RAY_STEP,
             minlength=nb * m * m)
         inner = dense.reshape(nb, m, m)[:, 1:-1, 1:-1].reshape(-1)
         hit = np.flatnonzero(inner > 0)
@@ -542,8 +542,13 @@ def radon_adjoint(sino: np.ndarray, matrix: RadonMatrix) -> np.ndarray:
     return out.reshape(sino.shape[:-2] + matrix.image_shape)
 
 
-def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
+def radon_operator(geom: RadonGeometry, n_slices: int | None = None) -> LinearMap:
+    """Radon as a LinearMap holding its system matrix as ``.matrix`` and the
+    identity as ``.embedding``: on (side, side) images ("radon"), or with
+    ``n_slices`` axial-slice-wise on (n_slices, side, side) volumes through
+    the same matrix ("radon3d")."""
     mat = radon_matrix(geom)
+    lead, name = ((), "radon") if n_slices is None else ((int(n_slices),), "radon3d")
     # radon_apply/radon_adjoint are looked up at call time, so wrappers
     # installed on this module see every apply
     op = LinearMap(lead + mat.image_shape, lead + mat.sino_shape,
@@ -552,17 +557,6 @@ def _radon_map(geom: RadonGeometry, lead: tuple, name: str) -> LinearMap:
     op.matrix = mat
     op.embedding = identity_map(op.range_shape, dtype=REAL)  # sinograms are the data
     return op
-
-
-def radon_operator(geom: RadonGeometry) -> LinearMap:
-    """2-D Radon as a LinearMap holding its system matrix as ``.matrix`` and
-    the identity as ``.embedding``."""
-    return _radon_map(geom, (), "radon")
-
-
-def slice_radon_operator(geom: RadonGeometry, n_slices: int) -> LinearMap:
-    """Axial-slice-wise Radon on a (nz, n, n) volume, one shared system matrix."""
-    return _radon_map(geom, (int(n_slices),), "radon3d")
 
 
 # ---------------------------------------------------------------------------

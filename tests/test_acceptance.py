@@ -37,7 +37,6 @@ from dds.operators import (
     make_mask,
     radon_operator,
     sense_operator,
-    slice_radon_operator,
 )
 from dds.samplers import SamplerConfig, dds_reconstruct
 from dds.tensor import REAL, RngStream, norm
@@ -61,7 +60,7 @@ def test_acceptance_01_adjoints_and_dense_equivalence():
     ops.append(sense_operator(make_coil_maps(1, (16, 16), 3), np.ones((16, 16))))
     geom = RadonGeometry.uniform(16, 6)
     ops.append(radon_operator(geom))
-    ops.append(slice_radon_operator(RadonGeometry.uniform(8, 5), 3))
+    ops.append(radon_operator(RadonGeometry.uniform(8, 5), 3))
     ops.append(diff_z_operator((4, 4, 4)))
     for i, op in enumerate(ops):
         dot_test(op, RngStream(50 + i), trials=20, tol=1e-10)
@@ -350,7 +349,7 @@ def test_acceptance_10_admm_tv():
     prior = AffineSubspacePrior.random((8, 8), 4, seed=50, dtype=REAL)
     x_true = np.stack([prior.sample(RngStream(51 + i)) for i in range(4)])
     geom = RadonGeometry.uniform(8, 6)
-    a = slice_radon_operator(geom, 4)
+    a = radon_operator(geom, 4)
     y = a.apply(x_true)
     lam, rho = 0.2, 1.0
     anchor = x_true + 0.3 * RngStream(52).randn(x_true.shape)
@@ -370,7 +369,7 @@ def test_acceptance_10_admm_tv():
     prior2 = AffineSubspacePrior.random((8, 8), 3, seed=60, dtype=REAL)
     den = prior2
     x_t2 = np.stack([prior2.sample(RngStream(61 + i)) for i in range(3)])
-    a2 = slice_radon_operator(RadonGeometry.uniform(8, 8), 3)
+    a2 = radon_operator(RadonGeometry.uniform(8, 8), 3)
     y2 = a2.apply(x_t2)
     scfg = SamplerConfig(nfe=8, eta=0.0, cg_steps=5, dc="dds-cg", seed=0)
     r3d = dds_3d_reconstruct(a2, y2, den, scfg, TvConfig(lam=0.0, rho=1e-10, cg_steps=5),

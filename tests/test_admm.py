@@ -13,7 +13,7 @@ from dds.admm import (
 from dds.diffusion import AffineSubspacePrior, Schedule
 from dds.errors import ConfigError
 from dds.krylov import CgReport
-from dds.operators import RadonGeometry, diff_z_apply, slice_radon_operator
+from dds.operators import RadonGeometry, diff_z_apply, radon_operator
 from dds.samplers import DC_STRATEGIES, SamplerConfig, dds_reconstruct, make_dc
 from dds.tensor import COMPLEX, REAL, RngStream, norm
 from oracles import cg, tv_objective
@@ -32,7 +32,7 @@ def ct_problem(seed, nz=4, side=8, angles=6, dim=4, constant_z=False):
     else:
         x_true = np.stack([prior.sample(rng) for _ in range(nz)])
     geom = RadonGeometry.uniform(side, angles)
-    a = slice_radon_operator(geom, nz)
+    a = radon_operator(geom, nz)
     return prior, den, x_true, a, a.apply(x_true)
 
 
@@ -141,7 +141,6 @@ def test_3d_strong_tv_flattens_consistent_identical_slices():
     # slice prior spanned by eigenvectors of the slice normal operator: CG
     # contracts sharply there, so the z-difference of the output is bounded
     # by a tightly converged trajectory rather than a loose plateau
-    from dds.operators import radon_operator
     geom = RadonGeometry.uniform(8, 12)
     nop = normal_map(radon_operator(geom))
     dense = np.zeros((64, 64))
@@ -154,7 +153,7 @@ def test_3d_strong_tv_flattens_consistent_identical_slices():
     prior = AffineSubspacePrior(basis=basis, offset=np.zeros((8, 8)))
     den = prior
     x_true = np.stack([prior.sample(RngStream(71))] * 2)
-    a = slice_radon_operator(geom, 2)
+    a = radon_operator(geom, 2)
     y = a.apply(x_true)
     scfg = SamplerConfig(nfe=20, eta=0.0, cg_steps=10, dc="dds-cg", seed=0)
     tv = TvConfig(lam=2.0, rho=1.0, cg_steps=10)

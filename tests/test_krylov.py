@@ -13,8 +13,8 @@ from dds.operators import (
     identity_map,
     make_coil_maps,
     make_mask,
+    radon_operator,
     sense_operator,
-    slice_radon_operator,
 )
 from dds.tensor import COMPLEX, REAL, RngStream, norm
 from oracles import (
@@ -390,7 +390,7 @@ def test_cgls_iterates_are_cg_on_the_normal_equations(iters, seed, m, nz, k, ran
 def sense_and_radon_systems():
     maps = make_coil_maps(3, (16, 16), 40)
     sense = sense_operator(maps, make_mask(MaskSpec("gaussian1d", 3.0, 0.1, 41), (16, 16)))
-    radon = slice_radon_operator(RadonGeometry.uniform(8, 6), 3)
+    radon = radon_operator(RadonGeometry.uniform(8, 6), 3)
     x_sense = RngStream(42).randn((16, 16), dtype=COMPLEX)
     x_radon = RngStream(43).randn((3, 8, 8))
     y_sense = sense.apply(RngStream(44).randn((16, 16), dtype=COMPLEX))

@@ -14,7 +14,7 @@ ROOT_NAMES = {
     "AffineSubspacePrior", "MaskSpec", "RngStream", "SamplerConfig", "dds_reconstruct",
     "make_coil_maps", "make_mask", "sense_operator",
     # operators, priors and schedules, the volume path
-    "LinearMap", "RadonGeometry", "radon_operator", "slice_radon_operator",
+    "LinearMap", "RadonGeometry", "radon_operator",
     "GmmPrior", "Schedule", "TvConfig", "dds_3d_reconstruct", "ReconResult",
     # dtypes, files and errors
     "REAL", "COMPLEX", "read_dtf", "write_dtf",

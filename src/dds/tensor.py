@@ -1,11 +1,16 @@
 """Dense tensor core: dtype policy, unitary 1-D and 2-D FFTs, seeded Gaussian streams.
 
 Signals are plain numpy arrays restricted to float64 / complex128. The
-FFTs check nothing per call: the power-of-two sides they are restricted to
-are checked once, where a shape enters (``sense_plan``,
-``smooth_random_field``). ``check_finite`` runs where data enters or leaves
-a run (files, operator data, CSV rows), and the sampler checks its residual
-once per step, where a run can diverge.
+FFTs call the pocketfft gufuncs that ``np.fft.fft``/``ifft`` end in
+(``numpy.fft._pocketfft_umath``, numpy >= 2.0), skipping the per-call
+dtype, norm and axis handling of that wrapper, about a quarter of a
+(4, 32, 32) transform. The gufunc module is private to numpy, so
+``tests/test_tensor.py`` checks every helper against numpy's
+``norm="ortho"`` transform bit for bit. The FFTs check nothing per call:
+the power-of-two sides they are restricted to are checked once, where a
+shape enters (``sense_plan``, ``smooth_random_field``). ``check_finite``
+runs where data enters or leaves a run (files, operator data, CSV rows),
+and the sampler checks its residual once per step, where a run can diverge.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigError, NumericalError
 
@@ -30,30 +36,44 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _pass(ufunc, x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One unitary 1-D pass of pocketfft's ``ufunc`` along ``axis`` of complex ``x``.
+
+    What ``np.fft.fft``/``ifft`` with ``norm="ortho"`` run after their Python
+    wrapper: the same gufunc with the factor 1/sqrt(n), which equals numpy's
+    ``reciprocal(sqrt(n))`` bit for bit. ``out=None`` writes a fresh array;
+    ``out=x`` transforms in place.
+    """
+    if out is None:
+        out = np.empty(x.shape, dtype=COMPLEX)
+    return ufunc(x, 1.0 / math.sqrt(x.shape[axis]), axes=[(axis,), (), (axis,)], out=out)
+
+
 def fft2(x: np.ndarray) -> np.ndarray:
     """Unitary 2-D FFT over the last two axes (norm split as 1/sqrt(HW)).
 
     The two 1-D passes that ``np.fft.fft2`` runs, axis -1 then axis -2, so
-    its output bit for bit without its N-d argument handling.
+    its output bit for bit. The first pass writes a new array and the
+    second runs in place on it, so ``x`` is never written.
     """
-    k = np.fft.fft(np.asarray(x, dtype=COMPLEX), axis=-1, norm="ortho")
-    return np.fft.fft(k, axis=-2, norm="ortho")
+    k = _pass(_pocketfft.fft, np.asarray(x, dtype=COMPLEX), -1)
+    return _pass(_pocketfft.fft, k, -2, out=k)
 
 
 def ifft2(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2`; also unitary, and ``np.fft.ifft2``'s passes."""
-    k = np.fft.ifft(np.asarray(x, dtype=COMPLEX), axis=-1, norm="ortho")
-    return np.fft.ifft(k, axis=-2, norm="ortho")
+    k = _pass(_pocketfft.ifft, np.asarray(x, dtype=COMPLEX), -1)
+    return _pass(_pocketfft.ifft, k, -2, out=k)
 
 
 def fft1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unitary 1-D FFT along ``axis`` (norm 1/sqrt(n))."""
-    return np.fft.fft(np.asarray(x, dtype=COMPLEX), axis=axis, norm="ortho")
+    """Unitary 1-D FFT along ``axis`` (norm 1/sqrt(n)), into a new array."""
+    return _pass(_pocketfft.fft, np.asarray(x, dtype=COMPLEX), axis)
 
 
 def ifft1(x: np.ndarray, axis: int) -> np.ndarray:
     """Inverse of :func:`fft1`; also unitary."""
-    return np.fft.ifft(np.asarray(x, dtype=COMPLEX), axis=axis, norm="ortho")
+    return _pass(_pocketfft.ifft, np.asarray(x, dtype=COMPLEX), axis)
 
 
 def norm(x: np.ndarray) -> float:

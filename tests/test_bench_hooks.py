@@ -149,3 +149,36 @@ def test_problem_denoiser_is_its_prior_under_a_second_name():
     problem = build_problem(ExperimentConfig(MRI_CFG.format(dc="dds-cg")))
     assert "denoiser" not in {f.name for f in dataclasses.fields(Problem)}
     assert problem.denoiser is problem.prior
+
+
+def _descends_from(spans, i, names):
+    while i >= 0:
+        if spans[i][0] in names:
+            return True
+        i = spans[i][3]
+    return False
+
+
+def test_sense_fft_path_runs_through_the_hooked_fft_names():
+    # tensor.fft_calls/fft_s exist only because sense_apply/sense_adjoint
+    # reach operators.fft2/ifft2 by name: 8 of 16 columns takes the FFT path
+    problem, spans = _traced_spans(MRI_CFG.format(dc="ddnm"))
+    assert problem.a.plan.dft is None
+    ops = [i for i, s in enumerate(spans)
+           if s[0] in ("operators.forward", "operators.adjoint")]
+    assert {spans[i][0] for i in ops} == {"operators.forward", "operators.adjoint"}
+    ffts = [s[3] for s in spans if s[0] == "tensor.fft"]
+    assert sorted(ffts) == ops
+
+
+def test_sense_column_path_runs_no_fft_in_the_loop():
+    # gaussian1d 4x samples 4 of 16 columns, under W/3: matmuls, no FFT
+    text = MRI_CFG.format(dc="ddnm").replace(
+        "mask_kind = uniform1d\nacceleration = 2", "mask_kind = gaussian1d\nacceleration = 4")
+    problem, spans = _traced_spans(text)
+    assert problem.a.plan.dft is not None
+    loop = {"samplers.loop"}
+    assert any(_descends_from(spans, i, loop) for i, s in enumerate(spans)
+               if s[0] == "operators.forward")
+    assert not any(_descends_from(spans, i, loop) for i, s in enumerate(spans)
+                   if s[0] == "tensor.fft")

@@ -77,7 +77,8 @@ def test_header_names_the_blas_threads_and_cpus(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
     assert byte_oracle.blas_header() == ("blas OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
-                                         f"MKL_NUM_THREADS=4 cpus={os.cpu_count()}")
+                                         f"MKL_NUM_THREADS=4 cpus={os.cpu_count()} "
+                                         f"numpy={np.__version__}")
 
 
 def test_script_pins_unset_blas_threads_to_one():

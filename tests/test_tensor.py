@@ -5,7 +5,7 @@ import pytest
 
 from dds.diffusion import smooth_random_field
 from dds.errors import ConfigError
-from dds.tensor import COMPLEX, REAL, RngStream, fft2, ifft2, norm
+from dds.tensor import COMPLEX, REAL, RngStream, fft1, fft2, ifft1, ifft2, norm
 
 
 def test_fft_delta_is_constant():
@@ -44,16 +44,31 @@ def test_fft_batched_axes():
         assert norm(stacked[i] - fft2(x[i])) < 1e-13
 
 
-@pytest.mark.parametrize("shape", [(4, 16, 8), (32, 32)], ids=["chw", "hw"])
+@pytest.mark.parametrize("shape, transpose", [
+    ((4, 16, 8), False), ((32, 32), False),
+    ((12, 32), True),  # a non-contiguous view, (32, 12)
+    ((3, 12, 12), False), ((5, 1, 8), False),
+], ids=["chw", "hw", "transposed", "lanes-12", "lanes-1"])
 @pytest.mark.parametrize("dtype", [REAL, COMPLEX], ids=["real", "complex"])
-def test_fft_passes_match_numpy_2d_bit_for_bit(shape, dtype):
-    # fft2/ifft2 run np.fft.fft2's 1-D passes themselves (axis -1, then -2);
-    # if a numpy release reorders its passes, this says why the bytes moved
+def test_fft_passes_match_numpy_2d_bit_for_bit(shape, transpose, dtype):
+    # the helpers call the pocketfft gufuncs that np.fft.fft/ifft end in,
+    # fft2/ifft2 as np.fft.fft2's two passes (axis -1, then -2); the gufunc
+    # module is private to numpy, so a release that moves its bytes fails here
     x = RngStream(4).randn(shape, dtype=dtype)
-    for ours, numpys in ((fft2, np.fft.fft2), (ifft2, np.fft.ifft2)):
-        got, want = ours(x), numpys(x, norm="ortho")
+    x = x.T if transpose else x
+    before = x.tobytes()
+    cases = ((fft2, lambda v: np.fft.fft2(v, norm="ortho")),
+             (ifft2, lambda v: np.fft.ifft2(v, norm="ortho")),
+             (lambda v: fft1(v, axis=-2), lambda v: np.fft.fft(v, axis=-2, norm="ortho")),
+             (lambda v: ifft1(v, axis=-2), lambda v: np.fft.ifft(v, axis=-2, norm="ortho")))
+    for ours, numpys in cases:
+        got, want = ours(x), numpys(x)
         assert got.dtype == want.dtype == COMPLEX
+        assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # a new array each call; the in-place second pass writes only it
+        assert not np.shares_memory(got, x)
+        assert x.tobytes() == before
 
 
 def test_randn_deterministic_for_equal_seeds():

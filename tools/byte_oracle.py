@@ -1,9 +1,11 @@
 """Byte oracle: hash the artifacts of `dds reconstruct`/`sweep`/`noise-offset`/`metrics`/`emit`.
 
 The first line names the BLAS thread settings (`OPENBLAS_NUM_THREADS`,
-`OMP_NUM_THREADS`, `MKL_NUM_THREADS`, each value or `unset`) and the CPU
-count: some 64x64 outputs (the `bench/mri2d-dds` line) differ between 1 and
-2 BLAS threads, so two outputs compare only when this line matches. Run as
+`OMP_NUM_THREADS`, `MKL_NUM_THREADS`, each value or `unset`), the CPU
+count and the numpy version: some 64x64 outputs (the `bench/mri2d-dds`
+line) differ between 1 and 2 BLAS threads, and every FFT's bytes are those
+of the pocketfft gufuncs of the numpy that runs, so two outputs compare
+only when this line matches. Run as
 a script, the oracle sets each of the three that is unset to 1 before numpy
 loads, as `bench/run.py` does, so its bytes are the bench's. Then
 it runs the CLI's `reconstruct` command in-process with `--seed 3` on 113
@@ -295,9 +297,10 @@ SIMULATED = ("x_true.dtf", "y.dtf", "mask.dtf", "maps.dtf")
 
 
 def blas_header() -> str:
-    """The first output line: each BLAS thread variable (or `unset`) and the CPU count."""
+    """The first output line: each BLAS thread variable (or `unset`), the CPU
+    count and the numpy version."""
     settings = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARIABLES)
-    return f"blas {settings} cpus={os.cpu_count()}"
+    return f"blas {settings} cpus={os.cpu_count()} numpy={np.__version__}"
 
 
 def sha256(path: Path) -> str:

@@ -113,7 +113,7 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     switch_t = cfg.nfe // 2  # VE warm-up: plain CG while t >= switch_t
     state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)
 
-    def admm_dc(x, xhat, t):
+    def admm_dc(xhat, t):
         nonlocal state
         if vp or t < switch_t:
             xp, state, report = admm_tv_dc(xhat, a, y, state, tv)

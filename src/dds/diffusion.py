@@ -299,7 +299,7 @@ class GmmPrior:
         mvar = scale * scale * self.tau2 + kvar
         x = x_t.ravel()
         mu = self.means.reshape(self.n_components, -1)
-        sq = np.array([float(np.real(np.vdot(x - scale * m, x - scale * m))) for m in mu])
+        sq = np.array([float(np.real(np.vdot(d, d))) for d in x - scale * mu])
         # circular complex Gaussians put the whole variance in |.|^2, so the
         # exponent loses the usual factor-2 denominator
         denom = mvar if np.iscomplexobj(x_t) else 2.0 * mvar

@@ -61,6 +61,8 @@ class NoiseOffsetConfig:
             value = getattr(self, key)
             if not 0 <= value < math.inf:  # NaN fails every comparison
                 raise ConfigError(f"[noise_offset] {key} = {value} must be finite and >= 0")
+        if not abs(self.phantom_scale) < math.inf:  # either sign
+            raise ConfigError(f"[noise_offset] phantom_scale = {self.phantom_scale} must be finite")
 
 
 # the sections that ExperimentConfig.read builds a dataclass from
@@ -502,11 +504,11 @@ def run_noise_offset_experiment(cfg: NoiseOffsetConfig, seed: int):
               for s in ("ddnm", "gradient", "dps", "dds-cg")}
         outs = {
             "no-process": x_noisy,
-            "projection": dc["ddnm"](x_noisy, x_noisy, t_mid)[0],
-            "gradient": dc["gradient"](x_noisy, x_noisy, t_mid)[0],
-            "dps": dc["dps"](x_noisy, x_den, t_mid)[0],
-            "ddnm": dc["ddnm"](x_noisy, x_den, t_mid)[0],
-            "dds-cg": dc["dds-cg"](x_noisy, x_noisy, t_mid)[0],
+            "projection": dc["ddnm"](x_noisy, t_mid)[0],
+            "gradient": dc["gradient"](x_noisy, t_mid)[0],
+            "dps": dc["dps"](x_den, t_mid)[0],
+            "ddnm": dc["ddnm"](x_den, t_mid)[0],
+            "dds-cg": dc["dds-cg"](x_noisy, t_mid)[0],
         }
         trial_off = {}
         for strat in NOISE_OFFSET_STRATEGIES:

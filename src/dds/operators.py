@@ -351,7 +351,7 @@ def sense_apply(x: np.ndarray, plan: SensePlan) -> np.ndarray:
     """The measured entries of ``F(maps * x)``, in the layout of ``plan.range_shape``."""
     coil = plan.maps * x
     if plan.dft is None:
-        return fft2(coil).take(plan.support).reshape(plan.range_shape)
+        return plan.restrict(fft2(coil))
     c, h, w = coil.shape
     return (coil.reshape(c * h, w) @ plan.dft).reshape(plan.range_shape)
 

@@ -4,9 +4,9 @@ One loop serves images and, via admm.dds_3d_reconstruct, volumes, and one
 DDIM step serves VP and VE: the loop reads its start noise and stop step
 from the Schedule. make_dc builds the data-consistency step once per run,
 so strategy ablations are a config sweep. Baselines cover pseudo-inverse
-replacement (on the denoised estimate or the noisy iterate), one-step
-gradient descent on the residual, and the projected-gradient step
-available when the denoiser Jacobian is an analytic projector.
+replacement (on the denoised estimate or the noisy iterate) and one
+descent step on the residual, along A* r or, where the denoiser Jacobian
+is an analytic projector, along its projection.
 """
 
 from __future__ import annotations
@@ -162,53 +162,46 @@ def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray
     return xhat + z, report
 
 
-def gradient_dc_step(x: np.ndarray, a: LinearMap, r: np.ndarray, xi: float) -> np.ndarray:
-    """One descent step x - xi A* r on 1/2 ||y - Ax||^2, given r = A x - y."""
-    return x - xi * a.adjoint(r)
-
-
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
             prior: AffineSubspacePrior | None = None):
-    """Build the data-consistency step ``dc(x, xhat, t) -> (x', report)`` named by cfg.dc.
+    """Build the data-consistency step ``dc(xhat, t) -> (x', report)`` named by cfg.dc.
 
-    ``x`` is the noisy iterate at step t and ``xhat`` its Tweedie estimate.
-    The CGLS-based steps return the CgReport of the solve that produced x',
-    whose ``residual`` is y - A x'; the others return None in its place and
-    leave the forward to the caller.
-    ``projection`` leaves xhat unchanged: the loop projects the noisy iterate
-    after the DDIM step instead. ``dps`` takes xhat to be the affine prior's
-    posterior mean at (x, t), which the loop's denoiser computes.
+    ``xhat`` is the Tweedie estimate at step t. The CGLS-based steps return
+    the CgReport of the solve that produced x', whose ``residual`` is
+    y - A x'; the others return None in its place and leave the forward to
+    the caller. ``projection`` leaves xhat unchanged: the loop projects the
+    noisy iterate after the DDIM step instead. ``gradient`` and ``dps`` are
+    one descent step xhat - s g(r, t) on r = A xhat - y: ``gradient`` takes
+    g = A* r and s = xi, ``dps`` the manifold-constrained gradient and
+    s = dps_step, and scale_step_by_residual divides s by ||r||. ``dps``
+    takes xhat to be the affine prior's posterior mean at step t, which the
+    loop's denoiser computes.
     """
-    def step(base, r):
-        if not cfg.scale_step_by_residual:
-            return base
-        return base / max(norm(r), 1e-12)
-
     if cfg.dc == "dds-cg":
-        return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps)
+        return lambda xhat, t: cg(a, y, xhat, cfg.cg_steps)
     if cfg.dc == "dds-proximal-cg":
         # min ||y - Ax||^2 + 1/gamma ||xhat - x||^2, the proximal objective
         # gamma/2 ||y - Ax||^2 + 1/2 ||x - xhat||^2 scaled by 2/gamma
         ident = identity_map(a.domain_shape, dtype=a.domain_dtype)
-        return lambda x, xhat, t: cg(a, y, xhat, cfg.cg_steps,
-                                     stack=(ident, xhat, 1.0 / cfg.gamma))
+        return lambda xhat, t: cg(a, y, xhat, cfg.cg_steps,
+                                  stack=(ident, xhat, 1.0 / cfg.gamma))
     if cfg.dc == "ddnm":
-        return lambda x, xhat, t: ddnm_step(xhat, a, y)
+        return lambda xhat, t: ddnm_step(xhat, a, y)
     if cfg.dc == "projection":
-        return lambda x, xhat, t: (xhat, None)
-    # the gradient steps form r = A xhat - y once, for the step and its size
+        return lambda xhat, t: (xhat, None)
     if cfg.dc == "gradient":
-        def gradient(x, xhat, t):
-            r = a.apply(xhat) - y
-            return gradient_dc_step(xhat, a, r, step(cfg.xi, r)), None
-        return gradient
-    if prior is None:
+        size, direction = cfg.xi, lambda r, t: a.adjoint(r)
+    elif prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
+    else:
+        # looked up per call, so a replaced samplers.mcg_dps_gradient is the one run
+        size, direction = cfg.dps_step, lambda r, t: mcg_dps_gradient(r, t, prior, a, sched)
 
-    def dps(x, xhat, t):
-        r = a.apply(xhat) - y
-        return xhat - step(cfg.dps_step, r) * mcg_dps_gradient(r, t, prior, a, sched), None
-    return dps
+    def descent(xhat, t):
+        r = a.apply(xhat) - y  # formed once, for the direction and the size
+        s = size / max(norm(r), 1e-12) if cfg.scale_step_by_residual else size
+        return xhat - s * direction(r, t), None
+    return descent
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
                     schedule=None, dc=None) -> ReconResult:
     """Run the decomposed sampling loop for one measurement.
 
-    Per step: Tweedie denoise, data consistency ``dc(x, xhat, t)`` (by
+    Per step: Tweedie denoise, data consistency ``dc(xhat, t)`` (by
     default ``make_dc`` for cfg.dc), then ``ddim_step`` on the DC output and
     the pre-DC eps_hat, for VP and VE alike. The schedule (``make_schedule``
     of cfg unless one is injected) sets the std of the start noise and the
@@ -277,7 +270,7 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
         for t in range(sched.n_steps, sched.stop, -1):
             xhat = denoiser.denoise(x, t, sched)
             eps_hat = eps_from_denoised(x, xhat, t, sched)
-            xp, report = dc(x, xhat, t)
+            xp, report = dc(xhat, t)
             record(t, x, xp, xhat, report)
             x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
             if project_noisy:

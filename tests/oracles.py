@@ -4,9 +4,10 @@ No run path calls these; they are the ground truth of the test suite:
 a dense matrix as an operator, plain CG on a self-adjoint PSD operator
 (which CGLS must reproduce), Krylov bases and subspace distances (the
 paper's claim that CG warm-started at the Tweedie estimate stays in the
-Krylov tangent space), the Richardson residual recursion, the default VP
-and VE grids, the epsilon/score/Tweedie conversions, the ADMM-TV objective
-and the randomized adjoint dot-test.
+Krylov tangent space), the leading eigenvectors of a dense A*A (an
+A*A-invariant subspace, the theorem's hypothesis), the Richardson residual
+recursion, the default VP and VE grids, the epsilon/score/Tweedie
+conversions, the ADMM-TV objective and the randomized adjoint dot-test.
 """
 
 from __future__ import annotations
@@ -137,6 +138,25 @@ def subspace_distance(v: np.ndarray, base: np.ndarray, basis: KrylovBasis) -> fl
         raise ConfigError("subspace_distance: shape mismatch")
     r = v - base
     return norm(r - basis.project(r))
+
+
+def normal_eigenbasis(a: LinearMap, l: int) -> np.ndarray:
+    """The l leading eigenvectors of A*A, stacked (l, *domain_shape), orthonormal.
+
+    A*A is formed densely, one unit vector of the domain at a time, so keep
+    the domain small (16^2 or less). Their span is A*A-invariant.
+    """
+    n = math.prod(a.domain_shape)
+    if not 1 <= l <= n:
+        raise ConfigError(f"normal_eigenbasis: l = {l} must lie in [1, {n}]")
+    gram = np.empty((n, n), dtype=a.domain_dtype)
+    unit = np.zeros(n, dtype=a.domain_dtype)
+    for j in range(n):
+        unit[j] = 1.0
+        gram[:, j] = a.adjoint(a.apply(unit.reshape(a.domain_shape))).ravel()
+        unit[j] = 0.0
+    _, vecs = np.linalg.eigh(gram)  # ascending eigenvalues
+    return np.ascontiguousarray(vecs[:, :-l - 1:-1].T).reshape((l, *a.domain_shape))
 
 
 def jacobi_residual_sequence(a: LinearMap, y: np.ndarray, x0: np.ndarray,

@@ -214,8 +214,8 @@ def test_volume_trace_residual_is_the_dc_output_residual(monkeypatch, mode):
     real_loop = admm.dds_reconstruct
 
     def loop(*args, dc, **kwargs):
-        def spy(x, xhat, t):
-            out = dc(x, xhat, t)
+        def spy(xhat, t):
+            out = dc(xhat, t)
             outs.append(out[0])
             return out
 
@@ -230,7 +230,7 @@ def test_volume_trace_residual_is_the_dc_output_residual(monkeypatch, mode):
 
 @pytest.mark.parametrize("name", [*DC_STRATEGIES, "volume-admm", "volume-ve-warm-up"])
 def test_dc_step_returns_its_solves_report(monkeypatch, name):
-    # the contract dc(x, xhat, t) -> (x', report): a solve's CgReport carries
+    # the contract dc(xhat, t) -> (x', report): a solve's CgReport carries
     # y - A x', and the steps that solve nothing return None
     t = 6
     if name.startswith("volume"):
@@ -242,7 +242,7 @@ def test_dc_step_returns_its_solves_report(monkeypatch, name):
         dds_3d_reconstruct(a, y, den, SamplerConfig(nfe=8, mode=mode),
                            TvConfig(lam=0.5, rho=0.5, cg_steps=3))
         (dc,) = steps
-        x = xhat = RngStream(92).randn(a.domain_shape)
+        xhat = RngStream(92).randn(a.domain_shape)
     else:
         prior, _, _, a, y = sense_problem(93, shape=(16, 16), coils=2, acc=2.0, dim=4)
         y = y + 0.05 * RngStream(94).randn(y.shape, dtype=COMPLEX)
@@ -250,7 +250,7 @@ def test_dc_step_returns_its_solves_report(monkeypatch, name):
         dc = make_dc(SamplerConfig(nfe=8, dc=name), a, y, sched, prior)
         x = RngStream(95).randn(a.domain_shape, dtype=COMPLEX)
         xhat = prior.denoise(x, t, sched)
-    xp, report = dc(x, xhat, t)
+    xp, report = dc(xhat, t)
     if name in ("projection", "gradient", "dps"):
         assert report is None
     else:

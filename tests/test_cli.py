@@ -174,8 +174,9 @@ def test_nan_in_measurements_exits_3(cfg_file, tmp_path):
 
 
 def test_noise_offset_non_finite_phantom_exits_3(tmp_path):
+    # a finite phantom_scale passes the config; 1e308 overflows the run
     cfgp = tmp_path / "no.ini"
-    cfgp.write_text("[noise_offset]\ntrials = 2\nphantom_scale = inf\n")
+    cfgp.write_text("[noise_offset]\ntrials = 2\nphantom_scale = 1e308\n")
     out = tmp_path / "no.csv"
     r = run_cli("noise-offset", "--config", str(cfgp), "--seed", "1", "--out", str(out))
     _one_line_error(r, 3)  # no numpy RuntimeWarning lines before the error
@@ -659,13 +660,17 @@ def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     ("shape = 24 24", "power-of-two sides, got (24, 24)"),
     ("smooth = 3.5e153", "smooth = 3.5e+153 is too large"),
     ("smooth = 1e154", "smooth = 1e+154 is too large"),
+    ("phantom_scale = inf", "[noise_offset] phantom_scale = inf must be finite"),
+    ("phantom_scale = nan", "[noise_offset] phantom_scale = nan must be finite"),
 ], ids=["negative-smooth", "nan-smooth", "negative-sigma-gt", "nan-sigma-gt", "inf-sigma-gt",
-        "non-pow2-shape", "smooth-filter-nan", "smooth-filter-overflow"])
+        "non-pow2-shape", "smooth-filter-nan", "smooth-filter-overflow", "inf-phantom-scale",
+        "nan-phantom-scale"])
 def test_bad_noise_offset_value_exits_2(tmp_path, value, named):
     # smooth = -1 or nan ran white-noise phantoms with exit 0, and
     # sigma_gt = nan exited 3 in the first CG solve; the smoothed phantom's
     # shape is checked where it enters, not by the FFT; smooth = 3.5e153 or
-    # 1e154 made the low-pass filter NaN or overflowed it
+    # 1e154 made the low-pass filter NaN or overflowed it; phantom_scale = inf
+    # or nan passed the config and exited 3 in the first CG solve
     cfgp = tmp_path / "no.ini"
     cfgp.write_text(f"[noise_offset]\ntrials = 1\n{value}\n")
     out = tmp_path / "no.csv"

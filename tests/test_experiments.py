@@ -346,7 +346,7 @@ def test_noise_offset_rejects_non_finite_output(monkeypatch):
 
     def make_dc(cfg, *args):
         dc = real_make_dc(cfg, *args)
-        return (lambda x, xhat, t: (np.full_like(xhat, np.nan), None)) if cfg.dc == "dps" else dc
+        return (lambda xhat, t: (np.full_like(xhat, np.nan), None)) if cfg.dc == "dps" else dc
 
     monkeypatch.setattr(experiments, "make_dc", make_dc)
     with pytest.raises(NumericalError, match="noise-offset dps"):

@@ -8,6 +8,7 @@ Rejection sampling reruns with derived seeds (run_reconstruction).
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import time
 import typing
@@ -91,6 +92,14 @@ def annotation_cast(kind):
     return next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))
 
 
+@functools.cache
+def field_casts(cls) -> dict:
+    """The annotation_cast of each field of dataclass ``cls``, its type hints
+    resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: annotation_cast(hints[f.name]) for f in fields(cls)}
+
+
 class ExperimentConfig:
     """Typed view over a flat INI config; keeps raw text for byte-exact copies.
 
@@ -150,10 +159,9 @@ class ExperimentConfig:
         field's annotation, absent keys keep the field default, and
         ``overrides`` replace what was read. A field that is not a key of the
         section (the sampler seed) is never read."""
-        hints = typing.get_type_hints(cls)
-        kwargs = {f.name: self.get(section, f.name, cast=annotation_cast(hints[f.name]))
-                  for f in fields(cls)
-                  if f.name in CONFIG_KEYS[section] and self.has(section, f.name)}
+        casts = field_casts(cls)
+        kwargs = {name: self.get(section, name, cast=cast) for name, cast in casts.items()
+                  if name in CONFIG_KEYS[section] and self.has(section, name)}
         return cls(**(kwargs | overrides))
 
 
@@ -410,7 +418,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, repeats: int, seed: int,
     if jobs < 1:
         raise ConfigError(f"sweep needs jobs >= 1, got {jobs}")
     section, name = SWEEP_AXES[axis]
-    cast = annotation_cast(typing.get_type_hints(SECTION_CLASSES[section])[name])
+    cast = field_casts(SECTION_CLASSES[section])[name]
     parsed = []
     for val in values:
         try:

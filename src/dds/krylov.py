@@ -24,7 +24,11 @@ from .operators import LinearMap
 @dataclass
 class CgReport:
     """Per-run CG record: iterations, residual norm path, and the data
-    residual b - Ax at return."""
+    residual b - Ax at return.
+
+    ``residual_norms`` holds the norm of every gradient the solve formed:
+    ||r_0|| up to the one whose stop test ended the solve, or ||r_(iters-1)||
+    when the cap ended the solve; it is empty when iters = 0."""
 
     iterations: int
     residual_norms: list[float]
@@ -44,9 +48,12 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
     s = b - A x (and t = c - B x) and forms the gradient r = A*s + w B*t
     from it, so ``report.residual`` is s at return and
     ``report.residual_norms`` holds the ||r_k|| that plain CG would report.
-    Stops early once ||r_k|| <= tol ||r_0||. With tol = 0 the cap rules, and
-    the last step skips its A*s (and B*t), which only a stopping test or a
-    next step would read; ``residual_norms`` then ends with ||r_(iters-1)||.
+    Stops early once ||r_k|| <= tol ||r_0||. The cap is the one end rule
+    besides that: the step that reaches ``iters`` skips its A*s (and B*t),
+    which only a stopping test or a next step would read. So a capped solve
+    pays iters adjoints and iters + 1 applies of A from x0 (iters from zero),
+    tolerance or not, and its ``residual_norms`` ends with ||r_(iters-1)||.
+    ``iters = 0`` forms no gradient and reports no norm.
     """
     bop, c, w = stack if stack is not None else (None, None, 0.0)
     if x0 is None:
@@ -62,13 +69,13 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         r = a.adjoint(s)
         return r if bop is None else r + w * bop.adjoint(t)
 
-    if iters == 0 and tol <= 0:
+    if iters == 0:
         return x, CgReport(0, [], s)
     r = gradient()
     p = r.copy()  # updated in place below; only x, s, t and p are owned here
     rs = _sq(r)
     norms = [math.sqrt(rs)]
-    if iters == 0 or norms[0] <= tol * norms[0]:
+    if norms[0] <= tol * norms[0]:
         return x, CgReport(0, norms, s)
     it = 0
     for k in range(iters):
@@ -85,7 +92,7 @@ def cgls(a: LinearMap, b: np.ndarray, x0: np.ndarray | None, iters: int,
         if t is not None:
             t -= alpha * qb
         it = k + 1
-        if it == iters and tol <= 0:
+        if it == iters:
             break
         r = gradient()
         rs_new = _sq(r)

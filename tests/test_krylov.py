@@ -430,9 +430,10 @@ def test_capped_cgls_skips_its_last_adjoint():
     a.calls.update(apply=0, adjoint=0)
     _, rep = cgls(a, y, None, 4, 1e-300)
     # a start from zero applies nothing; a tolerance (here relative, so
-    # 1e-300 ||r_0|| and never reached) forms every gradient
-    assert a.calls == {"apply": 4, "adjoint": 5}
-    assert len(rep.residual_norms) == 5
+    # 1e-300 ||r_0|| and never reached) leaves the cap the end rule, and the
+    # 4th step's A*s is skipped all the same
+    assert a.calls == {"apply": 4, "adjoint": 4}
+    assert len(rep.residual_norms) == 4
 
 
 def test_cgls_zero_iterations_returns_start_and_its_residual():
@@ -441,6 +442,14 @@ def test_cgls_zero_iterations_returns_start_and_its_residual():
     x, rep = cgls(a, b, x0, 0)
     assert np.array_equal(x, x0) and rep.iterations == 0
     assert np.array_equal(rep.residual, b - a.apply(x0))
+
+
+def test_cgls_zero_iterations_forms_no_gradient_even_with_a_tolerance():
+    a = counted(matrix_operator(RngStream(59).randn((5, 3))))
+    b, x0 = RngStream(60).randn((5,)), RngStream(63).randn((3,))
+    x, rep = cgls(a, b, x0, 0, 1e-6)
+    assert a.calls == {"apply": 1, "adjoint": 0}
+    assert np.array_equal(x, x0) and rep.iterations == 0 and rep.residual_norms == []
 
 
 def test_cgls_exact_start_stops_at_once():

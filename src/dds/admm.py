@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .krylov import CgReport, cgls as cg
 # bench/tracing.py hooks admm.diff_z_adjoint too, so the name stays here.
 from .operators import LinearMap, diff_z_adjoint, diff_z_apply, diff_z_operator  # noqa: F401
-from .samplers import ReconResult, SamplerConfig, dds_reconstruct
+from .samplers import CountedDenoiser, Ledger, ReconResult, SamplerConfig, dds_reconstruct
 from .tensor import RngStream
 
 
@@ -42,7 +42,8 @@ def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
     """Proximal map of kappa |.| for kappa >= 0: shrink magnitudes by kappa, dead-zone at 0."""
     v = np.asarray(v)
     mag = np.abs(v)
-    shrink = np.where(mag > kappa, 1.0 - kappa / np.where(mag > 0, mag, 1.0), 0.0)
+    with np.errstate(over="ignore"):  # kappa/|v| overflows only where |v| <= kappa
+        shrink = np.where(mag > kappa, 1.0 - kappa / np.where(mag > 0, mag, 1.0), 0.0)
     return v * shrink
 
 
@@ -101,7 +102,7 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     ADMM-TV at every step; VE warms up with plain CG for t in [N/2, N] and
     switches to ADMM-TV below, with z, w still zero at the switch. Both run
     tv.cg_steps CG iterations. The z-axis TV couples slices only through the
-    DC solve.
+    DC solve; its Ledger counts a denoiser call per slice, a sweep per ADMM x-update.
     """
     if len(a.domain_shape) != 3 or a.domain_shape[0] < 2:
         raise ConfigError(f"dds_3d_reconstruct expects a volume of at least 2 slices "
@@ -112,13 +113,16 @@ def dds_3d_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig
     vp = cfg.mode == "vp"
     switch_t = cfg.nfe // 2  # VE warm-up: plain CG while t >= switch_t
     state = AdmmState.zeros(a.domain_shape, dtype=a.domain_dtype)
+    ledger = Ledger()
+    a = a.counted(ledger)
 
     def admm_dc(xhat, t):
         nonlocal state
         if vp or t < switch_t:
+            ledger.admm_sweeps += 1
             xp, state, report = admm_tv_dc(xhat, a, y, state, tv)
             return xp, report
         return cg(a, y, xhat, tv.cg_steps)
 
-    return dds_reconstruct(a, y, SliceDenoiser(denoiser), cfg, rng=rng, x_true=x_true,
-                           dc=admm_dc)
+    return dds_reconstruct(a, y, SliceDenoiser(CountedDenoiser(denoiser, ledger)), cfg,
+                           rng=rng, x_true=x_true, dc=admm_dc, ledger=ledger)

@@ -37,7 +37,7 @@ from .operators import (
     sense_operator,
 )
 from .phantoms import shepp_logan_2d, shepp_logan_3d
-from .samplers import ReconResult, SamplerConfig, dds_reconstruct, make_dc
+from .samplers import Ledger, ReconResult, SamplerConfig, dds_reconstruct, make_dc
 from .tensor import COMPLEX, REAL, RngStream, check_finite
 
 
@@ -64,6 +64,10 @@ class NoiseOffsetConfig:
                 raise ConfigError(f"[noise_offset] {key} = {value} must be finite and >= 0")
         if not abs(self.phantom_scale) < math.inf:  # either sign
             raise ConfigError(f"[noise_offset] phantom_scale = {self.phantom_scale} must be finite")
+        if len(self.shape) != 2 or self.shape[0] != self.shape[1] or self.shape[0] < 1:
+            given = " ".join(map(str, self.shape)) or "(empty)"
+            raise ConfigError(f"[noise_offset] shape = {given} must be two equal positive "
+                              "sizes (a square image)")
 
 
 # the sections that ExperimentConfig.read builds a dataclass from
@@ -295,7 +299,10 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         # only measured entries carry noise
         nrng = RngStream(noise_seed)
         e = a.embedding
-        y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            y = y + e.adjoint(sigma * nrng.randn(e.range_shape, dtype=e.range_dtype))
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"[problem] noise_sigma = {sigma} gives non-finite data")
     return Problem(kind=kind, a=a, y=y, x_true=x_true, prior=prior, noise_sigma=sigma)
 
 
@@ -315,8 +322,8 @@ def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | Non
     ``rng``; otherwise attempt k runs on ``rng.child(k)`` and the run stops
     at the first residual <= tau. With none cleared, the lowest-residual
     attempt (the earliest on a tie) returns, not accepted. ``accepted`` is
-    None without a tau, ``attempts`` counts the attempts made and
-    ``wall_seconds`` times them all.
+    None without a tau, ``attempts`` counts the attempts made, and
+    ``wall_seconds`` times them all as ``ledger`` sums their work.
     """
     if max_retries < 1:
         raise ConfigError(f"[sampler] max_retries must be >= 1, got {max_retries}")
@@ -324,7 +331,7 @@ def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | Non
     rng = rng if rng is not None else RngStream(scfg.seed)
     tau = scfg.rejection_tau
     streams = [rng] if tau is None or max_retries == 1 else map(rng.child, range(max_retries))
-    best = None
+    best, ledger = None, Ledger()
     for attempts, stream in enumerate(streams, 1):
         if problem.kind == "ct3d":
             res = dds_3d_reconstruct(problem.a, problem.y, problem.prior, scfg,
@@ -333,12 +340,13 @@ def run_reconstruction(problem: Problem, scfg: SamplerConfig, tv: TvConfig | Non
         else:
             res = dds_reconstruct(problem.a, problem.y, problem.prior, scfg,
                                   rng=stream, x_true=problem.x_true)
+        ledger += res.ledger
         if best is None or res.residual < best.residual:
             best = res
         if tau is not None and res.residual <= tau:
             break
     best.accepted = None if tau is None else best.residual <= tau
-    best.attempts = attempts
+    best.attempts, best.ledger = attempts, ledger
     best.wall_seconds = time.perf_counter() - t_start
     return best
 

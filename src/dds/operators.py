@@ -41,12 +41,32 @@ class LinearMap:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self._adjoint(self._shaped(y, self.range_shape, "adjoint"))
 
+    def counted(self, ledger) -> LinearMap:
+        """A per-run view counting applies in ``ledger.forward`` and adjoints in
+        ``ledger.adjoint``. It calls this operator's own apply and adjoint, whose
+        kernels and data it shares; no count lives on the operator, which runs share."""
+        return _CountingView(self, ledger)
+
     def _shaped(self, x, shape: tuple, call: str) -> np.ndarray:
         x = np.asarray(x)
         if x.shape != shape:
             raise ConfigError(f"{self.name or 'operator'}: {call} expects shape {shape}, "
                               f"got {x.shape}")
         return x
+
+
+class _CountingView(LinearMap):
+    def __init__(self, op: LinearMap, ledger):
+        super().__init__(op.domain_shape, op.range_shape, None, None, op.domain_dtype, op.name)
+        self.op, self.ledger = op, ledger
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        self.ledger.forward += 1
+        return self.op.apply(x)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        self.ledger.adjoint += 1
+        return self.op.adjoint(y)
 
 
 def identity_map(shape, dtype=COMPLEX) -> LinearMap:

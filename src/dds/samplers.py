@@ -12,7 +12,7 @@ is an analytic projector, along its projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -116,9 +116,37 @@ class SamplerTrace(list):
 
 
 @dataclass
+class Ledger:
+    """A run's work: prior denoiser calls (one per slice of a volume), denoiser
+    Jacobian products (one per mcg_dps_gradient call), forward and adjoint
+    applies of A, CG iterations and ADMM sweeps. Ledgers add field by field."""
+    denoiser_calls: int = 0
+    jacobian_products: int = 0
+    forward: int = 0
+    adjoint: int = 0
+    cg_iterations: int = 0
+    admm_sweeps: int = 0
+
+    def __add__(self, other: Ledger) -> Ledger:
+        return Ledger(*(u + v for u, v in zip(astuple(self), astuple(other))))
+
+
+class CountedDenoiser:
+    """A denoiser that adds each of its calls to ``ledger.denoiser_calls``."""
+
+    def __init__(self, inner, ledger: Ledger):
+        self.inner, self.ledger = inner, ledger
+
+    def denoise(self, x, t, sched):
+        self.ledger.denoiser_calls += 1
+        return self.inner.denoise(x, t, sched)
+
+
+@dataclass
 class ReconResult:
     x0: np.ndarray
     trace: SamplerTrace  # the last record holds the result's residual ||y - A x0||
+    ledger: Ledger = field(default_factory=Ledger)
     # the run-level fields, which experiments.run_reconstruction sets
     accepted: bool | None = None
     wall_seconds: float = 0.0
@@ -172,7 +200,7 @@ def ddnm_step(xhat: np.ndarray, a: LinearMap, y: np.ndarray) -> tuple[np.ndarray
 
 
 def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
-            prior: AffineSubspacePrior | None = None):
+            prior: AffineSubspacePrior | None = None, ledger: Ledger | None = None):
     """Build the data-consistency step ``dc(xhat, t) -> (x', report)`` named by cfg.dc.
 
     ``xhat`` is the Tweedie estimate at step t. The CGLS-based steps return
@@ -184,7 +212,7 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     g = A* r and s = xi, ``dps`` the manifold-constrained gradient and
     s = dps_step, and scale_step_by_residual divides s by ||r||. ``dps``
     takes xhat to be the affine prior's posterior mean at step t, which the
-    loop's denoiser computes.
+    loop's denoiser computes; each step adds a Jacobian product to ``ledger``.
     """
     if cfg.dc == "dds-cg":
         return lambda xhat, t: cg(a, y, xhat, cfg.cg_steps)
@@ -203,8 +231,12 @@ def make_dc(cfg: SamplerConfig, a: LinearMap, y: np.ndarray, sched,
     elif prior is None:
         raise ConfigError("dps DC needs an affine-subspace prior denoiser")
     else:
-        # looked up per call, so a replaced samplers.mcg_dps_gradient is the one run
-        size, direction = cfg.dps_step, lambda r, t: mcg_dps_gradient(r, t, prior, a, sched)
+        ledger = ledger or Ledger()
+
+        def direction(r, t):  # looked up per call: a replaced mcg_dps_gradient is the one run
+            ledger.jacobian_products += 1
+            return mcg_dps_gradient(r, t, prior, a, sched)
+        size = cfg.dps_step
 
     def descent(xhat, t):
         r = a.apply(xhat) - y  # formed once, for the direction and the size
@@ -232,7 +264,7 @@ def _trace_noise(x: np.ndarray) -> float:
 
 def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
                     rng: RngStream | None = None, x_true: np.ndarray | None = None,
-                    schedule=None, dc=None) -> ReconResult:
+                    schedule=None, dc=None, ledger: Ledger | None = None) -> ReconResult:
     """Run the decomposed sampling loop for one measurement.
 
     Per step: Tweedie denoise, data consistency ``dc(xhat, t)`` (by
@@ -244,7 +276,9 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     trace records comes from the DC step's CgReport when it returns one, and
     from a forward apply otherwise. It is the run's finiteness check: a step
     where it is not finite ends the run with SamplerDivergedError, its trace
-    included.
+    included. The result's Ledger counts the run's work: ``a`` and the
+    denoiser are wrapped to count into it once, before make_dc, unless the
+    caller passes a ``ledger`` that it wrapped them for (dds_3d_reconstruct).
     """
     rng = rng if rng is not None else RngStream(cfg.seed)
     sched = schedule if schedule is not None else make_schedule(cfg)
@@ -255,8 +289,11 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     shape, dtype = a.domain_shape, a.domain_dtype
     # an affine prior is the run's prior too; other denoisers (slice-wise, GMM) have none
     prior = denoiser if isinstance(denoiser, AffineSubspacePrior) else None
+    if ledger is None:
+        ledger = Ledger()
+        a, denoiser = a.counted(ledger), CountedDenoiser(denoiser, ledger)
     if dc is None:
-        dc = make_dc(cfg, a, y, sched, prior)
+        dc = make_dc(cfg, a, y, sched, prior, ledger)
     project_noisy = cfg.dc == "projection"
 
     x = sched.start * rng.randn(shape, dtype=dtype)
@@ -283,7 +320,8 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
             record(t, x, xp, xhat, report)
             x = vp_ddim_step(xp, eps_hat, t, eta, rng, sched)
             if project_noisy:
-                x = ddnm_step(x, a, y)[0]
+                x, report = ddnm_step(x, a, y)
+            ledger.cg_iterations += report.iterations if report is not None else 0
 
         x0 = denoiser.denoise(x, sched.stop, sched)
         record(sched.stop, x, x0, x0)
@@ -292,4 +330,4 @@ def dds_reconstruct(a: LinearMap, y: np.ndarray, denoiser, cfg: SamplerConfig,
     if not np.all(np.isfinite(x0)):  # pixels no ray hits never reach the residual
         raise SamplerDivergedError("sampler produced non-finite output", trace=trace)
 
-    return ReconResult(x0=x0, trace=trace)
+    return ReconResult(x0=x0, trace=trace, ledger=ledger)

@@ -14,7 +14,7 @@ from dds.diffusion import AffineSubspacePrior, Schedule
 from dds.errors import ConfigError
 from dds.krylov import CgReport
 from dds.operators import RadonGeometry, diff_z_apply, radon_operator
-from dds.samplers import DC_STRATEGIES, SamplerConfig, dds_reconstruct, make_dc
+from dds.samplers import DC_STRATEGIES, Ledger, SamplerConfig, dds_reconstruct, make_dc
 from dds.tensor import COMPLEX, REAL, RngStream, norm
 from oracles import cg, tv_objective
 from test_krylov import counted
@@ -204,6 +204,11 @@ def test_volume_dc_costs_2m_plus_1_matvecs_per_step(mode):
                                  rng=RngStream(0))
         assert len(res.trace) == steps + 1
         assert a.calls["apply"] + a.calls["adjoint"] == steps * (2 * m + 1) + 1
+        # 3 slices denoised per step and at the end; ADMM at every VP step,
+        # and at t = 2 alone in VE
+        assert res.ledger == Ledger(denoiser_calls=3 * (steps + 1), forward=a.calls["apply"],
+                                    adjoint=a.calls["adjoint"], cg_iterations=steps * m,
+                                    admm_sweeps=steps if mode == "vp" else 1)
 
 
 @pytest.mark.parametrize("mode", ["vp", "ve"])

@@ -9,6 +9,7 @@ resolvable and check that the loops really call through them.
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,14 +90,19 @@ mode = {mode}
 """
 
 
-def _traced_spans(text):
+def _traced_run(text):
     cfg = ExperimentConfig(text)
     problem = build_problem(cfg)
     tracer = tracing.Tracer()
     tv = tv_config(cfg) if problem.kind == "ct3d" else None
     with tracing.installed(tracer, DDS, problem):
-        run_reconstruction(problem, sampler_config(cfg, 0), tv=tv, rng=RngStream(0))
-    return problem, tracer.take()
+        res = run_reconstruction(problem, sampler_config(cfg, 0), tv=tv, rng=RngStream(0))
+    return problem, res, tracer.take()
+
+
+def _traced_spans(text):
+    problem, _, spans = _traced_run(text)
+    return problem, spans
 
 
 def _traced_span_names(text):
@@ -141,6 +147,39 @@ def test_instance_hooks_on_the_prior_count_every_call(text, nfe, slices):
     names = [s[0] for s in spans]
     assert names.count("diffusion.denoise") == nfe * slices
     assert names.count("samplers.prior_distance") == (nfe if slices == 1 else 0)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass resolves annotations through it
+    spec.loader.exec_module(mod)
+    return mod.WORKLOADS
+
+
+# (forward, adjoint, denoiser calls, CG iterations, ADMM sweeps) per run
+WORKLOAD_LEDGERS = {
+    "mri2d-dds": (295, 245, 50, 245, 0),   # 49 steps of 6 forwards and 5 adjoints, + x0's
+    "mri2d-pinv": (3820, 3800, 20, 3800, 0),  # 19 pseudo-inverse solves of 200 steps, + x0's
+    "ct3d-admm": (115, 95, 160, 95, 8),    # 8 slices denoised per call; ADMM below t = 10
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_LEDGERS))
+def test_run_ledger_equals_the_tracer_counts_on_each_workload(name):
+    # the package counts its own work; on each benchmark workload its ledger
+    # must agree with the counts the tracer takes through its hooks
+    _, res, spans = _traced_run(_load_workloads()[name].config_text(1))
+    m = tracing.operation_metrics(spans, 0)
+    ledger = res.ledger
+    counts = (ledger.forward, ledger.adjoint, ledger.denoiser_calls, ledger.cg_iterations,
+              ledger.admm_sweeps)
+    assert counts == (m["operators.forward_calls"], m["operators.adjoint_calls"],
+                      m["diffusion.denoise_calls"], m["krylov.cg_iterations"], m["admm.sweeps"])
+    assert counts == WORKLOAD_LEDGERS[name]
+    assert ledger.forward + ledger.adjoint == m["operators.matvecs"]
+    assert ledger.jacobian_products == 0
 
 
 def test_problem_denoiser_is_its_prior_under_a_second_name():

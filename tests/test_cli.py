@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,10 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
     ("kind = mri2d", "kind = mri2d\nnoise_sigma = -0.1", "[problem] noise_sigma = -0.1 must be"),
     ("kind = mri2d", "kind = mri2d\nnoise_sigma = nan", "[problem] noise_sigma = nan must be"),
     ("kind = mri2d", "kind = mri2d\nnoise_sigma = inf", "[problem] noise_sigma = inf must be"),
+    ("kind = mri2d", "kind = mri2d\nnoise_sigma = 1e308",
+     "[problem] noise_sigma = 1e+308 gives non-finite data"),
+    (CFG, CT_CFG.replace("kind = ct3d", "kind = ct3d\nnoise_sigma = 1e308"),
+     "[problem] noise_sigma = 1e+308 gives non-finite data"),
     ("kind = affine", "kind = gmm\ntau = -0.1", "[prior] tau = -0.1 must be finite and >= 0"),
     ("kind = affine", "kind = gmm\ntau = nan", "[prior] tau = nan must be finite and >= 0"),
     ("kind = affine", "kind = gmm\ntau = inf", "[prior] tau = inf must be finite and >= 0"),
@@ -507,7 +512,8 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, old, new, named):
         "non-boolean-complex", "gmm-no-components", "gmm-negative-components",
         "nan-acceleration-uniform1d", "nan-acceleration-poisson-disk-vd",
         "inf-acceleration-uniform1d", "shepp-logan-3d-on-2d-shape", "negative-mask-seed",
-        "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "negative-tau",
+        "negative-noise-sigma", "nan-noise-sigma", "inf-noise-sigma", "overflowing-noise-sigma",
+        "overflowing-noise-sigma-ct3d", "negative-tau",
         "nan-tau", "inf-tau", "negative-smooth", "nan-smooth", "negative-offset-scale",
         "nan-offset-scale", "noiseless-negative-noise-seed", "nan-tau-on-affine",
         "no-components-on-affine", "gmm-negative-dim", "gmm-zero-dim", "zero-tau-on-affine",
@@ -525,7 +531,8 @@ def test_malformed_config_value_exits_2(tmp_path, old, new, named):
     # rule of the kind that reads it, which used to exit 0; tau = 1e200
     # overflowed tau^2 past the check (exit 0 on an affine prior, 3 on a
     # mixture), and smooth = 3.5e153 or 1e154 made the low-pass filter NaN
-    # (exit 3) or overflowed it in a traceback (exit 1)
+    # (exit 3) or overflowed it in a traceback (exit 1); noise_sigma = 1e308
+    # overflowed the noise draw with a numpy warning and exited 3 on the data
     cfgp = tmp_path / "exp.ini"
     cfgp.write_text(CFG.replace(old, new))
     r = run_cli("simulate", "--config", str(cfgp), "--out", str(tmp_path / "sim"))
@@ -548,6 +555,20 @@ def test_non_finite_tv_value_exits_2(tmp_path, old, new, named):
     _one_line_error(r)
     assert named in r.stderr
     assert not (out / "x0.dtf").exists()
+
+
+def test_huge_tv_lambda_runs_without_a_warning(tmp_path, capsys):
+    # kappa = lam/rho = 1e308 overflowed kappa/|v| in soft_threshold's
+    # discarded branch: exit 0, but with a numpy RuntimeWarning on stderr
+    from dds import cli
+    cfgp = tmp_path / "ct.ini"
+    cfgp.write_text(CT_CFG.replace("mode = ve", "mode = vp").replace("lam = 0.5", "lam = 1e308")
+                    .replace("rho = 0.5", "rho = 1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["reconstruct", "--config", str(cfgp), "--seed", "0",
+                         "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -662,15 +683,23 @@ def test_bad_sampler_value_exits_2(tmp_path, extra, named):
     ("smooth = 1e154", "smooth = 1e+154 is too large"),
     ("phantom_scale = inf", "[noise_offset] phantom_scale = inf must be finite"),
     ("phantom_scale = nan", "[noise_offset] phantom_scale = nan must be finite"),
+    ("shape =", "[noise_offset] shape = (empty) must be two equal positive sizes"),
+    ("shape = 8\nsmooth = 0", "[noise_offset] shape = 8 must be two equal positive sizes"),
+    ("shape = 8 4\nsmooth = 0", "[noise_offset] shape = 8 4 must be two equal positive sizes"),
+    ("shape = 4 4 4\nsmooth = 0", "[noise_offset] shape = 4 4 4 must be two equal positive"),
+    ("shape = 0 0\nsmooth = 0", "[noise_offset] shape = 0 0 must be two equal positive sizes"),
 ], ids=["negative-smooth", "nan-smooth", "negative-sigma-gt", "nan-sigma-gt", "inf-sigma-gt",
         "non-pow2-shape", "smooth-filter-nan", "smooth-filter-overflow", "inf-phantom-scale",
-        "nan-phantom-scale"])
+        "nan-phantom-scale", "empty-shape", "one-size-shape", "non-square-shape",
+        "three-size-shape", "zero-shape"])
 def test_bad_noise_offset_value_exits_2(tmp_path, value, named):
     # smooth = -1 or nan ran white-noise phantoms with exit 0, and
     # sigma_gt = nan exited 3 in the first CG solve; the smoothed phantom's
     # shape is checked where it enters, not by the FFT; smooth = 3.5e153 or
     # 1e154 made the low-pass filter NaN or overflowed it; phantom_scale = inf
-    # or nan passed the config and exited 3 in the first CG solve
+    # or nan passed the config and exited 3 in the first CG solve; an empty
+    # shape ended in an IndexError traceback, and one, three or unequal sizes
+    # exited 2 with the Radon operator's message, which named no key
     cfgp = tmp_path / "no.ini"
     cfgp.write_text(f"[noise_offset]\ntrials = 1\n{value}\n")
     out = tmp_path / "no.csv"

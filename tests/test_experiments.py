@@ -1,6 +1,8 @@
 import math
+import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from dds.admm import TvConfig
 from dds.dtf import write_csv
+from dds.diffusion import AffineSubspacePrior
 from dds.errors import ConfigError, NumericalError
 from dds import experiments
 from dds.experiments import (
@@ -467,6 +470,41 @@ def test_run_reconstruction_times_every_attempt(monkeypatch):
     assert res.accepted is False
     assert res.attempts == 3
     assert res.wall_seconds >= 0.15
+
+
+def test_concurrent_runs_on_one_problem_keep_their_own_ledgers(monkeypatch):
+    # dds sweep --jobs N shares one Problem across threads, so no count may
+    # live on the shared operator. The three runs meet at a barrier in every
+    # prior denoise call (8 each), so they advance step by step together.
+    problem = build_problem(ExperimentConfig(BASE_CFG))
+    cfgs = [SamplerConfig(nfe=8, dc=dc, seed=0) for dc in ("dds-cg", "ddnm", "dps")]
+    serial = [run_reconstruction(problem, c, rng=RngStream(4)) for c in cfgs]
+    assert len({(r.ledger.forward, r.ledger.adjoint) for r in serial}) == 3
+    barrier = threading.Barrier(len(cfgs))
+    denoise = AffineSubspacePrior.denoise
+
+    def in_step(*args):
+        barrier.wait(timeout=30)
+        return denoise(*args)
+
+    monkeypatch.setattr(AffineSubspacePrior, "denoise", in_step)
+    with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+        together = list(pool.map(lambda c: run_reconstruction(problem, c, rng=RngStream(4)),
+                                 cfgs))
+    for alone, run in zip(serial, together):
+        assert run.ledger == alone.ledger
+        assert np.array_equal(run.x0, alone.x0)
+
+def test_run_reconstruction_ledger_sums_every_attempt():
+    # tau = 1e-12 rejects all three attempts; each costs what one attempt on
+    # its own costs, so the result's ledger is three times a single one's
+    problem = build_problem(ExperimentConfig(BASE_CFG))
+    scfg = sampler_config(ExperimentConfig(BASE_CFG), 2, rejection_tau=1e-12)
+    single = run_reconstruction(problem, scfg, rng=RngStream(2)).ledger
+    res = run_reconstruction(problem, scfg, rng=RngStream(2), max_retries=3)
+    assert (res.accepted, res.attempts) == (False, 3)
+    assert single.forward > 0 and single.denoiser_calls > 0
+    assert res.ledger == single + single + single
 
 
 @pytest.mark.parametrize("retries", [0, -3])

@@ -21,6 +21,7 @@ from dds.operators import (
     sense_operator,
 )
 from dds.samplers import (
+    Ledger,
     SamplerConfig,
     dds_reconstruct,
     ddnm_step,
@@ -162,9 +163,13 @@ def test_capped_ddnm_pays_one_forward_and_one_adjoint_per_cgls_step(monkeypatch)
 
     monkeypatch.setattr(samplers, "cg", spy)
     nfe, cap = 4, samplers._PINV_MAXITER
-    dds_reconstruct(a, y, den, SamplerConfig(nfe=nfe, dc="ddnm", seed=0), rng=RngStream(0))
+    res = dds_reconstruct(a, y, den, SamplerConfig(nfe=nfe, dc="ddnm", seed=0),
+                          rng=RngStream(0))
     assert iterations == [cap] * (nfe - 1)  # the multi-coil solve never reaches its tolerance
     assert a.calls == {"apply": (nfe - 1) * (cap + 1) + 1, "adjoint": (nfe - 1) * cap}
+    # the run's own ledger counts the same applies, and each solve's iterations
+    assert res.ledger == Ledger(denoiser_calls=nfe, forward=a.calls["apply"],
+                                adjoint=a.calls["adjoint"], cg_iterations=(nfe - 1) * cap)
 
 
 def test_ddnm_output_satisfies_measurements_when_consistent():
@@ -667,6 +672,20 @@ def test_dds_cg_costs_2m_plus_1_matvecs_per_step(mode, nfe):
         res = dds_reconstruct(a, y, den, cfg, rng=RngStream(0))
         assert len(res.trace) == steps + 1
         assert a.calls["apply"] + a.calls["adjoint"] == steps * (2 * m + 1) + 1
+        assert res.ledger == Ledger(denoiser_calls=nfe, forward=a.calls["apply"],
+                                    adjoint=a.calls["adjoint"], cg_iterations=steps * m)
+
+
+def test_dps_ledger_counts_one_jacobian_product_per_step():
+    # per step: A xhat for the residual and one A* r inside the projected
+    # gradient, then the trace's forward of x'; plus the final x0's forward
+    _, den, _, a, y = sense_problem(191, shape=(16, 16), coils=2, acc=2.0, dim=4)
+    a = counted(a)
+    nfe = 8
+    res = dds_reconstruct(a, y, den, SamplerConfig(nfe=nfe, dc="dps", seed=0), rng=RngStream(0))
+    assert a.calls == {"apply": 2 * (nfe - 1) + 1, "adjoint": nfe - 1}
+    assert res.ledger == Ledger(denoiser_calls=nfe, jacobian_products=nfe - 1,
+                                forward=2 * (nfe - 1) + 1, adjoint=nfe - 1)
 
 
 def trace_against_dc_outputs(trace, outs, a, y):
